@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -238,8 +237,7 @@ def cmd_dssp_run(args):
     depths = set()
     accepted_frac = []
     for run_idx in range(args.runs):
-        run_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=args.seed, spawn_key=(run_idx,)))
+        run_rng = qsim.trial_rng(args.seed, run_idx)
         if args.access == "inplace":
             ipo = oracles.build_inplace(shuffling, run_rng)
             s_hat, trace, stats = oracles.solve_inplace_dssp(ipo, run_rng)
@@ -263,7 +261,7 @@ def cmd_dssp_run(args):
 
 
 # ---------------------------------------------------------------------------
-# game-run / ntcf-run / bench
+# game-run / ntcf-run
 # ---------------------------------------------------------------------------
 
 
@@ -274,11 +272,7 @@ def _game_worker(payload):
     depths = set()
     transcripts = []
     for t in range(t0, t1):
-        rng = game.trial_rng(seed, t)
-        orc = None if cfg.fidelity == "gadget" else game.make_oracle(cfg, rng)
-        a = game.STRATEGIES_A[strat_a](cfg)
-        o = game.STRATEGIES_O[strat_o](cfg)
-        verdict, tr = game.run_query_protocol(cfg, a, o, orc, rng)
+        verdict, tr = game.play_trial(cfg, strat_a, strat_o, seed, t)
         accepted += verdict == "accept"
         depths.add(tr.depth_audit.get("audited_depth"))
         if t < 3:
@@ -348,8 +342,7 @@ def cmd_ntcf_run(args):
     accepted = 0
     depths = set()
     for t in range(args.trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=args.seed, spawn_key=(t,)))
+        rng = qsim.trial_rng(args.seed, t)
         prover = ntcf.PROVERS[args.prover]()
         verdict, run = ntcf.run_cvqd(args.d, prover, rng, n=args.n)
         accepted += verdict == "accept"
@@ -365,26 +358,6 @@ def cmd_ntcf_run(args):
             args.d, args.trials, rng_seed=args.seed, n=args.n,
             mode="planted" if args.prover == "reset-planted" else "guess")
     emit(result, args)
-    return 0
-
-
-def cmd_bench(args):
-    rng = np.random.default_rng(0)
-    timings = {}
-    t0 = time.perf_counter()
-    st = qsim.StateVector.from_bits([0] * 12)
-    for q in range(12):
-        st.apply_gate(qsim.Gate("H", (q,)))
-    timings["dense_h_wall_12q_ms"] = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    f = oracles.sample_simon(4, rng)
-    sh = oracles.sample_shuffling(f, 2, rng, mode="exact")
-    ipo = oracles.build_inplace(sh, rng)
-    timings["oracle_build_n4_d2_ms"] = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    oracles.solve_inplace_dssp(ipo, rng)
-    timings["inplace_solve_n4_d2_ms"] = (time.perf_counter() - t0) * 1e3
-    emit({"timings_ms": timings}, args)
     return 0
 
 
@@ -462,10 +435,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_ntcf_run)
-
-    p = sub.add_parser("bench", help="timing of core operations")
-    p.add_argument("--outdir", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -129,7 +129,6 @@ class KeyLedger:
 
     keys: list
     history: list = field(default_factory=list)
-    h_depth: list = field(default_factory=list)   # H count per in-flight H gadget
 
     @classmethod
     def fresh(cls, n, rng):

@@ -23,20 +23,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolOrderError, QDepthError
-from .gadgets import RoundType, compile_ops, gadget_parity, update_keys
+from .errors import ConfigError, DepthBudgetExceeded, ProtocolOrderError, QDepthError
+from .gadgets import KeyLedger, RoundType, compile_ops, gadget_parity, update_keys
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import (
     InPlaceShufflingOracle,
-    ShufflingOracle,
-    apply_standard_oracle,
-    apply_inplace_perm,
+    SolverRun,
     build_inplace,
     sample_shuffling,
     sample_simon,
     solve_hidden_shift,
 )
-from .qsim import H, I2, S, SDG, T, Gate, SparseState, StateVector
+from .qsim import (
+    H, I2, S, SDG, T, Gate, SparseState, StateVector, states_equal_up_to_phase,
+    trial_rng,
+)
 from .qsim import measure as qsim_measure
 
 SIGMA = ("X", "Y", "Z", "F", "G")
@@ -147,9 +148,6 @@ def wilson_interval(successes, trials, z=1.96):
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_STANDIN = None  # built per config: d layers of [T(0), CNOT(0,1)]
-
-
 @dataclass
 class ProtocolConfig:
     n: int = 3
@@ -206,6 +204,7 @@ class ProtocolConfig:
             violations.append(f"unknown fidelity mode {self.fidelity!r}")
         if self.target not in ("inplace", "standard"):
             violations.append(f"unknown target {self.target!r}")
+        violations += schedule_violations(self)
         if violations:
             raise ConfigError(violations)
         cfg = self.resolved()
@@ -230,6 +229,20 @@ class ProtocolConfig:
         out["width_factor"] = (cfg.width_factor if cfg.width_factor is not None
                                else cfg.d + 2)
         return out
+
+
+def query_count(cfg: ProtocolConfig) -> int:
+    """Oracle queries of the hidden-shift schedule: d+1 in-place, 2d+1 standard."""
+    return cfg.d + 1 if cfg.target == "inplace" else 2 * cfg.d + 1
+
+
+def schedule_violations(cfg: ProtocolConfig) -> list:
+    """In abstract fidelity query k applies step k of the solver's schedule,
+    so q may not run past the schedule's last query."""
+    if cfg.fidelity == "abstract" and cfg.q > query_count(cfg):
+        return [f"q={cfg.q} above the {query_count(cfg)} oracle queries of "
+                f"{cfg.target} access at d={cfg.d}"]
+    return []
 
 
 def standin_layers(cfg: ProtocolConfig):
@@ -398,6 +411,25 @@ _P0_TABLE = {
 }
 
 
+def rigid_exchange(labels, act_label, e_act, measured, rng):
+    """The verifier's requests to O in a rigidity round, and O's outcomes.
+
+    Requests repeat the X, Y, Z labels and draw X or Y for each F/G label;
+    O then measures its EPR half, collapsed by A's outcome ``e_act`` in the
+    observable ``act_label`` A really used, or reads fair coins when A never
+    measured.  Returns (requests, outcomes).
+    """
+    requests = [w if w in ("X", "Y", "Z")
+                else ("X" if rng.integers(2) == 0 else "Y")
+                for w in labels]
+    outcomes = np.zeros(len(labels), dtype=np.int64)
+    for i in range(len(labels)):
+        p0 = (_P0_TABLE[(act_label[i], int(e_act[i]), requests[i])]
+              if measured else 0.5)
+        outcomes[i] = 0 if rng.random() < p0 else 1
+    return requests, outcomes
+
+
 class ProverA:
     """Target prover: runs the query algorithm under a depth budget.
 
@@ -431,9 +463,7 @@ class ProverA:
                 self.instances = []
                 for _ in range(cfg.t_parallel):
                     st = SparseState.from_bits([0] * layout.inst_width)
-                    for qb in range(cfg.n):
-                        st.apply_gate(Gate("H", (qb,)))
-                    self.instances.append(st)
+                    self.instances.append(st.apply_hadamard_wall(range(cfg.n)))
             self.standin = StateVector.from_bits([0] * layout.n_si)
 
     def _charge(self, note) -> bool:
@@ -442,7 +472,7 @@ class ProverA:
         try:
             self.session.charge_layers(1, note)
             return True
-        except Exception:
+        except DepthBudgetExceeded:
             self.fabricating = True
             return False
 
@@ -481,13 +511,12 @@ class ProverA:
         self._charge("final_hadamard")
         if self.fabricating or self.instances is None or self.random_answer:
             return int(rng.integers(0, 1 << cfg.n))
+        total = layout.inst_width
+        # the solver's h_out: the input register, plus the flag in-place
+        wall = list(range(cfg.n)) + ([total - 1] if cfg.target == "inplace" else [])
         samples = []
         for st in self.instances:
-            total = layout.inst_width
-            for qb in range(cfg.n):
-                st.apply_gate(Gate("H", (qb,)))
-            if cfg.target == "inplace":
-                st.apply_gate(Gate("H", (total - 1,)))
+            st.apply_hadamard_wall(wall)
             bits, _ = qsim_measure(st, range(total), "standard", rng)
             if cfg.target == "inplace" and bits[-1] != 0:
                 continue
@@ -511,9 +540,6 @@ class ProverO:
         self.skip_oracle = skip_oracle
         self.attack = attack     # None or ("X"|"Z", wire_position)
         self.name = name
-
-    def begin(self, cfg, layout, rng):
-        self.cfg, self.layout = cfg, layout
 
 
 STRATEGIES_A = {
@@ -561,56 +587,20 @@ class GameRun:
         self.rng = rng
         self.transcript = Transcript(config=self.cfg.to_json(), seed=self.cfg.seed)
         self._step = 0
+        # the solver's schedule: step 0 is its opening H wall, step k <= q
+        # the map of query k, the last step its closing H wall
+        self.steps = None
+        if self.cfg.fidelity == "abstract":
+            violations = schedule_violations(self.cfg)
+            if violations:
+                raise ConfigError(violations)
+            solver = SolverRun(oracle, self.cfg.target == "inplace")
+            self.steps, _ = (solver.inplace_steps() if solver.inplace
+                             else solver.standard_steps())
 
     def log(self, frm, to, kind, payload=None):
         self._step += 1
         self.transcript.log(self._step, frm, to, kind, payload)
-
-    # -- oracle schedule ----------------------------------------------------
-
-    def _oracle_step(self, query_idx):
-        """State->state map for round ``query_idx`` (1-based) of the schedule."""
-        cfg, layout = self.cfg, self.layout
-        n, big, d = cfg.n, layout.big_width, cfg.d
-        orc = self.oracle
-        if cfg.target == "inplace":
-            level = query_idx - 1
-            base = orc.base
-            if level == 0:
-                return lambda st: apply_standard_oracle(
-                    st, lambda x: base.middle_eval(0, base.embed(x)), (0, n), (n, big)
-                )
-            if level == d:
-                fn = orc.unitary_fn(d)
-                return lambda st: apply_inplace_perm(st, fn, (n, big + 1))
-            return lambda st: apply_inplace_perm(
-                st, lambda v: base.middle_eval(level, v), (n, big)
-            )
-        base = orc.base if isinstance(orc, InPlaceShufflingOracle) else orc
-
-        def reg(i):
-            return (n + (i - 1) * big, big)
-
-        out_reg = (n + d * big, base.simon.m)
-        k = query_idx
-        if k == 1 or k == 2 * d + 1:
-            return lambda st: apply_standard_oracle(
-                st, lambda x: base.middle_eval(0, base.embed(x)), (0, n), reg(1)
-            )
-        if 2 <= k <= d:
-            i = k - 1
-            return lambda st: apply_standard_oracle(
-                st, lambda v: base.middle_eval(i, v), reg(i), reg(i + 1)
-            )
-        if k == d + 1:
-            def fd(v):
-                val = base.final_eval(v)
-                return base.junk_value(v) if val is None else val
-            return lambda st: apply_standard_oracle(st, fd, reg(d), out_reg)
-        i = 2 * d + 1 - k  # uncompute f_i for k in (d+1, 2d+1)
-        return lambda st: apply_standard_oracle(
-            st, lambda v: base.middle_eval(i, v), reg(i), reg(i + 1)
-        )
 
     # -- shared per-round setup ----------------------------------------------
 
@@ -637,23 +627,11 @@ class GameRun:
     # -- rigidity round -------------------------------------------------------
 
     def run_rigid(self, query_idx, free):
-        cfg, rng = self.cfg, self.rng
         (part, free, labels, e_rep, e_act, act_label,
          measured, _, _, _) = self._round_setup(query_idx, free)
-        requests = []
-        for i, w in enumerate(labels):
-            if w in ("X", "Y", "Z"):
-                requests.append(w)
-            else:
-                requests.append("X" if rng.integers(2) == 0 else "Y")
+        requests, outcomes = rigid_exchange(labels, act_label, e_act, measured,
+                                            self.rng)
         self.log("V", "O", MSG_BASIS, {"labels": requests})
-        outcomes = np.zeros(len(labels), dtype=np.int64)
-        for i in range(len(labels)):
-            if measured:
-                p0 = _P0_TABLE[(act_label[i], int(e_act[i]), requests[i])]
-            else:
-                p0 = 0.5
-            outcomes[i] = 0 if rng.random() < p0 else 1
         self.log("O", "V", MSG_MEAS, {"o": outcomes.tolist()})
         verdict = rigid_verdict(labels, requests, np.asarray(e_rep), outcomes,
                                 self.cfg)
@@ -665,7 +643,6 @@ class GameRun:
         cfg, layout, rng = self.cfg, self.layout, self.rng
         (part, free, labels, e_rep, e_act, act_label,
          measured, a_rep, b_rep, real_tp) = self._round_setup(query_idx, free)
-        from .gadgets import KeyLedger
 
         si_base = layout.n_tot - layout.n_si
         if round_type == RoundType.COMPUTATION:
@@ -769,7 +746,7 @@ class GameRun:
         # oracle action on the data wires, then any planted attack
         if round_type == RoundType.COMPUTATION and not self.o.skip_oracle \
                 and self.a.instances is not None and not rs.garbage:
-            step = self._oracle_step(query_idx)
+            step = self.steps[query_idx]
             for st in self.a.instances:
                 step(st)
         if self.o.attack is not None:
@@ -915,7 +892,6 @@ class GameRun:
     def run(self):
         cfg, rng = self.cfg, self.rng
         self.a.begin(cfg, self.layout, rng)
-        self.o.begin(cfg, self.layout, rng)
         gamma_zero = rng.random() < cfg.alpha
         test_round = None
         ell = None
@@ -934,12 +910,10 @@ class GameRun:
             if gamma_zero or i < ell:
                 _, free = self.run_round(i, RoundType.COMPUTATION, free)
                 continue
-            if test_round == "xtest":
-                verdict, free = self.run_round(i, RoundType.XTEST, free)
-            elif test_round == "ztest":
-                verdict, free = self.run_round(i, RoundType.ZTEST, free)
-            else:
+            if test_round == "rigid":
                 verdict, free = self.run_rigid(i, free)
+            else:
+                verdict, free = self.run_round(i, RoundType(test_round), free)
             break
         if gamma_zero:
             if cfg.fidelity == "gadget":
@@ -972,8 +946,6 @@ class GameRun:
         if self.a.standin is None:
             return "reject"
         expected = expected_standin_state(self.cfg)
-        from .qsim import states_equal_up_to_phase
-
         ok = states_equal_up_to_phase(
             self.a.standin.amplitudes, expected.amplitudes, tol=1e-7
         )
@@ -1010,7 +982,6 @@ def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
     o = STRATEGIES_O[strat_o](cfg)
     run = GameRun(cfg, a, o, orc, rng)
     run.a.begin(run.cfg, run.layout, rng)
-    run.o.begin(run.cfg, run.layout, rng)
     free = np.arange(run.cfg.m, dtype=np.int64)
     if round_kind == "comp":
         verdict, _ = run.run_round(1, RoundType.COMPUTATION, free)
@@ -1023,26 +994,6 @@ def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
     else:
         raise QDepthError(f"unknown round kind {round_kind!r}")
     return verdict, run
-
-
-def run_comp(cfg, strat_a="honest", strat_o="honest", oracle=None, seed=0):
-    """One isolated computation round; see run_single_round."""
-    return run_single_round(cfg, "comp", strat_a, strat_o, oracle, seed)
-
-
-def run_xtest(cfg, strat_a="honest", strat_o="honest", oracle=None, seed=0):
-    """One isolated bit-flip test round; see run_single_round."""
-    return run_single_round(cfg, "xtest", strat_a, strat_o, oracle, seed)
-
-
-def run_ztest(cfg, strat_a="honest", strat_o="honest", oracle=None, seed=0):
-    """One isolated phase-flip test round; see run_single_round."""
-    return run_single_round(cfg, "ztest", strat_a, strat_o, oracle, seed)
-
-
-def run_rigid(cfg, strat_a="honest", strat_o="honest", oracle=None, seed=0):
-    """One isolated rigidity round; see run_single_round."""
-    return run_single_round(cfg, "rigid", strat_a, strat_o, oracle, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,14 +1026,7 @@ def run_rigid_standalone(m, rng, cfg=None, prover_a="honest"):
         e_rep = e_act.copy()
     else:
         raise QDepthError(f"unknown rigid strategy {prover_a!r}")
-    requests = [w if w in ("X", "Y", "Z")
-                else ("X" if rng.integers(2) == 0 else "Y")
-                for w in labels]
-    outcomes = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        p0 = (_P0_TABLE[(act_label[i], int(e_act[i]), requests[i])]
-              if measured else 0.5)
-        outcomes[i] = 0 if rng.random() < p0 else 1
+    requests, outcomes = rigid_exchange(labels, act_label, e_act, measured, rng)
     return rigid_verdict(labels, requests, e_rep, outcomes, cfg)
 
 
@@ -1110,13 +1054,18 @@ def run_query_protocol(cfg: ProtocolConfig, prover_a, prover_o, oracle, rng):
         return "reject", t
 
 
-def trial_rng(seed, trial):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial,)))
+def play_trial(cfg: ProtocolConfig, strat_a, strat_o, seed, t):
+    """Trial ``t`` of a seeded run: a fresh oracle (abstract fidelity only)
+    and fresh provers from the named strategies, all drawing from
+    ``trial_rng(seed, t)``.  Returns (verdict, transcript)."""
+    rng = trial_rng(seed, t)
+    oracle = make_oracle(cfg, rng) if cfg.fidelity == "abstract" else None
+    return run_query_protocol(cfg, STRATEGIES_A[strat_a](cfg),
+                              STRATEGIES_O[strat_o](cfg), oracle, rng)
 
 
 def estimate_acceptance(cfg: ProtocolConfig, strat_a_name, strat_o_name,
-                        trials=None, seed=None, oracle=None):
+                        trials=None, seed=None):
     """Monte-Carlo acceptance estimate with a Wilson 95% interval."""
     cfg = cfg.resolved()
     trials = cfg.trials if trials is None else trials
@@ -1126,14 +1075,7 @@ def estimate_acceptance(cfg: ProtocolConfig, strat_a_name, strat_o_name,
     accepted = 0
     audits = []
     for t in range(trials):
-        rng = trial_rng(seed, t)
-        if oracle is not None or cfg.fidelity == "gadget":
-            orc = oracle
-        else:
-            orc = make_oracle(cfg, rng)
-        a = STRATEGIES_A[strat_a_name](cfg)
-        o = STRATEGIES_O[strat_o_name](cfg)
-        verdict, transcript = run_query_protocol(cfg, a, o, orc, rng)
+        verdict, transcript = play_trial(cfg, strat_a_name, strat_o_name, seed, t)
         if verdict == "accept":
             accepted += 1
         audits.append(transcript.depth_audit.get("audited_depth"))
@@ -1156,19 +1098,17 @@ def run_cvqd2(n, d, target="inplace", strat_a="honest", strat_o="honest",
     ``repeat`` > 1 applies sequential repetition: one logical trial accepts
     only if all its repetitions accept.
     """
-    q = d + 1 if target == "inplace" else 2 * d + 1
-    cfg = ProtocolConfig(n=n, d=d, q=q, target=target, seed=seed,
-                         trials=trials, **cfg_kw).resolved()
+    cfg = ProtocolConfig(n=n, d=d, target=target, seed=seed, trials=trials,
+                         **cfg_kw)
+    cfg.q = query_count(cfg)
+    cfg = cfg.resolved()
     accepted = 0
     depth_seen = set()
     for t in range(trials):
         ok = True
         for r in range(repeat):
-            rng = trial_rng(seed, t * repeat + r)
-            orc = make_oracle(cfg, rng)
-            a = STRATEGIES_A[strat_a](cfg)
-            o = STRATEGIES_O[strat_o](cfg)
-            verdict, transcript = run_query_protocol(cfg, a, o, orc, rng)
+            verdict, transcript = play_trial(cfg, strat_a, strat_o, seed,
+                                             t * repeat + r)
             depth_seen.add(transcript.depth_audit.get("audited_depth"))
             if verdict != "accept":
                 ok = False
@@ -1177,9 +1117,9 @@ def run_cvqd2(n, d, target="inplace", strat_a="honest", strat_o="honest",
             accepted += 1
     phat, lo, hi = wilson_interval(accepted, trials)
     return {
-        "n": n, "d": d, "q": q, "target": target, "repeat": repeat,
+        "n": n, "d": d, "q": cfg.q, "target": target, "repeat": repeat,
         "strategy_a": strat_a, "strategy_o": strat_o,
         "trials": trials, "accepted": accepted, "p_hat": phat, "ci95": [lo, hi],
         "audited_depths": sorted(x for x in depth_seen if x is not None),
-        "expected_honest_depth": d + 3 if target == "inplace" else 2 * d + 3,
+        "expected_honest_depth": cfg.q + 2,
     }

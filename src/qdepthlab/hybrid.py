@@ -166,7 +166,8 @@ class HybridSession:
         """Account abstractly for depth executed outside the simulator."""
         if layers:
             self._charge(layers)
-        if note:
+        # with no layer charged there may be no open quantum step to name
+        if note and self._current_quantum is not None:
             self._current_quantum.name = note
 
     def measure(self, qubits, basis="standard"):

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProtocolOrderError, QDepthError
+from .errors import ProtocolOrderError, QDepthError, SchemeViolation
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import KeyedPermutation, dot_bits, random_keyed_permutation
-from .qsim import Gate, SparseState
+from .qsim import SparseState, trial_rng
 from .qsim import measure as qsim_measure
 
 D0_DEFAULT = 14
@@ -146,10 +146,14 @@ class HonestProver:
         self.d0 = d0
         self.failure_rate = failure_rate
 
+    def _budget(self, d):
+        return self.d0 + d
+
     def begin(self, keys, d, rng):
+        """Prepare every claw state and commit to its measured image."""
         self.keys = keys
         self.rng = rng
-        self.session = HybridSession(DQC, self.d0 + d, rng)
+        self.session = HybridSession(DQC, self._budget(d), rng)
         self.states = [samp_state(k) for k in keys]
         self.session.charge_layers(self.d0, "prepare_claws")
         images = []
@@ -164,27 +168,26 @@ class HonestProver:
         return images
 
     def answer(self, i, c):
-        k = self.keys[i - 1]
-        n = k.n
-        st = self.states[i - 1]
+        """Measure claw register i in the standard (c=0) or Hadamard basis."""
+        n = self.keys[i - 1].n
         if i >= 2:
             self.session.charge_layers(1, f"round_{i}_basis")
         if self.failure_rate and self.rng.random() < self.failure_rate:
             return (1, 0) if c == 1 else (0, 0)
-        if c == 0:
-            bits, _ = qsim_measure(st, range(0, 1 + n), "standard", self.rng)
-        else:
-            for qb in range(0, 1 + n):
-                st.apply_gate(Gate("H", (qb,)))
-            bits, _ = qsim_measure(st, range(0, 1 + n), "standard", self.rng)
-        head = bits[0]
-        rest = 0
-        for b in bits[1:]:
-            rest = (rest << 1) | b
-        return (head, rest)
+        basis = "standard" if c == 0 else "hadamard"
+        bits, _ = qsim_measure(self.states[i - 1], range(0, 1 + n), basis, self.rng)
+        return _head_rest(bits)
 
     def trace(self):
         return self.session.finish()
+
+
+def _head_rest(bits):
+    """Split measured (b, x) bits into the answer pair (b, x as an integer)."""
+    rest = 0
+    for b in bits[1:]:
+        rest = (rest << 1) | b
+    return (bits[0], rest)
 
 
 class PreimageOnlyProver:
@@ -194,9 +197,6 @@ class PreimageOnlyProver:
     deliberately unsatisfiable placeholder, so it is accepted exactly when
     all d+1 challenge bits are zero.
     """
-
-    def __init__(self):
-        pass
 
     def begin(self, keys, d, rng):
         self.keys = keys
@@ -220,7 +220,7 @@ class PreimageOnlyProver:
         return self.session.finish()
 
 
-class ResetProver:
+class ResetProver(HonestProver):
     """Honest until round j, then collapses to classical information.
 
     On receiving c_j the prover measures every remaining register in the
@@ -232,28 +232,17 @@ class ResetProver:
     """
 
     def __init__(self, j, d0=D0_DEFAULT, equation_mode="guess"):
+        super().__init__(d0=d0)
         self.j = j
-        self.d0 = d0
         self.equation_mode = equation_mode
 
+    def _budget(self, d):
+        return self.d0 + max(0, self.j - 1)
+
     def begin(self, keys, d, rng):
-        self.keys = keys
-        self.rng = rng
         self.d = d
-        self.session = HybridSession(DQC, self.d0 + max(0, self.j - 1), rng)
-        self.states = [samp_state(k) for k in keys]
-        self.session.charge_layers(self.d0, "prepare_claws")
         self.sigma = None
-        images = []
-        for st, k in zip(self.states, keys):
-            n = k.n
-            bits, _ = qsim_measure(st, range(1 + n, 1 + 2 * n), "standard", rng)
-            y = 0
-            for b in bits:
-                y = (y << 1) | b
-            images.append(y)
-        self.images = images
-        return images
+        return super().begin(keys, d, rng)
 
     def _reset(self):
         """Standard-basis measurement of everything still coherent."""
@@ -262,29 +251,13 @@ class ResetProver:
             k = self.keys[i - 1]
             st = self.states[i - 1]
             bits, _ = qsim_measure(st, range(0, 1 + k.n), "standard", self.rng)
-            head, rest = bits[0], 0
-            for b in bits[1:]:
-                rest = (rest << 1) | b
-            sigma[i] = (head, rest)
+            sigma[i] = _head_rest(bits)
         self.sigma = dict(sigma)
         return sigma
 
     def answer(self, i, c):
         if i < self.j:
-            if i >= 2:
-                self.session.charge_layers(1, f"round_{i}_basis")
-            k = self.keys[i - 1]
-            st = self.states[i - 1]
-            if c == 0:
-                bits, _ = qsim_measure(st, range(0, 1 + k.n), "standard", self.rng)
-            else:
-                for qb in range(0, 1 + k.n):
-                    st.apply_gate(Gate("H", (qb,)))
-                bits, _ = qsim_measure(st, range(0, 1 + k.n), "standard", self.rng)
-            head, rest = bits[0], 0
-            for b in bits[1:]:
-                rest = (rest << 1) | b
-            return (head, rest)
+            return super().answer(i, c)
         if self.sigma is None:
             self._reset()
         return self.answer_from_sigma(self.sigma, i, c)
@@ -343,7 +316,7 @@ def run_cvqd(d, prover, rng, n=4, d0=D0_DEFAULT):
         run.verdict = "accept"
     try:
         run.audited_depth = audited_depth(prover.trace())
-    except Exception:
+    except SchemeViolation:
         run.audited_depth = None
     return run.verdict, run
 
@@ -384,9 +357,7 @@ def extractor_experiment(d, trials, rng_seed=0, n=4, mode="guess", j=1):
     """
     v0s, v1s, boths = 0, 0, 0
     for t in range(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=rng_seed, spawn_key=(t,))
-        )
+        rng = trial_rng(rng_seed, t)
         prover = ResetProver(j=j, equation_mode=mode)
         _, _, _, both, (v0, v1) = rewind_extract(prover, rng, n=n, d=d)
         v0s += v0

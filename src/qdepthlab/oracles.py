@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError, DepthBudgetExceeded, QDepthError
 from .hybrid import DCQ, DQC, HybridSession, TraceStep
-from .qsim import Gate, SparseState
+from .qsim import SparseState
 from .qsim import measure as qsim_measure
 
 EXACT_TABLE_WIDTH_LIMIT = 24
@@ -104,14 +104,6 @@ class KeyedPermutation:
         if len(self._inv_cache) < self._CACHE_CAP:
             self._inv_cache[y] = out
         return out
-
-
-def prp_eval(perm: KeyedPermutation, x) -> int:
-    return perm.eval(x)
-
-
-def prp_invert(perm: KeyedPermutation, y) -> int:
-    return perm.invert(y)
 
 
 def random_keyed_permutation(width, rng) -> KeyedPermutation:

@@ -175,13 +175,6 @@ class StateVector:
         self.amplitudes = np.transpose(psi, order).reshape(-1)
         return self
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(
-            self.num_qubits + other.num_qubits,
-            np.kron(self.amplitudes, other.amplitudes),
-            self.dense_limit,
-        )
-
     def dump_json(self) -> str:
         amps = [[float(a.real), float(a.imag)] for a in self.amplitudes]
         return json.dumps({"n": self.num_qubits, "amps": amps})
@@ -346,6 +339,16 @@ def run_circuit(state, circuit: LayeredCircuit):
     for layer in circuit.layers:
         apply_layer(state, layer)
     return state
+
+
+def trial_rng(seed, trial):
+    """Generator for trial ``trial`` of a run seeded with ``seed``.
+
+    Randomness is always injected as a ``numpy.random.Generator``; per-trial
+    streams are spawned from the run seed, so any one trial replays alone.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                        spawn_key=(trial,)))
 
 
 def measure(state, qubits, basis="standard", rng=None):

@@ -122,12 +122,6 @@ def test_ntcf_run_with_extractor():
     assert ex["both_valid_rate"] >= ex["p0"] + ex["p1"] - 1 - 3 * 0.05
 
 
-def test_bench_runs():
-    code, out = run_cli(["bench"])
-    assert code == 0
-    assert "timings_ms" in json.loads(out)
-
-
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "qdepthlab.cli", "twirl-check", "--trials", "2"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qdepthlab import game, oracles
-from qdepthlab.errors import ConfigError, ProtocolOrderError
+from qdepthlab.errors import ConfigError, ProtocolOrderError, SchemeViolation
 from qdepthlab.game import (
     GameLayout,
     ProtocolConfig,
@@ -69,6 +69,21 @@ def test_config_pool_floor():
     cfg = ProtocolConfig(**SMALL, m=10)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("target, q", [("inplace", 4), ("standard", 6)])
+def test_q_beyond_oracle_schedule_is_config_error(target, q):
+    """d=2 has d+1 = 3 in-place and 2d+1 = 5 standard oracle queries."""
+    cfg = ProtocolConfig(n=3, d=2, q=q, target=target, t_parallel=4)
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    cfg = cfg.resolved()
+    rng = trial_rng(0, 0)
+    orc = make_oracle(cfg, rng)
+    with pytest.raises(ConfigError):
+        run_query_protocol(cfg, STRATEGIES_A["honest"](cfg),
+                           STRATEGIES_O["honest"](cfg), orc, rng)
+    ProtocolConfig(n=3, d=2, q=q, target=target, fidelity="gadget").validate()
 
 
 def test_partition_invariants(rng):
@@ -287,6 +302,23 @@ def test_protocol_order_violation_rejects():
                                      orc, rng)
     assert verdict == "reject"
     assert "error" in tr.depth_audit
+
+
+def test_lab_error_in_depth_charge_is_not_fabrication(monkeypatch):
+    """Only an exceeded budget makes prover A fabricate; any other error
+    raised while charging a layer is a lab bug and reaches the caller."""
+
+    class Broken(game.HybridSession):
+        def charge_layers(self, layers, note=""):
+            raise SchemeViolation("lab bug")
+
+    monkeypatch.setattr(game, "HybridSession", Broken)
+    cfg = ProtocolConfig(**SMALL, seed=3).resolved()
+    rng = trial_rng(3, 0)
+    orc = make_oracle(cfg, rng)
+    with pytest.raises(SchemeViolation, match="lab bug"):
+        run_query_protocol(cfg, STRATEGIES_A["honest"](cfg),
+                           STRATEGIES_O["honest"](cfg), orc, rng)
 
 
 def test_estimate_acceptance_interface():

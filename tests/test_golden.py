@@ -1,0 +1,153 @@
+"""Golden-output guard: SHA-256 digests of seeded runs.
+
+Every case below replays a fixed set of seeded runs and hashes what they
+produce: transcripts, verdicts, depth audits, prover A's final instance
+supports and the summary dicts of the Monte-Carlo runners.  A refactor that
+changes no seeded output leaves every digest as it is; a change that alters
+an RNG draw order on purpose must say so and record the new digest here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from qdepthlab import game, ntcf
+
+PAIRS = [(a, o) for a in game.STRATEGIES_A for o in game.STRATEGIES_O]
+
+GAME_CONFIGS = {
+    "inplace": dict(n=3, d=2, q=3, t_parallel=6, seed=101),
+    "inplace-answer": dict(n=3, d=2, q=3, t_parallel=6, alpha=0.9, seed=102),
+    "inplace-prp": dict(n=3, d=2, q=3, t_parallel=6, alpha=0.5, seed=103,
+                        oracle_mode="prp"),
+    "standard": dict(n=3, d=2, q=5, t_parallel=6, alpha=0.5, seed=104,
+                     target="standard"),
+    "gadget": dict(n=3, d=2, q=3, fidelity="gadget", seed=105),
+    "gadget-answer": dict(n=3, d=2, q=3, fidelity="gadget", alpha=0.9, seed=106),
+}
+
+
+def _digest(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _instances(prover_a):
+    """Support of each of A's sparse instances, in order."""
+    if prover_a.instances is None:
+        return "none"
+    return json.dumps([sorted(st.support) for st in prover_a.instances])
+
+
+def _protocol_case(name):
+    cfg = game.ProtocolConfig(**GAME_CONFIGS[name]).resolved()
+    parts = []
+    for k, (sa, so) in enumerate(PAIRS):
+        for r in range(2):
+            rng = game.trial_rng(cfg.seed, 2 * k + r)
+            oracle = game.make_oracle(cfg, rng) if cfg.fidelity == "abstract" else None
+            a = game.STRATEGIES_A[sa](cfg)
+            o = game.STRATEGIES_O[so](cfg)
+            verdict, tr = game.run_query_protocol(cfg, a, o, oracle, rng)
+            parts += [sa, so, verdict, tr.to_json(), _instances(a)]
+    return _digest(parts)
+
+
+def _single_round_case(name):
+    cfg = game.ProtocolConfig(**GAME_CONFIGS[name])
+    parts = []
+    for kind in ("comp", "xtest", "ztest", "rigid"):
+        for sa, so in [("honest", "honest"), ("lying", "honest"),
+                       ("classical", "honest"), ("basis-swap", "honest"),
+                       ("honest", "pauli-x"), ("honest", "pauli-z")]:
+            for seed in range(2):
+                verdict, run = game.run_single_round(cfg, kind, sa, so, seed=seed)
+                parts += [kind, sa, so, str(verdict), run.transcript.to_json(),
+                          _instances(run.a)]
+    return _digest(parts)
+
+
+def _rigid_standalone_case():
+    parts = []
+    for strat in ("honest", "random", "basis-swap"):
+        for t in range(30):
+            parts.append(game.run_rigid_standalone(300, game.trial_rng(7, t),
+                                                   prover_a=strat))
+    return _digest(parts)
+
+
+def _estimate_case():
+    parts = []
+    for kw, (sa, so) in [
+        (dict(n=2, d=1, q=2, t_parallel=4, seed=31), ("honest", "honest")),
+        (dict(n=2, d=1, q=2, t_parallel=4, alpha=0.9, seed=32), ("lying", "honest")),
+        (dict(n=2, d=1, q=2, fidelity="gadget", seed=33), ("honest", "pauli-x")),
+    ]:
+        cfg = game.ProtocolConfig(**kw)
+        parts.append(json.dumps(game.estimate_acceptance(cfg, sa, so, trials=100),
+                                sort_keys=True))
+    return _digest(parts)
+
+
+def _cvqd2_case():
+    parts = []
+    for target in ("inplace", "standard"):
+        for sa in ("honest", "lying", "reset"):
+            for repeat in (1, 2):
+                res = game.run_cvqd2(2, 1, target=target, strat_a=sa, trials=12,
+                                     seed=41, repeat=repeat, t_parallel=4,
+                                     alpha=0.5)
+                parts.append(json.dumps(res, sort_keys=True))
+    return _digest(parts)
+
+
+def _ntcf_case():
+    parts = []
+    for name in sorted(ntcf.PROVERS):
+        for t in range(25):
+            verdict, run = ntcf.run_cvqd(2, ntcf.PROVERS[name](), game.trial_rng(9, t),
+                                         n=3)
+            parts += [name, verdict, json.dumps(run.to_json(), sort_keys=True),
+                      json.dumps(run.responses)]
+    for mode in ("guess", "planted"):
+        parts.append(json.dumps(
+            ntcf.extractor_experiment(2, 60, rng_seed=11, n=3, mode=mode),
+            sort_keys=True))
+    return _digest(parts)
+
+
+CASES = {
+    **{f"protocol:{name}": (lambda name=name: _protocol_case(name))
+       for name in GAME_CONFIGS},
+    **{f"single-round:{name}": (lambda name=name: _single_round_case(name))
+       for name in ("inplace", "standard", "gadget")},
+    "rigid-standalone": _rigid_standalone_case,
+    "estimate-acceptance": _estimate_case,
+    "run-cvqd2": _cvqd2_case,
+    "ntcf": _ntcf_case,
+}
+
+GOLDEN = {
+    "estimate-acceptance": "6cbad6fedbd7e4fea98d51d0cc057d6586c60f4e872cc699a9e9a74c976570fb",
+    "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
+    "protocol:gadget": "40ff64e809d68b536328bc5580094f35898d8c09644cd917a8f5471eb50b975a",
+    "protocol:gadget-answer": "ff51cd745279b89dd21f4a87e3a2e8b8bd2c3b0b1596a8e69d63303eef3ca42f",
+    "protocol:inplace": "2b4a516b2fcc3845ff5efd97f6bb85af523d2bb56c148192d65071599191dec8",
+    "protocol:inplace-answer": "66bfffc87d5531427545aa9141524a1a7b6f91d9707f1b47fe4943cb3ec6310f",
+    "protocol:inplace-prp": "e98ac432981face2756b8bafd62af23614cb398c2b06c1853ff1010af12fa604",
+    "protocol:standard": "1f403b4b5b7aa448c6e82217cb5551af778142811c0d4045040ab35568e296dc",
+    "rigid-standalone": "90c870096f9091721fc099657631de19bdc6aee470a0426e4d29648fb7e93c58",
+    "run-cvqd2": "fadbefb283a5b0f054c620d4a78df5b24eca03dca5764eb5c601067bfed80322",
+    "single-round:gadget": "d4e569a4bae77f37503348c3f3a3895e054ff5afa59460a41bfec6bc97ce7f93",
+    "single-round:inplace": "b4eff85fee8a3068116ddb0b8d2afb177c09a327b841672e95dd60399b505ae7",
+    "single-round:standard": "56d2a11b98e65f6ffadde724fd072243daa25df77f2d4481d2e06d3c7635d52f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(case):
+    assert CASES[case]() == GOLDEN[case]

@@ -154,3 +154,14 @@ def test_audited_depth_semantics():
         TraceStep("quantum", layers=3),
     ])
     assert audited_depth(dqc) == 7
+
+
+def test_charge_layers_zero_with_no_open_step(rng):
+    """A zero-layer charge with a note neither fails nor adds a step."""
+    session = HybridSession(DQC, 3, rng)
+    session.charge_layers(0, "prepare")
+    session.classical("solve")
+    session.charge_layers(0, "nothing")
+    trace = session.finish()
+    assert [s.kind for s in trace.steps] == ["classical"]
+    assert trace.total_quantum_layers() == 0

@@ -217,3 +217,15 @@ def test_honest_depth_budget_is_tight(rng):
     assert trace.total_quantum_layers() == trace.budget
     with pytest.raises(DepthBudgetExceeded):
         prover.session.charge_layers(1, "one too many")
+
+
+def test_lab_error_in_trace_is_not_swallowed(rng):
+    """Only a scheme violation leaves a run unaudited; any other error in the
+    prover's trace is a lab bug and reaches the caller."""
+
+    class Broken(HonestProver):
+        def trace(self):
+            raise QDepthError("lab bug")
+
+    with pytest.raises(QDepthError, match="lab bug"):
+        run_cvqd(2, Broken(), rng)
