@@ -298,10 +298,8 @@ def cmd_game_run(args):
 
     if args.repeat > 1:
         result = game.run_cvqd2(
-            cfg.n, cfg.d, target=cfg.target, strat_a=args.strategy_a,
-            strat_o=args.strategy_o, trials=trials, seed=seed,
-            repeat=args.repeat, fidelity=cfg.fidelity,
-            oracle_mode=cfg.oracle_mode, t_parallel=cfg.t_parallel)
+            strat_a=args.strategy_a, strat_o=args.strategy_o, trials=trials,
+            repeat=args.repeat, **cfg_kw)
         write_manifest(args, cfg.to_json())
         emit(result, args)
         return 0

@@ -88,6 +88,17 @@ def test_game_run_writes_manifest_and_transcripts(tmp_path):
     assert {m["kind"] for m in t0["messages"]} >= {"SetupSets", "BasisList"}
 
 
+def test_game_run_repeat_keeps_config(tmp_path):
+    """With --repeat the report runs the user's q, as the manifest records."""
+    outdir = tmp_path / "runs"
+    code, out = run_cli(["game-run", "--n", "2", "--d", "1", "--q", "1",
+                         "--repeat", "2", "--trials", "20",
+                         "--outdir", str(outdir)])
+    assert code == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert json.loads(out)["q"] == manifest["config"]["q"] == 1
+
+
 def test_invalid_strategy_name_is_config_error(capsys):
     code = main(["game-run", "--strategy-a", "nope", "--trials", "100"])
     assert code == 3

@@ -1,9 +1,12 @@
 """Two-prover protocol: partitions, rounds, blindness, verdicts, audits."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdepthlab import game, oracles
 from qdepthlab.errors import ConfigError, ProtocolOrderError, SchemeViolation
@@ -97,8 +100,8 @@ def test_partition_invariants(rng):
     assert len(everything) == 2 * layout.n_tot + layout.m_size
     assert everything.isdisjoint(set(rest.tolist()))
     # reserved test sets sit on the right basis labels and do not overlap
-    assert all(part.label(p) == "Z" for p in part.n_x)
-    assert all(part.label(p) == "X" for p in part.n_z)
+    assert (part.w_labels[part.n_x] == game.Z_ID).all()
+    assert (part.w_labels[part.n_z] == game.X_ID).all()
     assert set(part.n_x.tolist()).isdisjoint(part.n_z.tolist())
     # blocks partition the remainder into d pieces
     rest_positions = set(range(len(part.pool))) - set(part.n_x.tolist()) \
@@ -108,6 +111,101 @@ def test_partition_invariants(rng):
         covered |= set(int(b) for b in blk)
     assert covered == rest_positions
     assert len(part.blocks) == cfg.d
+
+
+@pytest.mark.parametrize("fidelity", ["abstract", "gadget"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
+def test_draw_partition_invariants_over_seeds(fidelity, seed, d):
+    cfg = ProtocolConfig(n=3, d=d, q=2, t_parallel=4, fidelity=fidelity).resolved()
+    layout = GameLayout(cfg)
+    free = np.arange(cfg.m, dtype=np.int64)
+    part, rest = draw_partition(layout, free, np.random.default_rng(seed))
+    taken = np.concatenate([part.data_block, part.return_block, part.pool])
+    assert len(set(taken.tolist())) == len(taken) == len(free) - len(rest)
+    assert set(taken.tolist()).isdisjoint(rest.tolist())
+    labels = [game.SIGMA[i] for i in part.w_labels.tolist()]
+    assert all(labels[p] == "Z" for p in part.n_x)
+    assert all(labels[p] == "X" for p in part.n_z)
+    # n_x, n_z and the d blocks split the pool positions without overlap
+    pieces = [part.n_x, part.n_z] + list(part.blocks)
+    flat = [int(p) for piece in pieces for p in piece]
+    assert sorted(flat) == list(range(len(part.pool)))
+    assert len(part.blocks) == d
+    for blk, needs in zip(part.blocks, layout.layer_needs):
+        got = [labels[p] for p in blk]
+        assert got.count("Z") >= needs["z_basis"]
+        assert got.count("X") + got.count("Y") >= needs["xy_basis"]
+        assert got.count("F") + got.count("G") >= needs["gf_basis"]
+
+
+# -- rigidity exchange and verdict against the per-element reference -------------------
+
+_REF_P0 = {(wa, e, wo): game.outcome_prob0(wa, e, wo)
+           for wa in game.SIGMA for e in (0, 1) for wo in ("X", "Y", "Z")}
+
+
+def _ref_rigid_exchange(labels, act_label, e_act, measured, rng):
+    """Per-element rigidity exchange on string labels, one draw at a time."""
+    requests = [w if w in ("X", "Y", "Z")
+                else ("X" if rng.integers(2) == 0 else "Y")
+                for w in labels]
+    outcomes = np.zeros(len(labels), dtype=np.int64)
+    for i in range(len(labels)):
+        p0 = (_REF_P0[(act_label[i], int(e_act[i]), requests[i])]
+              if measured else 0.5)
+        outcomes[i] = 0 if rng.random() < p0 else 1
+    return requests, outcomes
+
+
+def _ref_rigid_verdict(labels, requests, e_rep, outcomes, cfg):
+    """Per-class rigidity decision on string labels."""
+    prods = (1 - 2 * np.asarray(e_rep)) * (1 - 2 * np.asarray(outcomes))
+    for w in ("X", "Y", "Z"):
+        sel = [i for i, l in enumerate(labels) if l == w and requests[i] == w]
+        if len(sel) < cfg.rigid_min_samples:
+            continue
+        if abs(float(np.mean(prods[sel])) - ideal_correlator(w, w)) > cfg.rigid_exact_tol:
+            return "reject"
+    s_val = 0.0
+    for (wa, wo), sign in zip(game.CHSH_PAIRS, game.CHSH_SIGNS):
+        sel = [i for i, l in enumerate(labels) if l == wa and requests[i] == wo]
+        if len(sel) < cfg.rigid_min_samples:
+            return "reject"
+        s_val += sign * float(np.mean(prods[sel]))
+    return "reject" if s_val < cfg.rigid_chsh_min else "accept"
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 400), top=st.sampled_from([2, 4]),
+       cheat=st.sampled_from(["honest", "swap", "any", "lie"]),
+       measured=st.booleans(), seed=st.integers(0, 2**32 - 2),
+       min_samples=st.integers(1, 40))
+def test_rigid_codes_match_scalar_reference(m, top, cheat, measured, seed,
+                                            min_samples):
+    """Random label codes below ``top`` (2 draws no F/G label); small m or
+    large ``min_samples`` leave classes below the sample floor."""
+    gen = np.random.default_rng(seed)
+    labels = gen.integers(0, top + 1, size=m)
+    act = labels.copy()
+    if cheat == "swap":
+        act[np.flatnonzero(labels == game.Z_ID)[::2]] = game.X_ID
+    elif cheat == "any":
+        act = gen.integers(0, len(game.SIGMA), size=m)
+    e_act = gen.integers(0, 2, size=m)
+    e_rep = 1 - e_act if cheat == "lie" else e_act
+    cfg = replace(ProtocolConfig(), rigid_min_samples=min_samples)
+
+    rng_new, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    req, out = game.rigid_exchange(labels, act, e_act, measured, rng_new)
+    s_labels = [game.SIGMA[i] for i in labels]
+    s_act = [game.SIGMA[i] for i in act]
+    ref_req, ref_out = _ref_rigid_exchange(s_labels, s_act, e_act, measured, rng_ref)
+    assert [game.SIGMA[i] for i in req] == ref_req
+    assert out.tolist() == ref_out.tolist()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert (game.rigid_verdict(labels, req, e_rep, out, cfg)
+            == _ref_rigid_verdict(s_labels, ref_req, e_rep, ref_out, cfg))
 
 
 # -- single rounds -------------------------------------------------------------------
@@ -337,6 +435,13 @@ def test_run_cvqd2_depth_audit_both_targets():
     res = run_cvqd2(3, 2, target="standard", trials=40, seed=5, t_parallel=8)
     assert res["q"] == 5
     assert max(res["audited_depths"]) == 7
+
+
+def test_run_cvqd2_gadget_expected_depth_matches_honest_audit():
+    """Gadget fidelity grades no final answer, so the honest audit is q+1."""
+    res = run_cvqd2(3, 2, fidelity="gadget", trials=100, seed=3)
+    assert res["expected_honest_depth"] == res["q"] + 1
+    assert max(res["audited_depths"]) == res["expected_honest_depth"]
 
 
 def test_sequential_repetition_widens_gap():
