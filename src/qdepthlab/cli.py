@@ -9,7 +9,6 @@ failure, 3 configuration error, 4 capacity error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -153,14 +152,7 @@ def cmd_gadget_check(args):
         })
 
     if args.twirl:
-        worst = 0.0
-        for _ in range(args.trials):
-            kraus = qsim.random_cptp(args.twirl, rng)
-            r = qsim.twirl(kraus, args.twirl)
-            for basis in _twirl_probe_states(args.twirl):
-                lhs = qsim.twirled_channel_apply(kraus, args.twirl, basis)
-                rhs = qsim.pauli_channel_apply(r, basis)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = _twirl_max_deviation(args.twirl, args.trials, rng)
         ok = worst < 1e-9
         report["checks"].append({
             "name": f"twirl_n{args.twirl}", "max_deviation": worst,
@@ -190,16 +182,23 @@ def _twirl_probe_states(n):
     return out
 
 
-def cmd_twirl_check(args):
-    rng = np.random.default_rng(args.seed)
+def _twirl_max_deviation(n, trials, rng):
+    """Largest entry gap between the twirl of ``trials`` random n-qubit
+    channels and their Pauli channels, over product probe states."""
     worst = 0.0
-    for _ in range(args.trials):
-        kraus = qsim.random_cptp(args.n, rng)
-        r = qsim.twirl(kraus, args.n)
-        for basis in _twirl_probe_states(args.n):
-            lhs = qsim.twirled_channel_apply(kraus, args.n, basis)
+    for _ in range(trials):
+        kraus = qsim.random_cptp(n, rng)
+        r = qsim.twirl(kraus, n)
+        for basis in _twirl_probe_states(n):
+            lhs = qsim.twirled_channel_apply(kraus, n, basis)
             rhs = qsim.pauli_channel_apply(r, basis)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def cmd_twirl_check(args):
+    worst = _twirl_max_deviation(args.n, args.trials,
+                                 np.random.default_rng(args.seed))
     result = {"n": args.n, "trials": args.trials, "max_deviation": worst,
               "pass": worst < 1e-9}
     emit(result, args)
@@ -265,21 +264,6 @@ def cmd_dssp_run(args):
 # ---------------------------------------------------------------------------
 
 
-def _game_worker(payload):
-    cfg_kw, strat_a, strat_o, seed, t0, t1 = payload
-    cfg = game.ProtocolConfig(**cfg_kw).resolved()
-    accepted = 0
-    depths = set()
-    transcripts = []
-    for t in range(t0, t1):
-        verdict, tr = game.play_trial(cfg, strat_a, strat_o, seed, t)
-        accepted += verdict == "accept"
-        depths.add(tr.depth_audit.get("audited_depth"))
-        if t < 3:
-            transcripts.append(tr.to_json())
-    return accepted, depths, transcripts
-
-
 def cmd_game_run(args):
     violations = []
     if args.strategy_a not in game.STRATEGIES_A:
@@ -288,45 +272,11 @@ def cmd_game_run(args):
         violations.append(f"unknown strategy-o {args.strategy_o!r}")
     if violations:
         raise ConfigError(violations)
-    cfg = build_protocol_config(args).resolved()
-    cfg.validate()
-    trials = args.trials if args.trials is not None else cfg.trials
-    seed = args.seed if args.seed is not None else cfg.seed
-    cfg_kw = {k: getattr(cfg, k) for k in (
-        "n", "d", "q", "p", "alpha", "alpha_c", "t_parallel", "m", "seed",
-        "oracle_mode", "fidelity", "target", "standin_wires")}
-
-    if args.repeat > 1:
-        result = game.run_cvqd2(
-            strat_a=args.strategy_a, strat_o=args.strategy_o, trials=trials,
-            repeat=args.repeat, **cfg_kw)
-        write_manifest(args, cfg.to_json())
-        emit(result, args)
-        return 0
-
-    jobs = max(1, args.jobs)
-    bounds = np.linspace(0, trials, jobs + 1, dtype=int)
-    payloads = [(cfg_kw, args.strategy_a, args.strategy_o, seed, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    accepted, depths, transcripts = 0, set(), []
-    if jobs == 1:
-        parts = [_game_worker(p) for p in payloads]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_game_worker, payloads))
-    for acc, dep, trs in parts:
-        accepted += acc
-        depths |= dep
-        transcripts.extend(trs)
-    phat, lo, hi = game.wilson_interval(accepted, trials)
-    result = {
-        "config": cfg.to_json(),
-        "strategy_a": args.strategy_a, "strategy_o": args.strategy_o,
-        "trials": trials, "accepted": accepted,
-        "acceptance": phat, "ci95": [lo, hi],
-        "audited_depths": sorted(d for d in depths if d is not None),
-    }
-    write_manifest(args, cfg.to_json())
+    cfg = build_protocol_config(args).validate()
+    result, transcripts = game.run_trials(
+        cfg, args.strategy_a, args.strategy_o, trials=args.trials,
+        seed=args.seed, repeat=args.repeat, jobs=args.jobs)
+    write_manifest(args, result["config"])
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
         for i, tr in enumerate(transcripts):

@@ -181,6 +181,10 @@ class ProtocolConfig:
     width_factor: int | None = None
 
     def resolved(self) -> "ProtocolConfig":
+        """This config with alpha, t_parallel and m filled in; ``self`` when
+        they already are, since nothing mutates a resolved config."""
+        if None not in (self.alpha, self.t_parallel, self.m):
+            return self
         cfg = replace(self)
         if cfg.alpha is None:
             cfg.alpha = choose_alpha(cfg.q, cfg.p, cfg.alpha_c)
@@ -217,10 +221,9 @@ class ProtocolConfig:
         cfg = self.resolved()
         t_gates = sum(len(tw) for _, tw in standin_layers(self))
         floor = cfg.n + t_gates * cfg.q + 2 * cfg.n
-        if cfg.m < max(GameLayout(cfg).pool_need, floor):
-            violations.append(
-                f"m={cfg.m} below required pool {GameLayout(cfg).pool_need}"
-            )
+        pool_need = GameLayout(cfg).pool_need
+        if cfg.m < max(pool_need, floor):
+            violations.append(f"m={cfg.m} below required pool {pool_need}")
         if violations:
             raise ConfigError(violations)
         return cfg
@@ -1014,7 +1017,7 @@ def run_query_protocol(cfg: ProtocolConfig, prover_a, prover_o, oracle, rng):
         run = GameRun(cfg, prover_a, prover_o, oracle, rng)
         return run.run()
     except ProtocolOrderError as exc:
-        t = Transcript(config=cfg.resolved().to_json(), seed=cfg.seed)
+        t = Transcript(config=cfg.to_json(), seed=cfg.seed)
         t.verdict = "reject"
         t.depth_audit = {"error": str(exc)}
         return "reject", t
@@ -1030,65 +1033,64 @@ def play_trial(cfg: ProtocolConfig, strat_a, strat_o, seed, t):
                               STRATEGIES_O[strat_o](cfg), oracle, rng)
 
 
-def estimate_acceptance(cfg: ProtocolConfig, strat_a_name, strat_o_name,
-                        trials=None, seed=None):
-    """Monte-Carlo acceptance estimate with a Wilson 95% interval."""
+def _trial_chunk(cfg, strat_a, strat_o, seed, repeat, t0, t1):
+    """Logical trials ``[t0, t1)`` of a run: trial t plays streams
+    ``t*repeat + r`` and stops at the first reject.  Returns (accepted,
+    audited depths, the JSON of the streams below 3 that were played)."""
+    accepted = 0
+    depths = set()
+    transcripts = []
+    for t in range(t0, t1):
+        for stream in range(t * repeat, (t + 1) * repeat):
+            verdict, transcript = play_trial(cfg, strat_a, strat_o, seed, stream)
+            depths.add(transcript.depth_audit.get("audited_depth"))
+            if stream < 3:
+                transcripts.append(transcript.to_json())
+            if verdict != "accept":
+                break
+        else:
+            accepted += 1
+    return accepted, depths, transcripts
+
+
+def run_trials(cfg: ProtocolConfig, strat_a, strat_o, trials=None, seed=None,
+               repeat=1, jobs=1):
+    """Monte-Carlo acceptance of the named strategies with a Wilson 95% interval.
+
+    ``repeat`` > 1 applies sequential repetition: one logical trial accepts
+    only if all its repetitions accept.  ``jobs`` > 1 splits the logical
+    trials into contiguous chunks over worker processes; the results do not
+    depend on it.  Returns (report, transcripts), the latter the JSON of
+    streams 0-2, less any that an earlier reject in their trial skipped.
+    """
+    if repeat < 1 or jobs < 1:
+        raise ConfigError([f"need repeat >= 1 and jobs >= 1, got {repeat} and {jobs}"])
     cfg = cfg.resolved()
     trials = cfg.trials if trials is None else trials
     seed = cfg.seed if seed is None else seed
-    if trials < 100:
-        raise QDepthError("need at least 100 trials for an interval estimate")
-    accepted = 0
-    audits = []
-    for t in range(trials):
-        verdict, transcript = play_trial(cfg, strat_a_name, strat_o_name, seed, t)
-        if verdict == "accept":
-            accepted += 1
-        audits.append(transcript.depth_audit.get("audited_depth"))
+    bounds = np.linspace(0, trials, jobs + 1, dtype=int)
+    chunks = [(cfg, strat_a, strat_o, seed, repeat, int(a), int(b))
+              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if jobs == 1:
+        parts = [_trial_chunk(*chunk) for chunk in chunks]
+    else:
+        # imported here: at module level they would slow every import of game
+        import concurrent.futures
+        import multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(_trial_chunk, *chunk) for chunk in chunks]
+            parts = [f.result() for f in futures]
+    accepted = sum(part[0] for part in parts)
+    depths = set().union(*(part[1] for part in parts))
     phat, lo, hi = wilson_interval(accepted, trials)
-    return {
-        "strategy_a": strat_a_name,
-        "strategy_o": strat_o_name,
-        "trials": trials,
-        "accepted": accepted,
-        "p_hat": phat,
-        "ci95": [lo, hi],
-        "max_audited_depth": max(x for x in audits if x is not None),
-    }
-
-
-def run_cvqd2(n, d, target="inplace", strat_a="honest", strat_o="honest",
-              trials=400, seed=0, repeat=1, **cfg_kw):
-    """Assembled depth-verification run: q defaults to the access model's
-    query count; any other config field passes through ``cfg_kw``.
-
-    ``repeat`` > 1 applies sequential repetition: one logical trial accepts
-    only if all its repetitions accept.
-    """
-    cfg = ProtocolConfig(n=n, d=d, target=target, seed=seed, trials=trials,
-                         **cfg_kw)
-    if cfg_kw.get("q") is None:
-        cfg.q = query_count(cfg)
-    cfg = cfg.resolved()
-    accepted = 0
-    depth_seen = set()
-    for t in range(trials):
-        ok = True
-        for r in range(repeat):
-            verdict, transcript = play_trial(cfg, strat_a, strat_o, seed,
-                                             t * repeat + r)
-            depth_seen.add(transcript.depth_audit.get("audited_depth"))
-            if verdict != "accept":
-                ok = False
-                break
-        if ok:
-            accepted += 1
-    phat, lo, hi = wilson_interval(accepted, trials)
-    return {
-        "n": n, "d": d, "q": cfg.q, "target": target, "repeat": repeat,
+    report = {
+        "config": cfg.to_json(),
         "strategy_a": strat_a, "strategy_o": strat_o,
-        "trials": trials, "accepted": accepted, "p_hat": phat, "ci95": [lo, hi],
-        "audited_depths": sorted(x for x in depth_seen if x is not None),
+        "trials": trials, "repeat": repeat, "accepted": accepted,
+        "p_hat": phat, "ci95": [lo, hi],
+        "audited_depths": sorted(x for x in depths if x is not None),
         # gadget fidelity grades no answer, so it runs no closing H wall
         "expected_honest_depth": cfg.q + (2 if cfg.fidelity == "abstract" else 1),
     }
+    return report, [tr for part in parts for tr in part[2]]

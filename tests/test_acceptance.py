@@ -229,7 +229,7 @@ def test_criterion_08_cheat_detection():
              ("honest", "pauli-x"), ("lying", "honest"),
              ("classical", "honest"), ("reset", "honest")]
     for sa, so in pairs:
-        results[(sa, so)] = game.estimate_acceptance(cfg, sa, so)
+        results[(sa, so)] = game.run_trials(cfg, sa, so)[0]
     honest = results[("honest", "honest")]
     lines = [f"honest {honest['p_hat']:.4f}"]
     ok = True

@@ -1,10 +1,21 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
+import jsonschema
+
 from qdepthlab.cli import main
+
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+
+def validate(doc, schema_name):
+    """Check a JSON artefact against its schema under docs/schemas."""
+    schema = json.loads((SCHEMAS / schema_name).read_text())
+    jsonschema.Draft202012Validator(schema).validate(doc)
 
 
 def run_cli(args):
@@ -34,6 +45,15 @@ def test_gadget_check_planted_attack_rates():
                   if c["name"].startswith("planted_attack"))
     assert attack["xtest_rejection"] == 1.0
     assert attack["ztest_rejection"] == 0.0
+
+
+def test_gadget_check_twirl():
+    code, out = run_cli(["gadget-check", "--twirl", "1", "--trials", "5"])
+    assert code == 0
+    report = json.loads(out)
+    twirl = next(c for c in report["checks"] if c["name"] == "twirl_n1")
+    assert twirl["pass"] is True and twirl["max_deviation"] < 1e-9
+    assert report["pass"] is True
 
 
 def test_twirl_check_within_tolerance():
@@ -77,15 +97,19 @@ def test_game_run_jobs_invariance():
 
 def test_game_run_writes_manifest_and_transcripts(tmp_path):
     outdir = tmp_path / "runs"
-    code, _ = run_cli(["game-run", "--n", "3", "--d", "2", "--q", "3",
-                       "--trials", "3", "--seed", "2", "--t-parallel", "8",
-                       "--outdir", str(outdir)])
+    code, out = run_cli(["game-run", "--n", "3", "--d", "2", "--q", "3",
+                         "--trials", "3", "--seed", "2", "--t-parallel", "8",
+                         "--outdir", str(outdir)])
     assert code == 0
+    validate(json.loads(out), "game_report.v1.schema.json")
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["command"] == "game-run"
     t0 = json.loads((outdir / "transcript_0.json").read_text())
     assert t0["verdict"] in ("accept", "reject")
     assert {m["kind"] for m in t0["messages"]} >= {"SetupSets", "BasisList"}
+    for i in range(3):
+        validate(json.loads((outdir / f"transcript_{i}.json").read_text()),
+                 "transcript.v1.schema.json")
 
 
 def test_game_run_repeat_keeps_config(tmp_path):
@@ -96,12 +120,34 @@ def test_game_run_repeat_keeps_config(tmp_path):
                          "--outdir", str(outdir)])
     assert code == 0
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert json.loads(out)["q"] == manifest["config"]["q"] == 1
+    assert json.loads(out)["config"]["q"] == manifest["config"]["q"] == 1
+
+
+def test_game_run_repeat_honours_jobs_and_outdir(tmp_path):
+    """--repeat runs the same report at any --jobs and writes transcripts."""
+    base = ["game-run", "--n", "2", "--d", "1", "--q", "2", "--repeat", "2",
+            "--trials", "30", "--seed", "3"]
+    outdir = tmp_path / "runs"
+    code1, out1 = run_cli(base + ["--jobs", "1"])
+    code2, out2 = run_cli(base + ["--jobs", "2", "--outdir", str(outdir)])
+    assert code1 == code2 == 0
+    assert out1 == out2
+    report = json.loads(out2)
+    assert report["repeat"] == 2
+    validate(report, "game_report.v1.schema.json")
+    for i in range(3):
+        validate(json.loads((outdir / f"transcript_{i}.json").read_text()),
+                 "transcript.v1.schema.json")
 
 
 def test_invalid_strategy_name_is_config_error(capsys):
     code = main(["game-run", "--strategy-a", "nope", "--trials", "100"])
     assert code == 3
+
+
+def test_game_run_repeat_below_one_is_config_error():
+    """--repeat 0 would play no stream and accept every trial."""
+    assert main(["game-run", "--repeat", "0", "--trials", "5"]) == 3
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -127,6 +173,7 @@ def test_ntcf_run_with_extractor():
                          "--prover", "honest", "--extract"])
     assert code == 0
     report = json.loads(out)
+    validate(report, "ntcf_report.v1.schema.json")
     assert report["accept_rate"] == 1.0
     assert report["audited_depths"] == [16]
     ex = report["extractor"]

@@ -15,14 +15,14 @@ from qdepthlab.game import (
     ProtocolConfig,
     choose_alpha,
     draw_partition,
-    estimate_acceptance,
     expected_standin_state,
     ideal_correlator,
     make_oracle,
-    run_cvqd2,
+    query_count,
     run_query_protocol,
     run_rigid_standalone,
     run_single_round,
+    run_trials,
     trial_rng,
     wilson_interval,
     STRATEGIES_A,
@@ -419,47 +419,55 @@ def test_lab_error_in_depth_charge_is_not_fabrication(monkeypatch):
                            STRATEGIES_O["honest"](cfg), orc, rng)
 
 
-def test_estimate_acceptance_interface():
+def test_run_trials_interface():
     cfg = ProtocolConfig(**SMALL, seed=17, trials=120)
-    res = estimate_acceptance(cfg, "honest", "honest")
-    assert res["trials"] == 120
+    res, transcripts = run_trials(cfg, "honest", "honest")
+    assert res["trials"] == 120 and res["repeat"] == 1
     assert res["ci95"][0] <= res["p_hat"] <= res["ci95"][1]
-    with pytest.raises(Exception):
-        estimate_acceptance(cfg, "honest", "honest", trials=50)
+    assert [json.loads(tr)["seed"] for tr in transcripts] == [17, 17, 17]
 
 
-def test_run_cvqd2_depth_audit_both_targets():
-    res = run_cvqd2(3, 2, target="inplace", trials=40, seed=5, t_parallel=8)
-    assert res["q"] == 3
+def _cvqd2_config(n, d, **kw):
+    """The assembled run's config: q is the access model's query count."""
+    cfg = ProtocolConfig(n=n, d=d, **kw)
+    return replace(cfg, q=query_count(cfg))
+
+
+def test_run_trials_depth_audit_both_targets():
+    cfg = _cvqd2_config(3, 2, target="inplace", t_parallel=8)
+    res, _ = run_trials(cfg, "honest", "honest", trials=40, seed=5)
+    assert res["config"]["q"] == 3
     assert max(res["audited_depths"]) == 5
-    res = run_cvqd2(3, 2, target="standard", trials=40, seed=5, t_parallel=8)
-    assert res["q"] == 5
+    cfg = _cvqd2_config(3, 2, target="standard", t_parallel=8)
+    res, _ = run_trials(cfg, "honest", "honest", trials=40, seed=5)
+    assert res["config"]["q"] == 5
     assert max(res["audited_depths"]) == 7
 
 
-def test_run_cvqd2_gadget_expected_depth_matches_honest_audit():
+def test_run_trials_gadget_expected_depth_matches_honest_audit():
     """Gadget fidelity grades no final answer, so the honest audit is q+1."""
-    res = run_cvqd2(3, 2, fidelity="gadget", trials=100, seed=3)
-    assert res["expected_honest_depth"] == res["q"] + 1
+    cfg = _cvqd2_config(3, 2, fidelity="gadget")
+    res, _ = run_trials(cfg, "honest", "honest", trials=100, seed=3)
+    assert res["expected_honest_depth"] == res["config"]["q"] + 1
     assert max(res["audited_depths"]) == res["expected_honest_depth"]
 
 
 def test_sequential_repetition_widens_gap():
     """Accept-all-repetitions amplifies honest-vs-cheat separation."""
-    kw = dict(t_parallel=8, oracle_mode="exact")
+    cfg = _cvqd2_config(3, 2, t_parallel=8, oracle_mode="exact")
     gaps = []
     for repeat in (1, 3):
-        h = run_cvqd2(3, 2, strat_a="honest", trials=60, seed=23,
-                      repeat=repeat, **kw)
-        c = run_cvqd2(3, 2, strat_a="lying", trials=60, seed=23,
-                      repeat=repeat, **kw)
+        h, _ = run_trials(cfg, "honest", "honest", trials=60, seed=23,
+                          repeat=repeat)
+        c, _ = run_trials(cfg, "lying", "honest", trials=60, seed=23,
+                          repeat=repeat)
         gaps.append(h["p_hat"] - c["p_hat"])
     assert gaps[1] > gaps[0]
 
 
 def test_gadget_fidelity_full_protocol():
     cfg = ProtocolConfig(n=2, d=2, q=3, fidelity="gadget", seed=29, trials=150)
-    res = estimate_acceptance(cfg, "honest", "honest")
+    res, _ = run_trials(cfg, "honest", "honest")
     assert res["p_hat"] >= 0.97
 
 
@@ -467,8 +475,8 @@ def test_answer_branch_rates_when_no_test_runs():
     """Forcing the no-test branch: honest answers recover the shift at a
     >= 0.99 rate while uniformly random answers sit at chance level."""
     cfg = ProtocolConfig(n=3, d=2, q=3, alpha=0.999, seed=61, trials=300)
-    honest = estimate_acceptance(cfg, "honest", "honest", trials=300)
-    rand = estimate_acceptance(cfg, "random-answer", "honest", trials=300)
+    honest, _ = run_trials(cfg, "honest", "honest", trials=300)
+    rand, _ = run_trials(cfg, "random-answer", "honest", trials=300)
     assert honest["p_hat"] >= 0.99
     chance = 1.0 / (2 ** cfg.n - 1)
     assert abs(rand["p_hat"] - chance) < 0.06

@@ -9,6 +9,7 @@ an RNG draw order on purpose must say so and record the new digest here.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -88,8 +89,12 @@ def _estimate_case():
         (dict(n=2, d=1, q=2, fidelity="gadget", seed=33), ("honest", "pauli-x")),
     ]:
         cfg = game.ProtocolConfig(**kw)
-        parts.append(json.dumps(game.estimate_acceptance(cfg, sa, so, trials=100),
-                                sort_keys=True))
+        rep, _ = game.run_trials(cfg, sa, so, trials=100)
+        # the key set of the retired single-shot estimator
+        res = {k: rep[k] for k in ("strategy_a", "strategy_o", "trials",
+                                   "accepted", "p_hat", "ci95")}
+        res["max_audited_depth"] = max(rep["audited_depths"])
+        parts.append(json.dumps(res, sort_keys=True))
     return _digest(parts)
 
 
@@ -98,9 +103,15 @@ def _cvqd2_case():
     for target in ("inplace", "standard"):
         for sa in ("honest", "lying", "reset"):
             for repeat in (1, 2):
-                res = game.run_cvqd2(2, 1, target=target, strat_a=sa, trials=12,
-                                     seed=41, repeat=repeat, t_parallel=4,
-                                     alpha=0.5)
+                cfg = game.ProtocolConfig(n=2, d=1, target=target, trials=12,
+                                          seed=41, t_parallel=4, alpha=0.5)
+                cfg = replace(cfg, q=game.query_count(cfg))
+                rep, _ = game.run_trials(cfg, sa, "honest", repeat=repeat)
+                # the key set of the retired repetition runner
+                res = {k: rep[k] for k in (
+                    "repeat", "strategy_a", "strategy_o", "trials", "accepted",
+                    "p_hat", "ci95", "audited_depths", "expected_honest_depth")}
+                res.update({k: rep["config"][k] for k in ("n", "d", "q", "target")})
                 parts.append(json.dumps(res, sort_keys=True))
     return _digest(parts)
 
