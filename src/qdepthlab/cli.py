@@ -9,11 +9,13 @@ failure, 3 configuration error, 4 capacity error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -38,34 +40,36 @@ def load_config_file(path):
     return out
 
 
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
+def _config_field_types():
+    """Each ProtocolConfig field's value type, ``int`` for ``int | None``."""
+    hints = typing.get_type_hints(game.ProtocolConfig)
+    out = {}
+    for f in dataclasses.fields(game.ProtocolConfig):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        out[f.name] = args[0] if args else hints[f.name]
+    return out
 
 
 def build_protocol_config(args):
+    """ProtocolConfig from the --config file's keys, overridden by the flags."""
     base = {}
     if getattr(args, "config", None):
         base = load_config_file(args.config)
-    cfg = game.ProtocolConfig()
-    fields = {f: getattr(cfg, f) for f in (
-        "n", "d", "q", "p", "alpha_c", "trials", "seed", "oracle_mode",
-        "fidelity", "target", "standin_wires",
-    )}
+    types = _config_field_types()
+    violations = [f"unknown config key {key!r}" for key in base if key not in types]
     kw = {}
-    for name, default in fields.items():
+    for name, kind in types.items():
         if name in base:
-            kw[name] = _coerce(base[name], default)
+            try:
+                kw[name] = kind(base[name])
+            except ValueError:
+                violations.append(
+                    f"config key {name!r}: {base[name]!r} is not {kind.__name__}")
         flag = getattr(args, name, None)
         if flag is not None:
             kw[name] = flag
-    if getattr(args, "t_parallel", None) is not None:
-        kw["t_parallel"] = args.t_parallel
+    if violations:
+        raise ConfigError(violations)
     return game.ProtocolConfig(**kw)
 
 
@@ -229,6 +233,8 @@ def cmd_simon(args):
 
 
 def cmd_dssp_run(args):
+    if args.runs < 1:
+        raise ConfigError([f"need runs >= 1, got {args.runs}"])
     rng = np.random.default_rng(args.seed)
     simon = oracles.sample_simon(args.n, rng)
     shuffling = oracles.sample_shuffling(simon, args.d, rng, mode=args.mode)
@@ -253,7 +259,8 @@ def cmd_dssp_run(args):
     }
     if accepted_frac:
         result["flag_accept_fraction"] = float(np.mean(accepted_frac))
-    write_manifest(args, {"seed": args.seed}, shuffling.descriptor())
+    write_manifest(args, {k: getattr(args, k) for k in (
+        "n", "d", "mode", "access", "runs", "seed")}, shuffling.descriptor())
     emit(result, args)
     ok = result["recovery_rate"] >= args.min_rate
     return 0 if ok else 2

@@ -815,28 +815,46 @@ class SolverRun:
 
 
 class _StepCircuit:
-    """A circuit given as depth-1 steps, each a ``state -> state`` callable."""
+    """A circuit given as depth-1 steps, each a ``state -> state`` callable.
+
+    The steps draw no randomness, so they prepare the same pre-measurement
+    state on every invocation: it is built from |0...0> once, on the first
+    ``prepared_state`` call of a solve, and never mutated afterwards.
+    """
 
     def __init__(self, steps, num_qubits):
         self.steps = steps
         self.num_qubits = num_qubits
+        self._state = None
 
     @property
     def depth(self):
         return len(self.steps)
 
+    def prepared_state(self) -> SparseState:
+        """The state the steps prepare from |0...0>, built on first use."""
+        if self._state is None:
+            state = SparseState.from_bits([0] * self.num_qubits)
+            for step in self.steps:
+                state = step(state)
+            self._state = state
+        return self._state
+
 
 def _invoke_steps(session: HybridSession, circuit: _StepCircuit):
-    """Run a step circuit as one dCQ invocation with a closing full measurement."""
+    """Run a step circuit as one dCQ invocation with a closing full measurement.
+
+    Every invocation is checked against the budget, charged ``circuit.depth``
+    layers in the trace and sampled by its own Born-rule draw; the state it
+    samples is prepared once per circuit (see ``_StepCircuit``).
+    """
     if session.scheme_kind != DCQ:
         raise QDepthError("step circuits run under dCQ sessions")
     if circuit.depth > session.budget:
         raise DepthBudgetExceeded(
             f"circuit depth {circuit.depth} over dCQ budget {session.budget}"
         )
-    state = SparseState.from_bits([0] * circuit.num_qubits)
-    for step in circuit.steps:
-        state = step(state)
+    state = circuit.prepared_state()
     session.trace.steps.append(
         TraceStep("quantum", layers=circuit.depth, full_measurement=True)
     )

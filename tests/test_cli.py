@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from qdepthlab.cli import main
 
@@ -74,8 +75,25 @@ def test_dssp_run_reports_depth():
                          "--min-rate", "0.5"])
     assert code == 0
     report = json.loads(out)
+    validate(report, "dssp_report.v1.schema.json")
     assert report["audited_depth"] == [5]
     assert report["recovery_rate"] >= 0.5
+
+
+def test_dssp_run_manifest_records_config(tmp_path):
+    outdir = tmp_path / "runs"
+    code, out = run_cli(["dssp-run", "--n", "3", "--d", "1", "--access", "standard",
+                         "--runs", "2", "--seed", "6", "--outdir", str(outdir)])
+    assert code == 0
+    validate(json.loads(out), "dssp_report.v1.schema.json")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["config"] == {"n": 3, "d": 1, "mode": "exact",
+                                  "access": "standard", "runs": 2, "seed": 6}
+
+
+def test_dssp_run_runs_below_one_is_config_error():
+    """--runs 0 has no recovery rate to report."""
+    assert main(["dssp-run", "--runs", "0"]) == 3
 
 
 def test_game_run_and_determinism(tmp_path):
@@ -159,6 +177,23 @@ def test_config_file_with_flag_override(tmp_path):
     report = json.loads(out)
     assert report["trials"] == 25          # flag wins
     assert report["config"]["n"] == 3      # file supplies the rest
+
+
+def test_config_file_sets_every_config_field(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 2\nd = 1\nq = 2\nt_parallel = 5\nalpha = 0.5\n"
+                   "width_factor = 3\n")
+    code, out = run_cli(["game-run", "--config", str(cfg), "--trials", "4"])
+    assert code == 0
+    report = json.loads(out)["config"]
+    assert (report["t_parallel"], report["alpha"], report["width_factor"]) == (5, 0.5, 3)
+
+
+@pytest.mark.parametrize("line", ["trails = 7", "n = three"])
+def test_config_file_bad_key_or_value_is_config_error(tmp_path, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n = 2\nd = 1\nq = 2\n{line}\n")
+    assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
 
 
 def test_bad_config_file(tmp_path):

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from qdepthlab import game, ntcf
+from qdepthlab import game, ntcf, oracles
 
 PAIRS = [(a, o) for a in game.STRATEGIES_A for o in game.STRATEGIES_O]
 
@@ -131,6 +131,24 @@ def _ntcf_case():
     return _digest(parts)
 
 
+def _dssp_case():
+    parts = []
+    for n, mode, access in [(3, "exact", "inplace"), (5, "prp", "inplace"),
+                            (3, "exact", "standard")]:
+        for t in range(4):
+            rng = game.trial_rng(51, t)
+            simon = oracles.sample_simon(n, rng)
+            oracle = oracles.sample_shuffling(simon, 2, rng, mode=mode)
+            if access == "inplace":
+                s_hat, trace, stats = oracles.solve_inplace_dssp(
+                    oracles.build_inplace(oracle, rng), rng)
+            else:
+                s_hat, trace, stats = oracles.solve_standard_dssp(oracle, rng)
+            parts += [access, json.dumps(s_hat), json.dumps(stats, sort_keys=True),
+                      trace.to_json()]
+    return _digest(parts)
+
+
 CASES = {
     **{f"protocol:{name}": (lambda name=name: _protocol_case(name))
        for name in GAME_CONFIGS},
@@ -140,9 +158,11 @@ CASES = {
     "estimate-acceptance": _estimate_case,
     "run-cvqd2": _cvqd2_case,
     "ntcf": _ntcf_case,
+    "dssp": _dssp_case,
 }
 
 GOLDEN = {
+    "dssp": "745cf07edfbcef448da37e3603ecf355272a64b22e45e62e915fceab1be8ce7f",
     "estimate-acceptance": "6cbad6fedbd7e4fea98d51d0cc057d6586c60f4e872cc699a9e9a74c976570fb",
     "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
     "protocol:gadget": "40ff64e809d68b536328bc5580094f35898d8c09644cd917a8f5471eb50b975a",

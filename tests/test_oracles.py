@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qdepthlab import oracles
-from qdepthlab.errors import CapacityError, QDepthError
-from qdepthlab.hybrid import audited_depth
+from qdepthlab.errors import CapacityError, DepthBudgetExceeded, QDepthError
+from qdepthlab.hybrid import DCQ, HybridSession, TraceStep, audited_depth
 from qdepthlab.oracles import (
     KeyedPermutation,
     SubgroupEmbedding,
@@ -408,6 +408,92 @@ def test_standard_solver_depth(rng):
     s_hat, trace, _ = solve_standard_dssp(sh, rng)
     assert s_hat == f.s
     assert audited_depth(trace) == 2 * 2 + 3
+
+
+def _rebuild_every_invocation(session, circuit):
+    """Reference dCQ invocation: re-run every step from |0...0> each time."""
+    if circuit.depth > session.budget:
+        raise DepthBudgetExceeded("over budget")
+    state = SparseState.from_bits([0] * circuit.num_qubits)
+    for step in circuit.steps:
+        state = step(state)
+    session.trace.steps.append(
+        TraceStep("quantum", layers=circuit.depth, full_measurement=True))
+    idx = state.sample_index(session.rng)
+    total = circuit.num_qubits
+    return tuple((idx >> (total - 1 - q)) & 1 for q in range(total))
+
+
+def _seeded_solve(access, n, mode, seed):
+    rng = np.random.default_rng(seed)
+    sh = sample_shuffling(sample_simon(n, rng), 2, rng, mode=mode)
+    if access == "inplace":
+        s_hat, trace, stats = solve_inplace_dssp(build_inplace(sh, rng), rng)
+    else:
+        s_hat, trace, stats = solve_standard_dssp(sh, rng)
+    return s_hat, stats, trace.to_json(), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("access,n,mode", [
+    ("inplace", 3, "exact"), ("inplace", 4, "prp"), ("standard", 3, "exact")])
+def test_prepared_state_solver_matches_per_invocation_rebuild(
+        monkeypatch, access, n, mode):
+    """Sampling one prepared state per solve draws exactly what rebuilding
+    it on every invocation draws: same shift, stats, trace and RNG state."""
+    for seed in range(5):
+        got = _seeded_solve(access, n, mode, seed)
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_invoke_steps", _rebuild_every_invocation)
+            want = _seeded_solve(access, n, mode, seed)
+        assert got == want
+
+
+@pytest.mark.parametrize("access", ["inplace", "standard"])
+def test_solver_runs_each_step_once_per_solve(monkeypatch, rng, access):
+    calls = []
+
+    def counted(schedule):
+        def steps(self):
+            steps, total = schedule(self)
+
+            def wrap(k, step):
+                def run(state):
+                    calls.append(k)
+                    return step(state)
+                return run
+            return [wrap(k, step) for k, step in enumerate(steps)], total
+        return steps
+
+    for name in ("inplace_steps", "standard_steps"):
+        monkeypatch.setattr(oracles.SolverRun, name,
+                            counted(getattr(oracles.SolverRun, name)))
+    sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
+    if access == "inplace":
+        _, trace, stats = solve_inplace_dssp(build_inplace(sh, rng), rng)
+        depth = 2 + 3
+    else:
+        _, trace, stats = solve_standard_dssp(sh, rng)
+        depth = 2 * 2 + 3
+    assert stats["runs"] > 1
+    assert sorted(calls) == list(range(depth))
+    # every invocation is still charged the full depth
+    quantum = [st for st in trace.steps if st.kind == "quantum"]
+    assert len(quantum) == stats["runs"]
+    assert all(st.layers == depth and st.full_measurement for st in quantum)
+    assert audited_depth(trace) == depth
+
+
+def test_step_circuit_budget_checked_before_any_layer(rng):
+    calls = []
+
+    def step(state):
+        calls.append(1)
+        return state
+
+    circuit = oracles._StepCircuit([step] * 3, 2)
+    with pytest.raises(DepthBudgetExceeded):
+        oracles._invoke_steps(HybridSession(DCQ, 2, rng), circuit)
+    assert calls == []
 
 
 def test_flag_statistic_near_half(rng):
