@@ -73,6 +73,14 @@ def build_protocol_config(args):
     return game.ProtocolConfig(**kw)
 
 
+def require_at_least(args, **minimums):
+    """ConfigError naming every numeric flag below its minimum."""
+    violations = [f"need {name} >= {low}, got {getattr(args, name)}"
+                  for name, low in minimums.items() if getattr(args, name) < low]
+    if violations:
+        raise ConfigError(violations)
+
+
 def emit(result, args=None):
     print(json.dumps(result, indent=2, sort_keys=True))
     outdir = getattr(args, "outdir", None) if args else None
@@ -107,6 +115,7 @@ def write_manifest(args, cfg_json, oracle_descriptor=None):
 
 
 def cmd_gadget_check(args):
+    require_at_least(args, trials=1)
     rng = np.random.default_rng(args.seed)
     report = {"checks": []}
     failures = 0
@@ -201,6 +210,7 @@ def _twirl_max_deviation(n, trials, rng):
 
 
 def cmd_twirl_check(args):
+    require_at_least(args, n=1, trials=1)
     worst = _twirl_max_deviation(args.n, args.trials,
                                  np.random.default_rng(args.seed))
     result = {"n": args.n, "trials": args.trials, "max_deviation": worst,
@@ -215,6 +225,7 @@ def cmd_twirl_check(args):
 
 
 def cmd_simon(args):
+    require_at_least(args, n=2, samples=1)
     rng = np.random.default_rng(args.seed)
     shifts = {}
     for _ in range(args.samples):
@@ -233,8 +244,7 @@ def cmd_simon(args):
 
 
 def cmd_dssp_run(args):
-    if args.runs < 1:
-        raise ConfigError([f"need runs >= 1, got {args.runs}"])
+    require_at_least(args, n=2, d=1, runs=1)
     rng = np.random.default_rng(args.seed)
     simon = oracles.sample_simon(args.n, rng)
     shuffling = oracles.sample_shuffling(simon, args.d, rng, mode=args.mode)
@@ -294,6 +304,7 @@ def cmd_game_run(args):
 
 
 def cmd_ntcf_run(args):
+    require_at_least(args, n=2, trials=1)
     accepted = 0
     depths = set()
     for t in range(args.trials):

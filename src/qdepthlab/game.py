@@ -441,9 +441,12 @@ class ProverA:
     The honest schedule charges one layer for the opening Hadamard wall, one
     per query (the Bell measurements of the teleport and the pool basis
     rotations act on disjoint qubits, hence a single depth), and one for the
-    closing Hadamard wall: q + 2 layers in total.  When a charge would
-    exceed the declared budget the prover resets: it abandons coherence and
-    fabricates every later quantum outcome classically.
+    closing Hadamard wall: q + 2 layers in total.  In abstract fidelity both
+    walls run on the instances through ``HybridSession.layer``; the query
+    layers, and the opening layer in gadget fidelity, are declared through
+    ``charge_layers``, since the lab does not simulate them.  When a charge
+    would exceed the declared budget the prover resets: it abandons coherence
+    and fabricates every later quantum outcome classically.
     """
 
     def __init__(self, budget=None, lie_outcomes=False, random_answer=False,
@@ -463,19 +466,34 @@ class ProverA:
         self.cfg, self.layout = cfg, layout
         self.instances = None
         self.standin = None
-        if self._charge("prepare"):
-            if cfg.fidelity == "abstract":
-                self.instances = []
-                for _ in range(cfg.t_parallel):
-                    st = SparseState.from_bits([0] * layout.inst_width)
-                    self.instances.append(st.apply_hadamard_wall(range(cfg.n)))
+        if cfg.fidelity == "abstract":
+            states = [SparseState.from_bits([0] * layout.inst_width)
+                      for _ in range(cfg.t_parallel)]
+            ready = self._charge("prepare", states,
+                                 lambda st: st.apply_hadamard_wall(range(cfg.n)))
+            if ready:
+                self.instances = states
+        else:
+            ready = self._charge("prepare: gadget fidelity simulates no instances")
+        if ready:
             self.standin = StateVector.from_bits([0] * layout.n_si)
 
-    def _charge(self, note) -> bool:
+    def _charge(self, note, states=None, op=None) -> bool:
+        """Spend one layer of the budget; False once the prover fabricates.
+
+        With ``op`` the layer runs on ``states`` through
+        ``HybridSession.layer``; without, it is declared through
+        ``charge_layers`` and ``note`` says why it is not simulated.  Only an
+        exceeded budget turns the prover to fabrication: any other error is
+        a lab bug and reaches the caller.
+        """
         if self.fabricating:
             return False
         try:
-            self.session.charge_layers(1, note)
+            if op is None:
+                self.session.charge_layers(1, note)
+            else:
+                self.session.layer(states, op, note)
             return True
         except DepthBudgetExceeded:
             self.fabricating = True
@@ -501,7 +519,7 @@ class ProverA:
 
     def teleport_query(self, rng):
         """Charge the per-query layer; returns (a_bits, b_bits, real)."""
-        real = self._charge("teleport_query")
+        real = self._charge("teleport_query: Bell measurements drawn as coins")
         n_tot = self.layout.n_tot
         return rng.integers(0, 2, size=n_tot), rng.integers(0, 2, size=n_tot), real
 
@@ -511,27 +529,31 @@ class ProverA:
         return d_actual
 
     def final_answer(self, rng):
-        cfg, layout = self.cfg, self.layout
-        self._charge("final_hadamard")
-        if self.fabricating or self.instances is None or self.random_answer:
-            return int(rng.integers(0, 1 << cfg.n))
-        total = layout.inst_width
+        cfg = self.cfg
+        total = self.layout.inst_width
         # the solver's h_out: the input register, plus the flag in-place
         wall = list(range(cfg.n)) + ([total - 1] if cfg.target == "inplace" else [])
-        samples = []
-        for st in self.instances:
-            st.apply_hadamard_wall(wall)
-            bits, _ = qsim_measure(st, range(total), "standard", rng)
-            if cfg.target == "inplace" and bits[-1] != 0:
-                continue
-            y = 0
-            for b in bits[: cfg.n]:
-                y = (y << 1) | b
-            samples.append(y)
-        s_hat = solve_hidden_shift(samples, cfg.n)
-        if s_hat is None:
-            return int(rng.integers(0, 1 << cfg.n))
-        return s_hat
+        if self.random_answer:
+            # declared rather than run: the seeded digests of A's final
+            # supports record this strategy's instances without the wall
+            self._charge("final_hadamard: the random answer never measures "
+                         "its instances")
+        elif self.instances is not None and self._charge(
+                "final_hadamard", self.instances,
+                lambda st: st.apply_hadamard_wall(wall)):
+            samples = []
+            for st in self.instances:
+                bits, _ = qsim_measure(st, range(total), "standard", rng)
+                if cfg.target == "inplace" and bits[-1] != 0:
+                    continue
+                y = 0
+                for b in bits[: cfg.n]:
+                    y = (y << 1) | b
+                samples.append(y)
+            s_hat = solve_hidden_shift(samples, cfg.n)
+            if s_hat is not None:
+                return s_hat
+        return int(rng.integers(0, 1 << cfg.n))
 
     def finish_trace(self):
         return self.session.finish()
@@ -1063,10 +1085,11 @@ def run_trials(cfg: ProtocolConfig, strat_a, strat_o, trials=None, seed=None,
     depend on it.  Returns (report, transcripts), the latter the JSON of
     streams 0-2, less any that an earlier reject in their trial skipped.
     """
-    if repeat < 1 or jobs < 1:
-        raise ConfigError([f"need repeat >= 1 and jobs >= 1, got {repeat} and {jobs}"])
     cfg = cfg.resolved()
     trials = cfg.trials if trials is None else trials
+    if trials < 1 or repeat < 1 or jobs < 1:
+        raise ConfigError([f"need trials, repeat and jobs >= 1, got "
+                           f"{trials}, {repeat} and {jobs}"])
     seed = cfg.seed if seed is None else seed
     bounds = np.linspace(0, trials, jobs + 1, dtype=int)
     chunks = [(cfg, strat_a, strat_o, seed, repeat, int(a), int(b))

@@ -1,12 +1,30 @@
 """Depth accounting for hybrid quantum-classical provers.
 
-Two scheme kinds are supported.  A dCQ scheme lets classical code invoke
-bounded-depth quantum circuits polynomially many times, with every qubit
-measured in the computational basis after each invocation.  A dQC scheme
-keeps one quantum state alive and interleaves classical computation between
-single-depth layers; only the cumulative layer count is bounded.
+Two scheme kinds are supported, after the hybrid models of Chia, Chung and
+Lai, and a ``HybridSession`` has one call that runs quantum depth in each:
 
-Budget enforcement is fail-fast: a violating layer aborts before it runs.
+* dQC keeps quantum registers alive and interleaves classical computation
+  between single-depth layers; only the cumulative layer count is bounded.
+  ``layer(states, op, note)`` applies one depth-1 layer to every register.
+* dCQ lets classical code invoke bounded-depth circuits polynomially many
+  times, every qubit measured in the computational basis after each
+  invocation.  ``invoke(circuit)`` runs a ``StepCircuit`` on a fresh
+  register; it takes no input state, so none crosses an invocation.
+
+Budget enforcement is fail-fast: a violating layer or invocation aborts
+before any of it runs.
+
+``charge_layers(layers, note)`` declares depth the lab does not simulate,
+and each call's note says why.  Its call sites:
+
+* ``game.ProverA``: each query's teleport layer (the Bell measurements are
+  drawn as coins); the opening layer in gadget fidelity (no instances are
+  simulated); the random-answer strategy's closing wall (it never measures
+  its instances, and the seeded digests of A's final supports record them
+  without the wall).
+* ``ntcf.HonestProver``: the claw block d0, into which round 1's basis slot
+  is folded, and each later round's basis slot (the basis is applied by the
+  measurement that reads the answer).
 """
 
 from __future__ import annotations
@@ -15,7 +33,9 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DepthBudgetExceeded, QDepthError, SchemeViolation
-from .qsim import LayeredCircuit, SparseState, StateVector, apply_layer, measure
+from .qsim import SparseState
+# unused here; kept because bench/tracer.py patches ``hybrid.measure``
+from .qsim import measure  # noqa: F401
 
 DCQ = "dCQ"
 DQC = "dQC"
@@ -88,156 +108,111 @@ class HybridTrace:
         )
 
 
+class StepCircuit:
+    """A dCQ circuit given as depth-1 steps, each a ``state -> state`` callable.
+
+    The steps draw no randomness, so they prepare the same pre-measurement
+    state on every invocation: it is built from |0...0> once, on the first
+    ``prepared_state`` call, and never mutated afterwards.
+    """
+
+    def __init__(self, steps, num_qubits):
+        self.steps = steps
+        self.num_qubits = num_qubits
+        self._state = None
+
+    @property
+    def depth(self):
+        return len(self.steps)
+
+    def prepared_state(self) -> SparseState:
+        """The state the steps prepare from |0...0>, built on first use."""
+        if self._state is None:
+            state = SparseState.from_bits([0] * self.num_qubits)
+            for step in self.steps:
+                state = step(state)
+            self._state = state
+        return self._state
+
+
 class HybridSession:
     """Mutable execution context charging quantum layers against a budget."""
 
-    def __init__(self, scheme_kind, budget, rng, support_cap=None):
+    def __init__(self, scheme_kind, budget, rng):
         if budget < 0:
             raise QDepthError("budget must be nonnegative")
         self.scheme_kind = scheme_kind
         self.budget = budget
         self.rng = rng
         self.trace = HybridTrace(scheme_kind, budget)
-        self.state = None
-        self._support_cap = support_cap
         self._current_quantum = None
 
-    # -- shared bookkeeping -------------------------------------------------
-
     def classical(self, name):
-        self._flush_quantum()
+        self._current_quantum = None
         self.trace.steps.append(TraceStep("classical", name=name))
 
-    def _flush_quantum(self, full_measurement=False):
-        if self._current_quantum is not None:
-            self._current_quantum.full_measurement = full_measurement
-            self._current_quantum = None
-
-    def _charge(self, layers):
+    def _charge(self, layers, note):
+        """Add ``layers`` to the open quantum step; the dQC budget is
+        checked first, so an over-budget charge changes nothing."""
         if self.scheme_kind == DQC:
             if self.trace.total_quantum_layers() + layers > self.budget:
                 raise DepthBudgetExceeded(
                     f"dQC budget {self.budget} exceeded at layer "
                     f"{self.trace.total_quantum_layers() + layers}"
                 )
-        if self._current_quantum is None:
-            self._current_quantum = TraceStep("quantum")
-            self.trace.steps.append(self._current_quantum)
-        self._current_quantum.layers += layers
-
-    # -- dQC interface ------------------------------------------------------
-
-    def alloc(self, num_qubits, sparse=True, bits=None):
-        """Prepare a fresh all-zero (or basis) register; preparation is free."""
-        if self.scheme_kind != DQC:
-            raise SchemeViolation("alloc is only available in dQC sessions")
-        bits = bits if bits is not None else [0] * num_qubits
-        if sparse:
-            kw = {"support_cap": self._support_cap} if self._support_cap else {}
-            self.state = SparseState.from_bits(bits, **kw)
-        else:
-            self.state = StateVector.from_bits(bits)
-        return self.state
-
-    def layer(self, gates):
-        """Apply one depth-1 gate layer to the live state (costs 1)."""
-        if self.scheme_kind != DQC:
-            raise SchemeViolation("layer is only available in dQC sessions")
-        self._charge(1)
-        if self.state is not None and gates:
-            apply_layer(self.state, gates)
-        return self.state
-
-    def layer_multi(self, states, op):
-        """One depth-1 layer acting on disjoint parallel registers.
-
-        Charges a single layer, then applies ``op`` (a ``state -> state``
-        callable) to every register.  The budget check happens before any
-        register is touched.
-        """
-        if self.scheme_kind != DQC:
-            raise SchemeViolation("layer_multi is only available in dQC sessions")
-        self._charge(1)
-        for st in states:
-            op(st)
-        return states
-
-    def charge_layers(self, layers, note=""):
-        """Account abstractly for depth executed outside the simulator."""
         if layers:
-            self._charge(layers)
+            if self._current_quantum is None:
+                self._current_quantum = TraceStep("quantum")
+                self.trace.steps.append(self._current_quantum)
+            self._current_quantum.layers += layers
         # with no layer charged there may be no open quantum step to name
         if note and self._current_quantum is not None:
             self._current_quantum.name = note
 
-    def measure(self, qubits, basis="standard"):
-        """Partial or full computational/Hadamard measurement; costs nothing."""
-        if self.state is None:
-            raise SchemeViolation("no live state to measure")
-        full = len(set(qubits)) == self.state.num_qubits
-        bits, self.state = measure(self.state, qubits, basis, self.rng)
-        self._flush_quantum(full_measurement=full)
-        return bits
+    def layer(self, states, op, note=""):
+        """dQC: apply one depth-1 layer ``op`` to every register in ``states``.
 
-    # -- dCQ interface ------------------------------------------------------
+        ``op`` is a ``state -> state`` callable acting in place; the
+        registers are disjoint, so the layer costs 1 however many there are.
+        The budget is checked before ``op`` touches any register.
+        """
+        if self.scheme_kind != DQC:
+            raise SchemeViolation("layer is only available in dQC sessions")
+        self._charge(1, note)
+        for st in states:
+            op(st)
 
-    def invoke(self, circuit: LayeredCircuit, input_bits=None, sparse=True):
-        """Run a whole circuit on a fresh register and measure every qubit."""
+    def charge_layers(self, layers, note=""):
+        """Declare depth the lab does not simulate; ``note`` says why."""
+        self._charge(layers, note)
+
+    def invoke(self, circuit: StepCircuit):
+        """dCQ: run ``circuit`` on a fresh |0...0> register, measure every qubit.
+
+        The depth is checked against the budget before any step runs.  Each
+        invocation is charged ``circuit.depth`` layers in its own fully
+        measured trace step and sampled by its own Born-rule draw; the state
+        it samples is prepared once per circuit (see ``StepCircuit``).
+        Returns the outcome bits.
+        """
         if self.scheme_kind != DCQ:
             raise SchemeViolation("invoke is only available in dCQ sessions")
-        if isinstance(input_bits, (SparseState, StateVector)):
-            raise SchemeViolation("a quantum state cannot cross a dCQ round")
         if circuit.depth > self.budget:
             raise DepthBudgetExceeded(
                 f"circuit depth {circuit.depth} over dCQ budget {self.budget}"
             )
-        bits = input_bits if input_bits is not None else [0] * circuit.num_qubits
-        if sparse:
-            kw = {"support_cap": self._support_cap} if self._support_cap else {}
-            state = SparseState.from_bits(bits, **kw)
-        else:
-            state = StateVector.from_bits(bits)
-        step = TraceStep("quantum", layers=circuit.depth, full_measurement=True)
-        self.trace.steps.append(step)
-        for layer in circuit.layers:
-            apply_layer(state, layer)
-        out, _ = measure(state, range(circuit.num_qubits), "standard", self.rng)
-        return out
+        state = circuit.prepared_state()
+        self.trace.steps.append(
+            TraceStep("quantum", layers=circuit.depth, full_measurement=True)
+        )
+        idx = state.sample_index(self.rng)
+        total = circuit.num_qubits
+        return tuple((idx >> (total - 1 - q)) & 1 for q in range(total))
 
     def finish(self):
-        self._flush_quantum()
+        self._current_quantum = None
         self.trace.validate()
         return self.trace
-
-
-def run_dcq(budget, rounds, input, rng, support_cap=None):
-    """Run a dCQ alternation.
-
-    Each round is a pair ``(classical_fn, quantum_part)``.  ``quantum_part``
-    is None, a LayeredCircuit, or a callable ``data -> (circuit, input_bits)``.
-    The circuit runs on a fresh register and is fully measured; then
-    ``classical_fn(data, outcome_bits)`` produces the next data value.
-    """
-    session = HybridSession(DCQ, budget, rng, support_cap=support_cap)
-    data = input
-    for i, (classical_fn, quantum_part) in enumerate(rounds):
-        outcome = None
-        if quantum_part is not None:
-            if callable(quantum_part) and not isinstance(quantum_part, LayeredCircuit):
-                circuit, in_bits = quantum_part(data)
-            else:
-                circuit, in_bits = quantum_part, None
-            outcome = session.invoke(circuit, in_bits)
-        session.classical(getattr(classical_fn, "__name__", f"round_{i}"))
-        data = classical_fn(data, outcome)
-    return data, session.finish()
-
-
-def run_dqc(budget, program, rng, support_cap=None):
-    """Run a dQC program: ``program(session) -> output``."""
-    session = HybridSession(DQC, budget, rng, support_cap=support_cap)
-    output = program(session)
-    return output, session.finish()
 
 
 def audited_depth(trace: HybridTrace) -> int:

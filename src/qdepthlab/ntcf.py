@@ -155,7 +155,8 @@ class HonestProver:
         self.rng = rng
         self.session = HybridSession(DQC, self._budget(d), rng)
         self.states = [samp_state(k) for k in keys]
-        self.session.charge_layers(self.d0, "prepare_claws")
+        self.session.charge_layers(
+            self.d0, "prepare_claws: samp_state builds the claw states whole")
         images = []
         for st, k in zip(self.states, keys):
             n = k.n
@@ -171,7 +172,8 @@ class HonestProver:
         """Measure claw register i in the standard (c=0) or Hadamard basis."""
         n = self.keys[i - 1].n
         if i >= 2:
-            self.session.charge_layers(1, f"round_{i}_basis")
+            self.session.charge_layers(
+                1, f"round_{i}_basis: applied by the measurement that reads it")
         if self.failure_rate and self.rng.random() < self.failure_rate:
             return (1, 0) if c == 1 else (0, 0)
         basis = "standard" if c == 0 else "hadamard"

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DepthBudgetExceeded, QDepthError
-from .hybrid import DCQ, DQC, HybridSession, TraceStep
+from .errors import CapacityError, QDepthError
+from .hybrid import DCQ, DQC, HybridSession, StepCircuit
 from .qsim import SparseState
 from .qsim import measure as qsim_measure
 
@@ -814,55 +814,6 @@ class SolverRun:
         return steps, total
 
 
-class _StepCircuit:
-    """A circuit given as depth-1 steps, each a ``state -> state`` callable.
-
-    The steps draw no randomness, so they prepare the same pre-measurement
-    state on every invocation: it is built from |0...0> once, on the first
-    ``prepared_state`` call of a solve, and never mutated afterwards.
-    """
-
-    def __init__(self, steps, num_qubits):
-        self.steps = steps
-        self.num_qubits = num_qubits
-        self._state = None
-
-    @property
-    def depth(self):
-        return len(self.steps)
-
-    def prepared_state(self) -> SparseState:
-        """The state the steps prepare from |0...0>, built on first use."""
-        if self._state is None:
-            state = SparseState.from_bits([0] * self.num_qubits)
-            for step in self.steps:
-                state = step(state)
-            self._state = state
-        return self._state
-
-
-def _invoke_steps(session: HybridSession, circuit: _StepCircuit):
-    """Run a step circuit as one dCQ invocation with a closing full measurement.
-
-    Every invocation is checked against the budget, charged ``circuit.depth``
-    layers in the trace and sampled by its own Born-rule draw; the state it
-    samples is prepared once per circuit (see ``_StepCircuit``).
-    """
-    if session.scheme_kind != DCQ:
-        raise QDepthError("step circuits run under dCQ sessions")
-    if circuit.depth > session.budget:
-        raise DepthBudgetExceeded(
-            f"circuit depth {circuit.depth} over dCQ budget {session.budget}"
-        )
-    state = circuit.prepared_state()
-    session.trace.steps.append(
-        TraceStep("quantum", layers=circuit.depth, full_measurement=True)
-    )
-    idx = state.sample_index(session.rng)
-    total = circuit.num_qubits
-    return tuple((idx >> (total - 1 - q)) & 1 for q in range(total))
-
-
 def solve_inplace_dssp(
     oracle: InPlaceShufflingOracle, rng, accepted_target=None, max_runs=None
 ):
@@ -880,10 +831,10 @@ def solve_inplace_dssp(
     max_runs = 20 * accepted_target if max_runs is None else max_runs
     session = HybridSession(DCQ, budget, rng)
     steps, total = SolverRun(oracle, True).inplace_steps()
-    circuit = _StepCircuit(steps, total)
+    circuit = StepCircuit(steps, total)
     samples, runs, accepted = [], 0, 0
     while accepted < accepted_target and runs < max_runs:
-        bits = _invoke_steps(session, circuit)
+        bits = session.invoke(circuit)
         runs += 1
         flag = bits[-1]
         if flag == 0:
@@ -916,7 +867,7 @@ def solve_inplace_dssp_parallel(oracle: InPlaceShufflingOracle, rng,
     steps, total = SolverRun(oracle, True).inplace_steps()
     states = [SparseState.from_bits([0] * total) for _ in range(t)]
     for step in steps:
-        session.layer_multi(states, step)
+        session.layer(states, step)
     samples = []
     accepted = 0
     for st in states:
@@ -942,10 +893,10 @@ def solve_standard_dssp(oracle, rng, samples_target=None, max_runs=None):
     max_runs = 10 * samples_target if max_runs is None else max_runs
     session = HybridSession(DCQ, budget, rng)
     steps, total = SolverRun(base, False).standard_steps()
-    circuit = _StepCircuit(steps, total)
+    circuit = StepCircuit(steps, total)
     samples, runs = [], 0
     while len(samples) < samples_target and runs < max_runs:
-        bits = _invoke_steps(session, circuit)
+        bits = session.invoke(circuit)
         runs += 1
         y = 0
         for b in bits[:n]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,31 +71,6 @@ def layer_targets(layer) -> list:
     for g in layer:
         out.extend(g.targets)
     return out
-
-
-@dataclass
-class LayeredCircuit:
-    """A circuit as a list of gate layers with pairwise-disjoint targets."""
-
-    num_qubits: int
-    layers: list = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    def add_layer(self, gates):
-        gates = list(gates)
-        targs = layer_targets(gates)
-        if len(set(targs)) != len(targs):
-            raise QDepthError("overlapping targets within one layer")
-        if targs and max(targs) >= self.num_qubits:
-            raise QDepthError("gate target out of range")
-        self.layers.append(gates)
-        return self
-
-    def t_count(self) -> int:
-        return sum(1 for layer in self.layers for g in layer if g.name == "T")
 
 
 class StateVector:
@@ -332,12 +307,6 @@ def apply_layer(state, layer):
         raise QDepthError("overlapping targets within one layer")
     for g in layer:
         state.apply_gate(g)
-    return state
-
-
-def run_circuit(state, circuit: LayeredCircuit):
-    for layer in circuit.layers:
-        apply_layer(state, layer)
     return state
 
 

@@ -16,7 +16,7 @@ from qdepthlab import gadgets, game, ntcf, oracles, qsim
 from qdepthlab.errors import DepthBudgetExceeded
 from qdepthlab.gadgets import KeyLedger, RoundType
 from qdepthlab.hybrid import DQC, HybridSession, audited_depth
-from qdepthlab.qsim import Gate, PauliDistribution, StateVector
+from qdepthlab.qsim import PauliDistribution, SparseState, StateVector
 
 
 def report(number, ok, detail):
@@ -178,14 +178,15 @@ def test_criterion_06_depth_audit():
     # declaring budget d and attempting a (d+1)-th layer aborts, before the
     # layer acts
     session = HybridSession(DQC, 2, rng)
-    session.alloc(1)
-    session.layer([Gate("H", (0,))])
-    session.layer([Gate("H", (0,))])
+    states = [SparseState.from_bits([0])]
+    session.layer(states, lambda st: st.apply_hadamard_wall([0]))
+    session.layer(states, lambda st: st.apply_hadamard_wall([0]))
+    before = dict(states[0].support)
     aborted = False
     try:
-        session.layer([Gate("H", (0,))])
+        session.layer(states, lambda st: st.map_basis(lambda idx: idx ^ 1))
     except DepthBudgetExceeded:
-        aborted = True
+        aborted = states[0].support == before
     elapsed = time.perf_counter() - t0
     report(6, ok_in and ok_std and aborted and elapsed < 60,
            f"in-place depth {audited_depth(trace_in)} = d+3, standard "

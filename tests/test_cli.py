@@ -96,6 +96,25 @@ def test_dssp_run_runs_below_one_is_config_error():
     assert main(["dssp-run", "--runs", "0"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["ntcf-run", "--trials", "0"],
+    ["ntcf-run", "--n", "1"],
+    ["simon", "--samples", "0"],
+    ["simon", "--n", "1"],
+    ["twirl-check", "--trials", "0"],
+    ["twirl-check", "--n", "0"],
+    ["gadget-check", "--trials", "0"],
+    ["game-run", "--trials", "0"],
+    ["dssp-run", "--d", "0"],
+    ["dssp-run", "--n", "1"],
+], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+def test_count_below_minimum_is_config_error(argv, capsys):
+    """A run over nothing, or over a range the solvers cannot take, is a
+    config error (exit 3), not a crash, a vacuous pass or a lab failure."""
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_game_run_and_determinism(tmp_path):
     args = ["game-run", "--n", "3", "--d", "2", "--q", "3", "--trials", "60",
             "--seed", "5", "--t-parallel", "8"]

@@ -402,21 +402,79 @@ def test_protocol_order_violation_rejects():
     assert "error" in tr.depth_audit
 
 
-def test_lab_error_in_depth_charge_is_not_fabrication(monkeypatch):
+@pytest.mark.parametrize("call", ["charge_layers", "layer"])
+def test_lab_error_in_depth_charge_is_not_fabrication(monkeypatch, call):
     """Only an exceeded budget makes prover A fabricate; any other error
-    raised while charging a layer is a lab bug and reaches the caller."""
+    raised while charging a layer, declared or executed, is a lab bug and
+    reaches the caller."""
 
-    class Broken(game.HybridSession):
-        def charge_layers(self, layers, note=""):
-            raise SchemeViolation("lab bug")
+    def broken(self, *args, **kwargs):
+        raise SchemeViolation("lab bug")
 
-    monkeypatch.setattr(game, "HybridSession", Broken)
+    monkeypatch.setattr(game.HybridSession, call, broken)
     cfg = ProtocolConfig(**SMALL, seed=3).resolved()
     rng = trial_rng(3, 0)
     orc = make_oracle(cfg, rng)
     with pytest.raises(SchemeViolation, match="lab bug"):
         run_query_protocol(cfg, STRATEGIES_A["honest"](cfg),
                            STRATEGIES_O["honest"](cfg), orc, rng)
+
+
+def _spy_session(monkeypatch):
+    """Count ``HybridSession.layer`` calls and the runs of their ops, and
+    ``charge_layers`` calls and the layers they declare."""
+    seen = {"layer": 0, "ops": 0, "charge_layers": 0, "declared": 0}
+    layer = game.HybridSession.layer
+    charge_layers = game.HybridSession.charge_layers
+
+    def spy_layer(self, states, op, note=""):
+        seen["layer"] += 1
+
+        def counted(st):
+            seen["ops"] += 1
+            return op(st)
+        return layer(self, states, counted, note)
+
+    def spy_charge_layers(self, layers, note=""):
+        seen["charge_layers"] += 1
+        seen["declared"] += layers
+        return charge_layers(self, layers, note)
+
+    monkeypatch.setattr(game.HybridSession, "layer", spy_layer)
+    monkeypatch.setattr(game.HybridSession, "charge_layers", spy_charge_layers)
+    return seen
+
+
+def _no_test_trial(strategy, seed=3):
+    cfg = ProtocolConfig(**SMALL, alpha=0.99, seed=seed).resolved()
+    rng = trial_rng(seed, 0)
+    orc = make_oracle(cfg, rng)
+    prover = STRATEGIES_A[strategy](cfg)
+    verdict, tr = run_query_protocol(cfg, prover, STRATEGIES_O["honest"](cfg),
+                                     orc, rng)
+    assert tr.depth_audit["branch"] == "no-test"
+    return cfg, prover, verdict, tr
+
+
+def test_honest_abstract_audit_comes_from_executed_layers(monkeypatch):
+    """Both Hadamard walls run on every instance; only the q teleport
+    layers are declared, and the audit reads q + 2."""
+    seen = _spy_session(monkeypatch)
+    cfg, _, verdict, tr = _no_test_trial("honest")
+    assert verdict == "accept"
+    assert seen["layer"] == 2
+    assert seen["ops"] == 2 * cfg.t_parallel
+    assert seen["charge_layers"] == seen["declared"] == cfg.q
+    assert tr.depth_audit["audited_depth"] == cfg.q + 2
+
+
+def test_classical_prover_runs_no_layer(monkeypatch):
+    """At budget 0 the opening wall is refused before it touches a state."""
+    seen = _spy_session(monkeypatch)
+    _, prover, _, tr = _no_test_trial("classical")
+    assert prover.instances is None
+    assert seen["ops"] == 0 and seen["declared"] == 0
+    assert tr.depth_audit["audited_depth"] == 0
 
 
 def test_run_trials_interface():

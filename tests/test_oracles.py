@@ -6,7 +6,7 @@ import pytest
 
 from qdepthlab import oracles
 from qdepthlab.errors import CapacityError, DepthBudgetExceeded, QDepthError
-from qdepthlab.hybrid import DCQ, HybridSession, TraceStep, audited_depth
+from qdepthlab.hybrid import DCQ, HybridSession, StepCircuit, TraceStep, audited_depth
 from qdepthlab.oracles import (
     KeyedPermutation,
     SubgroupEmbedding,
@@ -411,7 +411,8 @@ def test_standard_solver_depth(rng):
 
 
 def _rebuild_every_invocation(session, circuit):
-    """Reference dCQ invocation: re-run every step from |0...0> each time."""
+    """Reference ``HybridSession.invoke``: re-run every step from |0...0>
+    on each invocation."""
     if circuit.depth > session.budget:
         raise DepthBudgetExceeded("over budget")
     state = SparseState.from_bits([0] * circuit.num_qubits)
@@ -443,7 +444,7 @@ def test_prepared_state_solver_matches_per_invocation_rebuild(
     for seed in range(5):
         got = _seeded_solve(access, n, mode, seed)
         with monkeypatch.context() as m:
-            m.setattr(oracles, "_invoke_steps", _rebuild_every_invocation)
+            m.setattr(HybridSession, "invoke", _rebuild_every_invocation)
             want = _seeded_solve(access, n, mode, seed)
         assert got == want
 
@@ -490,9 +491,9 @@ def test_step_circuit_budget_checked_before_any_layer(rng):
         calls.append(1)
         return state
 
-    circuit = oracles._StepCircuit([step] * 3, 2)
+    circuit = StepCircuit([step] * 3, 2)
     with pytest.raises(DepthBudgetExceeded):
-        oracles._invoke_steps(HybridSession(DCQ, 2, rng), circuit)
+        HybridSession(DCQ, 2, rng).invoke(circuit)
     assert calls == []
 
 
