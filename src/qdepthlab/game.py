@@ -35,8 +35,8 @@ from .oracles import (
     solve_hidden_shift,
 )
 from .qsim import (
-    H, I2, S, SDG, T, Gate, SparseState, StateVector, states_equal_up_to_phase,
-    trial_rng,
+    H, I2, S, SDG, T, Gate, SparseState, StateVector, measure_copies,
+    states_equal_up_to_phase, trial_rng,
 )
 from .qsim import measure as qsim_measure
 
@@ -447,6 +447,12 @@ class ProverA:
     ``charge_layers``, since the lab does not simulate them.  When a charge
     would exceed the declared budget the prover resets: it abandons coherence
     and fabricates every later quantum outcome classically.
+
+    The ``t_parallel`` instances receive the same walls and oracle steps, so
+    they are held as one shared ``SparseState``.  Only a planted attack on
+    instance 0 sets it apart: ``writable_first`` gives instance 0 its own
+    copy on the first write.  ``instances`` lists the t states, and after
+    the final measurement the t post-measurement basis states.
     """
 
     def __init__(self, budget=None, lie_outcomes=False, random_answer=False,
@@ -456,6 +462,32 @@ class ProverA:
         self.random_answer = random_answer
         self.swap_half_z = swap_half_z
         self.name = name
+        self._shared = None      # the state every instance holds, or None
+        self._own = None         # instance 0's copy once an attack wrote to it
+        self._measured = None    # the t post-measurement states
+
+    @property
+    def instances(self):
+        """A's t instances in order, or None when none is simulated."""
+        if self._measured is not None:
+            return self._measured
+        if self._shared is None:
+            return None
+        return [self._own if k == 0 and self._own is not None else self._shared
+                for k in range(self.cfg.t_parallel)]
+
+    def distinct_states(self):
+        """The states behind the instances: the shared one, and instance
+        0's own copy if it has one."""
+        if self._shared is None:
+            return []
+        return [self._shared] + ([self._own] if self._own is not None else [])
+
+    def writable_first(self):
+        """Instance 0 for writing, copied off the shared state on first use."""
+        if self._own is None:
+            self._own = self._shared.copy()
+        return self._own
 
     def begin(self, cfg, layout, rng):
         budget = self.declared_budget
@@ -464,15 +496,14 @@ class ProverA:
         self.session = HybridSession(DQC, budget, rng)
         self.fabricating = False
         self.cfg, self.layout = cfg, layout
-        self.instances = None
+        self._shared = self._own = self._measured = None
         self.standin = None
         if cfg.fidelity == "abstract":
-            states = [SparseState.from_bits([0] * layout.inst_width)
-                      for _ in range(cfg.t_parallel)]
-            ready = self._charge("prepare", states,
+            state = SparseState.from_bits([0] * layout.inst_width)
+            ready = self._charge("prepare", [state],
                                  lambda st: st.apply_hadamard_wall(range(cfg.n)))
             if ready:
-                self.instances = states
+                self._shared = state
         else:
             ready = self._charge("prepare: gadget fidelity simulates no instances")
         if ready:
@@ -538,12 +569,15 @@ class ProverA:
             # supports record this strategy's instances without the wall
             self._charge("final_hadamard: the random answer never measures "
                          "its instances")
-        elif self.instances is not None and self._charge(
-                "final_hadamard", self.instances,
+        elif self._shared is not None and self._charge(
+                "final_hadamard", self.distinct_states(),
                 lambda st: st.apply_hadamard_wall(wall)):
+            # instance 0 draws first, from its own copy when it has one
+            drawn = [] if self._own is None else measure_copies(self._own, 1, rng)
+            drawn += measure_copies(self._shared, cfg.t_parallel - len(drawn), rng)
+            self._measured = [st for _, st in drawn]
             samples = []
-            for st in self.instances:
-                bits, _ = qsim_measure(st, range(total), "standard", rng)
+            for bits, _ in drawn:
                 if cfg.target == "inplace" and bits[-1] != 0:
                     continue
                 y = 0
@@ -684,13 +718,15 @@ class GameRun:
 
         si_base = layout.n_tot - layout.n_si
         rs = _RoundState(round_type)
+        # every wire's keys, as (a, b) rows; only the stand-in wires' keys
+        # change during the round, so only they go through the ledger
         if comp:
-            ledger = KeyLedger.with_keys(np.stack([a_rep, b_rep], 1).tolist())
+            keys = np.stack([a_rep, b_rep], 1)
+            ledger = KeyLedger.with_keys(keys[si_base:].tolist())
             rs.garbage = not real_tp
             if not rs.garbage and self.a.standin is not None:
                 sv = self.a.standin.copy()
-                for w in range(layout.n_si):
-                    a_k, b_k = ledger.keys[si_base + w]
+                for w, (a_k, b_k) in enumerate(ledger.keys):
                     if b_k:
                         sv.apply_gate(Gate("Z", (w,)))
                     if a_k:
@@ -704,8 +740,8 @@ class GameRun:
             positions = part.n_x if x_test else part.n_z
             e_test = e_rep[positions]
             zero = np.zeros_like(e_test)
-            ledger = KeyLedger.with_keys(
-                np.stack([e_test, zero] if x_test else [zero, e_test], 1).tolist())
+            keys = np.stack([e_test, zero] if x_test else [zero, e_test], 1)
+            ledger = KeyLedger.with_keys(keys[si_base:].tolist())
             # a test wire carries A's outcome where A measured the wanted
             # basis (Z for the X test, X for the Z test), else a fair coin
             value = e_act[positions].copy()
@@ -731,9 +767,8 @@ class GameRun:
 
             for cl in cliffords:
                 if cl[0] == "CNOT":
-                    ctl, tgt = si_base + cl[1], si_base + cl[2]
-                    self._apply_cnot(rs, ctl, tgt, si_base)
-                    update_keys("CNOT", ledger, {"control": ctl, "target": tgt})
+                    self._apply_cnot(rs, si_base + cl[1], si_base + cl[2], si_base)
+                    update_keys("CNOT", ledger, {"control": cl[1], "target": cl[2]})
 
             c_list = [self._gadget_first_half(rs, si_base + op[1], si_base,
                                               int(act_label[pos]), int(e_act[pos]))
@@ -742,42 +777,38 @@ class GameRun:
 
             z_list = []
             for (op, pos, parity), c_val in zip(chosen, c_list):
-                wire = si_base + op[1]
                 if parity == "computation":
-                    z = (ledger.keys[wire][0] + int(labels[pos] == F_ID) + c_val) % 2
+                    z = (ledger.keys[op[1]][0] + int(labels[pos] == F_ID) + c_val) % 2
                 elif parity == "even":
                     z = int(rng.integers(2))
                 else:
                     z = int(labels[pos] == Y_ID)
                 z_list.append(z)
-                self._gadget_second_half(rs, wire, si_base, z)
+                self._gadget_second_half(rs, si_base + op[1], si_base, z)
                 update_keys("T", ledger, {
-                    "wire": wire, "c": c_val, "e": int(e_rep[pos]), "z": z,
+                    "wire": op[1], "c": c_val, "e": int(e_rep[pos]), "z": z,
                     "parity": parity,
                 })
             self.log("V", "O", MSG_ZBITS, {"z": z_list})
 
         # oracle action on the data wires, then any planted attack
-        if comp and not self.o.skip_oracle \
-                and self.a.instances is not None and not rs.garbage:
-            step = self.steps[query_idx]
-            for st in self.a.instances:
-                step(st)
+        if comp and not self.o.skip_oracle and not rs.garbage:
+            for st in self.a.distinct_states():
+                self.steps[query_idx](st)
         if self.o.attack is not None:
             self._apply_attack(rs, self.o.attack)
 
         a_back = rng.integers(0, 2, size=layout.n_tot)
         b_back = rng.integers(0, 2, size=layout.n_tot)
         self.log("O", "V", MSG_TPC, {"a": a_back.tolist(), "b": b_back.tolist()})
-        keys = np.array(ledger.keys)
+        keys[si_base:] = ledger.keys
 
         if comp:
             self.log("V", "A", MSG_KEYS, {"a": ((a_back + keys[:, 0]) % 2).tolist(),
                                           "b": ((b_back + keys[:, 1]) % 2).tolist()})
             if rs.standin_sv is not None and not rs.garbage:
                 sv = rs.standin_sv
-                for w in range(layout.n_si):
-                    a_k, b_k = ledger.keys[si_base + w]
+                for w, (a_k, b_k) in enumerate(ledger.keys):
                     if a_k:
                         sv.apply_gate(Gate("X", (w,)))
                     if b_k:
@@ -867,7 +898,7 @@ class GameRun:
         kind, pos = attack
         if rs.round_type == RoundType.COMPUTATION:
             if self.a.instances:
-                st = self.a.instances[0]
+                st = self.a.writable_first()
                 mask = 1 << (st.num_qubits - 1 - pos)
                 if kind == "X":
                     st.map_basis(lambda idx: idx ^ mask)

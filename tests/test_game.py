@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdepthlab import game, oracles
+from qdepthlab import game, oracles, qsim
 from qdepthlab.errors import ConfigError, ProtocolOrderError, SchemeViolation
 from qdepthlab.game import (
     GameLayout,
@@ -445,27 +445,80 @@ def _spy_session(monkeypatch):
     return seen
 
 
-def _no_test_trial(strategy, seed=3):
-    cfg = ProtocolConfig(**SMALL, alpha=0.99, seed=seed).resolved()
+def _no_test_trial(strategy, seed=3, strat_o="honest", **kw):
+    cfg = ProtocolConfig(**{**SMALL, **kw}, alpha=0.99, seed=seed).resolved()
     rng = trial_rng(seed, 0)
     orc = make_oracle(cfg, rng)
     prover = STRATEGIES_A[strategy](cfg)
-    verdict, tr = run_query_protocol(cfg, prover, STRATEGIES_O["honest"](cfg),
+    verdict, tr = run_query_protocol(cfg, prover, STRATEGIES_O[strat_o](cfg),
                                      orc, rng)
     assert tr.depth_audit["branch"] == "no-test"
     return cfg, prover, verdict, tr
 
 
 def test_honest_abstract_audit_comes_from_executed_layers(monkeypatch):
-    """Both Hadamard walls run on every instance; only the q teleport
-    layers are declared, and the audit reads q + 2."""
+    """Both Hadamard walls run once, on the one state the instances share,
+    whatever t_parallel is; only the q teleport layers are declared, and
+    the audit reads q + 2."""
     seen = _spy_session(monkeypatch)
-    cfg, _, verdict, tr = _no_test_trial("honest")
-    assert verdict == "accept"
-    assert seen["layer"] == 2
-    assert seen["ops"] == 2 * cfg.t_parallel
-    assert seen["charge_layers"] == seen["declared"] == cfg.q
-    assert tr.depth_audit["audited_depth"] == cfg.q + 2
+    ops = {}
+    for t_parallel in (2, SMALL["t_parallel"], 12):
+        for key in seen:
+            seen[key] = 0
+        cfg, _, verdict, tr = _no_test_trial("honest", t_parallel=t_parallel)
+        if t_parallel == SMALL["t_parallel"]:
+            assert verdict == "accept"
+        assert seen["layer"] == 2
+        assert seen["ops"] == 2          # one register per wall
+        assert seen["charge_layers"] == seen["declared"] == cfg.q
+        assert tr.depth_audit["audited_depth"] == cfg.q + 2
+        ops[t_parallel] = seen["ops"]
+    assert ops[2] == ops[12]
+
+
+def test_attack_copies_instance_zero_off_the_shared_state():
+    """A planted attack writes to a copy of instance 0; the other instances
+    stay one object whose support is the attack-free one."""
+    cfg = ProtocolConfig(**SMALL)
+    for seed in range(3):
+        _, attacked = run_single_round(cfg, "comp", "honest", "pauli-x", seed=seed)
+        _, clean = run_single_round(cfg, "comp", "honest", "honest", seed=seed)
+        inst = attacked.a.instances
+        assert len(inst) == cfg.t_parallel
+        assert inst[0] is not inst[1]
+        assert set(inst[0].support) != set(inst[1].support)
+        assert all(st is inst[1] for st in inst[1:])
+        assert inst[1].support == clean.a.instances[1].support
+        assert all(st is clean.a.instances[0] for st in clean.a.instances)
+
+
+def test_final_answer_draws_instance_zero_from_its_own_state(monkeypatch):
+    """Under attack the closing measurement draws instance 0 once from its
+    own copy, then the other t-1 from the shared state, and reproduces
+    the per-instance reference: one full measurement of each instance in
+    turn."""
+    def per_instance(state, copies, rng):
+        return [qsim.measure(state.copy(), range(state.num_qubits), "standard", rng)
+                for _ in range(copies)]
+
+    calls = []
+
+    def spy(state, copies, rng):
+        calls.append((state, copies))
+        return qsim.measure_copies(state, copies, rng)
+
+    monkeypatch.setattr(game, "measure_copies", spy)
+    cfg, prover, _, tr = _no_test_trial("honest", strat_o="pauli-x")
+    own, shared = prover._own, prover._shared
+    assert own is not None and own is not shared
+    assert calls == [(own, 1), (shared, cfg.t_parallel - 1)]
+    assert set(prover.instances[0].support) <= set(own.support)
+
+    monkeypatch.setattr(game, "measure_copies", per_instance)
+    _, reference, _, ref_tr = _no_test_trial("honest", strat_o="pauli-x")
+    assert tr.to_json() == ref_tr.to_json()
+    assert ([sorted(st.support) for st in prover.instances]
+            == [sorted(st.support) for st in reference.instances])
 
 
 def test_classical_prover_runs_no_layer(monkeypatch):

@@ -1,6 +1,10 @@
 """Hidden-shift oracles: permutations, shuffling chains, in-place access,
 shadows, and the depth-audited solvers."""
 
+import json
+import pathlib
+
+import jsonschema
 import numpy as np
 import pytest
 
@@ -25,6 +29,8 @@ from qdepthlab.oracles import (
     solve_standard_dssp,
 )
 from qdepthlab.qsim import Gate, SparseState
+
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 # chi-square critical value at p = 0.01 for 62 degrees of freedom
 CHI2_99_DOF62 = 90.802
@@ -188,14 +194,16 @@ def test_exact_mode_width_policy(rng):
 
 
 def test_oracle_descriptor_withholds_shift(rng):
-    import json
-
-    f = sample_simon(3, rng)
-    sh = sample_shuffling(f, 1, rng, mode="exact", seed=5)
-    desc = json.loads(sh.descriptor())
-    assert desc["n"] == 3 and desc["d"] == 1 and desc["seed"] == 5
-    assert "shift" not in {k for k in desc if k != "shift_commitment"}
-    assert len(desc["shift_commitment"]) == 64
+    schema = json.loads((SCHEMAS / "oracle_descriptor.v1.schema.json").read_text())
+    for mode in ("exact", "prp"):
+        f = sample_simon(3, rng)
+        sh = sample_shuffling(f, 1, rng, mode=mode, seed=5)
+        desc = json.loads(sh.descriptor())
+        assert desc["n"] == 3 and desc["d"] == 1 and desc["seed"] == 5
+        assert desc["mode"] == mode
+        assert "shift" not in {k for k in desc if k != "shift_commitment"}
+        assert len(desc["shift_commitment"]) == 64
+        jsonschema.Draft202012Validator(schema).validate(desc)
 
 
 # -- in-place oracle ------------------------------------------------------------
