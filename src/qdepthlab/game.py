@@ -35,8 +35,8 @@ from .oracles import (
     solve_hidden_shift,
 )
 from .qsim import (
-    H, I2, S, SDG, T, Gate, SparseState, StateVector, measure_copies,
-    states_equal_up_to_phase, trial_rng,
+    H, I2, S, SDG, T, Gate, SparseState, StateVector, states_equal_up_to_phase,
+    trial_rng,
 )
 from .qsim import measure as qsim_measure
 
@@ -449,10 +449,11 @@ class ProverA:
     and fabricates every later quantum outcome classically.
 
     The ``t_parallel`` instances receive the same walls and oracle steps, so
-    they are held as one shared ``SparseState``.  Only a planted attack on
-    instance 0 sets it apart: ``writable_first`` gives instance 0 its own
-    copy on the first write.  ``instances`` lists the t states, and after
-    the final measurement the t post-measurement basis states.
+    ``instances`` lists one shared ``SparseState`` t times, and each wall or
+    oracle step runs once per distinct state.  Only a planted attack sets
+    instance 0 apart: ``GameRun._apply_attack`` gives it its own copy on the
+    first write.  The final measurement draws each instance from a copy, so
+    afterwards ``instances`` holds the t post-measurement basis states.
     """
 
     def __init__(self, budget=None, lie_outcomes=False, random_answer=False,
@@ -462,32 +463,6 @@ class ProverA:
         self.random_answer = random_answer
         self.swap_half_z = swap_half_z
         self.name = name
-        self._shared = None      # the state every instance holds, or None
-        self._own = None         # instance 0's copy once an attack wrote to it
-        self._measured = None    # the t post-measurement states
-
-    @property
-    def instances(self):
-        """A's t instances in order, or None when none is simulated."""
-        if self._measured is not None:
-            return self._measured
-        if self._shared is None:
-            return None
-        return [self._own if k == 0 and self._own is not None else self._shared
-                for k in range(self.cfg.t_parallel)]
-
-    def distinct_states(self):
-        """The states behind the instances: the shared one, and instance
-        0's own copy if it has one."""
-        if self._shared is None:
-            return []
-        return [self._shared] + ([self._own] if self._own is not None else [])
-
-    def writable_first(self):
-        """Instance 0 for writing, copied off the shared state on first use."""
-        if self._own is None:
-            self._own = self._shared.copy()
-        return self._own
 
     def begin(self, cfg, layout, rng):
         budget = self.declared_budget
@@ -496,14 +471,14 @@ class ProverA:
         self.session = HybridSession(DQC, budget, rng)
         self.fabricating = False
         self.cfg, self.layout = cfg, layout
-        self._shared = self._own = self._measured = None
+        self.instances = None
         self.standin = None
         if cfg.fidelity == "abstract":
             state = SparseState.from_bits([0] * layout.inst_width)
             ready = self._charge("prepare", [state],
                                  lambda st: st.apply_hadamard_wall(range(cfg.n)))
             if ready:
-                self._shared = state
+                self.instances = [state] * cfg.t_parallel
         else:
             ready = self._charge("prepare: gadget fidelity simulates no instances")
         if ready:
@@ -569,13 +544,12 @@ class ProverA:
             # supports record this strategy's instances without the wall
             self._charge("final_hadamard: the random answer never measures "
                          "its instances")
-        elif self._shared is not None and self._charge(
-                "final_hadamard", self.distinct_states(),
+        elif self.instances is not None and self._charge(
+                "final_hadamard", list({id(st): st for st in self.instances}.values()),
                 lambda st: st.apply_hadamard_wall(wall)):
-            # instance 0 draws first, from its own copy when it has one
-            drawn = [] if self._own is None else measure_copies(self._own, 1, rng)
-            drawn += measure_copies(self._shared, cfg.t_parallel - len(drawn), rng)
-            self._measured = [st for _, st in drawn]
+            drawn = [qsim_measure(st.copy(), range(total), "standard", rng)
+                     for st in self.instances]
+            self.instances = [st for _, st in drawn]
             samples = []
             for bits, _ in drawn:
                 if cfg.target == "inplace" and bits[-1] != 0:
@@ -792,8 +766,9 @@ class GameRun:
             self.log("V", "O", MSG_ZBITS, {"z": z_list})
 
         # oracle action on the data wires, then any planted attack
-        if comp and not self.o.skip_oracle and not rs.garbage:
-            for st in self.a.distinct_states():
+        if comp and not self.o.skip_oracle \
+                and self.a.instances is not None and not rs.garbage:
+            for st in {id(st): st for st in self.a.instances}.values():
                 self.steps[query_idx](st)
         if self.o.attack is not None:
             self._apply_attack(rs, self.o.attack)
@@ -897,8 +872,11 @@ class GameRun:
     def _apply_attack(self, rs: _RoundState, attack):
         kind, pos = attack
         if rs.round_type == RoundType.COMPUTATION:
-            if self.a.instances:
-                st = self.a.writable_first()
+            inst = self.a.instances
+            if inst:
+                if len(inst) > 1 and inst[0] is inst[1]:
+                    inst[0] = inst[0].copy()  # the others keep the shared state
+                st = inst[0]
                 mask = 1 << (st.num_qubits - 1 - pos)
                 if kind == "X":
                     st.map_basis(lambda idx: idx ^ mask)

@@ -373,28 +373,6 @@ def measure(state, qubits, basis="standard", rng=None):
     return bits, state
 
 
-def measure_copies(state: SparseState, copies, rng):
-    """Fully measure ``copies`` copies of a sparse state in the standard basis.
-
-    Returns what ``copies`` calls of ``measure(state.copy(),
-    range(state.num_qubits), "standard", rng)`` would, in order, as a list of
-    (bits, post-measurement state): the outcome distribution is computed
-    once and sampled by one vectorised draw, which reads the same uniforms as
-    the sequential calls.  ``state`` itself is left as it is.
-    """
-    keys = sorted(state.support)
-    probs = np.array([abs(state.support[k]) ** 2 for k in keys])
-    probs = probs / probs.sum()
-    n = state.num_qubits
-    out = []
-    for pick in rng.choice(len(keys), size=copies, p=probs):
-        idx = keys[pick]
-        a = state.support[idx]
-        post = SparseState(n, {idx: a / math.sqrt(abs(a) ** 2)}, state.support_cap)
-        out.append((tuple((idx >> (n - 1 - q)) & 1 for q in range(n)), post))
-    return out
-
-
 def make_epr(m, dense_limit=DENSE_LIMIT_DEFAULT) -> StateVector:
     """m EPR pairs on 2m qubits, pairing qubit i with qubit i+m."""
     if 2 * m > dense_limit:

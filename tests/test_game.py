@@ -493,32 +493,26 @@ def test_attack_copies_instance_zero_off_the_shared_state():
 
 
 def test_final_answer_draws_instance_zero_from_its_own_state(monkeypatch):
-    """Under attack the closing measurement draws instance 0 once from its
-    own copy, then the other t-1 from the shared state, and reproduces
-    the per-instance reference: one full measurement of each instance in
-    turn."""
-    def per_instance(state, copies, rng):
-        return [qsim.measure(state.copy(), range(state.num_qubits), "standard", rng)
-                for _ in range(copies)]
+    """Under attack the closing measurement draws instance 0 first, from its
+    own copy, then the other t-1 instances from the shared state, which
+    holds the attack-free support."""
+    def spy_on(drawn):
+        def spy(state, qubits, basis="standard", rng=None):
+            if isinstance(state, SparseState):
+                drawn.append(dict(state.support))
+            return qsim.measure(state, qubits, basis, rng)
+        return spy
 
-    calls = []
-
-    def spy(state, copies, rng):
-        calls.append((state, copies))
-        return qsim.measure_copies(state, copies, rng)
-
-    monkeypatch.setattr(game, "measure_copies", spy)
-    cfg, prover, _, tr = _no_test_trial("honest", strat_o="pauli-x")
-    own, shared = prover._own, prover._shared
-    assert own is not None and own is not shared
-    assert calls == [(own, 1), (shared, cfg.t_parallel - 1)]
-    assert set(prover.instances[0].support) <= set(own.support)
-
-    monkeypatch.setattr(game, "measure_copies", per_instance)
-    _, reference, _, ref_tr = _no_test_trial("honest", strat_o="pauli-x")
-    assert tr.to_json() == ref_tr.to_json()
-    assert ([sorted(st.support) for st in prover.instances]
-            == [sorted(st.support) for st in reference.instances])
+    attacked, clean = [], []
+    monkeypatch.setattr(game, "qsim_measure", spy_on(attacked))
+    cfg, prover, _, _ = _no_test_trial("honest", strat_o="pauli-x")
+    monkeypatch.setattr(game, "qsim_measure", spy_on(clean))
+    _no_test_trial("honest")
+    assert len(attacked) == len(clean) == cfg.t_parallel
+    assert attacked[0] != attacked[1]
+    assert all(sup == clean[0] for sup in attacked[1:])
+    assert set(prover.instances[0].support) <= set(attacked[0])
+    assert all(len(st.support) == 1 for st in prover.instances)
 
 
 def test_classical_prover_runs_no_layer(monkeypatch):

@@ -7,8 +7,6 @@ import pathlib
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qdepthlab import qsim
 from qdepthlab.errors import CapacityError, QDepthError
@@ -160,38 +158,6 @@ def test_state_dump_json():
     assert payload["amps"][2] == [1.0, 0.0]
     schema = json.loads((SCHEMAS / "state_dump.v1.schema.json").read_text())
     jsonschema.Draft202012Validator(schema).validate(payload)
-
-
-@st.composite
-def _sparse_states(draw):
-    n = draw(st.integers(1, 6))
-    idxs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12,
-                         unique=True))
-    mags = draw(st.lists(st.floats(0.05, 1.0), min_size=len(idxs),
-                         max_size=len(idxs)))
-    phases = draw(st.lists(st.floats(0.0, 6.3), min_size=len(idxs),
-                           max_size=len(idxs)))
-    amps = np.array(mags) * np.exp(1j * np.array(phases))
-    amps /= np.linalg.norm(amps)
-    return SparseState(n, dict(zip(idxs, amps.tolist())))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_sparse_states(), st.integers(1, 24), st.integers(0, 2 ** 32 - 1))
-def test_measure_copies_matches_sequential_measurements(state, copies, seed):
-    """One vectorised draw gives the outcomes and post-measurement states of
-    ``copies`` full measurements of fresh copies, and leaves the generator
-    where the sequential calls leave it."""
-    before = dict(state.support)
-    ref_rng = np.random.default_rng(seed)
-    want = [qsim.measure(state.copy(), range(state.num_qubits), "standard", ref_rng)
-            for _ in range(copies)]
-    rng = np.random.default_rng(seed)
-    got = qsim.measure_copies(state, copies, rng)
-    assert [bits for bits, _ in got] == [bits for bits, _ in want]
-    assert [post.support for _, post in got] == [post.support for _, post in want]
-    assert rng.random() == ref_rng.random()
-    assert state.support == before
 
 
 # -- Pauli machinery ---------------------------------------------------------
