@@ -35,8 +35,8 @@ from .oracles import (
     solve_hidden_shift,
 )
 from .qsim import (
-    H, I2, S, SDG, T, Gate, SparseState, StateVector, states_equal_up_to_phase,
-    trial_rng,
+    GATE_MATRICES, H, I2, S, SDG, T, Gate, SparseState, StateVector,
+    states_equal_up_to_phase, trial_rng,
 )
 from .qsim import measure as qsim_measure
 
@@ -203,12 +203,11 @@ class ProtocolConfig:
             violations.append(f"p={self.p} outside (0, 1/2)")
         if self.alpha is not None and not (0 < self.alpha < 1):
             violations.append(f"alpha={self.alpha} outside (0, 1)")
-        if self.q < 1:
-            violations.append("q must be >= 1")
-        if self.n < 2:
-            violations.append("n must be >= 2")
-        if self.d < 1:
-            violations.append("d must be >= 1")
+        for name, low in (("q", 1), ("n", 2), ("d", 1), ("standin_wires", 1),
+                          ("t_parallel", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                violations.append(f"{name} must be >= {low}")
         if self.oracle_mode not in ("exact", "prp"):
             violations.append(f"unknown oracle mode {self.oracle_mode!r}")
         if self.fidelity not in ("abstract", "gadget"):
@@ -289,21 +288,14 @@ class GameLayout:
         for cliffords, t_wires in standin_layers(cfg):
             ops = [("T", w) for w in t_wires]
             compiled, _ = compile_ops(ops)
-            self.layer_gadgets.append([op for op in compiled if op[0] == "t"])
-            even_x = sum(1 for op in compiled if op[0] == "t"
-                         and gadget_parity(RoundType.XTEST, op[2]) == "even")
-            odd_x = sum(1 for op in compiled if op[0] == "t"
-                        and gadget_parity(RoundType.XTEST, op[2]) == "odd")
-            even_z = sum(1 for op in compiled if op[0] == "t"
-                         and gadget_parity(RoundType.ZTEST, op[2]) == "even")
-            odd_z = sum(1 for op in compiled if op[0] == "t"
-                        and gadget_parity(RoundType.ZTEST, op[2]) == "odd")
-            t_total = sum(1 for op in compiled if op[0] == "t")
-            self.layer_needs.append({
-                "z_basis": max(even_x, even_z),
-                "xy_basis": max(odd_x, odd_z),
-                "gf_basis": t_total,
-            })
+            gadgets = [op for op in compiled if op[0] == "t"]
+            self.layer_gadgets.append(gadgets)
+            # by parity, the most gadgets of that parity either test round runs
+            most = {parity: max(sum(gadget_parity(rt, op[2]) == parity for op in gadgets)
+                                for rt in (RoundType.XTEST, RoundType.ZTEST))
+                    for parity in ("even", "odd")}
+            self.layer_needs.append({"z_basis": most["even"], "xy_basis": most["odd"],
+                                     "gf_basis": len(gadgets)})
         self.block_size = max(
             5 * max((sum(nd.values()) for nd in self.layer_needs), default=1),
             cfg.block_margin,
@@ -416,6 +408,33 @@ _P0_TABLE = np.array([[[outcome_prob0(wa, e, wo) for wo in SIGMA] for e in (0, 1
                       for wa in SIGMA])
 # partner state of an EPR half, by the code of A's observable and A's outcome
 _COLLAPSED = [[collapse_vector(w, e) for e in (0, 1)] for w in SIGMA]
+
+# A test round's wires hold the ten collapsed partners, coded 2*label + e.  The
+# tables push this family through the qsim gates a computation round applies
+# densely; two wires' product is coded 10*hi + lo, an image off the family -1.
+_FAMILY = np.array(_COLLAPSED).reshape(-1, 2)
+_PAIRS = np.einsum("ai,bj->abij", _FAMILY, _FAMILY).reshape(-1, 4)
+
+
+def _codes_of(vecs, family):
+    """Per row of ``vecs``: the code of the family member it is a multiple of, or -1."""
+    norms = np.linalg.norm(vecs, axis=1)[:, None]
+    hit = (abs(vecs @ family.conj().T) > (1 - 1e-9) * norms) & (norms > 1e-9)
+    return np.where(hit.any(1), hit.argmax(1), -1)
+
+
+_GATE_CODES = {name: _codes_of(fam @ GATE_MATRICES[name].T, fam)
+               for name, fam in (("X", _FAMILY), ("Z", _FAMILY),
+                                 ("SDG", _FAMILY), ("CNOT", _PAIRS))}
+# a gadget's first half: CNOT from O's ancilla (hi) onto the wire (lo), then
+# the wire read as c; by [wire code, ancilla code], P[c = 1] and, by c, the
+# code the ancilla is left in (-1 where c cannot occur)
+_GADGET_OUT = np.einsum("awxc->wacx",
+                        (_PAIRS @ GATE_MATRICES["CNOT"].T).reshape(10, 10, 2, 2))
+_GADGET_P1 = np.round(np.sum(abs(_GADGET_OUT[:, :, 1]) ** 2, axis=-1), 9)
+_GADGET_AFTER = _codes_of(_GADGET_OUT.reshape(-1, 2), _FAMILY).reshape(10, 10, 2)
+# P[1] of a wire read in a basis, by [wire code, basis label code]
+_READ_P1 = np.round(1 - _P0_TABLE.reshape(-1, len(SIGMA)), 9)
 
 
 def rigid_exchange(labels, act_label, e_act, measured, rng):
@@ -607,16 +626,12 @@ _ANCILLA_BASES = {
 }
 
 
+@dataclass
 class _RoundState:
     """Physical contents of prover O's side during one query round."""
 
-    def __init__(self, round_type):
-        self.round_type = round_type
-        self.test_kind = None        # "bit" (|0>-type wires) or "phase"
-        self.test_value = None       # per wire: the bit, or the Z exponent on |+>
-        self.standin_sv = None       # live stand-in statevector (comp rounds)
-        self.garbage = False
-        self.pending = {}            # wire -> odd-gadget intermediate
+    codes: list | None = None               # test round: each wire's code
+    standin_sv: StateVector | None = None   # computation round: live stand-in
 
 
 class GameRun:
@@ -691,14 +706,14 @@ class GameRun:
         x_test = round_type == RoundType.XTEST
 
         si_base = layout.n_tot - layout.n_si
-        rs = _RoundState(round_type)
+        rs = _RoundState()
         # every wire's keys, as (a, b) rows; only the stand-in wires' keys
         # change during the round, so only they go through the ledger
         if comp:
             keys = np.stack([a_rep, b_rep], 1)
             ledger = KeyLedger.with_keys(keys[si_base:].tolist())
-            rs.garbage = not real_tp
-            if not rs.garbage and self.a.standin is not None:
+            garbage = not real_tp
+            if not garbage and self.a.standin is not None:
                 sv = self.a.standin.copy()
                 for w, (a_k, b_k) in enumerate(ledger.keys):
                     if b_k:
@@ -716,13 +731,12 @@ class GameRun:
             zero = np.zeros_like(e_test)
             keys = np.stack([e_test, zero] if x_test else [zero, e_test], 1)
             ledger = KeyLedger.with_keys(keys[si_base:].tolist())
-            # a test wire carries A's outcome where A measured the wanted
-            # basis (Z for the X test, X for the Z test), else a fair coin
+            # a test wire is an eigenstate of the basis its test reads (Z or X),
+            # of A's outcome where A measured that basis, else of a fair coin
             value = e_act[positions].copy()
             coin = (act_label[positions] != (Z_ID if x_test else X_ID)) | (not measured)
             value[coin] = rng.integers(2, size=int(coin.sum()))
-            rs.test_kind = "bit" if x_test else "phase"
-            rs.test_value = value.tolist()
+            rs.codes = (2 * (Z_ID if x_test else X_ID) + value).tolist()
 
         self.log("V", "O", MSG_SETUP, {"N": part.data_block.tolist(),
                                        "ret": part.return_block.tolist()})
@@ -741,7 +755,7 @@ class GameRun:
 
             for cl in cliffords:
                 if cl[0] == "CNOT":
-                    self._apply_cnot(rs, si_base + cl[1], si_base + cl[2], si_base)
+                    self._apply_gate(rs, "CNOT", cl[1:], si_base)
                     update_keys("CNOT", ledger, {"control": cl[1], "target": cl[2]})
 
             c_list = [self._gadget_first_half(rs, si_base + op[1], si_base,
@@ -758,7 +772,8 @@ class GameRun:
                 else:
                     z = int(labels[pos] == Y_ID)
                 z_list.append(z)
-                self._gadget_second_half(rs, si_base + op[1], si_base, z)
+                if z:  # the inverse-phase correction on the surviving ancilla
+                    self._apply_gate(rs, "SDG", (op[1],), si_base)
                 update_keys("T", ledger, {
                     "wire": op[1], "c": c_val, "e": int(e_rep[pos]), "z": z,
                     "parity": parity,
@@ -767,7 +782,7 @@ class GameRun:
 
         # oracle action on the data wires, then any planted attack
         if comp and not self.o.skip_oracle \
-                and self.a.instances is not None and not rs.garbage:
+                and self.a.instances is not None and not garbage:
             for st in {id(st): st for st in self.a.instances}.values():
                 self.steps[query_idx](st)
         if self.o.attack is not None:
@@ -781,7 +796,7 @@ class GameRun:
         if comp:
             self.log("V", "A", MSG_KEYS, {"a": ((a_back + keys[:, 0]) % 2).tolist(),
                                           "b": ((b_back + keys[:, 1]) % 2).tolist()})
-            if rs.standin_sv is not None and not rs.garbage:
+            if rs.standin_sv is not None and not garbage:
                 sv = rs.standin_sv
                 for w, (a_k, b_k) in enumerate(ledger.keys):
                     if a_k:
@@ -795,9 +810,12 @@ class GameRun:
         back, col = (a_back, 0) if x_test else (b_back, 1)
         d_actual = None
         if not self.a.fabricating:
-            lost = np.array([v is None for v in rs.test_value])
-            d_actual = (back + [0 if v is None else v for v in rs.test_value]) % 2
-            d_actual[lost] = rng.integers(2, size=int(lost.sum()))
+            p1 = _READ_P1[rs.codes, Z_ID if x_test else X_ID]
+            if (p1 % 0.5).any():    # neither certain nor a fair coin: a lab error
+                raise QDepthError(f"test-round wires read with P[1] = {p1[p1 % 0.5 > 0]}")
+            fair = p1 == 0.5
+            d_actual = (back + (p1 == 1)) % 2
+            d_actual[fair] = rng.integers(2, size=int(fair.sum()))
         basis = "standard" if x_test else "hadamard"
         self.log("V", "A", MSG_MEAS, {"request": basis})
         d_rep = np.asarray(self.a.report_measurement(d_actual, rng))
@@ -807,22 +825,32 @@ class GameRun:
 
     # -- gadget physics -------------------------------------------------------
 
-    def _apply_cnot(self, rs: _RoundState, ctl, tgt, si_base):
-        if rs.round_type == RoundType.COMPUTATION:
-            rs.standin_sv.apply_gate(Gate("CNOT", (ctl - si_base, tgt - si_base)))
+    def _apply_gate(self, rs: _RoundState, name, wires, base):
+        """Gate ``name`` on ``wires``: on the live stand-in statevector in a
+        computation round; in a test round through the gate's code map, on
+        register wires ``base + w``."""
+        if rs.codes is None:
+            rs.standin_sv.apply_gate(Gate(name, wires))
             return
-        if rs.test_kind == "bit":
-            rs.test_value[tgt] ^= rs.test_value[ctl]
-        else:
-            rs.test_value[ctl] ^= rs.test_value[tgt]
+        index = 0
+        for w in wires:
+            index = 10 * index + rs.codes[base + w]
+        code = int(_GATE_CODES[name][index])
+        if code < 0:
+            raise QDepthError(f"{name} takes test-round wires {wires} off the family")
+        for w in reversed(wires):
+            code, rs.codes[base + w] = divmod(code, 10)
 
     def _gadget_first_half(self, rs, wire, si_base, act_lbl, e_act):
         """CNOT from the collapsed ancilla onto the wire, measure it: outcome c.
 
         ``act_lbl`` is the int code of the observable A measured the ancilla's
-        EPR twin in."""
+        EPR twin in.  A computation round runs this densely on the stand-in;
+        a test round looks the wire's and the ancilla's codes up in the tables
+        built from the same ancilla states, and draws c only where it is a
+        fair coin."""
         rng = self.rng
-        if rs.round_type == RoundType.COMPUTATION:
+        if rs.codes is None:
             sv = rs.standin_sv
             psi = _COLLAPSED[act_lbl][e_act]
             d_wire = wire - si_base
@@ -834,44 +862,15 @@ class GameRun:
             merged.move_qubit(merged.num_qubits - 1, d_wire)
             rs.standin_sv = merged
             return int(c_val)
-        if rs.test_kind == "bit":
-            if act_lbl == Z_ID:
-                anc_bit = e_act
-                c_val = rs.test_value[wire] ^ anc_bit
-            else:
-                c_val = int(rng.integers(2))
-                anc_bit = rs.test_value[wire] ^ c_val
-            rs.test_value[wire] = anc_bit
-            return int(c_val)
-        # phase-type wire: odd gadget; c is uniform and independent
-        if act_lbl in (X_ID, Y_ID):
-            z_anc = int(act_lbl == Y_ID)
-            rs.pending[wire] = (rs.test_value[wire] ^ e_act, z_anc, True)
-        else:
-            rs.pending[wire] = (0, 0, False)
-        return int(rng.integers(2))
-
-    def _gadget_second_half(self, rs, wire, si_base, z_sent):
-        """Inverse-phase correction S^-z on the surviving ancilla wire."""
-        if rs.round_type == RoundType.COMPUTATION:
-            if z_sent:
-                rs.standin_sv.apply_gate(Gate("SDG", (wire - si_base,)))
-            return
-        if rs.test_kind == "bit":
-            return  # phase gates are invisible on computational wires
-        pend = rs.pending.pop(wire, None)
-        if pend is None:
-            return
-        p_mid, z_anc, coherent = pend
-        total = z_anc + z_sent
-        if not coherent or total % 2 == 1:
-            rs.test_value[wire] = None  # wire left the |+>/|-> family
-        else:
-            rs.test_value[wire] = p_mid ^ (total // 2)
+        w, a = rs.codes[wire], 2 * act_lbl + e_act
+        p1 = _GADGET_P1[w, a]   # on the family always 0, 1/2 or 1
+        c_val = int(rng.integers(2)) if p1 == 0.5 else int(p1)
+        rs.codes[wire] = int(_GADGET_AFTER[w, a, c_val])
+        return c_val
 
     def _apply_attack(self, rs: _RoundState, attack):
         kind, pos = attack
-        if rs.round_type == RoundType.COMPUTATION:
+        if rs.codes is None:
             inst = self.a.instances
             if inst:
                 if len(inst) > 1 and inst[0] is inst[1]:
@@ -884,11 +883,7 @@ class GameRun:
                     st.support = {k: (-v if (k & mask) else v)
                                   for k, v in st.support.items()}
             return
-        if pos >= len(rs.test_value) or rs.test_value[pos] is None:
-            return
-        # X flips a |0>-type wire, Z a |+>-type one
-        if kind == ("X" if rs.test_kind == "bit" else "Z"):
-            rs.test_value[pos] ^= 1
+        self._apply_gate(rs, kind, (pos,), 0)
 
     # -- full protocol ---------------------------------------------------------
 

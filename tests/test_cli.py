@@ -87,6 +87,7 @@ def test_dssp_run_manifest_records_config(tmp_path):
     assert code == 0
     validate(json.loads(out), "dssp_report.v1.schema.json")
     manifest = json.loads((outdir / "manifest.json").read_text())
+    validate(manifest, "manifest.v1.schema.json")
     assert manifest["config"] == {"n": 3, "d": 1, "mode": "exact",
                                   "access": "standard", "runs": 2, "seed": 6}
 
@@ -140,6 +141,7 @@ def test_game_run_writes_manifest_and_transcripts(tmp_path):
     assert code == 0
     validate(json.loads(out), "game_report.v1.schema.json")
     manifest = json.loads((outdir / "manifest.json").read_text())
+    validate(manifest, "manifest.v1.schema.json")
     assert manifest["command"] == "game-run"
     t0 = json.loads((outdir / "transcript_0.json").read_text())
     assert t0["verdict"] in ("accept", "reject")
@@ -210,6 +212,16 @@ def test_config_file_sets_every_config_field(tmp_path):
 
 @pytest.mark.parametrize("line", ["trails = 7", "n = three"])
 def test_config_file_bad_key_or_value_is_config_error(tmp_path, line):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n = 2\nd = 1\nq = 2\n{line}\n")
+    assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
+
+
+@pytest.mark.parametrize("line", ["standin_wires = 0", "t_parallel = -1",
+                                  "t_parallel = 0"])
+def test_config_file_without_standin_wire_or_instance_is_config_error(tmp_path, line):
+    """Below one stand-in wire or one instance of prover A a game cannot
+    run: exit 3, not a crash or a run that answers at chance."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"n = 2\nd = 1\nq = 2\n{line}\n")
     assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3

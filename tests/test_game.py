@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdepthlab import game, oracles, qsim
-from qdepthlab.errors import ConfigError, ProtocolOrderError, SchemeViolation
+from qdepthlab import gadgets, game, oracles, qsim
+from qdepthlab.errors import ConfigError, ProtocolOrderError, QDepthError, SchemeViolation
+from qdepthlab.gadgets import RoundType
 from qdepthlab.game import (
     GameLayout,
     ProtocolConfig,
@@ -66,6 +67,16 @@ def test_config_validation_reports_all_violations():
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert len(err.value.violations) >= 3
+
+
+@pytest.mark.parametrize("name, value", [("standin_wires", 0), ("t_parallel", -1),
+                                         ("t_parallel", 0)])
+def test_config_needs_a_standin_wire_and_an_instance(name, value):
+    """The stand-in puts its T gadgets on wire 0, and prover A answers from
+    its instances' samples: below one of either, validate reports it."""
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(**{**SMALL, name: value}).validate()
+    assert err.value.violations == [f"{name} must be >= 1"]
 
 
 def test_config_pool_floor():
@@ -271,6 +282,97 @@ def test_po_z_attack_mirrored():
     for seed in range(15):
         assert run_single_round(cfg, "ztest", strat_o="pauli-z", seed=seed)[0] == "reject"
         assert run_single_round(cfg, "xtest", strat_o="pauli-z", seed=seed)[0] == "accept"
+
+
+# -- test-round tables ------------------------------------------------------------
+
+
+def _family_code(vec, family):
+    """The one family member ``vec`` equals up to phase, else -1."""
+    hits = [i for i, f in enumerate(family) if qsim.states_equal_up_to_phase(vec, f)]
+    assert len(hits) <= 1
+    return hits[0] if hits else -1
+
+
+def test_gadget_first_half_table_matches_dense_simulation():
+    """Every (wire, ancilla) entry: CNOT from the ancilla onto the wire on a
+    two-qubit StateVector, the wire postselected on c."""
+    for w, wire in enumerate(game._FAMILY):
+        for a, anc in enumerate(game._FAMILY):
+            p1 = game._GADGET_P1[w, a]
+            assert p1 in (0, 0.5, 1)    # the round draws c only where p1 is 1/2
+            for c, p_c in ((0, 1 - p1), (1, p1)):
+                sv = qsim.StateVector(2, np.kron(wire, anc))
+                sv.apply_gate(qsim.Gate("CNOT", (1, 0)))
+                assert abs(gadgets._postselect(sv, 0, c) - p_c) < 1e-9
+                left = sv.amplitudes.reshape(2, 2)[c] if p_c > 0 else np.zeros(2)
+                assert game._GADGET_AFTER[w, a, c] == _family_code(left, game._FAMILY)
+
+
+def test_gate_code_maps_match_gate_matrices():
+    fam = game._FAMILY
+    for name in ("X", "Z", "SDG"):
+        want = [_family_code(qsim.GATE_MATRICES[name] @ v, fam) for v in fam]
+        assert game._GATE_CODES[name].tolist() == want
+    pairs = [np.kron(u, v) for u in fam for v in fam]
+    want = []
+    for pair in pairs:
+        sv = qsim.StateVector(2, pair.copy())
+        sv.apply_gate(qsim.Gate("CNOT", (0, 1)))
+        want.append(_family_code(sv.amplitudes, pairs))
+    assert game._GATE_CODES["CNOT"].tolist() == want
+
+
+def test_read_table_is_p1_in_each_basis():
+    """The X test reads its wires in the Z basis, the Z test in the X basis."""
+    assert np.allclose(game.ROT["Z"], qsim.I2) and np.allclose(game.ROT["X"], qsim.H)
+    for code, v in enumerate(game._FAMILY):
+        for label, name in enumerate(game.SIGMA):
+            p1 = abs((game.ROT[name] @ v)[1]) ** 2
+            assert abs(game._READ_P1[code, label] - p1) < 1e-9
+
+
+@pytest.mark.parametrize("parity, wire_label, anc_label, z", [
+    ("even", game.Z_ID, game.Z_ID, 0), ("even", game.Z_ID, game.Z_ID, 1),
+    ("odd", game.X_ID, game.X_ID, 0), ("odd", game.X_ID, game.Y_ID, 1)])
+def test_tables_follow_the_dense_t_gadget_in_honest_cases(parity, wire_label,
+                                                          anc_label, z):
+    """An even gadget runs on an X-test wire with a Z ancilla, an odd one on
+    a Z-test wire with an X (z=0) or Y (z=1) ancilla: first half, then S^-z,
+    must leave the state ``gadgets.run_t_gadget`` leaves in that branch."""
+    round_type = RoundType.XTEST if parity == "even" else RoundType.ZTEST
+    for value in (0, 1):
+        w = 2 * wire_label + value
+        for c in (0, 1):
+            for e in (0, 1):
+                a = 2 * anc_label + e
+                p_c = game._GADGET_P1[w, a] if c else 1 - game._GADGET_P1[w, a]
+                state = qsim.StateVector(1, game._FAMILY[w])
+                if p_c == 0:
+                    with pytest.raises(QDepthError):
+                        gadgets.run_t_gadget(state, 0, round_type, parity, z,
+                                             None, force=(c, e))
+                    continue
+                _, _, out, _ = gadgets.run_t_gadget(state, 0, round_type, parity,
+                                                    z, None, force=(c, e))
+                code = game._GADGET_AFTER[w, a, c]
+                if z:
+                    code = game._GATE_CODES["SDG"][code]
+                assert qsim.states_equal_up_to_phase(out.amplitudes,
+                                                     game._FAMILY[code])
+
+
+def test_biased_test_round_outcome_is_a_lab_error(monkeypatch):
+    """An F/G-coded wire read in the Z test is no fair coin (P[1] = 0.854 or
+    0.146): a lab error, not a verdict.  Odd gadgets fed F/G ancillas leave
+    the Z test's stand-in wire F/G-coded (one layer: a second F/G ancilla
+    can turn it back)."""
+    assert 0.1 < game._READ_P1[2 * game.F_ID, game.X_ID] < 0.9
+    cfg = ProtocolConfig(**{**SMALL, "d": 1}, fidelity="gadget")
+    assert run_single_round(cfg, "ztest", seed=0)[0] == "accept"
+    monkeypatch.setitem(game._ANCILLA_BASES, "odd", game._ANCILLA_BASES["computation"])
+    with pytest.raises(QDepthError, match="P\\[1\\]"):
+        run_single_round(cfg, "ztest", seed=0)
 
 
 def test_rigid_round_in_game():
