@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,6 +99,8 @@ def ideal_correlator(label_a, label_o) -> float:
 # are the ideal correlator signs, so the honest value is 2*sqrt(2).
 CHSH_PAIRS = [("G", "X"), ("G", "Y"), ("F", "X"), ("F", "Y")]
 CHSH_SIGNS = [1.0 if ideal_correlator(a, o) > 0 else -1.0 for a, o in CHSH_PAIRS]
+# ideal correlators of the matched-basis classes the rigidity test checks
+MATCHED_CORRELATORS = {w: ideal_correlator(w, w) for w in ("X", "Y", "Z")}
 
 
 def rigid_verdict(labels, requests, e_rep, outcomes, cfg) -> str:
@@ -115,11 +118,11 @@ def rigid_verdict(labels, requests, e_rep, outcomes, cfg) -> str:
     counts = np.bincount(cls, minlength=k * k)
     # the products are +-1, so these sums are exact and sum/count is the mean
     sums = np.bincount(cls, weights=prods, minlength=k * k)
-    for w in ("X", "Y", "Z"):
+    for w, ideal in MATCHED_CORRELATORS.items():
         c = SIGMA.index(w) * (k + 1)        # the class (w, w)
         if counts[c] < cfg.rigid_min_samples:
             continue
-        if abs(sums[c] / counts[c] - ideal_correlator(w, w)) > cfg.rigid_exact_tol:
+        if abs(sums[c] / counts[c] - ideal) > cfg.rigid_exact_tol:
             return "reject"
     s_val = 0.0
     for (wa, wo), sign in zip(CHSH_PAIRS, CHSH_SIGNS):
@@ -193,8 +196,7 @@ class ProtocolConfig:
             # so two dozen parallel instances keep it under 1% at any n
             cfg.t_parallel = max(24, 6 * cfg.n)
         if cfg.m is None:
-            layout = GameLayout(cfg)
-            cfg.m = layout.pool_need
+            cfg.m = game_layout(cfg).pool_need
         return cfg
 
     def validate(self):
@@ -220,7 +222,7 @@ class ProtocolConfig:
         cfg = self.resolved()
         t_gates = sum(len(tw) for _, tw in standin_layers(self))
         floor = cfg.n + t_gates * cfg.q + 2 * cfg.n
-        pool_need = GameLayout(cfg).pool_need
+        pool_need = game_layout(cfg).pool_need
         if cfg.m < max(pool_need, floor):
             violations.append(f"m={cfg.m} below required pool {pool_need}")
         if violations:
@@ -267,8 +269,8 @@ class GameLayout:
     """Wire and EPR-pool geometry derived from a config."""
 
     def __init__(self, cfg: ProtocolConfig):
-        cfg = cfg if cfg.alpha is not None and cfg.t_parallel is not None else cfg.resolved()
-        self.cfg = cfg
+        if cfg.t_parallel is None:
+            cfg = cfg.resolved()
         n, d = cfg.n, cfg.d
         wf = cfg.width_factor if cfg.width_factor is not None else d + 2
         self.big_width = wf * n
@@ -305,6 +307,28 @@ class GameLayout:
         self.m_size = max(6 * self.n_tot + cfg.d * self.block_size,
                           cfg.rigid_pool_floor)
         self.pool_need = cfg.q * (2 * self.n_tot + self.m_size)
+        # the d layer blocks of a partition: the pool less the two test sets,
+        # cut where np.array_split cuts it
+        size, extra = divmod(self.m_size - 2 * self.n_tot, d)
+        ends = list(accumulate((size + (i < extra) for i in range(d)), initial=0))
+        self.block_bounds = list(zip(ends, ends[1:]))
+
+
+# the config fields GameLayout reads
+_LAYOUT_FIELDS = ("n", "d", "q", "t_parallel", "width_factor", "target", "fidelity",
+                  "standin_wires", "block_margin", "rigid_pool_floor")
+_LAYOUTS = {}
+
+
+def game_layout(cfg: ProtocolConfig) -> GameLayout:
+    """The layout of ``cfg``, built once per distinct value of the fields it
+    reads.  The key holds values, not the config's identity, because a
+    ``ProtocolConfig`` is mutable."""
+    key = tuple(getattr(cfg, name) for name in _LAYOUT_FIELDS)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS[key] = GameLayout(cfg)
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +385,6 @@ def draw_partition(layout: GameLayout, free_indices, rng, max_tries=1000):
     """Sample one query's allocation; resample W until every block supports
     every round type (the feasibility predicate is round-independent, so
     conditioning preserves blindness)."""
-    cfg = layout.cfg
     need = 2 * layout.n_tot + layout.m_size
     if len(free_indices) < need:
         raise QDepthError("EPR pool exhausted")
@@ -386,7 +409,7 @@ def draw_partition(layout: GameLayout, free_indices, rng, max_tries=1000):
         free[n_x] = free[n_z] = False
         rest = np.flatnonzero(free)
         rest = rest[rng.permutation(len(rest))]
-        blocks = np.array_split(rest, cfg.d)
+        blocks = [rest[a:b] for a, b in layout.block_bounds]
         counts = (np.bincount(w[blk], minlength=len(SIGMA)) for blk in blocks)
         if all(c[Z_ID] >= nd["z_basis"] and c[X_ID] + c[Y_ID] >= nd["xy_basis"]
                and c[F_ID] + c[G_ID] >= nd["gf_basis"]
@@ -638,7 +661,7 @@ class GameRun:
     def __init__(self, cfg: ProtocolConfig, prover_a: ProverA, prover_o: ProverO,
                  oracle, rng):
         self.cfg = cfg.resolved()
-        self.layout = GameLayout(self.cfg)
+        self.layout = game_layout(self.cfg)
         self.a = prover_a
         self.o = prover_o
         self.oracle = oracle
@@ -854,7 +877,8 @@ class GameRun:
             sv = rs.standin_sv
             psi = _COLLAPSED[act_lbl][e_act]
             d_wire = wire - si_base
-            merged = StateVector(sv.num_qubits + 1, np.kron(sv.amplitudes, psi))
+            merged = StateVector(sv.num_qubits + 1,
+                                 np.outer(sv.amplitudes, psi).reshape(-1))
             a_wire = merged.num_qubits - 1
             merged.apply_gate(Gate("CNOT", (a_wire, d_wire)))
             (c_val,), merged = qsim_measure(merged, [d_wire], "standard", rng)
@@ -943,11 +967,17 @@ class GameRun:
         the delegated circuit (a simulation-lab completeness check)."""
         if self.a.standin is None:
             return "reject"
-        expected = expected_standin_state(self.cfg)
-        ok = states_equal_up_to_phase(
-            self.a.standin.amplitudes, expected.amplitudes, tol=1e-7
-        )
+        cfg = self.cfg
+        key = (cfg.standin_wires, cfg.d, cfg.q)
+        expected = _EXPECTED_STANDIN.get(key)
+        if expected is None:
+            expected = _EXPECTED_STANDIN[key] = expected_standin_state(cfg).amplitudes
+        ok = states_equal_up_to_phase(self.a.standin.amplitudes, expected, tol=1e-7)
         return "accept" if ok else "reject"
+
+
+# expected_standin_state's amplitudes by (standin_wires, d, q), the values it reads
+_EXPECTED_STANDIN = {}
 
 
 def expected_standin_state(cfg: ProtocolConfig) -> StateVector:

@@ -73,6 +73,64 @@ def layer_targets(layer) -> list:
     return out
 
 
+# Index maps of the dense kernel.  Each is built once per register width and
+# qubit tuple by the reshape/transpose that would otherwise run on every
+# call's amplitudes, here run on the basis indices; a gate, a measurement or a
+# qubit move is then one gather (and scatter) through it.
+_INDEX_MAPS = {}
+
+
+def _index_map(build):
+    """Memoise ``build`` in ``_INDEX_MAPS``, keyed by its name and arguments.
+    Every caller shares the map, so it is read-only."""
+    def get(*args):
+        key = (build.__name__,) + args
+        idx = _INDEX_MAPS.get(key)
+        if idx is None:
+            idx = build(*args)
+            idx.flags.writeable = False
+            _INDEX_MAPS[key] = idx
+        return idx
+    return get
+
+
+def _basis_grid(n) -> np.ndarray:
+    return np.arange(1 << n).reshape([2] * n)
+
+
+@_index_map
+def _gather_index(n, targets) -> np.ndarray:
+    """(2^k, 2^(n-k)) basis indices: row i holds, in one order for every row,
+    the indices whose target bits read i."""
+    perm = list(targets) + [q for q in range(n) if q not in targets]
+    return np.transpose(_basis_grid(n), perm).reshape(1 << len(targets), -1)
+
+
+@_index_map
+def _outcome_ids(n, qubits) -> np.ndarray:
+    """Per basis index, the bits of ``qubits`` read as one integer."""
+    idxs = np.arange(1 << n)
+    ids = np.zeros(1 << n, dtype=np.int64)
+    for q in qubits:
+        ids = (ids << 1) | ((idxs & (1 << (n - 1 - q))) != 0)
+    return ids
+
+
+@_index_map
+def _qubit_halves(n, qubit) -> np.ndarray:
+    """Row b: the basis indices whose ``qubit`` reads b, in index order."""
+    grid = _basis_grid(n)
+    return np.stack([np.take(grid, b, axis=qubit).reshape(-1) for b in (0, 1)])
+
+
+@_index_map
+def _move_index(n, src, dst) -> np.ndarray:
+    """Basis indices in the order that puts qubit ``src`` at position ``dst``."""
+    order = [q for q in range(n) if q != src]
+    order.insert(dst, src)
+    return np.transpose(_basis_grid(n), order).reshape(-1)
+
+
 class StateVector:
     """Dense complex statevector on up to ``dense_limit`` qubits."""
 
@@ -114,16 +172,10 @@ class StateVector:
         targets = gate.targets
         if any(t >= self.num_qubits for t in targets):
             raise QDepthError("gate target out of range")
-        k = len(targets)
-        n = self.num_qubits
-        perm = list(targets) + [q for q in range(n) if q not in targets]
-        psi = self.amplitudes.reshape([2] * n)
-        psi = np.transpose(psi, perm)
-        psi = psi.reshape(1 << k, -1)
-        psi = u @ psi
-        psi = psi.reshape([2] * n)
-        inv = np.argsort(perm)
-        self.amplitudes = np.transpose(psi, inv).reshape(-1)
+        idx = _gather_index(self.num_qubits, targets)
+        out = np.empty_like(self.amplitudes)
+        out[idx] = u @ self.amplitudes[idx]
+        self.amplitudes = out
         return self
 
     def probabilities(self) -> np.ndarray:
@@ -131,23 +183,16 @@ class StateVector:
 
     def remove_qubit(self, qubit, bit):
         """Drop a qubit known to be in the computational state |bit>."""
-        n = self.num_qubits
-        psi = self.amplitudes.reshape([2] * n)
-        psi = np.take(psi, bit, axis=qubit)
-        other = np.take(self.amplitudes.reshape([2] * n), 1 - bit, axis=qubit)
-        if np.linalg.norm(other) > 1e-7:
+        halves = _qubit_halves(self.num_qubits, qubit)
+        if np.linalg.norm(self.amplitudes[halves[1 - bit]]) > 1e-7:
             raise QDepthError("qubit is not in a definite computational state")
-        self.num_qubits = n - 1
-        self.amplitudes = psi.reshape(-1)
+        self.num_qubits -= 1
+        self.amplitudes = self.amplitudes[halves[bit]]
         return self
 
     def move_qubit(self, src, dst):
         """Reorder the register so qubit ``src`` sits at position ``dst``."""
-        n = self.num_qubits
-        order = [q for q in range(n) if q != src]
-        order.insert(dst, src)
-        psi = self.amplitudes.reshape([2] * n)
-        self.amplitudes = np.transpose(psi, order).reshape(-1)
+        self.amplitudes = self.amplitudes[_move_index(self.num_qubits, src, dst)]
         return self
 
     def dump_json(self) -> str:
@@ -337,8 +382,8 @@ def measure(state, qubits, basis="standard", rng=None):
     elif basis != "standard":
         raise QDepthError(f"unknown measurement basis {basis!r}")
 
-    masks = [state._mask(q) for q in qubits]
     if isinstance(state, SparseState):
+        masks = [state._mask(q) for q in qubits]
         patterns = {}
         for idx, a in state.support.items():
             key = tuple((idx & m) != 0 for m in masks)
@@ -356,13 +401,8 @@ def measure(state, qubits, basis="standard", rng=None):
         state.support = {k: v / nrm for k, v in keep.items()}
         bits = tuple(int(b) for b in choice)
     else:
+        outcome_ids = _outcome_ids(state.num_qubits, tuple(qubits))
         probs = state.probabilities()
-        dim = len(probs)
-        idxs = np.arange(dim)
-        bit_cols = [(idxs & m) != 0 for m in masks]
-        outcome_ids = np.zeros(dim, dtype=np.int64)
-        for col in bit_cols:
-            outcome_ids = (outcome_ids << 1) | col
         totals = np.bincount(outcome_ids, weights=probs, minlength=1 << len(qubits))
         totals = totals / totals.sum()
         pick = rng.choice(len(totals), p=totals)

@@ -124,6 +124,20 @@ def test_partition_invariants(rng):
     assert len(part.blocks) == cfg.d
 
 
+def test_game_layout_memo_keys_on_values():
+    """One layout per value of the fields GameLayout reads; a config mutated
+    in place gets the layout of its new values, equal to one built afresh."""
+    cfg = ProtocolConfig(**SMALL)
+    layout = game.game_layout(cfg)
+    assert game.game_layout(ProtocolConfig(**SMALL)) is layout
+    assert game.game_layout(replace(cfg, seed=9, trials=5, alpha_c=0.7)) is layout
+    assert vars(layout) == vars(GameLayout(cfg))
+    cfg.d = 3
+    moved = game.game_layout(cfg)
+    assert moved is not layout and len(moved.block_bounds) == 3
+    assert vars(moved) == vars(GameLayout(cfg))
+
+
 @pytest.mark.parametrize("fidelity", ["abstract", "gadget"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
@@ -143,6 +157,10 @@ def test_draw_partition_invariants_over_seeds(fidelity, seed, d):
     flat = [int(p) for piece in pieces for p in piece]
     assert sorted(flat) == list(range(len(part.pool)))
     assert len(part.blocks) == d
+    # the blocks are cut where np.array_split cuts the remainder
+    rest = np.concatenate(part.blocks)
+    assert all(np.array_equal(blk, want)
+               for blk, want in zip(part.blocks, np.array_split(rest, d)))
     for blk, needs in zip(part.blocks, layout.layer_needs):
         got = [labels[p] for p in blk]
         assert got.count("Z") >= needs["z_basis"]

@@ -7,6 +7,8 @@ import pathlib
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from qdepthlab import qsim
 from qdepthlab.errors import CapacityError, QDepthError
@@ -149,6 +151,142 @@ def test_dense_sparse_agreement(rng):
             qsim.apply_layer(sparse, layer)
         assert np.allclose(dense.amplitudes,
                            sparse.to_dense().amplitudes, atol=1e-9)
+
+
+# -- dense kernel: memoised index maps against direct references ------------
+
+
+ONE_QUBIT_NAMES = ["I", "X", "Y", "Z", "H", "S", "SDG", "T", "TDG", "U"]
+
+
+@hst.composite
+def _gate_cases(draw):
+    """(n, ordered targets, gate name, seed) on n <= 5 qubits; "U" is a
+    Haar-random matrix drawn from the seed."""
+    n = draw(hst.integers(1, 5))
+    k = draw(hst.integers(1, min(n, 3)))
+    targets = tuple(draw(hst.permutations(range(n)))[:k])
+    names = {1: ONE_QUBIT_NAMES, 2: ["CNOT", "U"], 3: ["U"]}[k]
+    return n, targets, draw(hst.sampled_from(names)), draw(hst.integers(0, 2**32 - 1))
+
+
+def _gate_of(name, targets, rng) -> Gate:
+    if name == "U":
+        return Gate("U", targets, matrix=qsim.haar_unitary(1 << len(targets), rng))
+    return Gate(name, targets)
+
+
+def _embedded_unitary(u, targets, n) -> np.ndarray:
+    """The 2^n matrix of ``u`` on ``targets``: kron(u, I) on the qubit order
+    targets + rest, relabelled to the register's order."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    relabel = [sum(((i >> (n - 1 - q)) & 1) << (n - 1 - pos)
+                   for pos, q in enumerate(order)) for i in range(1 << n)]
+    full = np.kron(u, np.eye(1 << (n - len(targets))))
+    return full[np.ix_(relabel, relabel)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_gate_cases())
+@example(case=(2, (1, 0), "CNOT", 0))     # reversed
+@example(case=(3, (2, 0), "CNOT", 1))     # reversed, not adjacent
+@example(case=(5, (1, 4), "CNOT", 2))     # not adjacent
+@example(case=(4, (3, 1), "U", 3))        # generic 2-qubit matrix
+def test_apply_gate_matches_embedded_unitary(case):
+    n, targets, name, seed = case
+    rng = np.random.default_rng(seed)
+    gate = _gate_of(name, targets, rng)
+    psi = qsim.random_state(n, rng)
+    got = StateVector(n, psi.copy()).apply_gate(gate).amplitudes
+    want = _embedded_unitary(gate.unitary(), targets, n) @ psi
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_gate_cases())
+def test_dense_kernel_never_writes_the_callers_array(case):
+    """Gates, measurements and qubit moves leave the array a caller handed
+    to ``StateVector`` as it was, as when states are built straight from a
+    shared table's rows."""
+    n, targets, name, seed = case
+    rng = np.random.default_rng(seed)
+    gate = _gate_of(name, targets, rng)
+    psi = qsim.random_state(n, rng)
+    psi.flags.writeable = False      # any write raises
+    sv = StateVector(n, psi)
+    assert sv.amplitudes is psi      # the state starts on the caller's array
+    sv.apply_gate(gate)
+    sv.move_qubit(targets[0], n - 1)
+    qsim.measure(sv, targets[:1], "standard", rng)
+    assert sv.amplitudes is not psi
+
+
+def _measure_reference(state, qubits, rng):
+    """The dense branch of ``qsim.measure`` as it was before its outcome ids
+    were memoised: every call rebuilds them from the qubit masks."""
+    masks = [state._mask(q) for q in qubits]
+    probs = state.probabilities()
+    dim = len(probs)
+    idxs = np.arange(dim)
+    bit_cols = [(idxs & m) != 0 for m in masks]
+    outcome_ids = np.zeros(dim, dtype=np.int64)
+    for col in bit_cols:
+        outcome_ids = (outcome_ids << 1) | col
+    totals = np.bincount(outcome_ids, weights=probs, minlength=1 << len(qubits))
+    totals = totals / totals.sum()
+    pick = rng.choice(len(totals), p=totals)
+    sel = outcome_ids == pick
+    amps = np.where(sel, state.amplitudes, 0.0)
+    state.amplitudes = amps / np.linalg.norm(amps)
+    bits = tuple((pick >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits)))
+    return bits, state
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_gate_cases(), sparsity=hst.floats(0.0, 0.9))
+def test_dense_measure_matches_reference(case, sparsity):
+    """Same bits, byte-identical post-state, same generator state after."""
+    n, qubits, _, seed = case
+    rng = np.random.default_rng(seed)
+    psi = qsim.random_state(n, rng)
+    psi[rng.random(len(psi)) < sparsity] = 0.0     # some outcomes impossible
+    psi[rng.integers(len(psi))] += 1.0
+    psi /= np.linalg.norm(psi)
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    bits, got = qsim.measure(StateVector(n, psi.copy()), list(qubits), "standard",
+                             rng_got)
+    bits_want, want = _measure_reference(StateVector(n, psi.copy()), list(qubits),
+                                         rng_want)
+    assert bits == bits_want
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=hst.integers(2, 5), data=hst.data())
+def test_remove_and_move_qubit_match_transpose(n, data):
+    qubit = data.draw(hst.integers(0, n - 1))
+    dst = data.draw(hst.integers(0, n - 1))
+    bit = data.draw(hst.integers(0, 1))
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    psi = qsim.random_state(n, rng).reshape([2] * n)
+    # an indefinite qubit is refused whichever bit is claimed
+    for claim in (0, 1):
+        with pytest.raises(QDepthError):
+            StateVector(n, psi.reshape(-1)).remove_qubit(qubit, claim)
+    definite = np.zeros_like(psi)
+    index = [slice(None)] * n
+    index[qubit] = bit
+    definite[tuple(index)] = psi[tuple(index)]
+    with pytest.raises(QDepthError):
+        StateVector(n, definite.reshape(-1)).remove_qubit(qubit, 1 - bit)
+    left = StateVector(n, definite.reshape(-1)).remove_qubit(qubit, bit)
+    assert left.num_qubits == n - 1
+    assert np.array_equal(left.amplitudes, np.take(psi, bit, axis=qubit).reshape(-1))
+    order = [q for q in range(n) if q != qubit]
+    order.insert(dst, qubit)
+    moved = StateVector(n, psi.reshape(-1)).move_qubit(qubit, dst)
+    assert np.array_equal(moved.amplitudes, np.transpose(psi, order).reshape(-1))
 
 
 def test_state_dump_json():
