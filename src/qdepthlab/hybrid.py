@@ -112,14 +112,16 @@ class StepCircuit:
     """A dCQ circuit given as depth-1 steps, each a ``state -> state`` callable.
 
     The steps draw no randomness, so they prepare the same pre-measurement
-    state on every invocation: it is built from |0...0> once, on the first
-    ``prepared_state`` call, and never mutated afterwards.
+    state on every invocation.  The state and its Born table (the
+    distribution ``SparseState.born_distribution`` gives) are both built
+    once per circuit, on first use, and never mutated afterwards.
     """
 
     def __init__(self, steps, num_qubits):
         self.steps = steps
         self.num_qubits = num_qubits
         self._state = None
+        self._born = None
 
     @property
     def depth(self):
@@ -133,6 +135,12 @@ class StepCircuit:
                 state = step(state)
             self._state = state
         return self._state
+
+    def born_table(self):
+        """``prepared_state().born_distribution()``, built on first use."""
+        if self._born is None:
+            self._born = self.prepared_state().born_distribution()
+        return self._born
 
 
 class HybridSession:
@@ -191,8 +199,9 @@ class HybridSession:
 
         The depth is checked against the budget before any step runs.  Each
         invocation is charged ``circuit.depth`` layers in its own fully
-        measured trace step and sampled by its own Born-rule draw; the state
-        it samples is prepared once per circuit (see ``StepCircuit``).
+        measured trace step and sampled by its own Born-rule draw
+        (``SparseState.sample_index``); the state it samples and that state's
+        Born table are both built once per circuit (see ``StepCircuit``).
         Returns the outcome bits.
         """
         if self.scheme_kind != DCQ:
@@ -205,7 +214,7 @@ class HybridSession:
         self.trace.steps.append(
             TraceStep("quantum", layers=circuit.depth, full_measurement=True)
         )
-        idx = state.sample_index(self.rng)
+        idx = state.sample_index(self.rng, circuit.born_table())
         total = circuit.num_qubits
         return tuple((idx >> (total - 1 - q)) & 1 for q in range(total))
 

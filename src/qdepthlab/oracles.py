@@ -240,7 +240,9 @@ def pseudorandom_simon(key, s, n, m=None) -> SimonFunction:
 class _TablePerm:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.int64)
-        self.inverse_table = np.argsort(self.table)
+        # a permutation inverts by one O(N) scatter
+        self.inverse_table = np.empty_like(self.table)
+        self.inverse_table[self.table] = np.arange(self.table.size)
 
     def eval(self, x):
         return int(self.table[x])

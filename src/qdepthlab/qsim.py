@@ -98,10 +98,18 @@ def _basis_grid(n) -> np.ndarray:
     return np.arange(1 << n).reshape([2] * n)
 
 
+def _check_targets(n, targets):
+    """A gate's targets must be distinct qubits of an n-qubit register."""
+    if len(set(targets)) != len(targets) or not all(0 <= t < n for t in targets):
+        raise QDepthError(f"gate targets {targets} invalid on {n} qubits")
+
+
 @_index_map
 def _gather_index(n, targets) -> np.ndarray:
     """(2^k, 2^(n-k)) basis indices: row i holds, in one order for every row,
-    the indices whose target bits read i."""
+    the indices whose target bits read i.  The targets are checked here, so
+    only the first gate on each (n, targets) pays for it."""
+    _check_targets(n, targets)
     perm = list(targets) + [q for q in range(n) if q not in targets]
     return np.transpose(_basis_grid(n), perm).reshape(1 << len(targets), -1)
 
@@ -169,10 +177,7 @@ class StateVector:
 
     def apply_gate(self, gate: Gate):
         u = gate.unitary()
-        targets = gate.targets
-        if any(t >= self.num_qubits for t in targets):
-            raise QDepthError("gate target out of range")
-        idx = _gather_index(self.num_qubits, targets)
+        idx = _gather_index(self.num_qubits, gate.targets)
         out = np.empty_like(self.amplitudes)
         out[idx] = u @ self.amplitudes[idx]
         self.amplitudes = out
@@ -234,8 +239,7 @@ class SparseState:
     def apply_gate(self, gate: Gate):
         u = gate.unitary()
         targets = gate.targets
-        if any(t >= self.num_qubits for t in targets):
-            raise QDepthError("gate target out of range")
+        _check_targets(self.num_qubits, targets)
         masks = [self._mask(t) for t in targets]
         combined = 0
         for m in masks:
@@ -315,13 +319,23 @@ class SparseState:
         self._check_cap()
         return self
 
-    def sample_index(self, rng) -> int:
-        """Draw one basis index by the Born rule (a full measurement)."""
-        items = list(self.support.items())
-        probs = np.fromiter((abs(a) ** 2 for _, a in items), dtype=float,
-                            count=len(items))
-        probs = probs / probs.sum()
-        return items[int(rng.choice(len(items), p=probs))][0]
+    def born_distribution(self):
+        """The Born rule of a full measurement: the basis indices in support
+        order and their normalised probabilities."""
+        indices = list(self.support)
+        probs = np.fromiter((abs(a) ** 2 for a in self.support.values()),
+                            dtype=float, count=len(indices))
+        return indices, probs / probs.sum()
+
+    def sample_index(self, rng, born=None) -> int:
+        """Draw one basis index by the Born rule (a full measurement).
+
+        ``born`` is this state's ``born_distribution()`` if the caller keeps
+        it, as a dCQ circuit does for the state it samples on every
+        invocation; otherwise it is built here.
+        """
+        indices, probs = self.born_distribution() if born is None else born
+        return indices[int(rng.choice(len(indices), p=probs))]
 
     def to_dense(self, dense_limit=DENSE_LIMIT_DEFAULT) -> StateVector:
         if self.num_qubits > dense_limit:

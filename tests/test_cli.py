@@ -34,6 +34,7 @@ def test_gadget_check_passes():
     code, out = run_cli(["gadget-check", "--trials", "5"])
     assert code == 0
     report = json.loads(out)
+    validate(report, "gadget_check_report.v1.schema.json")
     assert report["pass"] is True
 
 
@@ -42,6 +43,7 @@ def test_gadget_check_planted_attack_rates():
                          "--trials", "60"])
     assert code == 0
     report = json.loads(out)
+    validate(report, "gadget_check_report.v1.schema.json")
     attack = next(c for c in report["checks"]
                   if c["name"].startswith("planted_attack"))
     assert attack["xtest_rejection"] == 1.0
@@ -52,6 +54,7 @@ def test_gadget_check_twirl():
     code, out = run_cli(["gadget-check", "--twirl", "1", "--trials", "5"])
     assert code == 0
     report = json.loads(out)
+    validate(report, "gadget_check_report.v1.schema.json")
     twirl = next(c for c in report["checks"] if c["name"] == "twirl_n1")
     assert twirl["pass"] is True and twirl["max_deviation"] < 1e-9
     assert report["pass"] is True
@@ -60,13 +63,16 @@ def test_gadget_check_twirl():
 def test_twirl_check_within_tolerance():
     code, out = run_cli(["twirl-check", "--n", "1", "--trials", "10"])
     assert code == 0
-    assert json.loads(out)["max_deviation"] < 1e-9
+    report = json.loads(out)
+    validate(report, "twirl_check_report.v1.schema.json")
+    assert report["max_deviation"] < 1e-9 and report["pass"] is True
 
 
 def test_simon_command():
     code, out = run_cli(["simon", "--n", "4", "--samples", "60", "--verify"])
     assert code == 0
     report = json.loads(out)
+    validate(report, "simon_report.v1.schema.json")
     assert report["verified"] and report["distinct_shifts"] <= 15
 
 

@@ -193,6 +193,18 @@ def test_exact_mode_width_policy(rng):
         sample_shuffling(sample_simon(9, rng), 2, rng, mode="exact")
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 17, 1 << 12])
+def test_table_perm_inverse_is_argsort(size):
+    """The scattered inverse table is the array ``np.argsort`` gives."""
+    for seed in range(3):
+        table = np.random.default_rng(seed).permutation(size)
+        perm = oracles._TablePerm(table)
+        want = np.argsort(table)
+        assert perm.inverse_table.dtype == want.dtype
+        assert np.array_equal(perm.inverse_table, want)
+        assert all(perm.invert(perm.eval(x)) == x for x in range(min(size, 64)))
+
+
 def test_oracle_descriptor_withholds_shift(rng):
     schema = json.loads((SCHEMAS / "oracle_descriptor.v1.schema.json").read_text())
     for mode in ("exact", "prp"):
@@ -490,6 +502,34 @@ def test_solver_runs_each_step_once_per_solve(monkeypatch, rng, access):
     assert len(quantum) == stats["runs"]
     assert all(st.layers == depth and st.full_measurement for st in quantum)
     assert audited_depth(trace) == depth
+
+
+@pytest.mark.parametrize("access", ["inplace", "standard"])
+def test_solver_builds_one_born_table_per_solve(monkeypatch, rng, access):
+    """Every invocation of a solve draws from one Born table, built once for
+    its step circuit."""
+    circuits, builds = [], []
+    born = SparseState.born_distribution
+    init = StepCircuit.__init__
+
+    def counted_init(self, *args):
+        circuits.append(self)
+        init(self, *args)
+
+    def counted_born(self):
+        builds.append(self)
+        return born(self)
+
+    monkeypatch.setattr(StepCircuit, "__init__", counted_init)
+    monkeypatch.setattr(SparseState, "born_distribution", counted_born)
+    sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
+    if access == "inplace":
+        _, _, stats = solve_inplace_dssp(build_inplace(sh, rng), rng)
+    else:
+        _, _, stats = solve_standard_dssp(sh, rng)
+    assert stats["runs"] > 1
+    assert len(circuits) == 1
+    assert builds == [circuits[0].prepared_state()]
 
 
 def test_step_circuit_budget_checked_before_any_layer(rng):

@@ -289,6 +289,66 @@ def test_remove_and_move_qubit_match_transpose(n, data):
     assert np.array_equal(moved.amplitudes, np.transpose(psi, order).reshape(-1))
 
 
+@pytest.mark.parametrize("cls", [SparseState, StateVector])
+@pytest.mark.parametrize("gate", [
+    Gate("X", (-1,)), Gate("X", (2,)), Gate("CNOT", (0, 0)),
+    Gate("CNOT", (1, -2)), Gate("CNOT", (0, 5))])
+def test_apply_gate_rejects_bad_targets(cls, gate):
+    """A negative, out-of-range or repeated target is a QDepthError on
+    either kernel, also on a second try (nothing bad is memoised)."""
+    for _ in range(2):
+        state = cls(2)
+        with pytest.raises(QDepthError):
+            state.apply_gate(gate)
+    assert cls(2).apply_gate(Gate("CNOT", (1, 0))).norm() == pytest.approx(1.0)
+
+
+# -- the Born-rule draw of a full measurement --------------------------------
+
+
+def _sample_index_reference(state, rng):
+    """``SparseState.sample_index`` as it was before the Born table: the
+    support's items, probabilities and draw rebuilt in one pass."""
+    items = list(state.support.items())
+    probs = np.fromiter((abs(a) ** 2 for _, a in items), dtype=float,
+                        count=len(items))
+    probs = probs / probs.sum()
+    return items[int(rng.choice(len(items), p=probs))][0]
+
+
+@hst.composite
+def _supports(draw):
+    """An unnormalised support on n <= 10 qubits, keys in random insertion
+    order, every amplitude nonzero."""
+    n = draw(hst.integers(1, 10))
+    keys = draw(hst.lists(hst.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=min(1 << n, 200), unique=True))
+    amps = draw(hst.lists(
+        hst.tuples(hst.floats(1e-3, 2.0), hst.floats(0.0, 2 * np.pi)),
+        min_size=len(keys), max_size=len(keys)))
+    return n, {k: r * np.exp(1j * phi) for k, (r, phi) in zip(keys, amps)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_supports(), seed=hst.integers(0, 2**32 - 1),
+       draws=hst.integers(1, 5))
+def test_sample_index_matches_reference(case, seed, draws):
+    """Drawing from a kept Born table, or from one built per call, returns
+    the indices the old one-pass draw returned and leaves the generator in
+    the same state."""
+    n, support = case
+    state = SparseState(n, support)
+    born = state.born_distribution()
+    assert born[0] == list(support)
+    rng_kept, rng_fresh, rng_want = (np.random.default_rng(seed) for _ in range(3))
+    for _ in range(draws):
+        want = _sample_index_reference(state, rng_want)
+        assert state.sample_index(rng_kept, born) == want
+        assert state.sample_index(rng_fresh) == want
+    assert rng_kept.bit_generator.state == rng_want.bit_generator.state
+    assert rng_fresh.bit_generator.state == rng_want.bit_generator.state
+
+
 def test_state_dump_json():
     st = StateVector.from_bits([1, 0])
     payload = json.loads(st.dump_json())
