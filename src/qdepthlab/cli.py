@@ -116,6 +116,8 @@ def write_manifest(args, cfg_json, oracle_descriptor=None):
 
 def cmd_gadget_check(args):
     require_at_least(args, trials=1)
+    n_wires = 2
+    attack = _planted_attack(args.planted_attack, n_wires) if args.planted_attack else None
     rng = np.random.default_rng(args.seed)
     report = {"checks": []}
     failures = 0
@@ -147,14 +149,12 @@ def cmd_gadget_check(args):
     report["checks"].append({"name": "t_gadget_exhaustive", "pass": bool(ok)})
     failures += not ok
 
-    if args.planted_attack:
-        pauli, wire = args.planted_attack.split(":")
-        wire = int(wire)
-        n_wires = 2
+    if attack:
+        pauli, wire = attack
         op = qsim.PauliOp(
             n_wires,
-            (1 << (n_wires - 1 - wire)) if pauli.upper() == "X" else 0,
-            (1 << (n_wires - 1 - wire)) if pauli.upper() == "Z" else 0,
+            (1 << (n_wires - 1 - wire)) if pauli == "X" else 0,
+            (1 << (n_wires - 1 - wire)) if pauli == "Z" else 0,
         )
         ex, ez = gadgets.measure_test_failure_rates(
             [("T", 0)], n_wires, op, args.trials, rng)
@@ -175,6 +175,16 @@ def cmd_gadget_check(args):
     report["pass"] = failures == 0
     emit(report, args)
     return 0 if failures == 0 else 2
+
+
+def _planted_attack(spec, n_wires):
+    """Parse a ``P:WIRE`` spec: P is X or Z, WIRE a wire in [0, n_wires)."""
+    pauli, sep, wire = spec.partition(":")
+    if (not sep or pauli.upper() not in ("X", "Z")
+            or not wire.isdigit() or int(wire) >= n_wires):
+        raise ConfigError([f"--planted-attack needs X:WIRE or Z:WIRE with WIRE in "
+                           f"[0, {n_wires}), got {spec!r}"])
+    return pauli.upper(), int(wire)
 
 
 def _twirl_probe_states(n):
@@ -304,7 +314,7 @@ def cmd_game_run(args):
 
 
 def cmd_ntcf_run(args):
-    require_at_least(args, n=2, trials=1)
+    require_at_least(args, n=2, d=1, trials=1)
     accepted = 0
     depths = set()
     for t in range(args.trials):

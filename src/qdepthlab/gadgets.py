@@ -272,26 +272,13 @@ def run_t_gadget(state, data_wire, round_type, parity, z, rng,
 
 
 def _initial_state(session: GadgetSession, rng, input_state=None) -> StateVector:
-    n = session.n
-    keys = session.ledger.keys
-    if session.round_type == RoundType.COMPUTATION:
-        if input_state is not None:
-            state = input_state.copy()
-        else:
-            state = StateVector.from_bits([0] * n)
-    elif session.round_type == RoundType.XTEST:
-        state = StateVector.from_bits([0] * n)
-    else:
-        state = StateVector.from_bits([0] * n)
-        for q in range(n):
+    if session.round_type == RoundType.COMPUTATION and input_state is not None:
+        return encrypt_state(input_state, session.ledger)
+    state = StateVector.from_bits([0] * session.n)
+    if session.round_type == RoundType.ZTEST:
+        for q in range(session.n):
             state.apply_gate(Gate("H", (q,)))
-    for q in range(n):
-        a, b = keys[q]
-        if b:
-            state.apply_gate(Gate("Z", (q,)))
-        if a:
-            state.apply_gate(Gate("X", (q,)))
-    return state
+    return encrypt_state(state, session.ledger)
 
 
 def run_session(session: GadgetSession, rng, input_state=None):
@@ -386,7 +373,22 @@ def run_delegated_round(session: GadgetSession, prover_channel, rng, input_state
     return ("accept" if ok else "reject"), None, ledger
 
 
+def encrypt_state(state: StateVector, ledger: KeyLedger) -> StateVector:
+    """A copy of ``state`` under the one-time pad X^a Z^b of the ledger's
+    keys, wire by wire: Z where b is set, then X where a is set."""
+    out = state.copy()
+    for q in range(out.num_qubits):
+        a, b = ledger.keys[q]
+        if b:
+            out.apply_gate(Gate("Z", (q,)))
+        if a:
+            out.apply_gate(Gate("X", (q,)))
+    return out
+
+
 def decrypt_state(state: StateVector, ledger: KeyLedger) -> StateVector:
+    """A copy of ``state`` with the pad of ``encrypt_state`` removed:
+    X where a is set, then Z where b is set."""
     out = state.copy()
     for q in range(out.num_qubits):
         a, b = ledger.keys[q]

@@ -25,15 +25,20 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, DepthBudgetExceeded, ProtocolOrderError, QDepthError
-from .gadgets import KeyLedger, RoundType, compile_ops, gadget_parity, update_keys
+from .gadgets import (
+    KeyLedger, RoundType, compile_ops, decrypt_state, encrypt_state, gadget_parity,
+    update_keys,
+)
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import (
     InPlaceShufflingOracle,
-    SolverRun,
     build_inplace,
+    inplace_steps,
     sample_shuffling,
     sample_simon,
+    shift_sample,
     solve_hidden_shift,
+    standard_steps,
 )
 from .qsim import (
     GATE_MATRICES, H, I2, S, SDG, T, Gate, SparseState, StateVector,
@@ -579,8 +584,9 @@ class ProverA:
     def final_answer(self, rng):
         cfg = self.cfg
         total = self.layout.inst_width
+        inplace = cfg.target == "inplace"
         # the solver's h_out: the input register, plus the flag in-place
-        wall = list(range(cfg.n)) + ([total - 1] if cfg.target == "inplace" else [])
+        wall = list(range(cfg.n)) + ([total - 1] if inplace else [])
         if self.random_answer:
             # declared rather than run: the seeded digests of A's final
             # supports record this strategy's instances without the wall
@@ -592,15 +598,8 @@ class ProverA:
             drawn = [qsim_measure(st.copy(), range(total), "standard", rng)
                      for st in self.instances]
             self.instances = [st for _, st in drawn]
-            samples = []
-            for bits, _ in drawn:
-                if cfg.target == "inplace" and bits[-1] != 0:
-                    continue
-                y = 0
-                for b in bits[: cfg.n]:
-                    y = (y << 1) | b
-                samples.append(y)
-            s_hat = solve_hidden_shift(samples, cfg.n)
+            samples = [shift_sample(bits, cfg.n, inplace) for bits, _ in drawn]
+            s_hat = solve_hidden_shift([y for y in samples if y is not None], cfg.n)
             if s_hat is not None:
                 return s_hat
         return int(rng.integers(0, 1 << cfg.n))
@@ -675,9 +674,8 @@ class GameRun:
             violations = schedule_violations(self.cfg)
             if violations:
                 raise ConfigError(violations)
-            solver = SolverRun(oracle, self.cfg.target == "inplace")
-            self.steps, _ = (solver.inplace_steps() if solver.inplace
-                             else solver.standard_steps())
+            schedule = inplace_steps if self.cfg.target == "inplace" else standard_steps
+            self.steps, _ = schedule(oracle)
 
     def log(self, frm, to, kind, payload=None):
         self._step += 1
@@ -737,13 +735,7 @@ class GameRun:
             ledger = KeyLedger.with_keys(keys[si_base:].tolist())
             garbage = not real_tp
             if not garbage and self.a.standin is not None:
-                sv = self.a.standin.copy()
-                for w, (a_k, b_k) in enumerate(ledger.keys):
-                    if b_k:
-                        sv.apply_gate(Gate("Z", (w,)))
-                    if a_k:
-                        sv.apply_gate(Gate("X", (w,)))
-                rs.standin_sv = sv
+                rs.standin_sv = encrypt_state(self.a.standin, ledger)
             else:
                 rs.standin_sv = StateVector.from_bits(
                     list(rng.integers(0, 2, size=layout.n_si))
@@ -820,13 +812,7 @@ class GameRun:
             self.log("V", "A", MSG_KEYS, {"a": ((a_back + keys[:, 0]) % 2).tolist(),
                                           "b": ((b_back + keys[:, 1]) % 2).tolist()})
             if rs.standin_sv is not None and not garbage:
-                sv = rs.standin_sv
-                for w, (a_k, b_k) in enumerate(ledger.keys):
-                    if a_k:
-                        sv.apply_gate(Gate("X", (w,)))
-                    if b_k:
-                        sv.apply_gate(Gate("Z", (w,)))
-                self.a.standin = sv
+                self.a.standin = decrypt_state(rs.standin_sv, ledger)
             return None, free
 
         # test verdict: the X test reads the bit keys, the Z test the phase keys

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProtocolOrderError, QDepthError, SchemeViolation
+from .errors import CapacityError, ProtocolOrderError, QDepthError, SchemeViolation
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import KeyedPermutation, dot_bits, random_keyed_permutation
-from .qsim import SparseState, trial_rng
+from .qsim import SPARSE_SUPPORT_CAP, SparseState, bits_to_int, trial_rng
 from .qsim import measure as qsim_measure
 
 D0_DEFAULT = 14
@@ -39,10 +39,6 @@ class ToyNTCFKey:
     def __post_init__(self):
         if self.shift == 0 or not (0 < self.shift < (1 << self.n)):
             raise QDepthError("claw shift must be a nonzero n-bit string")
-
-    @property
-    def equation_width(self) -> int:
-        return self.n  # J is the identity injection
 
     def eval(self, b, x) -> int:
         return self.perm.eval(x ^ (b * self.shift))
@@ -74,6 +70,9 @@ def chk(k: ToyNTCFKey, b, x, y) -> int:
 def samp_state(k: ToyNTCFKey) -> SparseState:
     """Uniform claw superposition sum_{b,x} |b>|x>|f_k(b,x)> on 1+2n qubits."""
     n = k.n
+    if (2 << n) > SPARSE_SUPPORT_CAP:
+        raise CapacityError(
+            f"claw state support {2 << n} exceeds cap {SPARSE_SUPPORT_CAP}")
     amp = 1.0 / np.sqrt(2 << n)
     support = {}
     for b in (0, 1):
@@ -161,10 +160,7 @@ class HonestProver:
         for st, k in zip(self.states, keys):
             n = k.n
             bits, _ = qsim_measure(st, range(1 + n, 1 + 2 * n), "standard", self.rng)
-            y = 0
-            for b in bits:
-                y = (y << 1) | b
-            images.append(y)
+            images.append(bits_to_int(bits))
         self.images = images
         return images
 
@@ -186,10 +182,7 @@ class HonestProver:
 
 def _head_rest(bits):
     """Split measured (b, x) bits into the answer pair (b, x as an integer)."""
-    rest = 0
-    for b in bits[1:]:
-        rest = (rest << 1) | b
-    return (bits[0], rest)
+    return (bits[0], bits_to_int(bits[1:]))
 
 
 class PreimageOnlyProver:
@@ -275,9 +268,6 @@ class ResetProver(HonestProver):
         e = int(self.rng.integers(0, 1 << k.n))
         u = int(self.rng.integers(2))
         return (u, e)
-
-    def trace(self):
-        return self.session.finish()
 
 
 PROVERS = {

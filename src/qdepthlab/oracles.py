@@ -3,8 +3,8 @@
 Builds Simon's functions (exact tables or keyed-permutation backed), the
 shuffling-chain oracles that hide one behind d layers of permutations over an
 enlarged domain, in-place (erasing) variants whose final map is extended to a
-bijection, shadow oracles for resampling experiments, and the solvers that
-recover the hidden shift under an audited depth budget.
+bijection, and the solvers that recover the hidden shift under an audited
+depth budget.
 
 Bit conventions: an n-bit string is an int whose index-1 coordinate is the
 most significant bit.  The total order over bitstrings is plain integer
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError, QDepthError
 from .hybrid import DCQ, DQC, HybridSession, StepCircuit
-from .qsim import SparseState
+from .qsim import SparseState, bits_to_int
 from .qsim import measure as qsim_measure
 
 EXACT_TABLE_WIDTH_LIMIT = 24
@@ -179,9 +179,6 @@ class SimonFunction:
         emb = self.embedding
         return self.prp.eval(emb.project(emb.collapse(x), self.m))
 
-    def image(self):
-        return sorted({self.evaluate(x) for x in range(1 << self.n)})
-
     def check_two_to_one(self):
         """Exhaustive 2-to-1/shift validation (small n only)."""
         if self.n > 16:
@@ -272,22 +269,12 @@ class ShufflingOracle:
     def big_width(self) -> int:
         return self.width_factor * self.n
 
-    def embed(self, x) -> int:
-        return x  # n-bit input zero-padded into the low bits of the big domain
-
-    def middle_eval(self, i, x) -> int:
-        return self.middle[i].eval(x)
-
-    def middle_invert(self, i, y) -> int:
-        return self.middle[i].invert(y)
-
     def chain_point(self, x, upto=None) -> int:
-        """f_{upto-1} o ... o f_0 applied to the embedded input."""
-        upto = self.d if upto is None else upto
-        y = self.embed(x)
-        for i in range(upto):
-            y = self.middle_eval(i, y)
-        return y
+        """f_{upto-1} o ... o f_0 applied to the input, an n-bit string
+        zero-padded into the low bits of the enlarged domain."""
+        for perm in self.middle[:upto]:
+            x = perm.eval(x)
+        return x
 
     def final_eval(self, y):
         """f_d: the hidden function's value on S_d, None (bottom) elsewhere."""
@@ -490,12 +477,6 @@ class InPlaceShufflingOracle:
     def big_width(self):
         return self.base.big_width
 
-    def coset_bit(self, y) -> int:
-        b = self.final.coset_bit.get(y)
-        if b is None:
-            raise QDepthError("coset bit only defined on the hidden set")
-        return b
-
     def unitary_fn(self, level):
         """Basis-index bijection for U_{f_level} on the (value, flag) field."""
         if 1 <= level <= self.d - 1:
@@ -593,101 +574,26 @@ def inplace_from_standard(state: SparseState, perm: KeyedPermutation, reg, scrat
 
 
 # ---------------------------------------------------------------------------
-# Shadow oracles
-# ---------------------------------------------------------------------------
-
-
-def shadow_oracle(oracle: InPlaceShufflingOracle, hidden_sets, rng) -> InPlaceShufflingOracle:
-    """Resample the oracle inside per-level hidden sets, staying unitary.
-
-    ``hidden_sets`` maps a level k to hidden points of the enlarged domain.
-    Levels 0..d-1 get their permutation re-drawn on the hidden points (onto
-    the same image set).  At level d the hidden set must cover S_d and the
-    hidden function is replaced by a fresh one with a different shift, so the
-    shadow carries no information about the original shift.
-    """
-    base = oracle.base
-    hidden_sets = {int(k): set(v) for k, v in (hidden_sets or {}).items()}
-    if not hidden_sets:
-        return oracle
-
-    new_middle = list(base.middle)
-    for k, pts in hidden_sets.items():
-        if k < 0 or k > base.d:
-            raise QDepthError("hidden-set level outside [0, d]")
-        if k == base.d or not pts:
-            continue
-        src = base.middle[k]
-        pts = sorted(pts)
-        images = [src.eval(p) for p in pts]
-        shuffled = list(rng.permutation(len(images)))
-        overlay = {p: images[j] for p, j in zip(pts, shuffled)}
-        new_middle[k] = _OverlayPerm(src, overlay)
-
-    new_simon = base.simon
-    if base.d in hidden_sets and hidden_sets[base.d]:
-        if not set(base.s_d).issubset(hidden_sets[base.d]):
-            raise QDepthError("final-level hidden set must cover the hidden set S_d")
-        if (1 << base.n) - 1 < 2:
-            raise QDepthError("no alternative shift exists to resample toward")
-        while True:
-            s_new = int(rng.integers(1, 1 << base.n))
-            if s_new != base.simon.s:
-                break
-        new_simon = sample_simon(base.n, rng, forced_shift=s_new, m=base.simon.m)
-
-    shadow_base = ShufflingOracle(
-        n=base.n, d=base.d, simon=new_simon, middle=new_middle,
-        mode=base.mode, width_factor=base.width_factor, seed=base.seed,
-    )
-    for x in range(1 << base.n):
-        y = shadow_base.chain_point(x)
-        if y in shadow_base.s_d:
-            raise QDepthError("shadow chain endpoints collide")
-        shadow_base.s_d[y] = x
-    key = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-    return InPlaceShufflingOracle(
-        base=shadow_base, final=FinalBijection(shadow_base, new_simon, key)
-    )
-
-
-class _OverlayPerm:
-    """A permutation patched on finitely many points."""
-
-    def __init__(self, src, overlay):
-        self.src = src
-        self.overlay = dict(overlay)
-        self.inverse_overlay = {v: k for k, v in overlay.items()}
-        if len(self.inverse_overlay) != len(self.overlay):
-            raise QDepthError("overlay is not injective")
-
-    def eval(self, x):
-        if x in self.overlay:
-            return self.overlay[x]
-        return self.src.eval(x)
-
-    def invert(self, y):
-        if y in self.inverse_overlay:
-            return self.inverse_overlay[y]
-        return self.src.invert(y)
-
-
-# ---------------------------------------------------------------------------
 # GF(2) post-processing and the hidden-shift solvers
 # ---------------------------------------------------------------------------
 
 
-def gf2_rank(vectors, n) -> int:
-    rank = 0
-    basis = []
+def _echelon(vectors, n):
+    """Row-reduce n-bit vectors over GF(2): one row per leading bit,
+    largest first."""
+    rows = []
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
+        v &= (1 << n) - 1
+        for r in rows:
+            v = min(v, v ^ r)
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+            rows.append(v)
+            rows.sort(reverse=True)
+    return rows
+
+
+def gf2_rank(vectors, n) -> int:
+    return len(_echelon(vectors, n))
 
 
 def solve_hidden_shift(samples, n):
@@ -696,14 +602,7 @@ def solve_hidden_shift(samples, n):
     Returns the unique nonzero solution when the samples span an
     (n-1)-dimensional space, else None.
     """
-    rows = []
-    for v in samples:
-        v &= (1 << n) - 1
-        for r in rows:
-            v = min(v, v ^ r)
-        if v:
-            rows.append(v)
-            rows.sort(reverse=True)
+    rows = _echelon(samples, n)
     if len(rows) != n - 1:
         return None
     # full reduction: each pivot bit appears in exactly one row
@@ -731,89 +630,97 @@ def dot_bits(a, b) -> int:
     return bin(a & b).count("1") & 1
 
 
-class SolverRun:
-    """One oracle-access schedule producing a single hidden-shift sample."""
+def shift_sample(bits, n, inplace):
+    """The hidden-shift sample a measured solver register holds: its first n
+    bits as an integer, or None where the in-place flag (the last bit)
+    reads 1."""
+    if inplace and bits[-1]:
+        return None
+    return bits_to_int(bits[:n])
 
-    def __init__(self, oracle, inplace):
-        self.oracle = oracle
-        self.inplace = inplace
 
-    # register layout, in-place: [input n][workspace big][flag 1]
-    def inplace_steps(self):
-        ipo = self.oracle
-        base = ipo.base
-        n, big = base.n, base.big_width
-        total = n + big + 1
+# register layout, in-place: [input n][workspace big][flag 1]
+def inplace_steps(ipo: InPlaceShufflingOracle):
+    """The erasing-access schedule of one sample: (steps, register width)."""
+    base = ipo.base
+    n, big = base.n, base.big_width
+    total = n + big + 1
 
-        if base.d < 1:
-            raise QDepthError("in-place access needs d >= 1")
+    if base.d < 1:
+        raise QDepthError("in-place access needs d >= 1")
 
-        def h_in(state):
-            return state.apply_hadamard_wall(range(n))
+    def h_in(state):
+        return state.apply_hadamard_wall(range(n))
 
-        def u0(state):
-            return apply_standard_oracle(
-                state, lambda x: base.middle_eval(0, base.embed(x)), (0, n), (n, big)
-            )
+    def u0(state):
+        return apply_standard_oracle(state, base.middle[0].eval, (0, n), (n, big))
 
-        def mid(i):
-            def step(state):
-                return apply_inplace_perm(
-                    state, lambda v: base.middle_eval(i, v), (n, big)
-                )
-            return step
+    def mid(i):
+        def step(state):
+            return apply_inplace_perm(state, base.middle[i].eval, (n, big))
+        return step
 
-        def u_final(state):
-            fn = ipo.unitary_fn(base.d)
-            return apply_inplace_perm(state, fn, (n, big + 1))
+    def u_final(state):
+        return apply_inplace_perm(state, ipo.unitary_fn(base.d), (n, big + 1))
 
-        def h_out(state):
-            return state.apply_hadamard_wall(list(range(n)) + [total - 1])
+    def h_out(state):
+        return state.apply_hadamard_wall(list(range(n)) + [total - 1])
 
-        steps = [h_in, u0]
-        steps += [mid(i) for i in range(1, base.d)]
-        steps += [u_final, h_out]
-        return steps, total
+    steps = [h_in, u0]
+    steps += [mid(i) for i in range(1, base.d)]
+    steps += [u_final, h_out]
+    return steps, total
 
-    # register layout, standard: [input n][w_1 big]...[w_d big][out m]
-    def standard_steps(self):
-        base = self.oracle if isinstance(self.oracle, ShufflingOracle) else self.oracle.base
-        n, big, d, m = base.n, base.big_width, base.d, base.simon.m
-        total = n + d * big + m
 
-        def reg(i):  # workspace i in [1, d]
-            return (n + (i - 1) * big, big)
+# register layout, standard: [input n][w_1 big]...[w_d big][out m]
+def standard_steps(base: ShufflingOracle):
+    """The compute/uncompute schedule of one sample: (steps, register width)."""
+    n, big, d, m = base.n, base.big_width, base.d, base.simon.m
+    total = n + d * big + m
 
-        out_reg = (n + d * big, m)
+    def reg(i):  # workspace i in [1, d]
+        return (n + (i - 1) * big, big)
 
-        def h_in(state):
-            return state.apply_hadamard_wall(range(n))
+    out_reg = (n + d * big, m)
 
-        def q_first(state):
-            return apply_standard_oracle(
-                state, lambda x: base.middle_eval(0, base.embed(x)), (0, n), reg(1)
-            )
+    def h_in(state):
+        return state.apply_hadamard_wall(range(n))
 
-        def q_mid(i):
-            def step(state):
-                return apply_standard_oracle(
-                    state, lambda v: base.middle_eval(i, v), reg(i), reg(i + 1)
-                )
-            return step
+    def q_first(state):
+        return apply_standard_oracle(state, base.middle[0].eval, (0, n), reg(1))
 
-        def q_final(state):
-            def fd(v):
-                val = base.final_eval(v)
-                return base.junk_value(v) if val is None else val
-            return apply_standard_oracle(state, fd, reg(d), out_reg)
+    def q_mid(i):
+        def step(state):
+            return apply_standard_oracle(state, base.middle[i].eval, reg(i), reg(i + 1))
+        return step
 
-        def h_out(state):
-            return state.apply_hadamard_wall(range(n))
+    def q_final(state):
+        def fd(v):
+            val = base.final_eval(v)
+            return base.junk_value(v) if val is None else val
+        return apply_standard_oracle(state, fd, reg(d), out_reg)
 
-        forward = [q_first] + [q_mid(i) for i in range(1, d)] + [q_final]
-        backward = [q_mid(i) for i in reversed(range(1, d))] + [q_first]
-        steps = [h_in] + forward + backward + [h_out]
-        return steps, total
+    def h_out(state):
+        return state.apply_hadamard_wall(range(n))
+
+    forward = [q_first] + [q_mid(i) for i in range(1, d)] + [q_final]
+    backward = [q_mid(i) for i in reversed(range(1, d))] + [q_first]
+    steps = [h_in] + forward + backward + [h_out]
+    return steps, total
+
+
+def _collect_samples(session, schedule, n, inplace, target, max_runs):
+    """Invoke one step circuit until ``target`` samples are in hand or
+    ``max_runs`` invocations are spent; returns (samples, runs)."""
+    circuit = StepCircuit(*schedule)
+    samples, runs = [], 0
+    while len(samples) < target and runs < max_runs:
+        y = shift_sample(session.invoke(circuit), n, inplace)
+        runs += 1
+        if y is not None:
+            samples.append(y)
+        session.classical("collect_sample")
+    return samples, runs
 
 
 def solve_inplace_dssp(
@@ -828,27 +735,14 @@ def solve_inplace_dssp(
     Returns (s_hat_or_None, trace, stats).
     """
     n, d = oracle.n, oracle.d
-    budget = d + 3
     accepted_target = 3 * n if accepted_target is None else accepted_target
     max_runs = 20 * accepted_target if max_runs is None else max_runs
-    session = HybridSession(DCQ, budget, rng)
-    steps, total = SolverRun(oracle, True).inplace_steps()
-    circuit = StepCircuit(steps, total)
-    samples, runs, accepted = [], 0, 0
-    while accepted < accepted_target and runs < max_runs:
-        bits = session.invoke(circuit)
-        runs += 1
-        flag = bits[-1]
-        if flag == 0:
-            y = 0
-            for b in bits[:n]:
-                y = (y << 1) | b
-            samples.append(y)
-            accepted += 1
-        session.classical("collect_sample")
+    session = HybridSession(DCQ, d + 3, rng)
+    samples, runs = _collect_samples(session, inplace_steps(oracle), n, True,
+                                     accepted_target, max_runs)
     s_hat = solve_hidden_shift(samples, n)
     trace = session.finish()
-    return s_hat, trace, {"runs": runs, "accepted": accepted, "samples": samples}
+    return s_hat, trace, {"runs": runs, "accepted": len(samples), "samples": samples}
 
 
 def solve_inplace_dssp_parallel(oracle: InPlaceShufflingOracle, rng,
@@ -866,45 +760,31 @@ def solve_inplace_dssp_parallel(oracle: InPlaceShufflingOracle, rng,
     t = 6 * n if t_parallel is None else t_parallel
     budget = d + 3 if budget is None else budget
     session = HybridSession(DQC, budget, rng)
-    steps, total = SolverRun(oracle, True).inplace_steps()
+    steps, total = inplace_steps(oracle)
     states = [SparseState.from_bits([0] * total) for _ in range(t)]
     for step in steps:
         session.layer(states, step)
     samples = []
-    accepted = 0
     for st in states:
         bits, _ = qsim_measure(st, range(total), "standard", rng)
-        if bits[-1] == 0:
-            accepted += 1
-            y = 0
-            for b in bits[:n]:
-                y = (y << 1) | b
+        y = shift_sample(bits, n, True)
+        if y is not None:
             samples.append(y)
     session.classical("solve_gf2")
     s_hat = solve_hidden_shift(samples, n)
     trace = session.finish()
-    return s_hat, trace, {"instances": t, "accepted": accepted, "samples": samples}
+    return s_hat, trace, {"instances": t, "accepted": len(samples), "samples": samples}
 
 
 def solve_standard_dssp(oracle, rng, samples_target=None, max_runs=None):
     """Recover the hidden shift with the (2d+3)-depth compute/uncompute chain."""
     base = oracle.base if isinstance(oracle, InPlaceShufflingOracle) else oracle
     n, d = base.n, base.d
-    budget = 2 * d + 3
     samples_target = 3 * n if samples_target is None else samples_target
     max_runs = 10 * samples_target if max_runs is None else max_runs
-    session = HybridSession(DCQ, budget, rng)
-    steps, total = SolverRun(base, False).standard_steps()
-    circuit = StepCircuit(steps, total)
-    samples, runs = [], 0
-    while len(samples) < samples_target and runs < max_runs:
-        bits = session.invoke(circuit)
-        runs += 1
-        y = 0
-        for b in bits[:n]:
-            y = (y << 1) | b
-        samples.append(y)
-        session.classical("collect_sample")
+    session = HybridSession(DCQ, 2 * d + 3, rng)
+    samples, runs = _collect_samples(session, standard_steps(base), n, False,
+                                     samples_target, max_runs)
     s_hat = solve_hidden_shift(samples, n)
     trace = session.finish()
     return s_hat, trace, {"runs": runs, "samples": samples}

@@ -66,6 +66,14 @@ class Gate:
         return m
 
 
+def bits_to_int(bits):
+    """The basis index a bit sequence spells, its first bit most significant."""
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | (b & 1)
+    return idx
+
+
 def layer_targets(layer) -> list:
     out = []
     for g in layer:
@@ -158,13 +166,9 @@ class StateVector:
 
     @classmethod
     def from_bits(cls, bits, **kw):
-        n = len(bits)
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (b & 1)
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[idx] = 1.0
-        return cls(n, amps, **kw)
+        amps = np.zeros(1 << len(bits), dtype=complex)
+        amps[bits_to_int(bits)] = 1.0
+        return cls(len(bits), amps, **kw)
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy(), self.dense_limit)
@@ -222,10 +226,7 @@ class SparseState:
 
     @classmethod
     def from_bits(cls, bits, **kw):
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (b & 1)
-        return cls(len(bits), {idx: 1.0 + 0j}, **kw)
+        return cls(len(bits), {bits_to_int(bits): 1.0 + 0j}, **kw)
 
     def copy(self) -> "SparseState":
         return SparseState(self.num_qubits, self.support, self.support_cap)
@@ -398,19 +399,16 @@ def measure(state, qubits, basis="standard", rng=None):
 
     if isinstance(state, SparseState):
         masks = [state._mask(q) for q in qubits]
-        patterns = {}
+        patterns, members = {}, {}
         for idx, a in state.support.items():
             key = tuple((idx & m) != 0 for m in masks)
             patterns[key] = patterns.get(key, 0.0) + abs(a) ** 2
+            members.setdefault(key, {})[idx] = a
         keys = sorted(patterns)
         probs = np.array([patterns[k] for k in keys])
         probs = probs / probs.sum()
         choice = keys[rng.choice(len(keys), p=probs)]
-        keep = {
-            idx: a
-            for idx, a in state.support.items()
-            if tuple((idx & m) != 0 for m in masks) == choice
-        }
+        keep = members[choice]
         nrm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
         state.support = {k: v / nrm for k, v in keep.items()}
         bits = tuple(int(b) for b in choice)

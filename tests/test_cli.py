@@ -50,6 +50,13 @@ def test_gadget_check_planted_attack_rates():
     assert attack["ztest_rejection"] == 0.0
 
 
+@pytest.mark.parametrize("spec", ["Q:1", "Y:0", "X:99", "X"])
+def test_gadget_check_bad_planted_attack_is_config_error(spec, capsys):
+    """Only X or Z on a wire in [0, 2) is an attack the check can plant."""
+    assert main(["gadget-check", "--planted-attack", spec, "--trials", "1"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_gadget_check_twirl():
     code, out = run_cli(["gadget-check", "--twirl", "1", "--trials", "5"])
     assert code == 0
@@ -106,6 +113,8 @@ def test_dssp_run_runs_below_one_is_config_error():
 @pytest.mark.parametrize("argv", [
     ["ntcf-run", "--trials", "0"],
     ["ntcf-run", "--n", "1"],
+    ["ntcf-run", "--d", "0"],
+    ["ntcf-run", "--d", "-1"],
     ["simon", "--samples", "0"],
     ["simon", "--n", "1"],
     ["twirl-check", "--trials", "0"],
@@ -250,6 +259,18 @@ def test_ntcf_run_with_extractor():
     assert report["audited_depths"] == [16]
     ex = report["extractor"]
     assert ex["both_valid_rate"] >= ex["p0"] + ex["p1"] - 1 - 3 * 0.05
+
+
+def test_ntcf_run_over_cap_claw_state_is_capacity_error(capsys):
+    """An honest prover at n = 30 would need 2^31 claw entries: refused
+    (exit 4) before any is built.  The preimage-only prover builds no claw
+    state, so the same size runs."""
+    assert main(["ntcf-run", "--n", "30", "--trials", "1"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "capacity"
+    code, out = run_cli(["ntcf-run", "--n", "30", "--trials", "1",
+                         "--prover", "preimage-only"])
+    assert code == 0
+    validate(json.loads(out), "ntcf_report.v1.schema.json")
 
 
 def test_entry_point_subprocess():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdepthlab import ntcf
-from qdepthlab.errors import QDepthError
+from qdepthlab.errors import CapacityError, QDepthError
 from qdepthlab.ntcf import (
     HonestProver,
     PreimageOnlyProver,
@@ -229,3 +229,16 @@ def test_lab_error_in_trace_is_not_swallowed(rng):
 
     with pytest.raises(QDepthError, match="lab bug"):
         run_cvqd(2, Broken(), rng)
+
+
+def test_samp_state_refuses_an_over_cap_claw_state_before_building(monkeypatch):
+    """At n = 20 the claw state has 2^21 entries, over the sparse cap: the
+    refusal comes before a single image is evaluated."""
+    key, _ = gen(20, np.random.default_rng(0))
+
+    def never(self, b, x):
+        raise AssertionError("claw state built before the capacity check")
+
+    monkeypatch.setattr(ntcf.ToyNTCFKey, "eval", never)
+    with pytest.raises(CapacityError):
+        samp_state(key)

@@ -1,5 +1,5 @@
-"""Hidden-shift oracles: permutations, shuffling chains, in-place access,
-shadows, and the depth-audited solvers."""
+"""Hidden-shift oracles: keyed permutations, Simon functions, shuffling
+chains, in-place access, GF(2) solving, and the depth-audited solvers."""
 
 import json
 import pathlib
@@ -7,6 +7,8 @@ import pathlib
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qdepthlab import oracles
 from qdepthlab.errors import CapacityError, DepthBudgetExceeded, QDepthError
@@ -22,13 +24,13 @@ from qdepthlab.oracles import (
     pseudorandom_simon,
     sample_shuffling,
     sample_simon,
-    shadow_oracle,
+    shift_sample,
     solve_hidden_shift,
     solve_inplace_dssp,
     solve_inplace_dssp_parallel,
     solve_standard_dssp,
 )
-from qdepthlab.qsim import Gate, SparseState
+from qdepthlab.qsim import Gate, SparseState, bits_to_int, measure
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -269,10 +271,9 @@ def test_erasing_chain_reaches_tagged_state(inplace_oracle, rng):
     st = SparseState.from_bits([0] * total)
     for q in range(n):
         st.apply_gate(Gate("H", (q,)))
-    apply_standard_oracle(
-        st, lambda x: base.middle_eval(0, base.embed(x)), (0, n), (n, W))
+    apply_standard_oracle(st, base.middle[0].eval, (0, n), (n, W))
     for lvl in range(1, base.d):
-        apply_inplace_perm(st, lambda v, lvl=lvl: base.middle_eval(lvl, v), (n, W))
+        apply_inplace_perm(st, base.middle[lvl].eval, (n, W))
     apply_inplace_perm(st, inplace_oracle.unitary_fn(base.d), (n, W + 1))
     emb = base.simon.embedding
     want = {}
@@ -338,46 +339,6 @@ def test_two_query_route_on_superposition(rng):
     assert abs(st.norm() - 1.0) < 1e-9
 
 
-# -- shadow oracles --------------------------------------------------------------
-
-
-def test_shadow_empty_hidden_set_is_same_object(inplace_oracle, rng):
-    g = shadow_oracle(inplace_oracle, {}, rng)
-    assert g is inplace_oracle
-
-
-def test_shadow_middle_level_stays_permutation(inplace_oracle, rng):
-    hidden = {1: list(range(16))}
-    g = shadow_oracle(inplace_oracle, hidden, rng)
-    W = g.big_width
-    fn = g.unitary_fn(1)
-    outs = {fn(z) for z in range(1 << (W + 1))}
-    assert len(outs) == 1 << (W + 1)
-    # agrees with the original outside the hidden set
-    for z in range(40, 80):
-        if (z >> 1) not in set(hidden[1]):
-            assert fn(z) == inplace_oracle.unitary_fn(1)(z)
-
-
-def test_shadow_final_level_kills_the_shift(inplace_oracle, rng):
-    """Solving through the shadow recovers the original shift only at chance."""
-    base = inplace_oracle.base
-    hits = 0
-    trials = 30
-    for t in range(trials):
-        trng = np.random.default_rng(1000 + t)
-        g = shadow_oracle(inplace_oracle, {base.d: set(base.s_d)}, trng)
-        s_hat, _, _ = solve_inplace_dssp(g, trng)
-        hits += s_hat == base.simon.s
-    assert hits / trials < 0.34  # chance is 1/7 at n=3
-
-
-def test_shadow_final_level_requires_coverage(inplace_oracle, rng):
-    partial = {inplace_oracle.d: list(inplace_oracle.base.s_d)[:2]}
-    with pytest.raises(QDepthError):
-        shadow_oracle(inplace_oracle, partial, rng)
-
-
 # -- GF(2) solving and the dSSP solvers -------------------------------------------
 
 
@@ -399,6 +360,25 @@ def test_solve_hidden_shift_spanning_property(rng):
 def test_solve_hidden_shift_rejects_full_rank(rng):
     samples = [1, 2, 4]
     assert solve_hidden_shift(samples, 3) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=hst.lists(hst.integers(0, 1), min_size=1, max_size=24),
+       n=hst.integers(1, 24))
+def test_measured_bits_round_trip_into_samples(bits, n):
+    """A basis state built from bits holds the one index bits_to_int(bits)
+    (first bit most significant) and measures back to the bits; a shift
+    sample packs the first n of them, and only the in-place flag (the last
+    bit) reading 1 drops it."""
+    assert bits_to_int(bits) == int("".join(map(str, bits)), 2)
+    state = SparseState.from_bits(bits)
+    assert list(state.support) == [bits_to_int(bits)]
+    got, _ = measure(state, range(len(bits)), "standard", np.random.default_rng(0))
+    assert list(got) == bits
+    n = min(n, len(bits))
+    want = bits_to_int(bits[:n])
+    assert shift_sample(got, n, inplace=False) == want
+    assert shift_sample(got, n, inplace=True) == (None if bits[-1] else want)
 
 
 def test_inplace_solver_recovers_and_audits(rng):
@@ -474,8 +454,8 @@ def test_solver_runs_each_step_once_per_solve(monkeypatch, rng, access):
     calls = []
 
     def counted(schedule):
-        def steps(self):
-            steps, total = schedule(self)
+        def steps(oracle):
+            steps, total = schedule(oracle)
 
             def wrap(k, step):
                 def run(state):
@@ -486,8 +466,7 @@ def test_solver_runs_each_step_once_per_solve(monkeypatch, rng, access):
         return steps
 
     for name in ("inplace_steps", "standard_steps"):
-        monkeypatch.setattr(oracles.SolverRun, name,
-                            counted(getattr(oracles.SolverRun, name)))
+        monkeypatch.setattr(oracles, name, counted(getattr(oracles, name)))
     sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
     if access == "inplace":
         _, trace, stats = solve_inplace_dssp(build_inplace(sh, rng), rng)
