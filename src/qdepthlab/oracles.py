@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,52 +59,51 @@ class KeyedPermutation:
             raise QDepthError("permutation width must be at least 2 bits")
         object.__setattr__(self, "_fwd_cache", {})
         object.__setattr__(self, "_inv_cache", {})
+        object.__setattr__(self, "_round_cache", {})
+
+    @cached_property
+    def _round_prefixes(self) -> list:
+        return [self.key + rnd.to_bytes(2, "big") for rnd in range(self.rounds)]
 
     def _round_value(self, rnd, half, out_bits) -> int:
-        h = hashlib.sha256(
-            self.key + rnd.to_bytes(2, "big") + half.to_bytes(16, "big")
-        ).digest()
-        return int.from_bytes(h[:8], "big") & ((1 << out_bits) - 1)
+        """SHA-256 over (key, round, half), memoised on ``(rnd, half)``
+        (``out_bits`` follows from the parity of ``rnd``): many inputs share
+        a round's half, so most evaluations hash fewer than ``rounds`` times."""
+        cache = self._round_cache
+        value = cache.get((rnd, half))
+        if value is None:
+            h = hashlib.sha256(
+                self._round_prefixes[rnd] + half.to_bytes(16, "big")).digest()
+            value = int.from_bytes(h[:8], "big") & ((1 << out_bits) - 1)
+            if len(cache) < self._CACHE_CAP:
+                cache[(rnd, half)] = value
+        return value
 
-    def _split(self):
-        l_bits = self.width // 2
-        return l_bits, self.width - l_bits
-
-    def eval(self, x) -> int:
-        cached = self._fwd_cache.get(x)
-        if cached is not None:
-            return cached
+    def _feistel(self, x, order, cache) -> int:
+        """Run the rounds in ``order`` on ``x``, through ``cache``."""
+        out = cache.get(x)
+        if out is not None:
+            return out
         if not (0 <= x < (1 << self.width)):
             raise QDepthError("input does not fit the permutation width")
-        l_bits, r_bits = self._split()
+        l_bits = self.width // 2
+        r_bits = self.width - l_bits
         left, right = x >> r_bits, x & ((1 << r_bits) - 1)
-        for rnd in range(self.rounds):
+        for rnd in order:
             if rnd % 2 == 0:
                 left ^= self._round_value(rnd, right, l_bits)
             else:
                 right ^= self._round_value(rnd, left, r_bits)
         out = (left << r_bits) | right
-        if len(self._fwd_cache) < self._CACHE_CAP:
-            self._fwd_cache[x] = out
+        if len(cache) < self._CACHE_CAP:
+            cache[x] = out
         return out
 
+    def eval(self, x) -> int:
+        return self._feistel(x, range(self.rounds), self._fwd_cache)
+
     def invert(self, y) -> int:
-        cached = self._inv_cache.get(y)
-        if cached is not None:
-            return cached
-        if not (0 <= y < (1 << self.width)):
-            raise QDepthError("input does not fit the permutation width")
-        l_bits, r_bits = self._split()
-        left, right = y >> r_bits, y & ((1 << r_bits) - 1)
-        for rnd in reversed(range(self.rounds)):
-            if rnd % 2 == 0:
-                left ^= self._round_value(rnd, right, l_bits)
-            else:
-                right ^= self._round_value(rnd, left, r_bits)
-        out = (left << r_bits) | right
-        if len(self._inv_cache) < self._CACHE_CAP:
-            self._inv_cache[y] = out
-        return out
+        return self._feistel(y, reversed(range(self.rounds)), self._inv_cache)
 
 
 def random_keyed_permutation(width, rng) -> KeyedPermutation:

@@ -123,6 +123,19 @@ def _gather_index(n, targets) -> np.ndarray:
 
 
 @_index_map
+def _wall_spread(n, qubits) -> np.ndarray:
+    """Per sub-index of a Hadamard wall on ``qubits`` (its first qubit most
+    significant), the basis bits it sets.  Python ints, so registers wider
+    than 63 qubits work; the qubits are checked here, as in _gather_index."""
+    _check_targets(n, qubits)
+    spread = [0]
+    for q in qubits:
+        m = 1 << (n - 1 - q)
+        spread = [s | b for s in spread for b in (0, m)]
+    return np.array(spread, dtype=object)
+
+
+@_index_map
 def _outcome_ids(n, qubits) -> np.ndarray:
     """Per basis index, the bits of ``qubits`` read as one integer."""
     idxs = np.arange(1 << n)
@@ -282,41 +295,32 @@ class SparseState:
         return self
 
     def apply_hadamard_wall(self, qubits):
-        """One parallel layer of H gates, applied as a grouped transform.
+        """One parallel layer of H gates on distinct ``qubits``.
 
         Equivalent to applying H to each qubit in turn, but one pass over the
-        support instead of k doubling passes.
+        support and one matrix product instead of k doubling passes.  The new
+        support lists the groups of entries that share their bits outside the
+        wall in order of first appearance, each by ascending sub-index (the
+        wall's bits, its first qubit most significant).
         """
-        qubits = list(qubits)
-        k = len(qubits)
-        if k == 0:
-            return self
+        qubits = tuple(qubits)
+        spread = _wall_spread(self.num_qubits, qubits)
         masks = [self._mask(q) for q in qubits]
-        comb = 0
-        for m in masks:
-            comb |= m
-        groups = {}
-        for idx, a in self.support.items():
+        comb = sum(masks)
+        k = len(qubits)
+        rows, pos = {}, []
+        for idx in self.support:
             sub = 0
-            for j, m in enumerate(masks):
-                if idx & m:
-                    sub |= 1 << (k - 1 - j)
-            groups.setdefault(idx & ~comb, {})[sub] = a
-        hk = _hadamard_tensor(k)
-        new = {}
-        for base, subamps in groups.items():
-            vec = np.zeros(1 << k, dtype=complex)
-            for sub, a in subamps.items():
-                vec[sub] = a
-            vec = hk @ vec
-            for sub in np.flatnonzero(np.abs(vec) > _PRUNE):
-                sub = int(sub)
-                idx = base
-                for j, m in enumerate(masks):
-                    if (sub >> (k - 1 - j)) & 1:
-                        idx |= m
-                new[idx] = vec[sub]
-        self.support = new
+            for m in masks:
+                sub = (sub << 1) | (idx & m != 0)
+            pos.append(rows.setdefault(idx & ~comb, len(rows)) << k | sub)
+        vecs = np.zeros((len(rows), 1 << k), dtype=complex)
+        vecs.put(pos, list(self.support.values()))
+        out = vecs @ _hadamard_tensor(k).T
+        keep = np.abs(out) > _PRUNE
+        r, c = np.nonzero(keep)
+        bases = np.array(list(rows), dtype=object)
+        self.support = dict(zip((bases[r] | spread[c]).tolist(), out[keep].tolist()))
         self._check_cap()
         return self
 
@@ -383,8 +387,8 @@ def trial_rng(seed, trial):
 def measure(state, qubits, basis="standard", rng=None):
     """Measure a subset of qubits; returns (bits, post-measurement state).
 
-    ``hadamard`` basis applies H to each measured qubit first.  The state is
-    collapsed and renormalized in place.
+    ``hadamard`` basis applies H to each measured qubit first (one wall on a
+    sparse state).  The state is collapsed and renormalized in place.
     """
     qubits = list(qubits)
     if state.num_qubits == 0 or not qubits:
@@ -392,8 +396,11 @@ def measure(state, qubits, basis="standard", rng=None):
     if rng is None:
         raise QDepthError("measurement requires an injected rng")
     if basis == "hadamard":
-        for q in qubits:
-            state.apply_gate(Gate("H", (q,)))
+        if isinstance(state, SparseState):
+            state.apply_hadamard_wall(qubits)
+        else:
+            for q in qubits:
+                state.apply_gate(Gate("H", (q,)))
     elif basis != "standard":
         raise QDepthError(f"unknown measurement basis {basis!r}")
 

@@ -73,6 +73,34 @@ def test_prp_width_checks(rng):
         perm.eval(16)
 
 
+# eval outputs recorded before the round values were memoised; they pin the
+# hashed bytes key + round (2 bytes) + half (16 bytes), big-endian
+FEISTEL_KNOWN = {
+    2: {x: y for x, y in enumerate([3, 0, 1, 2])},
+    4: {x: y for x, y in enumerate(
+        [7, 3, 12, 6, 8, 10, 11, 14, 15, 13, 9, 0, 1, 5, 4, 2])},
+    24: {0: 14467490, 1: 10324199, 12345: 1628798, 0xABCDEF: 12108906,
+         (1 << 24) - 1: 13835477},
+}
+
+
+@pytest.mark.parametrize("width", sorted(FEISTEL_KNOWN))
+def test_prp_known_answers(width):
+    perm = KeyedPermutation(bytes(range(16)), width)
+    for x, y in FEISTEL_KNOWN[width].items():
+        assert perm.eval(x) == y
+        assert perm.invert(y) == x
+
+
+def test_prp_memos_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(KeyedPermutation, "_CACHE_CAP", 5)
+    perm = KeyedPermutation(bytes(range(16)), 4)
+    assert all(perm.invert(perm.eval(x)) == x for x in range(16))
+    for memo in (perm._fwd_cache, perm._inv_cache, perm._round_cache):
+        assert len(memo) == 5
+    assert [perm.eval(x) for x in range(16)] == [FEISTEL_KNOWN[4][x] for x in range(16)]
+
+
 # -- subgroup embedding and Simon functions -----------------------------------
 
 

@@ -349,6 +349,69 @@ def test_sample_index_matches_reference(case, seed, draws):
     assert rng_fresh.bit_generator.state == rng_want.bit_generator.state
 
 
+# -- the Hadamard wall ---------------------------------------------------------
+
+
+def _wall_order_reference(state, qubits):
+    """The support order of the grouped loop the wall replaced: groups by
+    first appearance of their bits outside the wall, then sub-index (the
+    wall's bits, first qubit most significant) ascending, zeros pruned."""
+    masks = [state._mask(q) for q in qubits]
+    comb = sum(masks)
+    groups = {}
+    for idx, a in state.support.items():
+        groups.setdefault(idx & ~comb, {})[idx & comb] = a
+    hk = qsim._hadamard_tensor(len(qubits))
+    order = []
+    for base, members in groups.items():
+        vec = np.zeros(1 << len(qubits), dtype=complex)
+        for bits, a in members.items():
+            vec[sum(1 << (len(qubits) - 1 - j)
+                    for j, m in enumerate(masks) if bits & m)] = a
+        for sub in np.flatnonzero(np.abs(hk @ vec) > qsim._PRUNE):
+            order.append(base | sum(m for j, m in enumerate(masks)
+                                    if (sub >> (len(qubits) - 1 - j)) & 1))
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_supports(), data=hst.data())
+def test_hadamard_wall_matches_per_qubit_gates(case, data):
+    """The one-pass wall equals H on each qubit in turn, in support and
+    amplitudes, and keeps the grouped loop's support order, which
+    ``born_distribution`` reads."""
+    n, support = case
+    qubits = data.draw(hst.permutations(range(n)).flatmap(
+        lambda p: hst.integers(0, n).map(lambda k: p[:k])))
+    want = SparseState(n, support)
+    for q in qubits:
+        want.apply_gate(Gate("H", (q,)))
+    got = SparseState(n, support).apply_hadamard_wall(qubits)
+    assert list(got.support) == _wall_order_reference(SparseState(n, support), qubits)
+    assert set(got.support) == set(want.support)
+    for idx, a in got.support.items():
+        assert abs(a - want.support[idx]) < 1e-12
+
+
+def test_hadamard_wall_on_a_wide_register():
+    """Basis indices beyond 63 bits stay exact Python ints."""
+    n = 70
+    state = SparseState(n, {(1 << 69) | 1: 1.0 + 0j}).apply_hadamard_wall([0, 69])
+    want = {0: 0.5, 1: -0.5, 1 << 69: -0.5, (1 << 69) | 1: 0.5}
+    assert state.support.keys() == want.keys()
+    assert all(abs(state.support[k] - a) < 1e-12 for k, a in want.items())
+
+
+@pytest.mark.parametrize("qubits", [[0, 0], [-1], [5], [1, 2]])
+def test_hadamard_wall_rejects_bad_qubits(qubits):
+    """A repeated, negative or out-of-range qubit is a QDepthError, also on
+    a second try (nothing bad is memoised)."""
+    for _ in range(2):
+        with pytest.raises(QDepthError):
+            SparseState(2).apply_hadamard_wall(qubits)
+    assert SparseState(2).apply_hadamard_wall([1, 0]).norm() == pytest.approx(1.0)
+
+
 def test_state_dump_json():
     st = StateVector.from_bits([1, 0])
     payload = json.loads(st.dump_json())
