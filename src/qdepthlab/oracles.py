@@ -67,8 +67,8 @@ class KeyedPermutation:
 
     def _round_value(self, rnd, half, out_bits) -> int:
         """SHA-256 over (key, round, half), memoised on ``(rnd, half)``
-        (``out_bits`` follows from the parity of ``rnd``): many inputs share
-        a round's half, so most evaluations hash fewer than ``rounds`` times."""
+        (``out_bits`` follows from the parity of ``rnd``), since inputs that
+        share a round's half share its value."""
         cache = self._round_cache
         value = cache.get((rnd, half))
         if value is None:
