@@ -270,6 +270,19 @@ def standin_layers(cfg: ProtocolConfig):
     return layers
 
 
+def expected_standin_state(cfg: ProtocolConfig) -> StateVector:
+    """q honest applications of the stand-in circuit on the zero state."""
+    sv = StateVector.from_bits([0] * cfg.standin_wires)
+    for _ in range(cfg.q):
+        for cliffords, t_wires in standin_layers(cfg):
+            for cl in cliffords:
+                if cl[0] == "CNOT":
+                    sv.apply_gate(Gate("CNOT", (cl[1], cl[2])))
+            for w in t_wires:
+                sv.apply_gate(Gate("T", (w,)))
+    return sv
+
+
 class GameLayout:
     """Wire and EPR-pool geometry derived from a config."""
 
@@ -288,11 +301,16 @@ class GameLayout:
             self.n_tot = cfg.t_parallel * self.inst_width + self.n_si
         else:
             self.n_tot = self.n_si
+        # the stand-in's layers and the amplitudes q honest applications of
+        # them leave, which the gadget-fidelity final check compares against
+        # (a tuple, so that layouts compare by value)
+        self.standin_layers = standin_layers(cfg)
+        self.expected_standin = tuple(expected_standin_state(cfg).amplitudes.tolist())
         # the compiled stand-in's T gadgets per layer, which every round
         # reuses, and each layer's gadget counts by parity class
         self.layer_gadgets = []
         self.layer_needs = []
-        for cliffords, t_wires in standin_layers(cfg):
+        for _, t_wires in self.standin_layers:
             ops = [("T", w) for w in t_wires]
             compiled, _ = compile_ops(ops)
             gadgets = [op for op in compiled if op[0] == "t"]
@@ -493,7 +511,10 @@ class ProverA:
     layers, and the opening layer in gadget fidelity, are declared through
     ``charge_layers``, since the lab does not simulate them.  When a charge
     would exceed the declared budget the prover resets: it abandons coherence
-    and fabricates every later quantum outcome classically.
+    and fabricates every later quantum outcome classically.  ``query_round``
+    charges a query's layer before it touches the pool, so the pool is
+    measured only once that layer is paid: a prover that runs out of depth
+    in a round fabricates that round's pool outcomes too.
 
     The ``t_parallel`` instances receive the same walls and oracle steps, so
     ``instances`` lists one shared ``SparseState`` t times, and each wall or
@@ -504,12 +525,11 @@ class ProverA:
     """
 
     def __init__(self, budget=None, lie_outcomes=False, random_answer=False,
-                 swap_half_z=False, name="honest"):
+                 swap_half_z=False):
         self.declared_budget = budget
         self.lie_outcomes = lie_outcomes
         self.random_answer = random_answer
         self.swap_half_z = swap_half_z
-        self.name = name
 
     def begin(self, cfg, layout, rng):
         budget = self.declared_budget
@@ -552,34 +572,28 @@ class ProverA:
             self.fabricating = True
             return False
 
-    def pool_measurement(self, labels, rng):
-        """Measure the pool halves; returns (reported, actual, actual_label).
+    def query_round(self, labels, rng):
+        """Pay a query's layer, then measure the pool and teleport.
 
-        ``labels`` are the requested bases as int codes into ``SIGMA``;
-        ``actual`` is None when the halves were never measured (fabrication);
-        ``actual_label`` records, as codes, the observable really used
-        (basis cheats).
+        ``labels`` are the requested bases as int codes into ``SIGMA``.
+        Returns (coherent, reported, actual, actual_label, a_bits, b_bits).
+        ``coherent`` says the layer was paid; without it the pool outcomes
+        are fabricated and ``actual`` and ``actual_label`` (the observables
+        really used, as codes: basis cheats) are None.
         """
-        k = len(labels)
-        if self.fabricating:
-            return rng.integers(0, 2, size=k), None, None
-        actual = rng.integers(0, 2, size=k)
-        actual_label = np.array(labels)
-        if self.swap_half_z:
-            actual_label[np.flatnonzero(actual_label == Z_ID)[::2]] = X_ID
-        reported = (1 - actual) if self.lie_outcomes else actual.copy()
-        return reported, actual, actual_label
-
-    def teleport_query(self, rng):
-        """Charge the per-query layer; returns (a_bits, b_bits, real)."""
-        real = self._charge("teleport_query: Bell measurements drawn as coins")
+        coherent = self._charge("query_round: pool rotations and Bell "
+                                "measurements drawn as coins")
+        if coherent:
+            actual = rng.integers(0, 2, size=len(labels))
+            actual_label = np.array(labels)
+            if self.swap_half_z:
+                actual_label[np.flatnonzero(actual_label == Z_ID)[::2]] = X_ID
+            reported = (1 - actual) if self.lie_outcomes else actual.copy()
+        else:
+            reported, actual, actual_label = rng.integers(0, 2, size=len(labels)), None, None
         n_tot = self.layout.n_tot
-        return rng.integers(0, 2, size=n_tot), rng.integers(0, 2, size=n_tot), real
-
-    def report_measurement(self, d_actual, rng):
-        if self.fabricating or d_actual is None:
-            return rng.integers(0, 2, size=self.layout.n_tot)
-        return d_actual
+        return (coherent, reported, actual, actual_label,
+                rng.integers(0, 2, size=n_tot), rng.integers(0, 2, size=n_tot))
 
     def final_answer(self, rng):
         cfg = self.cfg
@@ -611,26 +625,25 @@ class ProverA:
 class ProverO:
     """Oracle prover: applies the oracle between queries and runs gadgets."""
 
-    def __init__(self, skip_oracle=False, attack=None, name="honest"):
+    def __init__(self, skip_oracle=False, attack=None):
         self.skip_oracle = skip_oracle
         self.attack = attack     # None or ("X"|"Z", wire_position)
-        self.name = name
 
 
 STRATEGIES_A = {
-    "honest": lambda cfg: ProverA(name="honest"),
-    "lying": lambda cfg: ProverA(lie_outcomes=True, name="lying"),
-    "classical": lambda cfg: ProverA(budget=0, name="classical"),
-    "reset": lambda cfg: ProverA(budget=cfg.d, name="reset"),
-    "random-answer": lambda cfg: ProverA(random_answer=True, name="random-answer"),
-    "basis-swap": lambda cfg: ProverA(swap_half_z=True, name="basis-swap"),
+    "honest": lambda cfg: ProverA(),
+    "lying": lambda cfg: ProverA(lie_outcomes=True),
+    "classical": lambda cfg: ProverA(budget=0),
+    "reset": lambda cfg: ProverA(budget=cfg.d),
+    "random-answer": lambda cfg: ProverA(random_answer=True),
+    "basis-swap": lambda cfg: ProverA(swap_half_z=True),
 }
 
 STRATEGIES_O = {
-    "honest": lambda cfg: ProverO(name="honest"),
-    "skip-oracle": lambda cfg: ProverO(skip_oracle=True, name="skip-oracle"),
-    "pauli-x": lambda cfg: ProverO(attack=("X", 0), name="pauli-x"),
-    "pauli-z": lambda cfg: ProverO(attack=("Z", 0), name="pauli-z"),
+    "honest": lambda cfg: ProverO(),
+    "skip-oracle": lambda cfg: ProverO(skip_oracle=True),
+    "pauli-x": lambda cfg: ProverO(attack=("X", 0)),
+    "pauli-z": lambda cfg: ProverO(attack=("Z", 0)),
 }
 
 
@@ -648,10 +661,24 @@ _ANCILLA_BASES = {
 }
 
 
-@dataclass
-class _RoundState:
-    """Physical contents of prover O's side during one query round."""
+# the round kinds ``GameRun.play_round`` plays through ``run_round``
+_ROUND_KINDS = {"comp": RoundType.COMPUTATION, "xtest": RoundType.XTEST,
+                "ztest": RoundType.ZTEST}
 
+
+@dataclass
+class _Round:
+    """One query round: its partition, what prover A did with it, and the
+    physical contents of prover O's side while it runs."""
+
+    part: SetupPartition
+    free: np.ndarray                        # EPR indices the round left free
+    coherent: bool                          # A paid the layer and measured its pool
+    e_rep: np.ndarray                       # A's reported pool outcomes
+    e_act: np.ndarray                       # outcomes O's halves collapsed to
+    act_label: np.ndarray                   # observables A really measured, as codes
+    a_rep: np.ndarray                       # A's teleport corrections
+    b_rep: np.ndarray
     codes: list | None = None               # test round: each wire's code
     standin_sv: StateVector | None = None   # computation round: live stand-in
 
@@ -681,9 +708,19 @@ class GameRun:
         self._step += 1
         self.transcript.log(self._step, frm, to, kind, payload)
 
+    def play_round(self, query_idx, kind, free):
+        """Play query ``query_idx`` as a round of ``kind``: "comp", "xtest",
+        "ztest" or "rigid".  Returns (verdict, free); a computation round's
+        verdict is None."""
+        if kind == "rigid":
+            return self.run_rigid(query_idx, free)
+        if kind not in _ROUND_KINDS:
+            raise QDepthError(f"unknown round kind {kind!r}")
+        return self.run_round(query_idx, _ROUND_KINDS[kind], free)
+
     # -- shared per-round setup ----------------------------------------------
 
-    def _round_setup(self, query_idx, free):
+    def _round_setup(self, query_idx, free) -> _Round:
         part, free = draw_partition(self.layout, free, self.rng)
         self.log("V", "A", MSG_SETUP, {
             "query": query_idx,
@@ -693,70 +730,67 @@ class GameRun:
         })
         labels = part.w_labels
         self.log("V", "A", MSG_BASIS, {"labels": _SIGMA_NAMES[labels].tolist()})
-        e_rep, e_act, act_label = self.a.pool_measurement(labels, self.rng)
-        e_rep = np.asarray(e_rep)
-        a_rep, b_rep, real_tp = self.a.teleport_query(self.rng)
+        coherent, e_rep, e_act, act_label, a_rep, b_rep = self.a.query_round(
+            labels, self.rng)
         self.log("A", "V", MSG_TPC, {"a": a_rep.tolist(), "b": b_rep.tolist()})
         self.log("A", "V", MSG_MEAS, {"e": e_rep.tolist()})
-        measured = e_act is not None
-        if not measured:
+        if not coherent:
+            # A measured no pool half, so each of O's halves reads as a fair coin
             e_act = self.rng.integers(0, 2, size=len(labels))
             act_label = labels
-        return part, free, e_rep, e_act, act_label, measured, a_rep, b_rep, real_tp
+        return _Round(part, free, coherent, e_rep, e_act, act_label, a_rep, b_rep)
 
     # -- rigidity round -------------------------------------------------------
 
     def run_rigid(self, query_idx, free):
-        (part, free, e_rep, e_act, act_label,
-         measured, _, _, _) = self._round_setup(query_idx, free)
-        requests, outcomes = rigid_exchange(part.w_labels, act_label, e_act,
-                                            measured, self.rng)
+        rnd = self._round_setup(query_idx, free)
+        labels = rnd.part.w_labels
+        requests, outcomes = rigid_exchange(labels, rnd.act_label, rnd.e_act,
+                                            rnd.coherent, self.rng)
         self.log("V", "O", MSG_BASIS, {"labels": _SIGMA_NAMES[requests].tolist()})
         self.log("O", "V", MSG_MEAS, {"o": outcomes.tolist()})
-        verdict = rigid_verdict(part.w_labels, requests, e_rep, outcomes, self.cfg)
-        return verdict, free
+        verdict = rigid_verdict(labels, requests, rnd.e_rep, outcomes, self.cfg)
+        return verdict, rnd.free
 
     # -- computation / X-test / Z-test round ----------------------------------
 
     def run_round(self, query_idx, round_type, free):
-        cfg, layout, rng = self.cfg, self.layout, self.rng
-        (part, free, e_rep, e_act, act_label,
-         measured, a_rep, b_rep, real_tp) = self._round_setup(query_idx, free)
-        labels = part.w_labels
+        layout, rng = self.layout, self.rng
+        rnd = self._round_setup(query_idx, free)
+        part, labels = rnd.part, rnd.part.w_labels
         comp = round_type == RoundType.COMPUTATION
         x_test = round_type == RoundType.XTEST
 
         si_base = layout.n_tot - layout.n_si
-        rs = _RoundState()
         # every wire's keys, as (a, b) rows; only the stand-in wires' keys
         # change during the round, so only they go through the ledger
         if comp:
-            keys = np.stack([a_rep, b_rep], 1)
+            keys = np.stack([rnd.a_rep, rnd.b_rep], 1)
             ledger = KeyLedger.with_keys(keys[si_base:].tolist())
-            garbage = not real_tp
-            if not garbage and self.a.standin is not None:
-                rs.standin_sv = encrypt_state(self.a.standin, ledger)
+            if rnd.coherent:
+                rnd.standin_sv = encrypt_state(self.a.standin, ledger)
             else:
-                rs.standin_sv = StateVector.from_bits(
+                rnd.standin_sv = StateVector.from_bits(
                     list(rng.integers(0, 2, size=layout.n_si))
                 )
         else:
             positions = part.n_x if x_test else part.n_z
-            e_test = e_rep[positions]
+            e_test = rnd.e_rep[positions]
             zero = np.zeros_like(e_test)
             keys = np.stack([e_test, zero] if x_test else [zero, e_test], 1)
             ledger = KeyLedger.with_keys(keys[si_base:].tolist())
             # a test wire is an eigenstate of the basis its test reads (Z or X),
             # of A's outcome where A measured that basis, else of a fair coin
-            value = e_act[positions].copy()
-            coin = (act_label[positions] != (Z_ID if x_test else X_ID)) | (not measured)
+            value = rnd.e_act[positions].copy()
+            coin = ((rnd.act_label[positions] != (Z_ID if x_test else X_ID))
+                    | (not rnd.coherent))
             value[coin] = rng.integers(2, size=int(coin.sum()))
-            rs.codes = (2 * (Z_ID if x_test else X_ID) + value).tolist()
+            rnd.codes = (2 * (Z_ID if x_test else X_ID) + value).tolist()
 
         self.log("V", "O", MSG_SETUP, {"N": part.data_block.tolist(),
                                        "ret": part.return_block.tolist()})
 
-        for ell, (cliffords, _) in enumerate(standin_layers(cfg)):
+        for ell, (cliffords, _) in enumerate(layout.standin_layers):
             avail = part.blocks[ell]
             chosen = []
             for op in layout.layer_gadgets[ell]:
@@ -770,11 +804,10 @@ class GameRun:
 
             for cl in cliffords:
                 if cl[0] == "CNOT":
-                    self._apply_gate(rs, "CNOT", cl[1:], si_base)
+                    self._apply_gate(rnd, "CNOT", cl[1:], si_base)
                     update_keys("CNOT", ledger, {"control": cl[1], "target": cl[2]})
 
-            c_list = [self._gadget_first_half(rs, si_base + op[1], si_base,
-                                              int(act_label[pos]), int(e_act[pos]))
+            c_list = [self._gadget_first_half(rnd, si_base + op[1], si_base, pos)
                       for op, pos, _ in chosen]
             self.log("O", "V", MSG_GADGET, {"c": c_list})
 
@@ -788,20 +821,20 @@ class GameRun:
                     z = int(labels[pos] == Y_ID)
                 z_list.append(z)
                 if z:  # the inverse-phase correction on the surviving ancilla
-                    self._apply_gate(rs, "SDG", (op[1],), si_base)
+                    self._apply_gate(rnd, "SDG", (op[1],), si_base)
                 update_keys("T", ledger, {
-                    "wire": op[1], "c": c_val, "e": int(e_rep[pos]), "z": z,
+                    "wire": op[1], "c": c_val, "e": int(rnd.e_rep[pos]), "z": z,
                     "parity": parity,
                 })
             self.log("V", "O", MSG_ZBITS, {"z": z_list})
 
         # oracle action on the data wires, then any planted attack
-        if comp and not self.o.skip_oracle \
-                and self.a.instances is not None and not garbage:
+        if comp and rnd.coherent and not self.o.skip_oracle \
+                and self.a.instances is not None:
             for st in {id(st): st for st in self.a.instances}.values():
                 self.steps[query_idx](st)
         if self.o.attack is not None:
-            self._apply_attack(rs, self.o.attack)
+            self._apply_attack(rnd, self.o.attack)
 
         a_back = rng.integers(0, 2, size=layout.n_tot)
         b_back = rng.integers(0, 2, size=layout.n_tot)
@@ -811,56 +844,57 @@ class GameRun:
         if comp:
             self.log("V", "A", MSG_KEYS, {"a": ((a_back + keys[:, 0]) % 2).tolist(),
                                           "b": ((b_back + keys[:, 1]) % 2).tolist()})
-            if rs.standin_sv is not None and not garbage:
-                self.a.standin = decrypt_state(rs.standin_sv, ledger)
-            return None, free
+            if rnd.coherent:
+                self.a.standin = decrypt_state(rnd.standin_sv, ledger)
+            return None, rnd.free
 
         # test verdict: the X test reads the bit keys, the Z test the phase keys
         back, col = (a_back, 0) if x_test else (b_back, 1)
-        d_actual = None
-        if not self.a.fabricating:
-            p1 = _READ_P1[rs.codes, Z_ID if x_test else X_ID]
+        basis = "standard" if x_test else "hadamard"
+        self.log("V", "A", MSG_MEAS, {"request": basis})
+        if rnd.coherent:
+            p1 = _READ_P1[rnd.codes, Z_ID if x_test else X_ID]
             if (p1 % 0.5).any():    # neither certain nor a fair coin: a lab error
                 raise QDepthError(f"test-round wires read with P[1] = {p1[p1 % 0.5 > 0]}")
             fair = p1 == 0.5
-            d_actual = (back + (p1 == 1)) % 2
-            d_actual[fair] = rng.integers(2, size=int(fair.sum()))
-        basis = "standard" if x_test else "hadamard"
-        self.log("V", "A", MSG_MEAS, {"request": basis})
-        d_rep = np.asarray(self.a.report_measurement(d_actual, rng))
+            d_rep = (back + (p1 == 1)) % 2
+            d_rep[fair] = rng.integers(2, size=int(fair.sum()))
+        else:
+            d_rep = rng.integers(0, 2, size=layout.n_tot)
         self.log("A", "V", MSG_MEAS, {"d": d_rep.tolist()})
         ok = not np.any((d_rep + back + keys[:, col]) % 2)
-        return ("accept" if ok else "reject"), free
+        return ("accept" if ok else "reject"), rnd.free
 
     # -- gadget physics -------------------------------------------------------
 
-    def _apply_gate(self, rs: _RoundState, name, wires, base):
+    def _apply_gate(self, rnd: _Round, name, wires, base):
         """Gate ``name`` on ``wires``: on the live stand-in statevector in a
         computation round; in a test round through the gate's code map, on
         register wires ``base + w``."""
-        if rs.codes is None:
-            rs.standin_sv.apply_gate(Gate(name, wires))
+        if rnd.codes is None:
+            rnd.standin_sv.apply_gate(Gate(name, wires))
             return
         index = 0
         for w in wires:
-            index = 10 * index + rs.codes[base + w]
+            index = 10 * index + rnd.codes[base + w]
         code = int(_GATE_CODES[name][index])
         if code < 0:
             raise QDepthError(f"{name} takes test-round wires {wires} off the family")
         for w in reversed(wires):
-            code, rs.codes[base + w] = divmod(code, 10)
+            code, rnd.codes[base + w] = divmod(code, 10)
 
-    def _gadget_first_half(self, rs, wire, si_base, act_lbl, e_act):
+    def _gadget_first_half(self, rnd: _Round, wire, si_base, pos):
         """CNOT from the collapsed ancilla onto the wire, measure it: outcome c.
 
-        ``act_lbl`` is the int code of the observable A measured the ancilla's
-        EPR twin in.  A computation round runs this densely on the stand-in;
-        a test round looks the wire's and the ancilla's codes up in the tables
-        built from the same ancilla states, and draws c only where it is a
-        fair coin."""
+        The ancilla is O's half at pool position ``pos``, collapsed by A's
+        outcome ``rnd.e_act[pos]`` in the observable ``rnd.act_label[pos]``.
+        A computation round runs this densely on the stand-in; a test round
+        looks the wire's and the ancilla's codes up in the tables built from
+        the same ancilla states, and draws c only where it is a fair coin."""
         rng = self.rng
-        if rs.codes is None:
-            sv = rs.standin_sv
+        act_lbl, e_act = int(rnd.act_label[pos]), int(rnd.e_act[pos])
+        if rnd.codes is None:
+            sv = rnd.standin_sv
             psi = _COLLAPSED[act_lbl][e_act]
             d_wire = wire - si_base
             merged = StateVector(sv.num_qubits + 1,
@@ -870,17 +904,17 @@ class GameRun:
             (c_val,), merged = qsim_measure(merged, [d_wire], "standard", rng)
             merged.remove_qubit(d_wire, c_val)
             merged.move_qubit(merged.num_qubits - 1, d_wire)
-            rs.standin_sv = merged
+            rnd.standin_sv = merged
             return int(c_val)
-        w, a = rs.codes[wire], 2 * act_lbl + e_act
+        w, a = rnd.codes[wire], 2 * act_lbl + e_act
         p1 = _GADGET_P1[w, a]   # on the family always 0, 1/2 or 1
         c_val = int(rng.integers(2)) if p1 == 0.5 else int(p1)
-        rs.codes[wire] = int(_GADGET_AFTER[w, a, c_val])
+        rnd.codes[wire] = int(_GADGET_AFTER[w, a, c_val])
         return c_val
 
-    def _apply_attack(self, rs: _RoundState, attack):
+    def _apply_attack(self, rnd: _Round, attack):
         kind, pos = attack
-        if rs.codes is None:
+        if rnd.codes is None:
             inst = self.a.instances
             if inst:
                 if len(inst) > 1 and inst[0] is inst[1]:
@@ -893,7 +927,7 @@ class GameRun:
                     st.support = {k: (-v if (k & mask) else v)
                                   for k, v in st.support.items()}
             return
-        self._apply_gate(rs, kind, (pos,), 0)
+        self._apply_gate(rnd, kind, (pos,), 0)
 
     # -- full protocol ---------------------------------------------------------
 
@@ -913,16 +947,9 @@ class GameRun:
             else:
                 test_round = "rigid"
         free = np.arange(cfg.m, dtype=np.int64)
-        verdict = None
-        for i in range(1, cfg.q + 1):
-            if gamma_zero or i < ell:
-                _, free = self.run_round(i, RoundType.COMPUTATION, free)
-                continue
-            if test_round == "rigid":
-                verdict, free = self.run_rigid(i, free)
-            else:
-                verdict, free = self.run_round(i, RoundType(test_round), free)
-            break
+        # computation rounds up to the test round at query ell, or all q
+        for i in range(1, (cfg.q if gamma_zero else ell) + 1):
+            verdict, free = self.play_round(i, test_round if i == ell else "comp", free)
         if gamma_zero:
             if cfg.fidelity == "gadget":
                 verdict = self._gadget_mode_final_check()
@@ -946,38 +973,15 @@ class GameRun:
         }
         return verdict, self.transcript
 
-
     def _gadget_mode_final_check(self):
         """Gadget fidelity mode has no oracle task; the verifier instead
         checks that the decrypted stand-in state matches q applications of
         the delegated circuit (a simulation-lab completeness check)."""
         if self.a.standin is None:
             return "reject"
-        cfg = self.cfg
-        key = (cfg.standin_wires, cfg.d, cfg.q)
-        expected = _EXPECTED_STANDIN.get(key)
-        if expected is None:
-            expected = _EXPECTED_STANDIN[key] = expected_standin_state(cfg).amplitudes
-        ok = states_equal_up_to_phase(self.a.standin.amplitudes, expected, tol=1e-7)
+        ok = states_equal_up_to_phase(self.a.standin.amplitudes,
+                                      self.layout.expected_standin, tol=1e-7)
         return "accept" if ok else "reject"
-
-
-# expected_standin_state's amplitudes by (standin_wires, d, q), the values it reads
-_EXPECTED_STANDIN = {}
-
-
-def expected_standin_state(cfg: ProtocolConfig) -> StateVector:
-    """q honest applications of the stand-in circuit on the zero state."""
-    cfg = cfg.resolved()
-    sv = StateVector.from_bits([0] * cfg.standin_wires)
-    for _ in range(cfg.q):
-        for cliffords, t_wires in standin_layers(cfg):
-            for cl in cliffords:
-                if cl[0] == "CNOT":
-                    sv.apply_gate(Gate("CNOT", (cl[1], cl[2])))
-            for w in t_wires:
-                sv.apply_gate(Gate("T", (w,)))
-    return sv
 
 
 def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
@@ -989,24 +993,11 @@ def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
     """
     cfg = cfg.resolved()
     rng = trial_rng(seed, 0)
-    orc = oracle
-    if orc is None and cfg.fidelity == "abstract":
-        orc = make_oracle(cfg, rng)
-    a = STRATEGIES_A[strat_a](cfg)
-    o = STRATEGIES_O[strat_o](cfg)
-    run = GameRun(cfg, a, o, orc, rng)
+    if oracle is None and cfg.fidelity == "abstract":
+        oracle = make_oracle(cfg, rng)
+    run = GameRun(cfg, STRATEGIES_A[strat_a](cfg), STRATEGIES_O[strat_o](cfg), oracle, rng)
     run.a.begin(run.cfg, run.layout, rng)
-    free = np.arange(run.cfg.m, dtype=np.int64)
-    if round_kind == "comp":
-        verdict, _ = run.run_round(1, RoundType.COMPUTATION, free)
-    elif round_kind == "xtest":
-        verdict, _ = run.run_round(1, RoundType.XTEST, free)
-    elif round_kind == "ztest":
-        verdict, _ = run.run_round(1, RoundType.ZTEST, free)
-    elif round_kind == "rigid":
-        verdict, _ = run.run_rigid(1, free)
-    else:
-        raise QDepthError(f"unknown round kind {round_kind!r}")
+    verdict, _ = run.play_round(1, round_kind, np.arange(run.cfg.m, dtype=np.int64))
     return verdict, run
 
 

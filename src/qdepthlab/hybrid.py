@@ -17,14 +17,15 @@ before any of it runs.
 ``charge_layers(layers, note)`` declares depth the lab does not simulate,
 and each call's note says why.  Its call sites:
 
-* ``game.ProverA``: each query's teleport layer (the Bell measurements are
-  drawn as coins); the opening layer in gadget fidelity (no instances are
-  simulated); the random-answer strategy's closing wall (it never measures
-  its instances, and the seeded digests of A's final supports record them
+* ``game.ProverA``: each query's layer, which ``query_round`` pays before
+  it measures the pool (pool rotations and Bell measurements are drawn as
+  coins); the opening layer in gadget fidelity (no instances are simulated);
+  the random-answer strategy's closing wall (it never measures its
+  instances, and the seeded digests of A's final supports record them
   without the wall).
-* ``ntcf.HonestProver``: the claw block d0, into which round 1's basis slot
-  is folded, and each later round's basis slot (the basis is applied by the
-  measurement that reads the answer).
+* ``ntcf.HonestProver``: the claw block ``D0_DEFAULT``, into which round 1's
+  basis slot is folded, and each later round's basis slot (the basis is
+  applied by the measurement that reads the answer).
 """
 
 from __future__ import annotations

@@ -25,6 +25,8 @@ from .oracles import KeyedPermutation, dot_bits, random_keyed_permutation
 from .qsim import SPARSE_SUPPORT_CAP, SparseState, bits_to_int, trial_rng
 from .qsim import measure as qsim_measure
 
+# the claw block d0: the layers that prepare every claw state and measure
+# its image register, the same for every prover and every run
 D0_DEFAULT = 14
 
 
@@ -108,7 +110,6 @@ def verify_v(t: ToyNTCFKey, y, c, w) -> int:
 @dataclass
 class CvqdRun:
     d: int
-    d0: int
     keys: list
     images: list = field(default_factory=list)
     challenges: list = field(default_factory=list)
@@ -119,7 +120,7 @@ class CvqdRun:
     def to_json(self):
         return {
             "d": self.d,
-            "d0": self.d0,
+            "d0": D0_DEFAULT,
             "images": self.images,
             "challenges": self.challenges,
             "verdict": self.verdict,
@@ -136,17 +137,16 @@ class HonestProver:
     """Keeps all claw registers coherent; one adaptive layer per round.
 
     Depth accounting: preparing every claw superposition and measuring the
-    image registers is charged as the constant block d0 (the first round's
-    basis slot is folded into it); every later round charges one layer, so a
-    full run audits exactly d0 + d.
+    image registers is charged as the constant block ``D0_DEFAULT`` (the
+    first round's basis slot is folded into it); every later round charges
+    one layer, so a full run audits exactly d0 + d.
     """
 
-    def __init__(self, d0=D0_DEFAULT, failure_rate=0.0):
-        self.d0 = d0
+    def __init__(self, failure_rate=0.0):
         self.failure_rate = failure_rate
 
     def _budget(self, d):
-        return self.d0 + d
+        return D0_DEFAULT + d
 
     def begin(self, keys, d, rng):
         """Prepare every claw state and commit to its measured image."""
@@ -155,7 +155,7 @@ class HonestProver:
         self.session = HybridSession(DQC, self._budget(d), rng)
         self.states = [samp_state(k) for k in keys]
         self.session.charge_layers(
-            self.d0, "prepare_claws: samp_state builds the claw states whole")
+            D0_DEFAULT, "prepare_claws: samp_state builds the claw states whole")
         images = []
         for st, k in zip(self.states, keys):
             n = k.n
@@ -226,13 +226,13 @@ class ResetProver(HonestProver):
     bit).
     """
 
-    def __init__(self, j, d0=D0_DEFAULT, equation_mode="guess"):
-        super().__init__(d0=d0)
+    def __init__(self, j, equation_mode="guess"):
+        super().__init__()
         self.j = j
         self.equation_mode = equation_mode
 
     def _budget(self, d):
-        return self.d0 + max(0, self.j - 1)
+        return D0_DEFAULT + max(0, self.j - 1)
 
     def begin(self, keys, d, rng):
         self.d = d
@@ -271,11 +271,10 @@ class ResetProver(HonestProver):
 
 
 PROVERS = {
-    "honest": lambda d0=D0_DEFAULT: HonestProver(d0=d0),
-    "preimage-only": lambda d0=D0_DEFAULT: PreimageOnlyProver(),
-    "reset-guess": lambda d0=D0_DEFAULT: ResetProver(j=1, d0=d0, equation_mode="guess"),
-    "reset-planted": lambda d0=D0_DEFAULT: ResetProver(j=1, d0=d0,
-                                                       equation_mode="planted"),
+    "honest": HonestProver,
+    "preimage-only": PreimageOnlyProver,
+    "reset-guess": lambda: ResetProver(j=1, equation_mode="guess"),
+    "reset-planted": lambda: ResetProver(j=1, equation_mode="planted"),
 }
 
 
@@ -284,14 +283,14 @@ PROVERS = {
 # ---------------------------------------------------------------------------
 
 
-def run_cvqd(d, prover, rng, n=4, d0=D0_DEFAULT):
+def run_cvqd(d, prover, rng, n=4):
     """One protocol execution: d+1 keys, sequential challenges.
 
     The verdict is reject as soon as any round's predicate fails; each
     challenge bit is sampled only after the previous answer arrived.
     """
     keys = [gen(n, rng)[0] for _ in range(d + 1)]
-    run = CvqdRun(d=d, d0=d0, keys=keys)
+    run = CvqdRun(d=d, keys=keys)
     images = prover.begin(keys, d, rng)
     if len(images) != d + 1:
         raise ProtocolOrderError("prover must commit d+1 images first")
@@ -313,7 +312,7 @@ def run_cvqd(d, prover, rng, n=4, d0=D0_DEFAULT):
     return run.verdict, run
 
 
-def rewind_extract(prover: ResetProver, rng, n=4, d=2, d0=D0_DEFAULT):
+def rewind_extract(prover: ResetProver, rng, n=4, d=2):
     """Replay a reset-style prover's last round under both challenges.
 
     Drives the protocol up to the final round, forces the classical residue

@@ -353,7 +353,7 @@ def sample_shuffling(
 
 
 class _ComplementPermutation:
-    """Keyed bijection between the complements of two small sets.
+    """Keyed bijection between the complements of two small equal-sized sets.
 
     Ranks the input within the complement of ``valid_in``, permutes ranks by a
     cycle-walked Feistel network, and unranks into the complement of
@@ -363,12 +363,10 @@ class _ComplementPermutation:
     def __init__(self, width, valid_in, valid_out, key):
         self.width = width
         self.size = (1 << width) - len(valid_in)
-        if len(valid_in) != len(valid_out):
-            raise QDepthError("complement sizes differ")
         if self.size <= 0:
             raise QDepthError("no room left to extend: hidden set is the full domain")
-        self.v_in = np.sort(np.asarray(sorted(valid_in), dtype=np.int64))
-        self.v_out = np.sort(np.asarray(sorted(valid_out), dtype=np.int64))
+        self.v_in = np.array(sorted(valid_in), dtype=np.int64)
+        self.v_out = np.array(sorted(valid_out), dtype=np.int64)
         self.feistel = KeyedPermutation(key, max(width, 2))
 
     def _rank(self, z, valid) -> int:
@@ -409,7 +407,8 @@ class FinalBijection:
     zero-padded, with one designated pad bit carrying the incoming flag so the
     map stays injective, and the flag flips by the coset bit b' of the Simon
     preimage.  A flag of 0 therefore reproduces |f(x'), b'(x')> exactly.  Off
-    the valid set the map is a keyed permutation of the complement.
+    the valid set the map is a keyed permutation of the complement, built on
+    first use: the hidden-shift solver never leaves the valid set.
     """
 
     def __init__(self, oracle: ShufflingOracle, simon: SimonFunction, key):
@@ -422,21 +421,21 @@ class FinalBijection:
         emb = simon.embedding
         # b'(y) = 1 iff the Simon preimage of y lies in H
         self.coset_bit = {y: int(emb.in_h(x)) for y, x in oracle.s_d.items()}
-        valid_in, valid_out, self.forward = [], [], {}
+        self.forward = {}
         for y, x in oracle.s_d.items():
             v = simon.evaluate(x)
             for b in (0, 1):
-                z_in = (y << 1) | b
-                z_out = (((b << self.n_val) | v) << 1) | (b ^ self.coset_bit[y])
-                valid_in.append(z_in)
-                valid_out.append(z_out)
-                self.forward[z_in] = z_out
-        if len(set(valid_out)) != len(valid_out):
-            raise QDepthError("bijective extension collides; construction bug")
+                self.forward[(y << 1) | b] = ((((b << self.n_val) | v) << 1)
+                                              | (b ^ self.coset_bit[y]))
         self.backward = {o: i for i, o in self.forward.items()}
-        self.off_domain = _ComplementPermutation(
-            self.big + 1, valid_in, valid_out, key
-        )
+        if len(self.backward) != len(self.forward):
+            raise QDepthError("bijective extension collides; construction bug")
+        self.key = key
+
+    @cached_property
+    def off_domain(self) -> _ComplementPermutation:
+        return _ComplementPermutation(self.big + 1, self.forward, self.backward,
+                                      self.key)
 
     def eval(self, value, flag):
         z = (value << 1) | flag

@@ -107,9 +107,9 @@ def _basis_grid(n) -> np.ndarray:
 
 
 def _check_targets(n, targets):
-    """A gate's targets must be distinct qubits of an n-qubit register."""
+    """Gate targets or measured qubits must be distinct, in an n-qubit register."""
     if len(set(targets)) != len(targets) or not all(0 <= t < n for t in targets):
-        raise QDepthError(f"gate targets {targets} invalid on {n} qubits")
+        raise QDepthError(f"qubits {targets} invalid on {n} qubits")
 
 
 @_index_map
@@ -137,7 +137,8 @@ def _wall_spread(n, qubits) -> np.ndarray:
 
 @_index_map
 def _outcome_ids(n, qubits) -> np.ndarray:
-    """Per basis index, the bits of ``qubits`` read as one integer."""
+    """Per basis index, the bits of ``qubits`` (checked here) as one integer."""
+    _check_targets(n, qubits)
     idxs = np.arange(1 << n)
     ids = np.zeros(1 << n, dtype=np.int64)
     for q in qubits:
@@ -395,8 +396,15 @@ def measure(state, qubits, basis="standard", rng=None):
         raise QDepthError("measurement needs a nonempty register")
     if rng is None:
         raise QDepthError("measurement requires an injected rng")
+    sparse = isinstance(state, SparseState)
+    # the qubits are checked before the state is touched, on a dense state
+    # by the memoised outcome-id build
+    if sparse:
+        _check_targets(state.num_qubits, qubits)
+    else:
+        outcome_ids = _outcome_ids(state.num_qubits, tuple(qubits))
     if basis == "hadamard":
-        if isinstance(state, SparseState):
+        if sparse:
             state.apply_hadamard_wall(qubits)
         else:
             for q in qubits:
@@ -404,7 +412,7 @@ def measure(state, qubits, basis="standard", rng=None):
     elif basis != "standard":
         raise QDepthError(f"unknown measurement basis {basis!r}")
 
-    if isinstance(state, SparseState):
+    if sparse:
         masks = [state._mask(q) for q in qubits]
         patterns, members = {}, {}
         for idx, a in state.support.items():
@@ -420,7 +428,6 @@ def measure(state, qubits, basis="standard", rng=None):
         state.support = {k: v / nrm for k, v in keep.items()}
         bits = tuple(int(b) for b in choice)
     else:
-        outcome_ids = _outcome_ids(state.num_qubits, tuple(qubits))
         probs = state.probabilities()
         totals = np.bincount(outcome_ids, weights=probs, minlength=1 << len(qubits))
         totals = totals / totals.sum()

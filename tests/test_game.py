@@ -401,6 +401,18 @@ def test_rigid_round_in_game():
     assert all(v == "reject" for v in verdicts)
 
 
+@pytest.mark.parametrize("fidelity", ["abstract", "gadget"])
+def test_prover_out_of_depth_fabricates_the_pool_of_that_round(fidelity):
+    """At d=1 the reset prover's budget of 1 goes on its opening layer, so it
+    cannot pay for query 1 and must not measure that round's pool: the
+    rigidity test sees fabricated outcomes and rejects."""
+    cfg = ProtocolConfig(**{**SMALL, "d": 1, "q": 2}, fidelity=fidelity)
+    assert STRATEGIES_A["reset"](cfg).declared_budget == 1
+    verdicts = [run_single_round(cfg, "rigid", strat_a="reset", seed=s)[0]
+                for s in range(20)]
+    assert verdicts == ["reject"] * 20
+
+
 # -- standalone rigidity test -----------------------------------------------------------
 
 
@@ -506,13 +518,25 @@ def test_round_blindness_for_prover_a():
         assert tv < 0.02
 
 
+def test_inplace_game_never_builds_the_off_domain_permutation():
+    """Prover A's queries stay on the valid set of the final bijection, so a
+    whole in-place game leaves its off-domain permutation unbuilt."""
+    cfg = ProtocolConfig(**SMALL, alpha=0.9).resolved()
+    for seed in range(4):
+        rng = trial_rng(seed, 0)
+        orc = make_oracle(cfg, rng)
+        run_query_protocol(cfg, STRATEGIES_A["honest"](cfg), STRATEGIES_O["honest"](cfg),
+                           orc, rng)
+        assert "off_domain" not in vars(orc.final)
+
+
 def test_protocol_order_violation_rejects():
     cfg = ProtocolConfig(**SMALL, seed=3).resolved()
     rng = trial_rng(3, 0)
     orc = make_oracle(cfg, rng)
 
     class Rude(game.ProverA):
-        def pool_measurement(self, labels, rng):
+        def query_round(self, labels, rng):
             raise ProtocolOrderError("answers before the question")
 
     verdict, tr = run_query_protocol(cfg, Rude(), STRATEGIES_O["honest"](cfg),

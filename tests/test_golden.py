@@ -165,14 +165,14 @@ GOLDEN = {
     "dssp": "745cf07edfbcef448da37e3603ecf355272a64b22e45e62e915fceab1be8ce7f",
     "estimate-acceptance": "6cbad6fedbd7e4fea98d51d0cc057d6586c60f4e872cc699a9e9a74c976570fb",
     "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
-    "protocol:gadget": "40ff64e809d68b536328bc5580094f35898d8c09644cd917a8f5471eb50b975a",
-    "protocol:gadget-answer": "ff51cd745279b89dd21f4a87e3a2e8b8bd2c3b0b1596a8e69d63303eef3ca42f",
-    "protocol:inplace": "2b4a516b2fcc3845ff5efd97f6bb85af523d2bb56c148192d65071599191dec8",
-    "protocol:inplace-answer": "66bfffc87d5531427545aa9141524a1a7b6f91d9707f1b47fe4943cb3ec6310f",
-    "protocol:inplace-prp": "e98ac432981face2756b8bafd62af23614cb398c2b06c1853ff1010af12fa604",
-    "protocol:standard": "1f403b4b5b7aa448c6e82217cb5551af778142811c0d4045040ab35568e296dc",
+    "protocol:gadget": "4ef9d66fe89efebbfce6064dd08b65f844dcd4f0283f5a13c1089b1b4852cd33",
+    "protocol:gadget-answer": "10139af4325ff454e697e6cc13930fdf783a862ccafbbab4de96f2fb034423c2",
+    "protocol:inplace": "e6a9beb5da2316c6ad5c3a00116420079af6b6c028494b9369dff32ed28f9d49",
+    "protocol:inplace-answer": "04371b174035ce06a941093e93bfc6a47c187e830a88b0d5b8bc0a984cb68eec",
+    "protocol:inplace-prp": "8c520642707ace1837c5613b836034874d3e25d3aab4028bb5004db825183855",
+    "protocol:standard": "59265359bd653252ecbc16366442ba1dd2b19aa6b4ac6ecd5d70b7d1a5b8af64",
     "rigid-standalone": "90c870096f9091721fc099657631de19bdc6aee470a0426e4d29648fb7e93c58",
-    "run-cvqd2": "fadbefb283a5b0f054c620d4a78df5b24eca03dca5764eb5c601067bfed80322",
+    "run-cvqd2": "88e6849787b40cc1c7f3ee8d408e7a82330f636e3ea39bc5a885bc41c5867573",
     "single-round:gadget": "d4e569a4bae77f37503348c3f3a3895e054ff5afa59460a41bfec6bc97ce7f93",
     "single-round:inplace": "b4eff85fee8a3068116ddb0b8d2afb177c09a327b841672e95dd60399b505ae7",
     "single-round:standard": "56d2a11b98e65f6ffadde724fd072243daa25df77f2d4481d2e06d3c7635d52f",

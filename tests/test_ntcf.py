@@ -138,6 +138,14 @@ def test_honest_run_accepts_with_exact_depth(rng):
         assert len(run.challenges) == d + 1
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_reported_d0_is_the_audited_claw_block(d):
+    """The d0 a run reports is the block its honest prover was audited for."""
+    verdict, run = run_cvqd(d, ntcf.PROVERS["honest"](), _seeded(140 + d, 0), n=3)
+    assert verdict == "accept"
+    assert run.to_json()["d0"] + d == run.audited_depth
+
+
 def test_challenges_are_sequential(rng):
     """c_{i+1} is sampled only after w_i arrives: the run log alternates."""
     verdict, run = run_cvqd(3, HonestProver(), rng)

@@ -269,6 +269,24 @@ def test_final_bijection_exhaustive(inplace_oracle):
     assert len(seen) == 1 << (W + 1)
 
 
+def test_final_bijection_builds_its_complement_on_first_use():
+    """The off-domain permutation is built by the first evaluation off the
+    valid set, gives the eager construction's known answers, and inverts
+    its own images."""
+    rng = np.random.default_rng(5)
+    final = build_inplace(sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact"),
+                          rng).final
+    assert "off_domain" not in vars(final)
+    assert 0 not in final.forward and 0 not in final.backward
+    assert final.eval(0, 0) == (3089, 1)
+    assert "off_domain" in vars(final)
+    assert final.invert(3089, 1) == (0, 0)
+    assert [final.eval(z >> 1, z & 1) for z in (1, 2, 3)] == [(1822, 0), (1502, 0),
+                                                             (2940, 0)]
+    assert [final.invert(z >> 1, z & 1) for z in (1, 10, 11)] == [(2541, 1), (1904, 0),
+                                                                 (252, 1)]
+
+
 def test_middle_unitary_inverse_roundtrip(inplace_oracle, rng):
     fn = inplace_oracle.unitary_fn(1)
     inv = inplace_oracle.unitary_inv_fn(1)

@@ -412,6 +412,26 @@ def test_hadamard_wall_rejects_bad_qubits(qubits):
     assert SparseState(2).apply_hadamard_wall([1, 0]).norm() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("basis", ["standard", "hadamard"])
+@pytest.mark.parametrize("qubits", [[0, 0], [-1], [5], [1, 2]])
+@pytest.mark.parametrize("kernel", [StateVector, SparseState])
+def test_measure_rejects_bad_qubits(kernel, qubits, basis):
+    """A repeated, negative or out-of-range measured qubit is a QDepthError
+    on both kernels, before the state is touched, also on a second try
+    (nothing bad is memoised)."""
+    state = kernel.from_bits([0, 1])
+    before = state.copy()
+    for _ in range(2):
+        with pytest.raises(QDepthError, match="invalid on 2 qubits"):
+            qsim.measure(state, qubits, basis, np.random.default_rng(0))
+    if kernel is StateVector:
+        assert np.array_equal(state.amplitudes, before.amplitudes)
+    else:
+        assert state.support == before.support
+    if basis == "standard":
+        assert qsim.measure(state, [1, 0], basis, np.random.default_rng(0))[0] == (1, 0)
+
+
 def test_state_dump_json():
     st = StateVector.from_bits([1, 0])
     payload = json.loads(st.dump_json())
