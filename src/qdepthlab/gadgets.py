@@ -17,6 +17,7 @@ correction on the surviving wire use the inverse phase gate diag(1, -i).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,30 +374,47 @@ def run_delegated_round(session: GadgetSession, prover_channel, rng, input_state
     return ("accept" if ok else "reject"), None, ledger
 
 
+@functools.lru_cache(maxsize=None)
+def _index_parities(n) -> np.ndarray:
+    """Per basis index of an n-qubit register, the parity of its set bits."""
+    par = np.arange(1 << n)
+    for shift in (32, 16, 8, 4, 2, 1):
+        par = par ^ (par >> shift)
+    par = (par & 1).astype(bool)
+    par.flags.writeable = False
+    return par
+
+
+def _apply_pad(state: StateVector, ledger: KeyLedger, z_first) -> StateVector:
+    """A copy of ``state`` under X^a Z^b on every wire, Z applied first when
+    ``z_first``, else X.  Paulis only permute and negate amplitudes, so this
+    is one gather and one sign flip, exact as gate-by-gate application."""
+    n = state.num_qubits
+    if len(ledger.keys) < n:
+        raise QDepthError(f"{len(ledger.keys)} pad keys for {n} wires")
+    a_mask = b_mask = 0
+    for a, b in ledger.keys[:n]:
+        a_mask = (a_mask << 1) | a
+        b_mask = (b_mask << 1) | b
+    idx = np.arange(1 << n)
+    src = idx ^ a_mask
+    amps = state.amplitudes[src]
+    # Z^b applied first reads its sign on the source index, applied last on
+    # the output index
+    amps[_index_parities(n)[(src if z_first else idx) & b_mask]] *= -1
+    return StateVector(n, amps, state.dense_limit)
+
+
 def encrypt_state(state: StateVector, ledger: KeyLedger) -> StateVector:
     """A copy of ``state`` under the one-time pad X^a Z^b of the ledger's
     keys, wire by wire: Z where b is set, then X where a is set."""
-    out = state.copy()
-    for q in range(out.num_qubits):
-        a, b = ledger.keys[q]
-        if b:
-            out.apply_gate(Gate("Z", (q,)))
-        if a:
-            out.apply_gate(Gate("X", (q,)))
-    return out
+    return _apply_pad(state, ledger, z_first=True)
 
 
 def decrypt_state(state: StateVector, ledger: KeyLedger) -> StateVector:
     """A copy of ``state`` with the pad of ``encrypt_state`` removed:
     X where a is set, then Z where b is set."""
-    out = state.copy()
-    for q in range(out.num_qubits):
-        a, b = ledger.keys[q]
-        if a:
-            out.apply_gate(Gate("X", (q,)))
-        if b:
-            out.apply_gate(Gate("Z", (q,)))
-    return out
+    return _apply_pad(state, ledger, z_first=False)
 
 
 def measure_test_failure_rates(circuit_ops, n, attack, trials, rng):

@@ -41,7 +41,7 @@ from .oracles import (
     standard_steps,
 )
 from .qsim import (
-    GATE_MATRICES, H, I2, S, SDG, T, Gate, SparseState, StateVector,
+    GATE_MATRICES, H, I2, S, SDG, T, Gate, SparseState, StateVector, _gather_index,
     states_equal_up_to_phase, trial_rng,
 )
 from .qsim import measure as qsim_measure
@@ -359,8 +359,23 @@ def game_layout(cfg: ProtocolConfig) -> GameLayout:
 # ---------------------------------------------------------------------------
 
 
+def _payload_json(value):
+    """``json.dumps`` hook: a numpy payload value is written as the list or
+    scalar its ``tolist`` gives."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serialisable")
+
+
 @dataclass
 class Transcript:
+    """The messages of one protocol run, in order.
+
+    Payload values may be numpy arrays, kept as the engine made them and
+    marked read-only as they are logged, so no later write can change what
+    was sent.  ``to_json`` is the wire format: it writes arrays as lists.
+    """
+
     config: dict
     seed: int
     messages: list = field(default_factory=list)
@@ -368,9 +383,12 @@ class Transcript:
     depth_audit: dict = field(default_factory=dict)
 
     def log(self, step, frm, to, kind, payload=None):
+        payload = payload if payload is not None else {}
+        for value in payload.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
         self.messages.append(
-            {"step": step, "from": frm, "to": to, "kind": kind,
-             "payload": payload if payload is not None else {}}
+            {"step": step, "from": frm, "to": to, "kind": kind, "payload": payload}
         )
 
     def to_json(self) -> str:
@@ -383,6 +401,7 @@ class Transcript:
                 "depth_audit": self.depth_audit,
             },
             sort_keys=True,
+            default=_payload_json,
         )
 
 
@@ -452,13 +471,12 @@ def draw_partition(layout: GameLayout, free_indices, rng, max_tries=1000):
 # code of O's observable
 _P0_TABLE = np.array([[[outcome_prob0(wa, e, wo) for wo in SIGMA] for e in (0, 1)]
                       for wa in SIGMA])
-# partner state of an EPR half, by the code of A's observable and A's outcome
-_COLLAPSED = [[collapse_vector(w, e) for e in (0, 1)] for w in SIGMA]
-
-# A test round's wires hold the ten collapsed partners, coded 2*label + e.  The
-# tables push this family through the qsim gates a computation round applies
-# densely; two wires' product is coded 10*hi + lo, an image off the family -1.
-_FAMILY = np.array(_COLLAPSED).reshape(-1, 2)
+# The partner state of an EPR half, coded 2*label + e by the code of A's
+# observable and A's outcome: a gadget's ancilla, and what a test round's wires
+# hold.  The tables push this family through the qsim gates a computation
+# round applies to its stand-in; two wires' product is coded 10*hi + lo, an
+# image off the family -1.
+_FAMILY = np.array([collapse_vector(w, e) for w in SIGMA for e in (0, 1)])
 _PAIRS = np.einsum("ai,bj->abij", _FAMILY, _FAMILY).reshape(-1, 4)
 
 
@@ -472,11 +490,15 @@ def _codes_of(vecs, family):
 _GATE_CODES = {name: _codes_of(fam @ GATE_MATRICES[name].T, fam)
                for name, fam in (("X", _FAMILY), ("Z", _FAMILY),
                                  ("SDG", _FAMILY), ("CNOT", _PAIRS))}
-# a gadget's first half: CNOT from O's ancilla (hi) onto the wire (lo), then
-# the wire read as c; by [wire code, ancilla code], P[c = 1] and, by c, the
-# code the ancilla is left in (-1 where c cannot occur)
-_GADGET_OUT = np.einsum("awxc->wacx",
-                        (_PAIRS @ GATE_MATRICES["CNOT"].T).reshape(10, 10, 2, 2))
+# a gadget's first half: CNOT from O's ancilla (control) onto the wire, then
+# the wire read as c, the ancilla left in the wire's place.  By [ancilla code,
+# c], the 2x2 Kraus operator this applies to the wire (unnormalised: its
+# squared norm on a state is P[c]); both round kinds run the gadget through it
+_GADGET_KRAUS = np.einsum("xcaw,ka->kcxw",
+                          GATE_MATRICES["CNOT"].reshape(2, 2, 2, 2), _FAMILY)
+# on the family: by [wire code, ancilla code], P[c = 1] and, by c, the code
+# the ancilla is left in (-1 where c cannot occur)
+_GADGET_OUT = np.einsum("acxw,kw->kacx", _GADGET_KRAUS, _FAMILY)
 _GADGET_P1 = np.round(np.sum(abs(_GADGET_OUT[:, :, 1]) ** 2, axis=-1), 9)
 _GADGET_AFTER = _codes_of(_GADGET_OUT.reshape(-1, 2), _FAMILY).reshape(10, 10, 2)
 # P[1] of a wire read in a basis, by [wire code, basis label code]
@@ -724,16 +746,16 @@ class GameRun:
         part, free = draw_partition(self.layout, free, self.rng)
         self.log("V", "A", MSG_SETUP, {
             "query": query_idx,
-            "data": part.data_block.tolist(),
-            "ret": part.return_block.tolist(),
-            "pool": part.pool.tolist(),
+            "data": part.data_block,
+            "ret": part.return_block,
+            "pool": part.pool,
         })
         labels = part.w_labels
-        self.log("V", "A", MSG_BASIS, {"labels": _SIGMA_NAMES[labels].tolist()})
+        self.log("V", "A", MSG_BASIS, {"labels": _SIGMA_NAMES[labels]})
         coherent, e_rep, e_act, act_label, a_rep, b_rep = self.a.query_round(
             labels, self.rng)
-        self.log("A", "V", MSG_TPC, {"a": a_rep.tolist(), "b": b_rep.tolist()})
-        self.log("A", "V", MSG_MEAS, {"e": e_rep.tolist()})
+        self.log("A", "V", MSG_TPC, {"a": a_rep, "b": b_rep})
+        self.log("A", "V", MSG_MEAS, {"e": e_rep})
         if not coherent:
             # A measured no pool half, so each of O's halves reads as a fair coin
             e_act = self.rng.integers(0, 2, size=len(labels))
@@ -747,8 +769,8 @@ class GameRun:
         labels = rnd.part.w_labels
         requests, outcomes = rigid_exchange(labels, rnd.act_label, rnd.e_act,
                                             rnd.coherent, self.rng)
-        self.log("V", "O", MSG_BASIS, {"labels": _SIGMA_NAMES[requests].tolist()})
-        self.log("O", "V", MSG_MEAS, {"o": outcomes.tolist()})
+        self.log("V", "O", MSG_BASIS, {"labels": _SIGMA_NAMES[requests]})
+        self.log("O", "V", MSG_MEAS, {"o": outcomes})
         verdict = rigid_verdict(labels, requests, rnd.e_rep, outcomes, self.cfg)
         return verdict, rnd.free
 
@@ -787,8 +809,7 @@ class GameRun:
             value[coin] = rng.integers(2, size=int(coin.sum()))
             rnd.codes = (2 * (Z_ID if x_test else X_ID) + value).tolist()
 
-        self.log("V", "O", MSG_SETUP, {"N": part.data_block.tolist(),
-                                       "ret": part.return_block.tolist()})
+        self.log("V", "O", MSG_SETUP, {"N": part.data_block, "ret": part.return_block})
 
         for ell, (cliffords, _) in enumerate(layout.standin_layers):
             avail = part.blocks[ell]
@@ -838,12 +859,12 @@ class GameRun:
 
         a_back = rng.integers(0, 2, size=layout.n_tot)
         b_back = rng.integers(0, 2, size=layout.n_tot)
-        self.log("O", "V", MSG_TPC, {"a": a_back.tolist(), "b": b_back.tolist()})
+        self.log("O", "V", MSG_TPC, {"a": a_back, "b": b_back})
         keys[si_base:] = ledger.keys
 
         if comp:
-            self.log("V", "A", MSG_KEYS, {"a": ((a_back + keys[:, 0]) % 2).tolist(),
-                                          "b": ((b_back + keys[:, 1]) % 2).tolist()})
+            self.log("V", "A", MSG_KEYS, {"a": (a_back + keys[:, 0]) % 2,
+                                          "b": (b_back + keys[:, 1]) % 2})
             if rnd.coherent:
                 self.a.standin = decrypt_state(rnd.standin_sv, ledger)
             return None, rnd.free
@@ -861,7 +882,7 @@ class GameRun:
             d_rep[fair] = rng.integers(2, size=int(fair.sum()))
         else:
             d_rep = rng.integers(0, 2, size=layout.n_tot)
-        self.log("A", "V", MSG_MEAS, {"d": d_rep.tolist()})
+        self.log("A", "V", MSG_MEAS, {"d": d_rep})
         ok = not np.any((d_rep + back + keys[:, col]) % 2)
         return ("accept" if ok else "reject"), rnd.free
 
@@ -888,25 +909,21 @@ class GameRun:
 
         The ancilla is O's half at pool position ``pos``, collapsed by A's
         outcome ``rnd.e_act[pos]`` in the observable ``rnd.act_label[pos]``.
-        A computation round runs this densely on the stand-in; a test round
-        looks the wire's and the ancilla's codes up in the tables built from
-        the same ancilla states, and draws c only where it is a fair coin."""
+        A computation round applies the gadget's Kraus operators to the live
+        stand-in in place and draws c by the Born rule; a test round looks
+        the wire's and the ancilla's codes up in the tables derived from the
+        same operators, and draws c only where it is a fair coin."""
         rng = self.rng
-        act_lbl, e_act = int(rnd.act_label[pos]), int(rnd.e_act[pos])
+        a = 2 * int(rnd.act_label[pos]) + int(rnd.e_act[pos])
         if rnd.codes is None:
             sv = rnd.standin_sv
-            psi = _COLLAPSED[act_lbl][e_act]
-            d_wire = wire - si_base
-            merged = StateVector(sv.num_qubits + 1,
-                                 np.outer(sv.amplitudes, psi).reshape(-1))
-            a_wire = merged.num_qubits - 1
-            merged.apply_gate(Gate("CNOT", (a_wire, d_wire)))
-            (c_val,), merged = qsim_measure(merged, [d_wire], "standard", rng)
-            merged.remove_qubit(d_wire, c_val)
-            merged.move_qubit(merged.num_qubits - 1, d_wire)
-            rnd.standin_sv = merged
-            return int(c_val)
-        w, a = rnd.codes[wire], 2 * act_lbl + e_act
+            idx = _gather_index(sv.num_qubits, (wire - si_base,))
+            branches = _GADGET_KRAUS[a] @ sv.amplitudes[idx]
+            probs = (abs(branches) ** 2).sum(axis=(1, 2))
+            c_val = int(rng.choice(2, p=probs / probs.sum()))
+            sv.amplitudes[idx] = branches[c_val] / math.sqrt(probs[c_val])
+            return c_val
+        w = rnd.codes[wire]
         p1 = _GADGET_P1[w, a]   # on the family always 0, 1/2 or 1
         c_val = int(rng.integers(2)) if p1 == 0.5 else int(p1)
         rnd.codes[wire] = int(_GADGET_AFTER[w, a, c_val])

@@ -237,9 +237,14 @@ def pseudorandom_simon(key, s, n, m=None) -> SimonFunction:
 class _TablePerm:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.int64)
-        # a permutation inverts by one O(N) scatter
-        self.inverse_table = np.empty_like(self.table)
-        self.inverse_table[self.table] = np.arange(self.table.size)
+
+    @cached_property
+    def inverse_table(self) -> np.ndarray:
+        """The inverse permutation, by one O(N) scatter on first use: most
+        tables are only ever evaluated forwards."""
+        inverse = np.empty_like(self.table)
+        inverse[self.table] = np.arange(self.table.size)
+        return inverse
 
     def eval(self, x):
         return int(self.table[x])

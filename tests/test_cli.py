@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, determinism, config handling."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import jsonschema
 import pytest
 
+from qdepthlab import gadgets
 from qdepthlab.cli import main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -48,6 +50,30 @@ def test_gadget_check_planted_attack_rates():
                   if c["name"].startswith("planted_attack"))
     assert attack["xtest_rejection"] == 1.0
     assert attack["ztest_rejection"] == 0.0
+
+
+@pytest.mark.parametrize("spec", ["X:0", "X:1", "Z:0", "Z:1"])
+def test_gadget_check_planted_attack_passes_on_exact_rates(spec):
+    """An X attack fails every X test and no Z test, a Z attack the reverse."""
+    code, out = run_cli(["gadget-check", "--planted-attack", spec, "--trials", "20"])
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("spec, rates", [
+    ("X:0", (0.95, 0.0)), ("X:1", (1.0, 0.05)), ("Z:0", (0.0, 0.9)),
+    ("Z:1", (1.0, 0.0)),
+])
+def test_gadget_check_planted_attack_fails_on_other_rates(spec, rates, monkeypatch):
+    """Rates other than the exact ones an attack gives fail the check."""
+    monkeypatch.setattr(gadgets, "measure_test_failure_rates", lambda *args: rates)
+    code, out = run_cli(["gadget-check", "--planted-attack", spec, "--trials", "5"])
+    assert code == 2
+    report = json.loads(out)
+    validate(report, "gadget_check_report.v1.schema.json")
+    attack = next(c for c in report["checks"]
+                  if c["name"].startswith("planted_attack"))
+    assert attack["pass"] is False and report["pass"] is False
 
 
 @pytest.mark.parametrize("spec", ["Q:1", "Y:0", "X:99", "X"])
@@ -278,3 +304,17 @@ def test_entry_point_subprocess():
         [sys.executable, "-m", "qdepthlab.cli", "twirl-check", "--trials", "2"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_pins_blas_threads_unless_the_user_set_them():
+    """Importing the CLI sets each BLAS thread variable to 1 where it is
+    unset, before anything imports numpy; a value the user set wins."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["OMP_NUM_THREADS"] = "3"
+    code = ("import os, sys, qdepthlab; numpy_early = 'numpy' in sys.modules; "
+            "import qdepthlab.cli; "
+            f"print(numpy_early, *(os.environ.get(v) for v in {names!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "1", "3", "1"]

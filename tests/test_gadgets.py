@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdepthlab import gadgets, qsim
+from qdepthlab.errors import QDepthError
 from qdepthlab.gadgets import (
     GadgetSession,
     KeyLedger,
@@ -290,3 +291,38 @@ def test_message_blindness_single_gadget(rng):
     for rt, dist in dists.items():
         tv = 0.5 * sum(abs(dist.get(k, 0) - base.get(k, 0)) for k in (0, 1))
         assert tv == 0.0
+
+
+# -- the one-time pad ------------------------------------------------------------
+
+
+def _pad_gate_by_gate(state, keys, z_first):
+    """The pad applied one Pauli gate at a time, per wire Z^b then X^a when
+    ``z_first`` (encryption), else X^a then Z^b (decryption)."""
+    out = state.copy()
+    for q, (a, b) in enumerate(keys):
+        order = (("Z", b), ("X", a)) if z_first else (("X", a), ("Z", b))
+        for name, bit in order:
+            if bit:
+                out.apply_gate(Gate(name, (q,)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pad_equals_gate_by_gate_application(n, rng):
+    """For every key pattern the gathered pad is exactly the gate sequence."""
+    state = StateVector(n, qsim.random_state(n, rng))
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        keys = [list(bits[2 * q: 2 * q + 2]) for q in range(n)]
+        ledger = KeyLedger.with_keys(keys)
+        enc = gadgets.encrypt_state(state, ledger)
+        dec = decrypt_state(state, ledger)
+        assert np.array_equal(enc.amplitudes, _pad_gate_by_gate(state, keys, True).amplitudes)
+        assert np.array_equal(dec.amplitudes, _pad_gate_by_gate(state, keys, False).amplitudes)
+        assert np.array_equal(decrypt_state(enc, ledger).amplitudes, state.amplitudes)
+        assert enc.amplitudes is not state.amplitudes
+
+
+def test_pad_needs_a_key_per_wire():
+    with pytest.raises(QDepthError):
+        gadgets.encrypt_state(StateVector(2), KeyLedger.with_keys([[1, 0]]))

@@ -1,6 +1,7 @@
 """Two-prover protocol: partitions, rounds, blindness, verdicts, audits."""
 
 import json
+from collections.abc import Sized
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from qdepthlab.errors import ConfigError, ProtocolOrderError, QDepthError, Schem
 from qdepthlab.gadgets import RoundType
 from qdepthlab.game import (
     GameLayout,
+    GameRun,
     ProtocolConfig,
     choose_alpha,
     draw_partition,
@@ -486,7 +488,7 @@ def _prover_a_prefix(tr):
         kind = msg["kind"]
         if kind in (game.MSG_KEYS, game.MSG_MEAS, game.MSG_VERDICT):
             break  # first post-oracle message to A diverges by design
-        shape = tuple(sorted((k, len(v) if isinstance(v, list) else 0)
+        shape = tuple(sorted((k, len(v) if isinstance(v, Sized) else 0)
                              for k, v in msg["payload"].items()))
         out.append((kind, shape))
     return tuple(out)
@@ -516,6 +518,141 @@ def test_round_blindness_for_prover_a():
     for kind, dist in label_counts.items():
         tv = 0.5 * sum(abs(dist[w] - base[w]) for w in game.SIGMA)
         assert tv < 0.02
+
+
+def test_blindness_prefix_reads_payload_lengths():
+    """The prefix holds every array payload's length, so a round kind whose
+    payload to A differed in length would fail the blindness test."""
+    _, run = run_single_round(ProtocolConfig(**SMALL), "comp", seed=0)
+    prefix = _prover_a_prefix(run.transcript)
+    lengths = dict(shape for kind, shapes in prefix for shape in shapes)
+    assert lengths["pool"] > 0 and lengths["labels"] == lengths["pool"]
+    setup = next(m for m in run.transcript.messages
+                 if m["kind"] == game.MSG_SETUP and m["to"] == "A")
+    setup["payload"] = {**setup["payload"], "pool": setup["payload"]["pool"][:-1]}
+    assert _prover_a_prefix(run.transcript) != prefix
+
+
+def test_transcript_log_freezes_arrays():
+    """A logged array is read-only, and ``to_json`` writes it as a list."""
+    tr = game.Transcript(config={}, seed=0)
+    sent = np.arange(3)
+    tr.log(1, "V", "A", game.MSG_MEAS, {"e": sent, "c": [1, 0]})
+    with pytest.raises(ValueError):
+        sent[0] = 1
+    assert json.loads(tr.to_json())["messages"][0]["payload"] == {"e": [0, 1, 2],
+                                                                  "c": [1, 0]}
+
+
+def test_round_payload_arrays_are_read_only():
+    _, run = run_single_round(ProtocolConfig(**SMALL), "xtest", seed=1)
+    arrays = [v for m in run.transcript.messages for v in m["payload"].values()
+              if isinstance(v, np.ndarray)]
+    assert arrays and not any(v.flags.writeable for v in arrays)
+
+
+# -- the T gadget's first half ------------------------------------------------
+
+
+def _dense_after_cnot(sv, wire, psi):
+    """The dense path computation rounds once ran, up to the read-out: the
+    stand-in merged with the ancilla ``psi`` as its last qubit, then CNOT
+    from the ancilla onto ``wire``."""
+    merged = qsim.StateVector(sv.num_qubits + 1,
+                              np.outer(sv.amplitudes, psi).reshape(-1))
+    merged.apply_gate(qsim.Gate("CNOT", (sv.num_qubits, wire)))
+    return merged
+
+
+def _reference_first_half(sv, wire, psi, c):
+    """The dense first half: ``_dense_after_cnot``, the wire projected onto
+    |c>, dropped, and the ancilla moved into its place.  Returns (P[c],
+    post-state); P[c] > 0 on a state without zero amplitudes."""
+    merged = _dense_after_cnot(sv, wire, psi)
+    halves = qsim._qubit_halves(merged.num_qubits, wire)
+    amps = np.zeros_like(merged.amplitudes)
+    amps[halves[c]] = merged.amplitudes[halves[c]]
+    p = float(np.vdot(amps, amps).real)
+    merged.amplitudes = amps / np.sqrt(p)
+    merged.remove_qubit(wire, c)
+    merged.move_qubit(merged.num_qubits - 1, wire)
+    return p, merged.amplitudes
+
+
+class _PickOutcome:
+    """An rng stand-in whose ``choice`` returns a fixed outcome, recording
+    the probabilities it was offered."""
+
+    def __init__(self, c):
+        self.c, self.p = c, None
+
+    def choice(self, n, p):
+        self.p = p
+        return self.c
+
+
+def _first_half(sv, wire, code, rng):
+    """Run ``GameRun._gadget_first_half`` on a copy of ``sv`` with the
+    ancilla of family code ``code`` at pool position 0."""
+    run = GameRun.__new__(GameRun)
+    run.rng = rng
+    rnd = game._Round(part=None, free=None, coherent=True, e_rep=None,
+                      e_act=np.array([code % 2]), act_label=np.array([code // 2]),
+                      a_rep=None, b_rep=None, standin_sv=sv.copy())
+    c = run._gadget_first_half(rnd, wire, 0, 0)
+    return c, rnd.standin_sv.amplitudes
+
+
+def test_gadget_kraus_matches_dense_reference():
+    """Over random 1-3 qubit stand-ins, every wire, all ten ancilla codes
+    and both outcomes, the Kraus kernel gives the dense path's P[c] and
+    post-state to 1e-12."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            sv = qsim.StateVector(n, qsim.random_state(n, rng))
+            for wire in range(n):
+                for code in range(10):
+                    psi = game._FAMILY[code]
+                    for c in (0, 1):
+                        p_ref, post_ref = _reference_first_half(sv, wire, psi, c)
+                        pick = _PickOutcome(c)
+                        got_c, post = _first_half(sv, wire, code, pick)
+                        assert got_c == c
+                        assert abs(pick.p[c] - p_ref) < 1e-12
+                        assert np.allclose(post, post_ref, rtol=0, atol=1e-12)
+
+
+def test_gadget_kraus_makes_the_draw_the_dense_measurement_made():
+    """With a real generator, the kernel draws c as ``qsim.measure`` did:
+    the same outcome and the generator left in the same state."""
+    src = np.random.default_rng(8)
+    for trial in range(40):
+        n = 1 + trial % 3
+        sv = qsim.StateVector(n, qsim.random_state(n, src))
+        wire, code = trial % n, trial % 10
+        rng_new, rng_ref = (np.random.default_rng(trial) for _ in range(2))
+        c, _ = _first_half(sv, wire, code, rng_new)
+        merged = _dense_after_cnot(sv, wire, game._FAMILY[code])
+        (c_ref,), _ = qsim.measure(merged, [wire], "standard", rng_ref)
+        assert c == c_ref
+        assert rng_new.random() == rng_ref.random()
+
+
+def test_gadget_tables_match_the_pair_derivation():
+    """``_GADGET_P1`` and ``_GADGET_AFTER``, derived from the Kraus table,
+    equal the tables the CNOT on two-wire family products gives."""
+    out = np.einsum("awxc->wacx", (game._PAIRS @ qsim.GATE_MATRICES["CNOT"].T)
+                    .reshape(10, 10, 2, 2))
+    p1 = np.round(np.sum(abs(out[:, :, 1]) ** 2, axis=-1), 9)
+    after = game._codes_of(out.reshape(-1, 2), game._FAMILY).reshape(10, 10, 2)
+    assert np.array_equal(game._GADGET_P1, p1)
+    assert np.array_equal(game._GADGET_AFTER, after)
+    # a Z-eigenstate wire meets a Z-eigenstate ancilla with a certain c; every
+    # other pair reads c as a fair coin
+    want = np.full((10, 10), 0.5)
+    want[4:6, 4:6] = [[0, 1], [1, 0]]
+    assert np.array_equal(game._GADGET_P1, want)
 
 
 def test_inplace_game_never_builds_the_off_domain_permutation():
