@@ -134,7 +134,10 @@ def cmd_gadget_check(args):
     report["checks"].append({"name": "h_compile_identity", "pass": bool(ok)})
     failures += not ok
 
+    # every (a, b, z, c, e) branch of the computation gadget can occur, so
+    # each of the three states must run all 32
     ok = True
+    branches = 0
     for trial in range(3):
         psi = qsim.random_state(1, rng)
         for a, b, z in itertools.product((0, 1), repeat=3):
@@ -151,20 +154,20 @@ def cmd_gadget_check(args):
                 a2, b2 = ledger.keys[0]
                 want = (np.linalg.matrix_power(qsim.X, a2)
                         @ np.linalg.matrix_power(qsim.Z, b2) @ qsim.T @ psi)
+                branches += 1
                 if not qsim.states_equal_up_to_phase(out.amplitudes, want):
                     ok = False
+    ok = ok and branches == 3 * 32
     report["checks"].append({"name": "t_gadget_exhaustive", "pass": bool(ok)})
     failures += not ok
 
     if attack:
         pauli, wire = attack
-        op = qsim.PauliOp(
-            n_wires,
-            (1 << (n_wires - 1 - wire)) if pauli == "X" else 0,
-            (1 << (n_wires - 1 - wire)) if pauli == "Z" else 0,
-        )
-        ex, ez = gadgets.measure_test_failure_rates(
-            [("T", 0)], n_wires, op, args.trials, rng)
+        bit = 1 << (n_wires - 1 - wire)
+        op = qsim.PauliOp(n_wires, bit if pauli == "X" else 0, bit if pauli == "Z" else 0)
+        cfg = game.ProtocolConfig(fidelity="gadget", standin_wires=n_wires)
+        ex, ez = game.attack_failure_rates(cfg, qsim.PauliDistribution({op: 1.0}),
+                                           args.trials, rng)
         # a bit flip on a wire fails every X test and no Z test; a phase
         # flip the other way round
         ok = (ex, ez) == ((1.0, 0.0) if pauli == "X" else (0.0, 1.0))
@@ -173,14 +176,6 @@ def cmd_gadget_check(args):
             "xtest_rejection": ex, "ztest_rejection": ez,
             "pass": ok,
         })
-        failures += not ok
-
-    if args.twirl:
-        worst = _twirl_max_deviation(args.twirl, args.trials, rng)
-        ok = worst < 1e-9
-        report["checks"].append({
-            "name": f"twirl_n{args.twirl}", "max_deviation": worst,
-            "pass": bool(ok)})
         failures += not ok
 
     report["pass"] = failures == 0
@@ -364,7 +359,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--planted-attack", default=None, metavar="P:WIRE")
-    p.add_argument("--twirl", type=int, default=None, metavar="N")
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_gadget_check)
 

@@ -8,6 +8,14 @@ T gates run as gadgets too.  Test rounds run the same gadget traffic on
 encrypted |0^n> or |+^n> so that the whole computation acts as the identity
 up to a key update, exposing bit-flip or phase-flip tampering.
 
+This module holds the pieces both round kinds share: the pad
+(``encrypt_state``, ``decrypt_state``), the key-update rules
+(``update_keys``), the H compilation and the gadget parity rule
+(``compile_ops``, ``gadget_parity``), and ``run_t_gadget``, a dense
+reference simulation of one gadget with its verifier measurement
+``choose_W``.  Rounds themselves, X and Z tests included, are played only by
+``game.GameRun``, whose gadget tables are tested against ``run_t_gadget``.
+
 Phase conventions (fixed by requiring the key-update rules to hold exactly,
 branch by branch): the computation-round measurement is H P^w T with
 P = diag(1, i) and w = (a + c + z) mod 2; the odd-parity measurement and the
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +52,6 @@ class RoundType(enum.Enum):
 
 
 H_COMPILE_SEQUENCE = ("H", "T", "T", "H", "T", "T", "H", "T", "T", "H")
-
-
-def compile_H():
-    """The ten-gate replacement sequence for one Hadamard."""
-    return list(H_COMPILE_SEQUENCE)
 
 
 def h_sequence_matrix() -> np.ndarray:
@@ -126,49 +129,29 @@ def update_keys(gate, ledger, outcomes):
 
 @dataclass
 class KeyLedger:
-    """Per-wire one-time-pad keys plus the per-gadget outcome history."""
+    """Per-wire one-time-pad keys, as [a, b] rows for X^a Z^b."""
 
     keys: list
-    history: list = field(default_factory=list)
-
-    @classmethod
-    def fresh(cls, n, rng):
-        return cls(keys=[[int(rng.integers(2)), int(rng.integers(2))] for _ in range(n)])
 
     @classmethod
     def with_keys(cls, keys):
         return cls(keys=[list(k) for k in keys])
-
-    def record_gadget(self, idx, round_type, parity, z, c, e, wire):
-        self.history.append(
-            {
-                "gadget": idx,
-                "round": round_type.value,
-                "parity": parity,
-                "z": z,
-                "c": c,
-                "e": e,
-                "keys_after": list(self.keys[wire]),
-            }
-        )
 
 
 def compile_ops(ops):
     """Expand H gates into H gadgets; annotate T gadgets with their H count.
 
     ``ops`` is a sequence of ("T", w), ("H", w), ("CNOT", c, t).  Returns
-    (compiled op list, T count).  Compiled entries are ("h", w),
-    ("cnot", c, t) and ("t", w, h_count_or_None).
+    the compiled op list, whose entries are ("h", w), ("cnot", c, t) and
+    ("t", w, h_count_or_None).
     """
     compiled = []
-    t_count = 0
     for op in ops:
         kind = op[0].upper()
         if kind == "CNOT":
             compiled.append(("cnot", op[1], op[2]))
         elif kind == "T":
             compiled.append(("t", op[1], None))
-            t_count += 1
         elif kind == "H":
             w = op[1]
             h_seen = 0
@@ -178,32 +161,9 @@ def compile_ops(ops):
                     h_seen += 1
                 else:
                     compiled.append(("t", w, h_seen))
-                    t_count += 1
         else:
             raise QDepthError(f"cannot compile gate {kind!r}")
-    return compiled, t_count
-
-
-@dataclass
-class GadgetSession:
-    """One delegated run: a fixed round type, a compiled circuit, a ledger."""
-
-    round_type: RoundType
-    n: int
-    ops: list
-    ledger: KeyLedger
-    t_count: int
-    gadgets_run: int = 0
-
-    @classmethod
-    def build(cls, round_type, n, circuit_ops, rng=None, keys=None):
-        compiled, t_count = compile_ops(circuit_ops)
-        if keys is not None:
-            ledger = KeyLedger.with_keys(keys)
-        else:
-            ledger = KeyLedger.fresh(n, rng)
-        return cls(round_type=round_type, n=n, ops=compiled, ledger=ledger,
-                   t_count=t_count)
+    return compiled
 
 
 def _postselect(state: StateVector, qubit, bit):
@@ -219,7 +179,7 @@ def _postselect(state: StateVector, qubit, bit):
 
 
 def run_t_gadget(state, data_wire, round_type, parity, z, rng,
-                 ledger=None, force=None, gadget_index=0):
+                 ledger=None, force=None):
     """Run one T gadget on ``data_wire`` using a fresh EPR pair.
 
     The pair is appended to the register; the verifier wire is measured with
@@ -268,110 +228,7 @@ def run_t_gadget(state, data_wire, round_type, parity, z, rng,
     if ledger is not None:
         update_keys("T", ledger, {"wire": data_wire, "c": c, "e": e, "z": z,
                                   "parity": parity})
-        ledger.record_gadget(gadget_index, round_type, parity, z, c, e, data_wire)
     return c, e, state, ledger
-
-
-def _initial_state(session: GadgetSession, rng, input_state=None) -> StateVector:
-    if session.round_type == RoundType.COMPUTATION and input_state is not None:
-        return encrypt_state(input_state, session.ledger)
-    state = StateVector.from_bits([0] * session.n)
-    if session.round_type == RoundType.ZTEST:
-        for q in range(session.n):
-            state.apply_gate(Gate("H", (q,)))
-    return encrypt_state(state, session.ledger)
-
-
-def run_session(session: GadgetSession, rng, input_state=None):
-    """Execute the compiled circuit under the session's round type.
-
-    Returns (state, session); the state is still one-time-padded with the
-    ledger's final keys.
-    """
-    state = _initial_state(session, rng, input_state)
-    for op in session.ops:
-        if op[0] == "cnot":
-            _, ctl, tgt = op
-            state.apply_gate(Gate("CNOT", (ctl, tgt)))
-            update_keys("CNOT", session.ledger, {"control": ctl, "target": tgt})
-        elif op[0] == "h":
-            _, w = op
-            state.apply_gate(Gate("H", (w,)))
-            update_keys("H", session.ledger, {"wire": w})
-        elif op[0] == "t":
-            _, w, h_count = op
-            parity = gadget_parity(session.round_type, h_count)
-            z = int(rng.integers(2))
-            _, _, state, _ = run_t_gadget(
-                state, w, session.round_type, parity, z, rng,
-                ledger=session.ledger, gadget_index=session.gadgets_run,
-            )
-            session.gadgets_run += 1
-        else:
-            raise QDepthError(f"unknown compiled op {op[0]!r}")
-    return state, session
-
-
-def apply_attack(state: StateVector, attack, rng):
-    """Apply the prover's tampering channel to the final data wires.
-
-    ``attack`` is None, a PauliDistribution (one Pauli is sampled), a PauliOp,
-    or a Kraus list (one branch is sampled with the Born weights).
-    """
-    if attack is None:
-        return state
-    from .qsim import PauliDistribution, PauliOp
-
-    if isinstance(attack, PauliDistribution):
-        attack = attack.sample(rng)
-    if isinstance(attack, PauliOp):
-        if attack.width != state.num_qubits:
-            raise QDepthError("attack width does not match the register")
-        for q in range(state.num_qubits):
-            if (attack.z_bits >> (attack.width - 1 - q)) & 1:
-                state.apply_gate(Gate("Z", (q,)))
-            if (attack.x_bits >> (attack.width - 1 - q)) & 1:
-                state.apply_gate(Gate("X", (q,)))
-        return state
-    # Kraus list: sample one branch
-    dims = attack[0].shape[0]
-    if dims != 1 << state.num_qubits:
-        raise QDepthError("Kraus operators do not cover the register")
-    probs = []
-    branches = []
-    for k in attack:
-        amps = k @ state.amplitudes
-        p = float(np.vdot(amps, amps).real)
-        probs.append(p)
-        branches.append(amps)
-    probs = np.array(probs)
-    probs = probs / probs.sum()
-    pick = rng.choice(len(branches), p=probs)
-    amps = branches[pick]
-    state.amplitudes = amps / np.linalg.norm(amps)
-    return state
-
-
-def run_delegated_round(session: GadgetSession, prover_channel, rng, input_state=None):
-    """Run a full delegated round and produce the verifier's verdict.
-
-    X-test: accept iff the decrypted standard-basis outcome is all zero.
-    Z-test: accept iff the decrypted Hadamard-basis outcome is all zero.
-    Computation: returns ("state", final encrypted state, ledger).
-    """
-    state, session = run_session(session, rng, input_state)
-    state = apply_attack(state, prover_channel, rng)
-    ledger = session.ledger
-    n = session.n
-    if session.round_type == RoundType.COMPUTATION:
-        return "state", state, ledger
-    if session.round_type == RoundType.XTEST:
-        bits, _ = measure(state, range(n), "standard", rng)
-        ok = all((bits[q] ^ ledger.keys[q][0]) == 0 for q in range(n))
-    else:
-        bits, _ = measure(state, range(n), "hadamard", rng)
-        ok = all((bits[q] ^ ledger.keys[q][1]) == 0 for q in range(n))
-    return ("accept" if ok else "reject"), None, ledger
 
 
 @functools.lru_cache(maxsize=None)
@@ -415,15 +272,3 @@ def decrypt_state(state: StateVector, ledger: KeyLedger) -> StateVector:
     """A copy of ``state`` with the pad of ``encrypt_state`` removed:
     X where a is set, then Z where b is set."""
     return _apply_pad(state, ledger, z_first=False)
-
-
-def measure_test_failure_rates(circuit_ops, n, attack, trials, rng):
-    """Monte-Carlo failure frequencies (eps_X, eps_Z) under a planted attack."""
-    fails = {RoundType.XTEST: 0, RoundType.ZTEST: 0}
-    for round_type in fails:
-        for _ in range(trials):
-            session = GadgetSession.build(round_type, n, circuit_ops, rng)
-            verdict, _, _ = run_delegated_round(session, attack, rng)
-            if verdict == "reject":
-                fails[round_type] += 1
-    return fails[RoundType.XTEST] / trials, fails[RoundType.ZTEST] / trials

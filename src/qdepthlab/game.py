@@ -41,8 +41,8 @@ from .oracles import (
     standard_steps,
 )
 from .qsim import (
-    GATE_MATRICES, H, I2, S, SDG, T, Gate, SparseState, StateVector, _gather_index,
-    states_equal_up_to_phase, trial_rng,
+    GATE_MATRICES, H, I2, S, SDG, T, Gate, PauliDistribution, PauliOp, SparseState,
+    StateVector, _gather_index, states_equal_up_to_phase, trial_rng,
 )
 from .qsim import measure as qsim_measure
 
@@ -312,7 +312,7 @@ class GameLayout:
         self.layer_needs = []
         for _, t_wires in self.standin_layers:
             ops = [("T", w) for w in t_wires]
-            compiled, _ = compile_ops(ops)
+            compiled = compile_ops(ops)
             gadgets = [op for op in compiled if op[0] == "t"]
             self.layer_gadgets.append(gadgets)
             # by parity, the most gadgets of that parity either test round runs
@@ -645,11 +645,16 @@ class ProverA:
 
 
 class ProverO:
-    """Oracle prover: applies the oracle between queries and runs gadgets."""
+    """Oracle prover: applies the oracle between queries and runs gadgets.
 
-    def __init__(self, skip_oracle=False, attack=None):
+    ``attack`` is None or a ``PauliOp`` X^x Z^z that O plants on the first
+    ``attack.width`` wires of the register after each round's gadgets: on
+    instance 0 in a computation round, on the test wires in a test round.
+    """
+
+    def __init__(self, skip_oracle=False, attack: PauliOp | None = None):
         self.skip_oracle = skip_oracle
-        self.attack = attack     # None or ("X"|"Z", wire_position)
+        self.attack = attack
 
 
 STRATEGIES_A = {
@@ -664,8 +669,8 @@ STRATEGIES_A = {
 STRATEGIES_O = {
     "honest": lambda cfg: ProverO(),
     "skip-oracle": lambda cfg: ProverO(skip_oracle=True),
-    "pauli-x": lambda cfg: ProverO(attack=("X", 0)),
-    "pauli-z": lambda cfg: ProverO(attack=("Z", 0)),
+    "pauli-x": lambda cfg: ProverO(attack=PauliOp(1, 1, 0)),
+    "pauli-z": lambda cfg: ProverO(attack=PauliOp(1, 0, 1)),
 }
 
 
@@ -929,22 +934,33 @@ class GameRun:
         rnd.codes[wire] = int(_GADGET_AFTER[w, a, c_val])
         return c_val
 
-    def _apply_attack(self, rnd: _Round, attack):
-        kind, pos = attack
+    def _apply_attack(self, rnd: _Round, attack: PauliOp):
+        """X^x Z^z on the register's first ``attack.width`` wires: in a
+        computation round on instance 0, as one Z mask and then one X mask;
+        in a test round through the Z and X code maps, wire by wire."""
+        width = self.layout.inst_width if rnd.codes is None else len(rnd.codes)
+        if attack.width > width:
+            raise QDepthError(f"a {attack.width}-wire attack on {width} wires")
         if rnd.codes is None:
             inst = self.a.instances
             if inst:
                 if len(inst) > 1 and inst[0] is inst[1]:
                     inst[0] = inst[0].copy()  # the others keep the shared state
                 st = inst[0]
-                mask = 1 << (st.num_qubits - 1 - pos)
-                if kind == "X":
-                    st.map_basis(lambda idx: idx ^ mask)
-                else:
-                    st.support = {k: (-v if (k & mask) else v)
+                shift = width - attack.width
+                z_mask, x_mask = attack.z_bits << shift, attack.x_bits << shift
+                if z_mask:
+                    st.support = {k: (-v if (k & z_mask).bit_count() & 1 else v)
                                   for k, v in st.support.items()}
+                if x_mask:
+                    st.map_basis(lambda idx: idx ^ x_mask)
             return
-        self._apply_gate(rnd, kind, (pos,), 0)
+        for w in range(attack.width):
+            bit = attack.width - 1 - w
+            if (attack.z_bits >> bit) & 1:
+                self._apply_gate(rnd, "Z", (w,), 0)
+            if (attack.x_bits >> bit) & 1:
+                self._apply_gate(rnd, "X", (w,), 0)
 
     # -- full protocol ---------------------------------------------------------
 
@@ -1001,6 +1017,19 @@ class GameRun:
         return "accept" if ok else "reject"
 
 
+def _play_single_round(cfg: ProtocolConfig, round_kind, prover_a, prover_o,
+                       oracle, rng):
+    """Build a run of ``cfg`` drawing from ``rng``, with a fresh oracle in
+    abstract fidelity unless one is given, begin prover A and play query 1
+    as a round of ``round_kind``.  Returns (verdict_or_None, run)."""
+    if oracle is None and cfg.fidelity == "abstract":
+        oracle = make_oracle(cfg, rng)
+    run = GameRun(cfg, prover_a, prover_o, oracle, rng)
+    run.a.begin(run.cfg, run.layout, rng)
+    verdict, _ = run.play_round(1, round_kind, np.arange(run.cfg.m, dtype=np.int64))
+    return verdict, run
+
+
 def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
                      strat_o="honest", oracle=None, seed=0):
     """Execute one isolated protocol round; returns (verdict_or_None, run).
@@ -1009,13 +1038,27 @@ def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
     exercise the delegation machinery without the surrounding query loop.
     """
     cfg = cfg.resolved()
-    rng = trial_rng(seed, 0)
-    if oracle is None and cfg.fidelity == "abstract":
-        oracle = make_oracle(cfg, rng)
-    run = GameRun(cfg, STRATEGIES_A[strat_a](cfg), STRATEGIES_O[strat_o](cfg), oracle, rng)
-    run.a.begin(run.cfg, run.layout, rng)
-    verdict, _ = run.play_round(1, round_kind, np.arange(run.cfg.m, dtype=np.int64))
-    return verdict, run
+    return _play_single_round(cfg, round_kind, STRATEGIES_A[strat_a](cfg),
+                              STRATEGIES_O[strat_o](cfg), oracle, trial_rng(seed, 0))
+
+
+def attack_failure_rates(cfg: ProtocolConfig, attack: PauliDistribution, trials, rng):
+    """Monte-Carlo rejection rates (eps_X, eps_Z) of the X and Z tests.
+
+    Plays ``trials`` X-test rounds, then as many Z-test rounds, against an
+    honest prover A; before each, one Pauli drawn from ``attack`` becomes
+    prover O's planted attack.  All draws come from ``rng``.
+    """
+    cfg = cfg.resolved()
+    rates = []
+    for kind in ("xtest", "ztest"):
+        rejects = 0
+        for _ in range(trials):
+            prover_o = ProverO(attack=attack.sample(rng))
+            verdict, _ = _play_single_round(cfg, kind, ProverA(), prover_o, None, rng)
+            rejects += verdict == "reject"
+        rates.append(rejects / trials)
+    return tuple(rates)
 
 
 # ---------------------------------------------------------------------------

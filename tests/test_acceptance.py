@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qdepthlab import gadgets, game, ntcf, oracles, qsim
-from qdepthlab.errors import DepthBudgetExceeded
+from qdepthlab.errors import DepthBudgetExceeded, QDepthError
 from qdepthlab.gadgets import KeyLedger, RoundType
 from qdepthlab.hybrid import DQC, HybridSession, audited_depth
 from qdepthlab.qsim import PauliDistribution, SparseState, StateVector
@@ -41,54 +41,62 @@ def test_criterion_01_h_compilation_identity():
 def test_criterion_02_t_gadget_exhaustion():
     rng = seeded(2)
     t0 = time.perf_counter()
+
+    def branch(st, keys, round_type, parity, z, c, e):
+        """The forced (c, e) branch: (output, ledger), None at probability 0."""
+        try:
+            _, _, out, ledger = gadgets.run_t_gadget(
+                st, 0, round_type, parity, z, rng,
+                ledger=KeyLedger.with_keys([keys]), force=(c, e))
+        except QDepthError:
+            return None
+        return out, ledger
+
+    def xz(a, b):
+        return np.linalg.matrix_power(qsim.X, a) @ np.linalg.matrix_power(qsim.Z, b)
+
     worst = 1.0
+    # branches run, per input state: every computation and Z-test branch
+    # can occur, and half of the X-test ones (e is fixed by a and c)
+    n_comp = []
     for _ in range(10):
         psi = qsim.random_state(1, rng)
-        for a, b, z in itertools.product((0, 1), repeat=3):
-            for c, e in itertools.product((0, 1), repeat=2):
-                st = StateVector(1, np.linalg.matrix_power(qsim.X, a)
-                                 @ np.linalg.matrix_power(qsim.Z, b) @ psi)
-                ledger = KeyLedger.with_keys([[a, b]])
-                try:
-                    _, _, out, ledger = gadgets.run_t_gadget(
-                        st, 0, RoundType.COMPUTATION, "computation", z, rng,
-                        ledger=ledger, force=(c, e))
-                except Exception:
-                    continue
-                a2, b2 = ledger.keys[0]
-                want = (np.linalg.matrix_power(qsim.X, a2)
-                        @ np.linalg.matrix_power(qsim.Z, b2) @ qsim.T @ psi)
-                worst = min(worst, qsim.fidelity(out.amplitudes, want))
+        n = 0
+        for a, b, z, c, e in itertools.product((0, 1), repeat=5):
+            got = branch(StateVector(1, xz(a, b) @ psi), [a, b],
+                         RoundType.COMPUTATION, "computation", z, c, e)
+            if got is None:
+                continue
+            n += 1
+            out, ledger = got
+            want = xz(*ledger.keys[0]) @ qsim.T @ psi
+            worst = min(worst, qsim.fidelity(out.amplitudes, want))
+        n_comp.append(n)
     # X-test even and Z-test odd rows act as the identity up to keys
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    for a, b, z in itertools.product((0, 1), repeat=3):
-        for c, e in itertools.product((0, 1), repeat=2):
-            st = StateVector.from_bits([a])
-            ledger = KeyLedger.with_keys([[a, b]])
-            try:
-                _, _, out, ledger = gadgets.run_t_gadget(
-                    st, 0, RoundType.XTEST, "even", z, rng,
-                    ledger=ledger, force=(c, e))
-            except Exception:
-                continue
+    n_x = n_z = 0
+    for a, b, z, c, e in itertools.product((0, 1), repeat=5):
+        got = branch(StateVector.from_bits([a]), [a, b], RoundType.XTEST, "even",
+                     z, c, e)
+        if got is not None:
+            n_x += 1
+            out, ledger = got
             want = np.zeros(2, dtype=complex)
             want[ledger.keys[0][0]] = 1
             worst = min(worst, qsim.fidelity(out.amplitudes, want))
-            st = StateVector(1, np.linalg.matrix_power(qsim.X, a)
-                             @ np.linalg.matrix_power(qsim.Z, b) @ plus)
-            ledger2 = KeyLedger.with_keys([[a, b]])
-            try:
-                _, _, out, ledger2 = gadgets.run_t_gadget(
-                    st, 0, RoundType.ZTEST, "odd", z, rng,
-                    ledger=ledger2, force=(c, e))
-            except Exception:
-                continue
-            want = (np.linalg.matrix_power(qsim.Z, ledger2.keys[0][1]) @ plus)
+        got = branch(StateVector(1, xz(a, b) @ plus), [a, b], RoundType.ZTEST, "odd",
+                     z, c, e)
+        if got is not None:
+            n_z += 1
+            out, ledger = got
+            want = np.linalg.matrix_power(qsim.Z, ledger.keys[0][1]) @ plus
             worst = min(worst, qsim.fidelity(out.amplitudes, want))
+    ok_counts = n_comp == [32] * 10 and (n_x, n_z) == (16, 32)
     elapsed = time.perf_counter() - t0
-    report(2, worst >= 1 - 1e-9 and elapsed < 5,
-           f"gadget outputs match the key table, min fidelity {worst:.2e} "
-           f"({elapsed:.1f} s)")
+    report(2, ok_counts and worst >= 1 - 1e-9 and elapsed < 5,
+           f"gadget outputs match the key table on {min(n_comp)}-{max(n_comp)} "
+           f"computation, {n_x} X-test and {n_z} Z-test branches per input "
+           f"state, min fidelity {worst:.2e} ({elapsed:.1f} s)")
 
 
 def test_criterion_03_pauli_twirl():
@@ -122,8 +130,8 @@ def test_criterion_04_test_round_pauli_relations():
         ops["I.I"]: 0.70, ops["X.I"]: 0.10, ops["I.Z"]: 0.12, ops["X.Z"]: 0.08,
     })
     trials = 5000
-    eps_x, eps_z = gadgets.measure_test_failure_rates(
-        [("T", 0)], 2, r, trials, rng)
+    cfg = game.ProtocolConfig(fidelity="gadget", standin_wires=2)
+    eps_x, eps_z = game.attack_failure_rates(cfg, r, trials, rng)
     x_clean = r.marginal_weight(lambda op: op.x_bits == 0)   # = 1 - eps_X
     z_clean = r.marginal_weight(lambda op: op.z_bits == 0)
     sig_x = ((1 - x_clean) * x_clean / trials) ** 0.5
@@ -303,7 +311,7 @@ def test_criterion_11_pseudorandom_simon_construction():
             try:
                 g.check_two_to_one()
                 ok = ok and g.s == s
-            except Exception:
+            except QDepthError:
                 ok = False
             checked += 1
     elapsed = time.perf_counter() - t0

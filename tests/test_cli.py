@@ -9,7 +9,7 @@ import sys
 import jsonschema
 import pytest
 
-from qdepthlab import gadgets
+from qdepthlab import game
 from qdepthlab.cli import main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -57,7 +57,13 @@ def test_gadget_check_planted_attack_passes_on_exact_rates(spec):
     """An X attack fails every X test and no Z test, a Z attack the reverse."""
     code, out = run_cli(["gadget-check", "--planted-attack", spec, "--trials", "20"])
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    report = json.loads(out)
+    validate(report, "gadget_check_report.v1.schema.json")
+    attack = next(c for c in report["checks"]
+                  if c["name"].startswith("planted_attack"))
+    rates = (1.0, 0.0) if spec[0] == "X" else (0.0, 1.0)
+    assert (attack["xtest_rejection"], attack["ztest_rejection"]) == rates
+    assert report["pass"] is True
 
 
 @pytest.mark.parametrize("spec, rates", [
@@ -66,7 +72,7 @@ def test_gadget_check_planted_attack_passes_on_exact_rates(spec):
 ])
 def test_gadget_check_planted_attack_fails_on_other_rates(spec, rates, monkeypatch):
     """Rates other than the exact ones an attack gives fail the check."""
-    monkeypatch.setattr(gadgets, "measure_test_failure_rates", lambda *args: rates)
+    monkeypatch.setattr(game, "attack_failure_rates", lambda *args: rates)
     code, out = run_cli(["gadget-check", "--planted-attack", spec, "--trials", "5"])
     assert code == 2
     report = json.loads(out)
@@ -81,16 +87,6 @@ def test_gadget_check_bad_planted_attack_is_config_error(spec, capsys):
     """Only X or Z on a wire in [0, 2) is an attack the check can plant."""
     assert main(["gadget-check", "--planted-attack", spec, "--trials", "1"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
-
-
-def test_gadget_check_twirl():
-    code, out = run_cli(["gadget-check", "--twirl", "1", "--trials", "5"])
-    assert code == 0
-    report = json.loads(out)
-    validate(report, "gadget_check_report.v1.schema.json")
-    twirl = next(c for c in report["checks"] if c["name"] == "twirl_n1")
-    assert twirl["pass"] is True and twirl["max_deviation"] < 1e-9
-    assert report["pass"] is True
 
 
 def test_twirl_check_within_tolerance():

@@ -772,6 +772,47 @@ def test_attack_copies_instance_zero_off_the_shared_state():
         assert all(st is clean.a.instances[0] for st in clean.a.instances)
 
 
+def test_pauli_attack_is_one_mask_per_kind_on_instance_zero():
+    """A two-wire attack X on wire 0 and Z on wire 1 leaves instance 0 the
+    attack-free support under those two masks: Z signs, then X flips."""
+    cfg = ProtocolConfig(**SMALL)
+    attack = qsim.PauliOp(2, 0b10, 0b01)
+    for seed in range(3):
+        _, clean = run_single_round(cfg, "comp", seed=seed)
+        _, attacked = game._play_single_round(
+            cfg, "comp", game.ProverA(), game.ProverO(attack=attack), None,
+            trial_rng(seed, 0))
+        width = clean.layout.inst_width
+        x_mask, z_mask = 1 << (width - 1), 1 << (width - 2)
+        want = {k ^ x_mask: (-v if k & z_mask else v)
+                for k, v in clean.a.instances[0].support.items()}
+        assert attacked.a.instances[0].support == want
+        assert attacked.a.instances[1].support == clean.a.instances[1].support
+
+
+@pytest.mark.parametrize("x_bits, z_bits, verdicts", [
+    (0b11, 0, ("reject", "accept")), (0, 0b11, ("accept", "reject")),
+    (0b01, 0b10, ("reject", "reject")), (0, 0, ("accept", "accept")),
+])
+def test_pauli_attack_on_test_wires(x_bits, z_bits, verdicts):
+    """In test rounds the attack runs through the X and Z code maps of every
+    wire it names: an X part fails the X test, a Z part the Z test."""
+    cfg = ProtocolConfig(n=3, d=2, q=3, fidelity="gadget")
+    for seed in range(4):
+        got = tuple(game._play_single_round(
+            cfg, kind, game.ProverA(), game.ProverO(attack=qsim.PauliOp(2, x_bits, z_bits)),
+            None, trial_rng(seed, 0))[0] for kind in ("xtest", "ztest"))
+        assert got == verdicts
+
+
+def test_attack_wider_than_the_register_is_a_lab_error():
+    cfg = ProtocolConfig(n=3, d=2, q=3, fidelity="gadget")
+    with pytest.raises(QDepthError):
+        game._play_single_round(cfg, "xtest", game.ProverA(),
+                                game.ProverO(attack=qsim.PauliOp(3, 0b100, 0)),
+                                None, trial_rng(0, 0))
+
+
 def test_final_answer_draws_instance_zero_from_its_own_state(monkeypatch):
     """Under attack the closing measurement draws instance 0 first, from its
     own copy, then the other t-1 instances from the shared state, which
