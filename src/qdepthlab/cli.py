@@ -227,6 +227,8 @@ def _twirl_max_deviation(n, trials, rng):
 
 def cmd_twirl_check(args):
     require_at_least(args, n=1, trials=1)
+    if args.n > qsim.TWIRL_MAX_QUBITS:
+        raise CapacityError(f"twirl-check needs --n <= {qsim.TWIRL_MAX_QUBITS}")
     worst = _twirl_max_deviation(args.n, args.trials,
                                  np.random.default_rng(args.seed))
     result = {"n": args.n, "trials": args.trials, "max_deviation": worst,

@@ -211,7 +211,8 @@ class ProtocolConfig:
         if self.alpha is not None and not (0 < self.alpha < 1):
             violations.append(f"alpha={self.alpha} outside (0, 1)")
         for name, low in (("q", 1), ("n", 2), ("d", 1), ("standin_wires", 1),
-                          ("t_parallel", 1)):
+                          ("t_parallel", 1), ("width_factor", 1),
+                          ("rigid_min_samples", 1)):
             value = getattr(self, name)
             if value is not None and value < low:
                 violations.append(f"{name} must be >= {low}")
@@ -1064,32 +1065,6 @@ def attack_failure_rates(cfg: ProtocolConfig, attack: PauliDistribution, trials,
 # ---------------------------------------------------------------------------
 # Top-level operations
 # ---------------------------------------------------------------------------
-
-
-def run_rigid_standalone(m, rng, cfg=None, prover_a="honest"):
-    """One standalone rigidity test over m EPR pairs; returns "accept"/"reject".
-
-    ``prover_a`` is "honest" (measures the requested bases), "random"
-    (reports coin flips without measuring), or "basis-swap" (measures X on
-    every other index whose requested basis is Z).
-    """
-    cfg = (cfg or ProtocolConfig()).resolved()
-    labels = rng.integers(0, len(SIGMA), size=m)
-    e_act = rng.integers(0, 2, size=m)
-    act_label = labels.copy()
-    measured = True
-    if prover_a == "random":
-        measured = False
-        e_rep = rng.integers(0, 2, size=m)
-    elif prover_a == "basis-swap":
-        act_label[np.flatnonzero(labels == Z_ID)[::2]] = X_ID
-        e_rep = e_act.copy()
-    elif prover_a == "honest":
-        e_rep = e_act.copy()
-    else:
-        raise QDepthError(f"unknown rigid strategy {prover_a!r}")
-    requests, outcomes = rigid_exchange(labels, act_label, e_act, measured, rng)
-    return rigid_verdict(labels, requests, e_rep, outcomes, cfg)
 
 
 def make_oracle(cfg: ProtocolConfig, rng):

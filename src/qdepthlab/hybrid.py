@@ -86,19 +86,6 @@ class HybridTrace:
             raise SchemeViolation(f"unknown scheme kind {self.scheme_kind!r}")
         return self
 
-    def as_dqc_view(self) -> "HybridTrace":
-        """Reinterpret a dCQ trace in the dQC format.
-
-        Full-register measurements are a special case of partial ones, so the
-        steps carry over verbatim.  The budget of the view is the cumulative
-        layer count (a multi-invocation dCQ run uses more total layers than
-        any single invocation).
-        """
-        if self.scheme_kind != DCQ:
-            raise SchemeViolation("only dCQ traces can be reinterpreted")
-        budget = max(self.budget, self.total_quantum_layers())
-        return HybridTrace(DQC, budget, list(self.steps))
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -21,9 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, QDepthError
-from .hybrid import DCQ, DQC, HybridSession, StepCircuit
+from .hybrid import DCQ, HybridSession, StepCircuit
 from .qsim import SparseState, bits_to_int
-from .qsim import measure as qsim_measure
+# unused here; kept because bench/tracer.py patches ``oracles.qsim_measure``
+from .qsim import measure as qsim_measure  # noqa: F401
 
 EXACT_TABLE_WIDTH_LIMIT = 24
 FEISTEL_ROUNDS = 10
@@ -556,27 +557,6 @@ def apply_inplace_perm(state: SparseState, fn, reg) -> SparseState:
     return state.map_basis(relabel)
 
 
-def inplace_from_standard(state: SparseState, perm: KeyedPermutation, reg, scratch_reg):
-    """|x> -> |P(x)> realized literally with two standard-oracle queries.
-
-    Query O_P into the scratch register, erase the input with O_{P^-1}, then
-    swap the registers.  The scratch register must start (and ends) all zero.
-    """
-    apply_standard_oracle(state, perm.eval, reg, scratch_reg)
-    apply_standard_oracle(state, perm.invert, scratch_reg, reg)
-    (a0, w0), (a1, w1) = reg, scratch_reg
-    if w0 != w1:
-        raise QDepthError("register widths differ")
-    total = state.num_qubits
-
-    def swap(idx):
-        x = _field(idx, total, a0, w0)
-        y = _field(idx, total, a1, w1)
-        return _with_field(_with_field(idx, total, a0, w0, y), total, a1, w1, x)
-
-    return state.map_basis(swap)
-
-
 # ---------------------------------------------------------------------------
 # GF(2) post-processing and the hidden-shift solvers
 # ---------------------------------------------------------------------------
@@ -747,37 +727,6 @@ def solve_inplace_dssp(
     s_hat = solve_hidden_shift(samples, n)
     trace = session.finish()
     return s_hat, trace, {"runs": runs, "accepted": len(samples), "samples": samples}
-
-
-def solve_inplace_dssp_parallel(oracle: InPlaceShufflingOracle, rng,
-                                t_parallel=None, budget=None):
-    """The same depth-(d+3) algorithm as one dQC execution.
-
-    All samples run as parallel instances inside a single coherent schedule
-    of d+3 layers, so the cumulative dQC depth equals d+3; declaring a
-    smaller budget aborts at the first over-budget layer.  Returns
-    (s_hat_or_None, trace, stats).
-    """
-    n, d = oracle.n, oracle.d
-    if d < 1:
-        raise QDepthError("in-place access needs d >= 1")
-    t = 6 * n if t_parallel is None else t_parallel
-    budget = d + 3 if budget is None else budget
-    session = HybridSession(DQC, budget, rng)
-    steps, total = inplace_steps(oracle)
-    states = [SparseState.from_bits([0] * total) for _ in range(t)]
-    for step in steps:
-        session.layer(states, step)
-    samples = []
-    for st in states:
-        bits, _ = qsim_measure(st, range(total), "standard", rng)
-        y = shift_sample(bits, n, True)
-        if y is not None:
-            samples.append(y)
-    session.classical("solve_gf2")
-    s_hat = solve_hidden_shift(samples, n)
-    trace = session.finish()
-    return s_hat, trace, {"instances": t, "accepted": len(samples), "samples": samples}
 
 
 def solve_standard_dssp(oracle, rng, samples_target=None, max_runs=None):

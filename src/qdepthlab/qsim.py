@@ -1,5 +1,5 @@
-"""Minimal quantum simulator: dense and sparse statevectors, gate layers,
-measurements, EPR pairs, teleportation, and Pauli-channel utilities.
+"""Minimal quantum simulator: dense and sparse statevectors, gates,
+measurements, EPR pairs, and the Pauli twirl with its channel references.
 
 Qubit 0 is the most significant bit of a basis index.  All state-returning
 operations preserve the L2 norm to within 1e-9; state equality is always
@@ -18,6 +18,9 @@ from .errors import CapacityError, QDepthError
 
 DENSE_LIMIT_DEFAULT = 22
 SPARSE_SUPPORT_CAP = 1 << 20
+# twirl's dense process arithmetic is exponential in n; callers check this
+# before drawing a channel
+TWIRL_MAX_QUBITS = 3
 _PRUNE = 1e-14
 ATOL = 1e-9
 
@@ -72,13 +75,6 @@ def bits_to_int(bits):
     for b in bits:
         idx = (idx << 1) | (b & 1)
     return idx
-
-
-def layer_targets(layer) -> list:
-    out = []
-    for g in layer:
-        out.extend(g.targets)
-    return out
 
 
 # Index maps of the dense kernel.  Each is built once per register width and
@@ -365,16 +361,6 @@ def _hadamard_tensor(k) -> np.ndarray:
     return hk
 
 
-def apply_layer(state, layer):
-    """Apply one gate layer (disjoint targets) to a dense or sparse state."""
-    targs = layer_targets(layer)
-    if len(set(targs)) != len(targs):
-        raise QDepthError("overlapping targets within one layer")
-    for g in layer:
-        state.apply_gate(g)
-    return state
-
-
 def trial_rng(seed, trial):
     """Generator for trial ``trial`` of a run seeded with ``seed``.
 
@@ -448,25 +434,6 @@ def make_epr(m, dense_limit=DENSE_LIMIT_DEFAULT) -> StateVector:
     for k in range(1 << m):
         amps[(k << m) | k] = scale
     return StateVector(2 * m, amps, dense_limit)
-
-
-def teleport(state, source_qubit, epr_pair, rng):
-    """Teleport ``source_qubit`` through the EPR pair (sender, receiver).
-
-    Returns ((a, b), state): the receiver qubit now holds X^a Z^b |psi> and
-    the source and sender qubits have been measured out of the register.
-    """
-    qa, qb = epr_pair
-    if len({source_qubit, qa, qb}) != 3:
-        raise QDepthError("teleport qubit indices collide")
-    state.apply_gate(Gate("CNOT", (source_qubit, qa)))
-    state.apply_gate(Gate("H", (source_qubit,)))
-    (b,), state = measure(state, [source_qubit], "standard", rng)
-    (a,), state = measure(state, [qa], "standard", rng)
-    hi, lo = max(source_qubit, qa), min(source_qubit, qa)
-    state.remove_qubit(hi, a if hi == qa else b)
-    state.remove_qubit(lo, a if lo == qa else b)
-    return (a, b), state
 
 
 def states_equal_up_to_phase(u, v, tol=ATOL) -> bool:
@@ -589,8 +556,9 @@ def twirl(kraus, n) -> PauliDistribution:
     Returns the distribution r with
     avg_a P_a^dag Phi(P_a rho P_a^dag) P_a = sum_a r_a P_a rho P_a^dag.
     """
-    if n > 3:
-        raise CapacityError("twirl uses dense process arithmetic; n must be <= 3")
+    if n > TWIRL_MAX_QUBITS:
+        raise CapacityError(f"twirl uses dense process arithmetic; n must be "
+                            f"<= {TWIRL_MAX_QUBITS}")
     dim = 1 << n
     if kraus[0].shape != (dim, dim):
         raise QDepthError("Kraus operators do not act on n qubits")
@@ -628,18 +596,6 @@ def pauli_channel_apply(r: PauliDistribution, rho) -> np.ndarray:
 def pauli_deviation(r: PauliDistribution) -> float:
     """Weight off the identity; 2*(1 - r_0) upper-bounds the diamond deviation."""
     return 1.0 - r.identity_weight()
-
-
-def choi_matrix(apply_fn, n) -> np.ndarray:
-    """Choi (process) matrix sum_ij |i><j| (x) Phi(|i><j|)."""
-    dim = 1 << n
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = apply_fn(e)
-    return out
 
 
 def haar_unitary(dim, rng) -> np.ndarray:

@@ -255,20 +255,26 @@ def test_criterion_08_cheat_detection():
 
 
 def test_criterion_09_rigidity_statistical_test():
+    """The rigidity round of the game over a pool of 200 EPR pairs: an
+    honest prover A passes, a classical one (who fabricates every outcome)
+    and a basis swapper (X for every other requested Z) are caught."""
     t0 = time.perf_counter()
-    m, trials = 200, 500
-    honest = sum(game.run_rigid_standalone(m, seeded(90, t)) == "accept"
-                 for t in range(trials)) / trials
-    random_rej = sum(
-        game.run_rigid_standalone(m, seeded(91, t), prover_a="random") == "reject"
-        for t in range(trials)) / trials
-    swap_rej = sum(
-        game.run_rigid_standalone(m, seeded(92, t), prover_a="basis-swap")
-        == "reject" for t in range(trials)) / trials
+    cfg = game.ProtocolConfig(fidelity="gadget", rigid_pool_floor=200)
+    m = game.game_layout(cfg.resolved()).m_size
+    assert m == 200
+    trials = 500
+
+    def rate(strat_a, verdict, seed0):
+        return sum(game.run_single_round(cfg, "rigid", strat_a, seed=seed0 + t)[0]
+                   == verdict for t in range(trials)) / trials
+
+    honest = rate("honest", "accept", 90_000)
+    classical_rej = rate("classical", "reject", 91_000)
+    swap_rej = rate("basis-swap", "reject", 92_000)
     elapsed = time.perf_counter() - t0
-    report(9, honest >= 0.99 and random_rej >= 0.99 and swap_rej >= 0.95
+    report(9, honest >= 0.99 and classical_rej >= 0.99 and swap_rej >= 0.95
            and elapsed < 120,
-           f"honest accept {honest:.3f}, random reject {random_rej:.3f}, "
+           f"honest accept {honest:.3f}, classical reject {classical_rej:.3f}, "
            f"basis-swap reject {swap_rej:.3f} at m={m} ({elapsed:.1f} s)")
 
 

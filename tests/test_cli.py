@@ -264,6 +264,15 @@ def test_config_file_without_standin_wire_or_instance_is_config_error(tmp_path, 
     assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
 
 
+def test_config_file_width_factor_zero_is_config_error(tmp_path, capsys):
+    """An enlarged domain of zero width cannot hold the inputs: exit 3, not
+    the exit 2 of a lab whose provers all failed."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 2\nd = 1\nq = 2\nwidth_factor = 0\n")
+    assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_bad_config_file(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value line\n")
@@ -293,6 +302,14 @@ def test_ntcf_run_over_cap_claw_state_is_capacity_error(capsys):
                          "--prover", "preimage-only"])
     assert code == 0
     validate(json.loads(out), "ntcf_report.v1.schema.json")
+
+
+@pytest.mark.parametrize("n", ["4", "20"])
+def test_twirl_check_over_cap_is_capacity_error(n, capsys):
+    """The dense twirl stops at three qubits; a larger --n is refused (exit
+    4) before any channel is drawn, however large it is."""
+    assert main(["twirl-check", "--n", n, "--trials", "1"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "capacity"
 
 
 def test_entry_point_subprocess():

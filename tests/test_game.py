@@ -23,7 +23,6 @@ from qdepthlab.game import (
     make_oracle,
     query_count,
     run_query_protocol,
-    run_rigid_standalone,
     run_single_round,
     run_trials,
     trial_rng,
@@ -78,6 +77,15 @@ def test_config_needs_a_standin_wire_and_an_instance(name, value):
     its instances' samples: below one of either, validate reports it."""
     with pytest.raises(ConfigError) as err:
         ProtocolConfig(**{**SMALL, name: value}).validate()
+    assert err.value.violations == [f"{name} must be >= 1"]
+
+
+@pytest.mark.parametrize("name", ["width_factor", "rigid_min_samples"])
+def test_config_rejects_zero_width_factor_and_rigid_samples(name):
+    """A zero-width enlarged domain cannot hold the inputs, and a rigidity
+    class may not pass on no samples: validate reports either."""
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(**{**SMALL, name: 0}).validate()
     assert err.value.violations == [f"{name} must be >= 1"]
 
 
@@ -415,22 +423,22 @@ def test_prover_out_of_depth_fabricates_the_pool_of_that_round(fidelity):
     assert verdicts == ["reject"] * 20
 
 
-# -- standalone rigidity test -----------------------------------------------------------
+# -- rigidity round played alone --------------------------------------------------------
 
 
 def test_rigid_standalone_rates():
-    m = 200
-    accept_honest = sum(
-        run_rigid_standalone(m, trial_rng(50, t)) == "accept" for t in range(200))
-    reject_random = sum(
-        run_rigid_standalone(m, trial_rng(51, t), prover_a="random") == "reject"
-        for t in range(200))
-    reject_swap = sum(
-        run_rigid_standalone(m, trial_rng(52, t), prover_a="basis-swap") == "reject"
-        for t in range(200))
-    assert accept_honest / 200 >= 0.99
-    assert reject_random / 200 >= 0.99
-    assert reject_swap / 200 >= 0.95
+    """One rigidity round over a 200-pair pool, played alone: honest passes,
+    a classical prover A and a basis swapper are rejected."""
+    cfg = ProtocolConfig(fidelity="gadget", rigid_pool_floor=200)
+    assert game.game_layout(cfg.resolved()).m_size == 200
+
+    def count(strat_a, verdict, seed0):
+        return sum(run_single_round(cfg, "rigid", strat_a, seed=seed0 + t)[0] == verdict
+                   for t in range(200))
+
+    assert count("honest", "accept", 50_000) / 200 >= 0.99
+    assert count("classical", "reject", 51_000) / 200 >= 0.99
+    assert count("basis-swap", "reject", 52_000) / 200 >= 0.95
 
 
 def test_ideal_correlators():

@@ -72,15 +72,6 @@ def _single_round_case(name):
     return _digest(parts)
 
 
-def _rigid_standalone_case():
-    parts = []
-    for strat in ("honest", "random", "basis-swap"):
-        for t in range(30):
-            parts.append(game.run_rigid_standalone(300, game.trial_rng(7, t),
-                                                   prover_a=strat))
-    return _digest(parts)
-
-
 def _estimate_case():
     parts = []
     for kw, (sa, so) in [
@@ -154,7 +145,6 @@ CASES = {
        for name in GAME_CONFIGS},
     **{f"single-round:{name}": (lambda name=name: _single_round_case(name))
        for name in ("inplace", "standard", "gadget")},
-    "rigid-standalone": _rigid_standalone_case,
     "estimate-acceptance": _estimate_case,
     "run-cvqd2": _cvqd2_case,
     "ntcf": _ntcf_case,
@@ -171,7 +161,6 @@ GOLDEN = {
     "protocol:inplace-answer": "04371b174035ce06a941093e93bfc6a47c187e830a88b0d5b8bc0a984cb68eec",
     "protocol:inplace-prp": "8c520642707ace1837c5613b836034874d3e25d3aab4028bb5004db825183855",
     "protocol:standard": "59265359bd653252ecbc16366442ba1dd2b19aa6b4ac6ecd5d70b7d1a5b8af64",
-    "rigid-standalone": "90c870096f9091721fc099657631de19bdc6aee470a0426e4d29648fb7e93c58",
     "run-cvqd2": "88e6849787b40cc1c7f3ee8d408e7a82330f636e3ea39bc5a885bc41c5867573",
     "single-round:gadget": "d4e569a4bae77f37503348c3f3a3895e054ff5afa59460a41bfec6bc97ce7f93",
     "single-round:inplace": "b4eff85fee8a3068116ddb0b8d2afb177c09a327b841672e95dd60399b505ae7",

@@ -162,20 +162,6 @@ def test_trace_json_roundtrip():
                                    "full_measurement": False}
 
 
-def test_dcq_trace_as_dqc_view(rng):
-    session = HybridSession(DCQ, 2, rng)
-    circuit = _circuit(2)
-    for _ in range(3):
-        session.invoke(circuit)
-    view = session.finish().as_dqc_view()
-    view.validate()
-    assert view.scheme_kind == DQC
-    # a single-invocation trace keeps its budget verbatim
-    single = HybridSession(DCQ, 2, rng)
-    single.invoke(circuit)
-    assert single.finish().as_dqc_view().budget == 2
-
-
 def test_validate_catches_missing_full_measurement():
     trace = HybridTrace(DCQ, 2, [TraceStep("quantum", layers=1)])
     with pytest.raises(SchemeViolation):
@@ -238,9 +224,6 @@ TRACE_PRODUCERS = {
     "prover-a-gadget": (lambda: _prover_a_trace("gadget"), 3 + 1),
     "solve-inplace-dssp": (
         lambda: _solver_trace(oracles.solve_inplace_dssp, "inplace"), 2 + 3),
-    "solve-inplace-dssp-parallel": (
-        lambda: _solver_trace(oracles.solve_inplace_dssp_parallel, "inplace"),
-        2 + 3),
     "solve-standard-dssp": (
         lambda: _solver_trace(oracles.solve_standard_dssp, "standard"), 2 * 2 + 3),
     "ntcf-honest": (_ntcf_trace, ntcf.D0_DEFAULT + 2),

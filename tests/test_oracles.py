@@ -20,14 +20,12 @@ from qdepthlab.oracles import (
     apply_standard_oracle,
     build_inplace,
     dot_bits,
-    inplace_from_standard,
     pseudorandom_simon,
     sample_shuffling,
     sample_simon,
     shift_sample,
     solve_hidden_shift,
     solve_inplace_dssp,
-    solve_inplace_dssp_parallel,
     solve_standard_dssp,
 )
 from qdepthlab.qsim import Gate, SparseState, bits_to_int, measure
@@ -354,37 +352,6 @@ def test_standard_oracle_register_overlap():
         apply_standard_oracle(st, lambda x: x, (0, 3), (2, 2))
 
 
-def test_two_query_inplace_route_matches_direct(rng):
-    perm = oracles.random_keyed_permutation(8, rng)
-    for x in range(256):
-        st = SparseState.from_bits([0] * 16)
-        st.map_basis(lambda idx: (x << 8))
-        inplace_from_standard(st, perm, (0, 8), (8, 8))
-        assert list(st.support) == [(perm.eval(x) << 8)]
-    # identity permutation gives the identity map
-    class _Id:
-        def eval(self, x):
-            return x
-
-        def invert(self, y):
-            return y
-
-    st = SparseState.from_bits([0] * 4)
-    inplace_from_standard(st, _Id(), (0, 2), (2, 2))
-    assert list(st.support) == [0]
-
-
-def test_two_query_route_on_superposition(rng):
-    perm = oracles.random_keyed_permutation(4, rng)
-    st = SparseState.from_bits([0] * 8)
-    for q in range(4):
-        st.apply_gate(Gate("H", (q,)))
-    inplace_from_standard(st, perm, (0, 4), (4, 4))
-    values = sorted(idx >> 4 for idx in st.support)
-    assert values == list(range(16))  # amplitudes permuted, none lost
-    assert abs(st.norm() - 1.0) < 1e-9
-
-
 # -- GF(2) solving and the dSSP solvers -------------------------------------------
 
 
@@ -436,16 +403,6 @@ def test_inplace_solver_recovers_and_audits(rng):
     assert audited_depth(trace) == 2 + 3
     assert trace.scheme_kind == "dCQ"
     trace.validate()
-
-
-def test_inplace_parallel_solver_is_one_dqc_run(rng):
-    f = sample_simon(3, rng)
-    sh = sample_shuffling(f, 2, rng, mode="exact")
-    ipo = build_inplace(sh, rng)
-    s_hat, trace, stats = solve_inplace_dssp_parallel(ipo, rng, t_parallel=24)
-    assert s_hat == f.s
-    assert trace.scheme_kind == "dQC"
-    assert trace.total_quantum_layers() == 2 + 3
 
 
 def test_standard_solver_depth(rng):
@@ -584,20 +541,6 @@ def test_prp_mode_solver(rng):
     ipo = build_inplace(sh, rng)
     s_hat, _, _ = solve_inplace_dssp(ipo, rng)
     assert s_hat == f.s
-
-
-def test_inplace_solver_under_budget_d_aborts(rng):
-    """The erasing-access schedule declared as a dQC scheme runs at budget
-    d+3 and aborts under budget d."""
-    from qdepthlab.errors import DepthBudgetExceeded
-
-    f = sample_simon(3, rng)
-    sh = sample_shuffling(f, 2, rng, mode="exact")
-    ipo = build_inplace(sh, rng)
-    s_hat, trace, _ = solve_inplace_dssp_parallel(ipo, rng, t_parallel=20)
-    assert s_hat == f.s and trace.budget == 5
-    with pytest.raises(DepthBudgetExceeded):
-        solve_inplace_dssp_parallel(ipo, rng, t_parallel=4, budget=2)
 
 
 def test_prp_mode_inplace_bijectivity_spot_check(rng):

@@ -1,4 +1,4 @@
-"""Simulator core: gates, measurement statistics, teleportation, twirling."""
+"""Simulator core: gates, measurement statistics, EPR pairs, twirling."""
 
 import itertools
 import json
@@ -24,28 +24,30 @@ def rng():
 
 def test_h_on_zero():
     st = StateVector.from_bits([0])
-    qsim.apply_layer(st, [Gate("H", (0,))])
+    st.apply_gate(Gate("H", (0,)))
     assert np.allclose(st.amplitudes, [2 ** -0.5, 2 ** -0.5])
 
 
 def test_parallel_x_layer():
     st = StateVector.from_bits([0, 0])
-    qsim.apply_layer(st, [Gate("X", (0,)), Gate("X", (1,))])
+    st.apply_gate(Gate("X", (0,)))
+    st.apply_gate(Gate("X", (1,)))
     assert np.allclose(st.amplitudes, [0, 0, 0, 1])
 
 
 def test_layer_rejects_overlapping_targets():
     st = StateVector.from_bits([0, 0])
     with pytest.raises(QDepthError):
-        qsim.apply_layer(st, [Gate("X", (0,)), Gate("H", (0,))])
+        st.apply_gate(Gate("CNOT", (0, 0)))
     with pytest.raises(QDepthError):
-        qsim.apply_layer(st, [Gate("X", (5,))])
+        st.apply_gate(Gate("X", (5,)))
 
 
 def test_random_layer_preserves_norm(rng):
     st = StateVector(3, qsim.random_state(3, rng))
     u = qsim.haar_unitary(4, rng)
-    qsim.apply_layer(st, [Gate("U2", (0, 2), matrix=u), Gate("H", (1,))])
+    st.apply_gate(Gate("U2", (0, 2), matrix=u))
+    st.apply_gate(Gate("H", (1,)))
     assert abs(st.norm() - 1.0) < 1e-9
 
 
@@ -109,32 +111,6 @@ def test_epr_pairing_and_correlations(rng):
             assert (idx >> 1) == (idx & 1)
 
 
-def test_teleport_correction_identity(rng):
-    """Receiver holds X^a Z^b |psi> exactly, for 50 random states."""
-    for _ in range(50):
-        psi = qsim.random_state(1, rng)
-        st = StateVector(3, np.kron(psi, qsim.make_epr(1).amplitudes))
-        (a, b), out = qsim.teleport(st, 0, (1, 2), rng)
-        want = (np.linalg.matrix_power(qsim.X, a)
-                @ np.linalg.matrix_power(qsim.Z, b) @ psi)
-        assert qsim.fidelity(out.amplitudes, want) > 1 - 1e-9
-
-
-def test_teleport_of_basis_states(rng):
-    for bit in (0, 1):
-        psi = np.zeros(2, dtype=complex)
-        psi[bit] = 1
-        st = StateVector(3, np.kron(psi, qsim.make_epr(1).amplitudes))
-        (a, b), out = qsim.teleport(st, 0, (1, 2), rng)
-        assert abs(abs(out.amplitudes[bit ^ a]) - 1.0) < 1e-9
-
-
-def test_teleport_index_collision(rng):
-    st = StateVector(3)
-    with pytest.raises(QDepthError):
-        qsim.teleport(st, 1, (1, 2), rng)
-
-
 def test_dense_sparse_agreement(rng):
     """Random circuits on <= 12 qubits agree amplitude-wise within 1e-9."""
     n = 9
@@ -147,8 +123,9 @@ def test_dense_sparse_agreement(rng):
             for q in wires[:3]:
                 layer.append(Gate(["H", "T", "S", "X", "Z"][rng.integers(5)], (int(q),)))
             layer.append(Gate("CNOT", (int(wires[3]), int(wires[4]))))
-            qsim.apply_layer(dense, layer)
-            qsim.apply_layer(sparse, layer)
+            for gate in layer:
+                dense.apply_gate(gate)
+                sparse.apply_gate(gate)
         assert np.allclose(dense.amplitudes,
                            sparse.to_dense().amplitudes, atol=1e-9)
 
@@ -495,28 +472,6 @@ def test_twirl_matches_brute_force_average(rng, n):
             lhs = qsim.twirled_channel_apply(kraus, n, rho)
             rhs = qsim.pauli_channel_apply(r, rho)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
-def test_twirled_channel_is_pauli_in_choi(rng):
-    """Off-diagonal (in the Pauli basis) process-matrix entries vanish."""
-    kraus = qsim.random_cptp(1, rng)
-    twirled = lambda rho: qsim.twirled_channel_apply(kraus, 1, rho)
-    choi = qsim.choi_matrix(twirled, 1)
-    # expand the Choi state in the Pauli (x) Pauli basis; cross terms must die
-    for p in qsim.all_paulis(1):
-        for q_ in qsim.all_paulis(1):
-            if p == q_:
-                continue
-            pm, qm = p.matrix(), q_.matrix()
-            vec_p = np.kron(np.eye(2), pm).reshape(-1)
-            coeff = 0.0
-            # |P>> = (I (x) P) |Omega>>: check <<P| J |Q>> ~ 0 for P != Q
-            omega = np.zeros(4, dtype=complex)
-            omega[0] = omega[3] = 1.0
-            ket_p = np.kron(np.eye(2, dtype=complex), pm) @ omega
-            ket_q = np.kron(np.eye(2, dtype=complex), qm) @ omega
-            coeff = ket_p.conj() @ choi @ ket_q
-            assert abs(coeff) < 1e-9
 
 
 def test_pauli_deviation_values():
