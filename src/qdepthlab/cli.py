@@ -123,7 +123,7 @@ def write_manifest(args, cfg_json, oracle_descriptor=None):
 
 def cmd_gadget_check(args):
     require_at_least(args, trials=1)
-    n_wires = 2
+    n_wires = game.STANDIN_WIRES
     attack = _planted_attack(args.planted_attack, n_wires) if args.planted_attack else None
     rng = np.random.default_rng(args.seed)
     report = {"checks": []}
@@ -165,7 +165,7 @@ def cmd_gadget_check(args):
         pauli, wire = attack
         bit = 1 << (n_wires - 1 - wire)
         op = qsim.PauliOp(n_wires, bit if pauli == "X" else 0, bit if pauli == "Z" else 0)
-        cfg = game.ProtocolConfig(fidelity="gadget", standin_wires=n_wires)
+        cfg = game.ProtocolConfig(fidelity="gadget")
         ex, ez = game.attack_failure_rates(cfg, qsim.PauliDistribution({op: 1.0}),
                                            args.trials, rng)
         # a bit flip on a wire fails every X test and no Z test; a phase
@@ -309,8 +309,7 @@ def cmd_game_run(args):
         raise ConfigError(violations)
     cfg = build_protocol_config(args).validate()
     result, transcripts = game.run_trials(
-        cfg, args.strategy_a, args.strategy_o, trials=args.trials,
-        seed=args.seed, repeat=args.repeat, jobs=args.jobs)
+        cfg, args.strategy_a, args.strategy_o, repeat=args.repeat, jobs=args.jobs)
     write_manifest(args, result["config"])
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)

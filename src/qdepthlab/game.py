@@ -108,13 +108,13 @@ CHSH_SIGNS = [1.0 if ideal_correlator(a, o) > 0 else -1.0 for a, o in CHSH_PAIRS
 MATCHED_CORRELATORS = {w: ideal_correlator(w, w) for w in ("X", "Y", "Z")}
 
 
-def rigid_verdict(labels, requests, e_rep, outcomes, cfg) -> str:
+def rigid_verdict(labels, requests, e_rep, outcomes) -> str:
     """Correlator-threshold rigidity decision.
 
     ``labels`` (A's bases) and ``requests`` (O's bases) are int codes into
     ``SIGMA``.  Accepts iff every matched-basis class (X,X), (Y,Y), (Z,Z)
-    sits within ``rigid_exact_tol`` of its ideal EPR correlator and the
-    pooled CHSH value over the F/G classes reaches ``rigid_chsh_min``
+    sits within ``RIGID_EXACT_TOL`` of its ideal EPR correlator and the
+    pooled CHSH value over the F/G classes reaches ``RIGID_CHSH_MIN``
     (honest value 2*sqrt(2)).
     """
     k = len(SIGMA)
@@ -125,17 +125,17 @@ def rigid_verdict(labels, requests, e_rep, outcomes, cfg) -> str:
     sums = np.bincount(cls, weights=prods, minlength=k * k)
     for w, ideal in MATCHED_CORRELATORS.items():
         c = SIGMA.index(w) * (k + 1)        # the class (w, w)
-        if counts[c] < cfg.rigid_min_samples:
+        if counts[c] < RIGID_MIN_SAMPLES:
             continue
-        if abs(sums[c] / counts[c] - ideal) > cfg.rigid_exact_tol:
+        if abs(sums[c] / counts[c] - ideal) > RIGID_EXACT_TOL:
             return "reject"
     s_val = 0.0
     for (wa, wo), sign in zip(CHSH_PAIRS, CHSH_SIGNS):
         c = SIGMA.index(wa) * k + SIGMA.index(wo)
-        if counts[c] < cfg.rigid_min_samples:
+        if counts[c] < RIGID_MIN_SAMPLES:
             return "reject"
         s_val += sign * float(sums[c] / counts[c])
-    if s_val < cfg.rigid_chsh_min:
+    if s_val < RIGID_CHSH_MIN:
         return "reject"
     return "accept"
 
@@ -163,56 +163,64 @@ def wilson_interval(successes, trials, z=1.96):
 # ---------------------------------------------------------------------------
 
 
+# A game's fixed settings.  Once a test runs, each of the X and Z tests has
+# chance P_TEST (p of the paper) and the rigidity test the rest, 1 - 2p.
+P_TEST = 1.0 / 3.0
+# free constant in alpha = 1/(1 + 2qc/p); 1/2 keeps the no-test branch heavy
+# enough that answer-only cheats sit well below honest acceptance
+ALPHA_C = 0.5
+# a matched-basis rigidity class may sit RIGID_EXACT_TOL from its ideal
+# correlator and counts from RIGID_MIN_SAMPLES samples on; the pooled CHSH
+# value must reach RIGID_CHSH_MIN
+RIGID_EXACT_TOL = 0.25
+RIGID_CHSH_MIN = 1.8
+RIGID_MIN_SAMPLES = 4
+# the stand-in circuit's wires; each of its d layers is CNOT(0, 1), then T on 0
+STANDIN_WIRES = 2
+# smallest layer block, and smallest measured pool per query: the floor keeps
+# the rigidity correlator classes populated even for tiny gadget-mode games
+BLOCK_MARGIN = 20
+RIGID_POOL_FLOOR = 240
+# draws of the basis labels before a query's partition is given up
+PARTITION_TRIES = 1000
+
+
 @dataclass
 class ProtocolConfig:
+    """The settable values of a game; the fixed ones are the constants above.
+    Every field except ``alpha`` is a ``game-run`` flag, and a ``--config``
+    file may set any field."""
+
     n: int = 3
     d: int = 2
     q: int = 3
-    p: float = 1.0 / 3.0
     alpha: float | None = None
-    # free constant in alpha = 1/(1 + 2qc/p); 1/2 keeps the no-test branch
-    # heavy enough that answer-only cheats sit well below honest acceptance
-    alpha_c: float = 0.5
     t_parallel: int | None = None
-    m: int | None = None
     trials: int = 100
     seed: int = 0
     oracle_mode: str = "exact"
     fidelity: str = "abstract"
     target: str = "inplace"          # or "standard": oracle access model
-    standin_wires: int = 2
-    block_margin: int = 20
-    rigid_exact_tol: float = 0.25
-    rigid_chsh_min: float = 1.8
-    rigid_min_samples: int = 4
-    rigid_pool_floor: int = 240
-    width_factor: int | None = None
 
     def resolved(self) -> "ProtocolConfig":
-        """This config with alpha, t_parallel and m filled in; ``self`` when
-        they already are, since nothing mutates a resolved config."""
-        if None not in (self.alpha, self.t_parallel, self.m):
+        """This config with alpha and t_parallel filled in; ``self`` when they
+        already are, since nothing mutates a resolved config."""
+        if None not in (self.alpha, self.t_parallel):
             return self
         cfg = replace(self)
         if cfg.alpha is None:
-            cfg.alpha = choose_alpha(cfg.q, cfg.p, cfg.alpha_c)
+            cfg.alpha = choose_alpha(cfg.q, P_TEST, ALPHA_C)
         if cfg.t_parallel is None:
             # the shift-recovery failure rate is about (2^(n-1)-1)(3/4)^t,
             # so two dozen parallel instances keep it under 1% at any n
             cfg.t_parallel = max(24, 6 * cfg.n)
-        if cfg.m is None:
-            cfg.m = game_layout(cfg).pool_need
         return cfg
 
     def validate(self):
         violations = []
-        if not (0 < self.p < 0.5):
-            violations.append(f"p={self.p} outside (0, 1/2)")
         if self.alpha is not None and not (0 < self.alpha < 1):
             violations.append(f"alpha={self.alpha} outside (0, 1)")
-        for name, low in (("q", 1), ("n", 2), ("d", 1), ("standin_wires", 1),
-                          ("t_parallel", 1), ("width_factor", 1),
-                          ("rigid_min_samples", 1)):
+        for name, low in (("q", 1), ("n", 2), ("d", 1), ("t_parallel", 1)):
             value = getattr(self, name)
             if value is not None and value < low:
                 violations.append(f"{name} must be >= {low}")
@@ -225,26 +233,15 @@ class ProtocolConfig:
         violations += schedule_violations(self)
         if violations:
             raise ConfigError(violations)
-        cfg = self.resolved()
-        t_gates = sum(len(tw) for _, tw in standin_layers(self))
-        floor = cfg.n + t_gates * cfg.q + 2 * cfg.n
-        pool_need = game_layout(cfg).pool_need
-        if cfg.m < max(pool_need, floor):
-            violations.append(f"m={cfg.m} below required pool {pool_need}")
-        if violations:
-            raise ConfigError(violations)
-        return cfg
+        return self.resolved()
 
     def to_json(self):
         cfg = self.resolved()
-        out = {k: getattr(cfg, k) for k in (
-            "n", "d", "q", "p", "alpha", "t_parallel", "m", "trials", "seed",
-            "oracle_mode", "fidelity", "target", "standin_wires",
-        )}
-        # a shrunken enlarged-domain factor is a deliberate deviation from the
-        # (d+2)n construction and must be visible in every transcript
-        out["width_factor"] = (cfg.width_factor if cfg.width_factor is not None
-                               else cfg.d + 2)
+        out = dict(vars(cfg))
+        # the fixed settings, at the values the game runs with: every report
+        # and transcript records them
+        out.update(p=P_TEST, m=game_layout(cfg).pool_need,
+                   standin_wires=STANDIN_WIRES, width_factor=cfg.d + 2)
         return out
 
 
@@ -264,16 +261,12 @@ def schedule_violations(cfg: ProtocolConfig) -> list:
 
 def standin_layers(cfg: ProtocolConfig):
     """Stand-in circuit as d layers of (clifford ops, T wires)."""
-    layers = []
-    for _ in range(cfg.d):
-        cliffords = [("CNOT", 0, 1)] if cfg.standin_wires >= 2 else []
-        layers.append((cliffords, [0]))
-    return layers
+    return [([("CNOT", 0, 1)], [0]) for _ in range(cfg.d)]
 
 
 def expected_standin_state(cfg: ProtocolConfig) -> StateVector:
     """q honest applications of the stand-in circuit on the zero state."""
-    sv = StateVector.from_bits([0] * cfg.standin_wires)
+    sv = StateVector.from_bits([0] * STANDIN_WIRES)
     for _ in range(cfg.q):
         for cliffords, t_wires in standin_layers(cfg):
             for cl in cliffords:
@@ -291,13 +284,13 @@ class GameLayout:
         if cfg.t_parallel is None:
             cfg = cfg.resolved()
         n, d = cfg.n, cfg.d
-        wf = cfg.width_factor if cfg.width_factor is not None else d + 2
-        self.big_width = wf * n
+        # the (d+2)n-bit enlarged domain of the shuffling oracle
+        self.big_width = (d + 2) * n
         if cfg.target == "inplace":
             self.inst_width = n + self.big_width + 1
         else:
             self.inst_width = n + d * self.big_width + n
-        self.n_si = cfg.standin_wires
+        self.n_si = STANDIN_WIRES
         if cfg.fidelity == "abstract":
             self.n_tot = cfg.t_parallel * self.inst_width + self.n_si
         else:
@@ -324,12 +317,9 @@ class GameLayout:
                                      "gf_basis": len(gadgets)})
         self.block_size = max(
             5 * max((sum(nd.values()) for nd in self.layer_needs), default=1),
-            cfg.block_margin,
+            BLOCK_MARGIN,
         )
-        # pool floor keeps the rigidity correlator classes populated even for
-        # tiny gadget-mode games
-        self.m_size = max(6 * self.n_tot + cfg.d * self.block_size,
-                          cfg.rigid_pool_floor)
+        self.m_size = max(6 * self.n_tot + cfg.d * self.block_size, RIGID_POOL_FLOOR)
         self.pool_need = cfg.q * (2 * self.n_tot + self.m_size)
         # the d layer blocks of a partition: the pool less the two test sets,
         # cut where np.array_split cuts it
@@ -339,8 +329,7 @@ class GameLayout:
 
 
 # the config fields GameLayout reads
-_LAYOUT_FIELDS = ("n", "d", "q", "t_parallel", "width_factor", "target", "fidelity",
-                  "standin_wires", "block_margin", "rigid_pool_floor")
+_LAYOUT_FIELDS = ("n", "d", "q", "t_parallel", "target", "fidelity")
 _LAYOUTS = {}
 
 
@@ -424,7 +413,7 @@ class SetupPartition:
     blocks: list                    # pool positions per layer block
 
 
-def draw_partition(layout: GameLayout, free_indices, rng, max_tries=1000):
+def draw_partition(layout: GameLayout, free_indices, rng):
     """Sample one query's allocation; resample W until every block supports
     every round type (the feasibility predicate is round-independent, so
     conditioning preserves blindness)."""
@@ -440,7 +429,7 @@ def draw_partition(layout: GameLayout, free_indices, rng, max_tries=1000):
     return_block = chosen[layout.n_tot: 2 * layout.n_tot]
     pool = chosen[2 * layout.n_tot:]
 
-    for _ in range(max_tries):
+    for _ in range(PARTITION_TRIES):
         w = rng.integers(0, len(SIGMA), size=len(pool))
         z_pos = np.flatnonzero(w == Z_ID)
         x_pos = np.flatnonzero(w == X_ID)
@@ -777,7 +766,7 @@ class GameRun:
                                             rnd.coherent, self.rng)
         self.log("V", "O", MSG_BASIS, {"labels": _SIGMA_NAMES[requests]})
         self.log("O", "V", MSG_MEAS, {"o": outcomes})
-        verdict = rigid_verdict(labels, requests, rnd.e_rep, outcomes, self.cfg)
+        verdict = rigid_verdict(labels, requests, rnd.e_rep, outcomes)
         return verdict, rnd.free
 
     # -- computation / X-test / Z-test round ----------------------------------
@@ -974,13 +963,13 @@ class GameRun:
         if not gamma_zero:
             ell = 1 + int(rng.integers(cfg.q))
             u = rng.random()
-            if u < cfg.p:
+            if u < P_TEST:
                 test_round = "xtest"
-            elif u < 2 * cfg.p:
+            elif u < 2 * P_TEST:
                 test_round = "ztest"
             else:
                 test_round = "rigid"
-        free = np.arange(cfg.m, dtype=np.int64)
+        free = np.arange(self.layout.pool_need, dtype=np.int64)
         # computation rounds up to the test round at query ell, or all q
         for i in range(1, (cfg.q if gamma_zero else ell) + 1):
             verdict, free = self.play_round(i, test_round if i == ell else "comp", free)
@@ -1027,7 +1016,8 @@ def _play_single_round(cfg: ProtocolConfig, round_kind, prover_a, prover_o,
         oracle = make_oracle(cfg, rng)
     run = GameRun(cfg, prover_a, prover_o, oracle, rng)
     run.a.begin(run.cfg, run.layout, rng)
-    verdict, _ = run.play_round(1, round_kind, np.arange(run.cfg.m, dtype=np.int64))
+    verdict, _ = run.play_round(1, round_kind,
+                                np.arange(run.layout.pool_need, dtype=np.int64))
     return verdict, run
 
 
@@ -1071,9 +1061,7 @@ def make_oracle(cfg: ProtocolConfig, rng):
     """Sample a fresh hidden-shift oracle matching the config."""
     cfg = cfg.resolved()
     simon = sample_simon(cfg.n, rng)
-    shuffling = sample_shuffling(
-        simon, cfg.d, rng, mode=cfg.oracle_mode, width_factor=cfg.width_factor
-    )
+    shuffling = sample_shuffling(simon, cfg.d, rng, mode=cfg.oracle_mode)
     if cfg.target == "inplace":
         return build_inplace(shuffling, rng)
     return shuffling
@@ -1091,17 +1079,17 @@ def run_query_protocol(cfg: ProtocolConfig, prover_a, prover_o, oracle, rng):
         return "reject", t
 
 
-def play_trial(cfg: ProtocolConfig, strat_a, strat_o, seed, t):
+def play_trial(cfg: ProtocolConfig, strat_a, strat_o, t):
     """Trial ``t`` of a seeded run: a fresh oracle (abstract fidelity only)
     and fresh provers from the named strategies, all drawing from
-    ``trial_rng(seed, t)``.  Returns (verdict, transcript)."""
-    rng = trial_rng(seed, t)
+    ``trial_rng(cfg.seed, t)``.  Returns (verdict, transcript)."""
+    rng = trial_rng(cfg.seed, t)
     oracle = make_oracle(cfg, rng) if cfg.fidelity == "abstract" else None
     return run_query_protocol(cfg, STRATEGIES_A[strat_a](cfg),
                               STRATEGIES_O[strat_o](cfg), oracle, rng)
 
 
-def _trial_chunk(cfg, strat_a, strat_o, seed, repeat, t0, t1):
+def _trial_chunk(cfg, strat_a, strat_o, repeat, t0, t1):
     """Logical trials ``[t0, t1)`` of a run: trial t plays streams
     ``t*repeat + r`` and stops at the first reject.  Returns (accepted,
     audited depths, the JSON of the streams below 3 that were played)."""
@@ -1110,7 +1098,7 @@ def _trial_chunk(cfg, strat_a, strat_o, seed, repeat, t0, t1):
     transcripts = []
     for t in range(t0, t1):
         for stream in range(t * repeat, (t + 1) * repeat):
-            verdict, transcript = play_trial(cfg, strat_a, strat_o, seed, stream)
+            verdict, transcript = play_trial(cfg, strat_a, strat_o, stream)
             depths.add(transcript.depth_audit.get("audited_depth"))
             if stream < 3:
                 transcripts.append(transcript.to_json())
@@ -1121,24 +1109,23 @@ def _trial_chunk(cfg, strat_a, strat_o, seed, repeat, t0, t1):
     return accepted, depths, transcripts
 
 
-def run_trials(cfg: ProtocolConfig, strat_a, strat_o, trials=None, seed=None,
-               repeat=1, jobs=1):
+def run_trials(cfg: ProtocolConfig, strat_a, strat_o, repeat=1, jobs=1):
     """Monte-Carlo acceptance of the named strategies with a Wilson 95% interval.
 
-    ``repeat`` > 1 applies sequential repetition: one logical trial accepts
-    only if all its repetitions accept.  ``jobs`` > 1 splits the logical
-    trials into contiguous chunks over worker processes; the results do not
-    depend on it.  Returns (report, transcripts), the latter the JSON of
-    streams 0-2, less any that an earlier reject in their trial skipped.
+    Plays ``cfg.trials`` logical trials from ``cfg.seed``.  ``repeat`` > 1
+    applies sequential repetition: one logical trial accepts only if all its
+    repetitions accept.  ``jobs`` > 1 splits the logical trials into
+    contiguous chunks over worker processes; the results do not depend on
+    it.  Returns (report, transcripts), the latter the JSON of streams 0-2,
+    less any that an earlier reject in their trial skipped.
     """
     cfg = cfg.resolved()
-    trials = cfg.trials if trials is None else trials
+    trials = cfg.trials
     if trials < 1 or repeat < 1 or jobs < 1:
         raise ConfigError([f"need trials, repeat and jobs >= 1, got "
                            f"{trials}, {repeat} and {jobs}"])
-    seed = cfg.seed if seed is None else seed
     bounds = np.linspace(0, trials, jobs + 1, dtype=int)
-    chunks = [(cfg, strat_a, strat_o, seed, repeat, int(a), int(b))
+    chunks = [(cfg, strat_a, strat_o, repeat, int(a), int(b))
               for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if jobs == 1:
         parts = [_trial_chunk(*chunk) for chunk in chunks]

@@ -142,9 +142,6 @@ class HonestProver:
     one layer, so a full run audits exactly d0 + d.
     """
 
-    def __init__(self, failure_rate=0.0):
-        self.failure_rate = failure_rate
-
     def _budget(self, d):
         return D0_DEFAULT + d
 
@@ -170,8 +167,6 @@ class HonestProver:
         if i >= 2:
             self.session.charge_layers(
                 1, f"round_{i}_basis: applied by the measurement that reads it")
-        if self.failure_rate and self.rng.random() < self.failure_rate:
-            return (1, 0) if c == 1 else (0, 0)
         basis = "standard" if c == 0 else "hadamard"
         bits, _ = qsim_measure(self.states[i - 1], range(0, 1 + n), basis, self.rng)
         return _head_rest(bits)
@@ -227,7 +222,6 @@ class ResetProver(HonestProver):
     """
 
     def __init__(self, j, equation_mode="guess"):
-        super().__init__()
         self.j = j
         self.equation_mode = equation_mode
 

@@ -267,13 +267,12 @@ class ShufflingOracle:
     simon: SimonFunction
     middle: list
     mode: str
-    width_factor: int
     seed: int | None = None
     s_d: dict = field(default_factory=dict)   # chain endpoint -> n-bit preimage
 
     @property
     def big_width(self) -> int:
-        return self.width_factor * self.n
+        return (self.d + 2) * self.n
 
     def chain_point(self, x, upto=None) -> int:
         """f_{upto-1} o ... o f_0 applied to the input, an n-bit string
@@ -307,7 +306,7 @@ class ShufflingOracle:
                 "d": self.d,
                 "mode": self.mode,
                 "seed": self.seed,
-                "width_factor": self.width_factor,
+                "width_factor": self.d + 2,
                 "shift_commitment": commit,
             },
             sort_keys=True,
@@ -315,18 +314,12 @@ class ShufflingOracle:
 
 
 def sample_shuffling(
-    simon: SimonFunction, d, rng, mode="exact", width_factor=None, seed=None
+    simon: SimonFunction, d, rng, mode="exact", seed=None
 ) -> ShufflingOracle:
-    """Draw the middle permutations and assemble the chain for ``simon``.
-
-    ``width_factor`` below d+2 shrinks the enlarged domain for desk-scale
-    runs; the deviation is recorded in the oracle descriptor.
-    """
+    """Draw the middle permutations and assemble the chain for ``simon``,
+    over the (d+2)n-bit enlarged domain."""
     n = simon.n
-    width_factor = (d + 2) if width_factor is None else width_factor
-    big = width_factor * n
-    if big < n:
-        raise QDepthError("enlarged domain must fit the inputs")
+    big = (d + 2) * n
     middle = []
     if mode == "exact":
         if big > EXACT_TABLE_WIDTH_LIMIT:
@@ -342,8 +335,7 @@ def sample_shuffling(
     else:
         raise QDepthError(f"unknown shuffling mode {mode!r}")
     oracle = ShufflingOracle(
-        n=n, d=d, simon=simon, middle=middle, mode=mode,
-        width_factor=width_factor, seed=seed,
+        n=n, d=d, simon=simon, middle=middle, mode=mode, seed=seed,
     )
     for x in range(1 << n):
         y = oracle.chain_point(x)

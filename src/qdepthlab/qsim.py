@@ -605,9 +605,10 @@ def haar_unitary(dim, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_cptp(n, rng, env_dim=4):
-    """Random CPTP map on n qubits via a Haar isometry into an environment."""
-    dim = 1 << n
+def random_cptp(n, rng):
+    """Random CPTP map on n qubits via a Haar isometry into a four-level
+    environment: four Kraus operators."""
+    dim, env_dim = 1 << n, 4
     u = haar_unitary(dim * env_dim, rng)
     iso = u[:, :dim]
     return [iso[e * dim:(e + 1) * dim, :] for e in range(env_dim)]

@@ -130,7 +130,7 @@ def test_criterion_04_test_round_pauli_relations():
         ops["I.I"]: 0.70, ops["X.I"]: 0.10, ops["I.Z"]: 0.12, ops["X.Z"]: 0.08,
     })
     trials = 5000
-    cfg = game.ProtocolConfig(fidelity="gadget", standin_wires=2)
+    cfg = game.ProtocolConfig(fidelity="gadget")
     eps_x, eps_z = game.attack_failure_rates(cfg, r, trials, rng)
     x_clean = r.marginal_weight(lambda op: op.x_bits == 0)   # = 1 - eps_X
     z_clean = r.marginal_weight(lambda op: op.z_bits == 0)
@@ -149,8 +149,8 @@ def test_criterion_04_test_round_pauli_relations():
 
 def test_criterion_05_two_prover_honest_completeness():
     t0 = time.perf_counter()
-    cfg = game.ProtocolConfig(n=3, d=2, q=3, p=1 / 3, target="inplace",
-                              seed=505, t_parallel=12).resolved()
+    cfg = game.ProtocolConfig(n=3, d=2, q=3, target="inplace", seed=505,
+                              t_parallel=12).resolved()
     trials = 5000
     branch = defaultdict(lambda: [0, 0])
     for t in range(trials):
@@ -255,13 +255,13 @@ def test_criterion_08_cheat_detection():
 
 
 def test_criterion_09_rigidity_statistical_test():
-    """The rigidity round of the game over a pool of 200 EPR pairs: an
-    honest prover A passes, a classical one (who fabricates every outcome)
-    and a basis swapper (X for every other requested Z) are caught."""
+    """The rigidity round of the game over its 240-pair pool floor: an honest
+    prover A passes, a classical one (who fabricates every outcome) and a
+    basis swapper (X for every other requested Z) are caught."""
     t0 = time.perf_counter()
-    cfg = game.ProtocolConfig(fidelity="gadget", rigid_pool_floor=200)
+    cfg = game.ProtocolConfig(fidelity="gadget")
     m = game.game_layout(cfg.resolved()).m_size
-    assert m == 200
+    assert m == game.RIGID_POOL_FLOOR == 240
     trials = 500
 
     def rate(strat_a, verdict, seed0):

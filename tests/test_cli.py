@@ -5,11 +5,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdepthlab import game
+from qdepthlab import game, ntcf, qsim
 from qdepthlab.cli import main
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -240,37 +243,49 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_file_sets_every_config_field(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n = 2\nd = 1\nq = 2\nt_parallel = 5\nalpha = 0.5\n"
-                   "width_factor = 3\n")
+                   "oracle_mode = prp\n")
     code, out = run_cli(["game-run", "--config", str(cfg), "--trials", "4"])
     assert code == 0
     report = json.loads(out)["config"]
-    assert (report["t_parallel"], report["alpha"], report["width_factor"]) == (5, 0.5, 3)
+    assert (report["t_parallel"], report["alpha"], report["oracle_mode"]) == (5, 0.5, "prp")
 
 
-@pytest.mark.parametrize("line", ["trails = 7", "n = three"])
-def test_config_file_bad_key_or_value_is_config_error(tmp_path, line):
+# settings that are constants of the game module, not config keys, each at
+# the value a game of the file's config runs with
+RETIRED_KEYS = ["p = 0.3333333333333333", "alpha_c = 0.5", "m = 3528",
+                "standin_wires = 2", "block_margin = 20", "rigid_exact_tol = 0.25",
+                "rigid_chsh_min = 1.8", "rigid_min_samples = 4",
+                "rigid_pool_floor = 240", "width_factor = 3"]
+
+
+@pytest.mark.parametrize("line", ["trails = 7", "n = three", *RETIRED_KEYS])
+def test_config_file_bad_key_or_value_is_config_error(tmp_path, line, capsys):
+    """An unknown key or a value of the wrong type exits 3 naming the key."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"n = 2\nd = 1\nq = 2\n{line}\n")
     assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
+    key = line.split(" = ")[0]
+    assert any(repr(key) in v for v in json.loads(capsys.readouterr().err)["violations"])
 
 
-@pytest.mark.parametrize("line", ["standin_wires = 0", "t_parallel = -1",
-                                  "t_parallel = 0"])
+@pytest.mark.parametrize("line", ["t_parallel = -1", "t_parallel = 0"])
 def test_config_file_without_standin_wire_or_instance_is_config_error(tmp_path, line):
-    """Below one stand-in wire or one instance of prover A a game cannot
-    run: exit 3, not a crash or a run that answers at chance."""
+    """Below one instance of prover A a game cannot run: exit 3, not a crash
+    or a run that answers at chance."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"n = 2\nd = 1\nq = 2\n{line}\n")
     assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
 
 
-def test_config_file_width_factor_zero_is_config_error(tmp_path, capsys):
-    """An enlarged domain of zero width cannot hold the inputs: exit 3, not
-    the exit 2 of a lab whose provers all failed."""
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("n = 2\nd = 1\nq = 2\nwidth_factor = 0\n")
-    assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
+def test_gadget_game_runs_at_any_n():
+    """Gadget fidelity simulates no instances, so a large n leaves its
+    pool as small as at n = 2."""
+    code, out = run_cli(["game-run", "--n", "100", "--d", "1", "--q", "1",
+                         "--fidelity", "gadget", "--trials", "2"])
+    assert code == 0
+    report = json.loads(out)
+    validate(report, "game_report.v1.schema.json")
+    assert report["config"]["m"] == 244
 
 
 def test_bad_config_file(tmp_path):
@@ -331,3 +346,80 @@ def test_cli_pins_blas_threads_unless_the_user_set_them():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["False", "1", "3", "1"]
+
+
+# -- the exit-code and schema contract over edge values ------------------------
+
+_COUNTS = st.sampled_from([-1, 0, 1, 2])
+_D = st.sampled_from([-1, 0, 1, 2, 11])     # d = 11 widens exact tables past the cap
+_REPORT_SCHEMAS = {
+    "gadget-check": "gadget_check_report.v1.schema.json",
+    "twirl-check": "twirl_check_report.v1.schema.json",
+    "simon": "simon_report.v1.schema.json",
+    "dssp-run": "dssp_report.v1.schema.json",
+    "game-run": "game_report.v1.schema.json",
+    "ntcf-run": "ntcf_report.v1.schema.json",
+}
+
+
+def _sizes(over_cap):
+    """Edge values of an n, and one past the command's capacity cap (20 for
+    hidden-shift tables, 19 for claw states), refused before it allocates."""
+    return st.sampled_from([-1, 0, 1, 2, 3, over_cap])
+
+
+def _command(name, required, optional):
+    """argv for ``name``: every required flag and any of the optional ones,
+    each with a drawn value; a value of True is a bare switch."""
+    def argv(flags):
+        out = [name]
+        for flag, value in flags.items():
+            out += [f"--{flag}"] if value is True else [f"--{flag}", str(value)]
+        return out
+    return st.fixed_dictionaries(required, optional=optional).map(argv)
+
+
+# counts of work are always drawn, so that no example runs a default-sized
+# run; --jobs above 1 would spawn worker processes and is left out
+_ARGV = st.one_of(
+    _command("gadget-check", {"trials": _COUNTS},
+             {"planted-attack": st.sampled_from(["X:0", "Z:1", "X:2", "Y:0"])}),
+    _command("twirl-check", {"trials": _COUNTS},
+             {"n": st.sampled_from([-1, 0, 1, 2, qsim.TWIRL_MAX_QUBITS + 1])}),
+    _command("simon", {"samples": _COUNTS},
+             {"n": _sizes(21), "verify": st.just(True)}),
+    _command("dssp-run", {"runs": _COUNTS},
+             {"n": _sizes(21), "d": _D, "mode": st.sampled_from(["exact", "prp"]),
+              "access": st.sampled_from(["inplace", "standard"]),
+              "min-rate": st.sampled_from([0.0, 1.0])}),
+    _command("game-run", {"trials": _COUNTS},
+             {"n": _sizes(21), "d": _D, "q": st.sampled_from([-1, 0, 1, 2, 3]),
+              "target": st.sampled_from(["inplace", "standard"]),
+              "fidelity": st.sampled_from(["abstract", "gadget"]),
+              "oracle-mode": st.sampled_from(["exact", "prp"]),
+              "strategy-a": st.sampled_from([*game.STRATEGIES_A, "nope"]),
+              "strategy-o": st.sampled_from([*game.STRATEGIES_O, "nope"]),
+              "t-parallel": _COUNTS, "repeat": _COUNTS}),
+    _command("ntcf-run", {"trials": _COUNTS},
+             {"n": _sizes(20), "d": st.sampled_from([-1, 0, 1, 2]),
+              "prover": st.sampled_from(sorted(ntcf.PROVERS)),
+              "extract": st.just(True)}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_ARGV)
+def test_cli_exit_codes_and_artefacts_over_edge_values(argv):
+    """Over 0, 1, negative and over-capacity values of every subcommand's
+    flags, ``main`` exits 0, 2, 3 or 4, never with a traceback; what it
+    prints and every file it writes validates against its schema."""
+    with tempfile.TemporaryDirectory() as outdir:
+        code, out = run_cli(argv + ["--outdir", outdir])
+        assert code in (0, 2, 3, 4)
+        if code == 0 or out:
+            validate(json.loads(out), _REPORT_SCHEMAS[argv[0]])
+        for path in pathlib.Path(outdir).iterdir():
+            kind = path.stem.split("_")[0]      # report, manifest or transcript_<i>
+            validate(json.loads(path.read_text()),
+                     _REPORT_SCHEMAS[argv[0]] if kind == "report"
+                     else f"{kind}.v1.schema.json")

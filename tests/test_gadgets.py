@@ -236,7 +236,7 @@ def test_planted_pauli_failure_rates(rng):
         ops["I.I"]: 0.6, ops["X.I"]: 0.15, ops["I.Z"]: 0.15, ops["X.Z"]: 0.1,
     })
     trials = 1200
-    cfg = game.ProtocolConfig(fidelity="gadget", standin_wires=2)
+    cfg = game.ProtocolConfig(fidelity="gadget")
     ex, ez = game.attack_failure_rates(cfg, r, trials, rng)
     x_weight = r.marginal_weight(lambda op: op.x_bits != 0)   # 0.25
     z_weight = r.marginal_weight(lambda op: op.z_bits != 0)   # 0.25
@@ -270,7 +270,7 @@ def test_message_blindness_single_gadget():
     Read from the ZBits messages of played computation, X-test and Z-test
     rounds, each kind's z bits are a fair coin: the mean sits within four
     standard errors of 1/2, a bound fixed before the run."""
-    cfg = game.ProtocolConfig(fidelity="gadget", standin_wires=2)
+    cfg = game.ProtocolConfig(fidelity="gadget")
     for kind in ("comp", "xtest", "ztest"):
         bits = []
         for seed in range(300):

@@ -64,35 +64,19 @@ def test_wilson_interval_sane():
 
 
 def test_config_validation_reports_all_violations():
-    cfg = ProtocolConfig(n=1, d=0, q=0, p=0.7)
+    cfg = ProtocolConfig(n=1, d=0, q=0)
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert len(err.value.violations) >= 3
 
 
-@pytest.mark.parametrize("name, value", [("standin_wires", 0), ("t_parallel", -1),
-                                         ("t_parallel", 0)])
+@pytest.mark.parametrize("name, value", [("t_parallel", -1), ("t_parallel", 0)])
 def test_config_needs_a_standin_wire_and_an_instance(name, value):
-    """The stand-in puts its T gadgets on wire 0, and prover A answers from
-    its instances' samples: below one of either, validate reports it."""
+    """Prover A answers from its instances' samples: below one instance,
+    validate reports it."""
     with pytest.raises(ConfigError) as err:
         ProtocolConfig(**{**SMALL, name: value}).validate()
     assert err.value.violations == [f"{name} must be >= 1"]
-
-
-@pytest.mark.parametrize("name", ["width_factor", "rigid_min_samples"])
-def test_config_rejects_zero_width_factor_and_rigid_samples(name):
-    """A zero-width enlarged domain cannot hold the inputs, and a rigidity
-    class may not pass on no samples: validate reports either."""
-    with pytest.raises(ConfigError) as err:
-        ProtocolConfig(**{**SMALL, name: 0}).validate()
-    assert err.value.violations == [f"{name} must be >= 1"]
-
-
-def test_config_pool_floor():
-    cfg = ProtocolConfig(**SMALL, m=10)
-    with pytest.raises(ConfigError):
-        cfg.validate()
 
 
 @pytest.mark.parametrize("target, q", [("inplace", 4), ("standard", 6)])
@@ -113,7 +97,7 @@ def test_q_beyond_oracle_schedule_is_config_error(target, q):
 def test_partition_invariants(rng):
     cfg = ProtocolConfig(**SMALL).resolved()
     layout = GameLayout(cfg)
-    free = np.arange(cfg.m, dtype=np.int64)
+    free = np.arange(layout.pool_need, dtype=np.int64)
     part, rest = draw_partition(layout, free, rng)
     # disjoint allocation
     everything = (set(part.data_block.tolist()) | set(part.return_block.tolist())
@@ -140,7 +124,7 @@ def test_game_layout_memo_keys_on_values():
     cfg = ProtocolConfig(**SMALL)
     layout = game.game_layout(cfg)
     assert game.game_layout(ProtocolConfig(**SMALL)) is layout
-    assert game.game_layout(replace(cfg, seed=9, trials=5, alpha_c=0.7)) is layout
+    assert game.game_layout(replace(cfg, seed=9, trials=5, alpha=0.3)) is layout
     assert vars(layout) == vars(GameLayout(cfg))
     cfg.d = 3
     moved = game.game_layout(cfg)
@@ -154,7 +138,7 @@ def test_game_layout_memo_keys_on_values():
 def test_draw_partition_invariants_over_seeds(fidelity, seed, d):
     cfg = ProtocolConfig(n=3, d=d, q=2, t_parallel=4, fidelity=fidelity).resolved()
     layout = GameLayout(cfg)
-    free = np.arange(cfg.m, dtype=np.int64)
+    free = np.arange(layout.pool_need, dtype=np.int64)
     part, rest = draw_partition(layout, free, np.random.default_rng(seed))
     taken = np.concatenate([part.data_block, part.return_block, part.pool])
     assert len(set(taken.tolist())) == len(taken) == len(free) - len(rest)
@@ -197,33 +181,31 @@ def _ref_rigid_exchange(labels, act_label, e_act, measured, rng):
     return requests, outcomes
 
 
-def _ref_rigid_verdict(labels, requests, e_rep, outcomes, cfg):
+def _ref_rigid_verdict(labels, requests, e_rep, outcomes):
     """Per-class rigidity decision on string labels."""
     prods = (1 - 2 * np.asarray(e_rep)) * (1 - 2 * np.asarray(outcomes))
     for w in ("X", "Y", "Z"):
         sel = [i for i, l in enumerate(labels) if l == w and requests[i] == w]
-        if len(sel) < cfg.rigid_min_samples:
+        if len(sel) < game.RIGID_MIN_SAMPLES:
             continue
-        if abs(float(np.mean(prods[sel])) - ideal_correlator(w, w)) > cfg.rigid_exact_tol:
+        if abs(float(np.mean(prods[sel])) - ideal_correlator(w, w)) > game.RIGID_EXACT_TOL:
             return "reject"
     s_val = 0.0
     for (wa, wo), sign in zip(game.CHSH_PAIRS, game.CHSH_SIGNS):
         sel = [i for i, l in enumerate(labels) if l == wa and requests[i] == wo]
-        if len(sel) < cfg.rigid_min_samples:
+        if len(sel) < game.RIGID_MIN_SAMPLES:
             return "reject"
         s_val += sign * float(np.mean(prods[sel]))
-    return "reject" if s_val < cfg.rigid_chsh_min else "accept"
+    return "reject" if s_val < game.RIGID_CHSH_MIN else "accept"
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 400), top=st.sampled_from([2, 4]),
        cheat=st.sampled_from(["honest", "swap", "any", "lie"]),
-       measured=st.booleans(), seed=st.integers(0, 2**32 - 2),
-       min_samples=st.integers(1, 40))
-def test_rigid_codes_match_scalar_reference(m, top, cheat, measured, seed,
-                                            min_samples):
-    """Random label codes below ``top`` (2 draws no F/G label); small m or
-    large ``min_samples`` leave classes below the sample floor."""
+       measured=st.booleans(), seed=st.integers(0, 2**32 - 2))
+def test_rigid_codes_match_scalar_reference(m, top, cheat, measured, seed):
+    """Random label codes below ``top`` (2 draws no F/G label); a small m
+    leaves classes below the sample floor."""
     gen = np.random.default_rng(seed)
     labels = gen.integers(0, top + 1, size=m)
     act = labels.copy()
@@ -233,7 +215,6 @@ def test_rigid_codes_match_scalar_reference(m, top, cheat, measured, seed,
         act = gen.integers(0, len(game.SIGMA), size=m)
     e_act = gen.integers(0, 2, size=m)
     e_rep = 1 - e_act if cheat == "lie" else e_act
-    cfg = replace(ProtocolConfig(), rigid_min_samples=min_samples)
 
     rng_new, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     req, out = game.rigid_exchange(labels, act, e_act, measured, rng_new)
@@ -243,8 +224,8 @@ def test_rigid_codes_match_scalar_reference(m, top, cheat, measured, seed,
     assert [game.SIGMA[i] for i in req] == ref_req
     assert out.tolist() == ref_out.tolist()
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-    assert (game.rigid_verdict(labels, req, e_rep, out, cfg)
-            == _ref_rigid_verdict(s_labels, ref_req, e_rep, ref_out, cfg))
+    assert (game.rigid_verdict(labels, req, e_rep, out)
+            == _ref_rigid_verdict(s_labels, ref_req, e_rep, ref_out))
 
 
 # -- single rounds -------------------------------------------------------------------
@@ -427,10 +408,10 @@ def test_prover_out_of_depth_fabricates_the_pool_of_that_round(fidelity):
 
 
 def test_rigid_standalone_rates():
-    """One rigidity round over a 200-pair pool, played alone: honest passes,
-    a classical prover A and a basis swapper are rejected."""
-    cfg = ProtocolConfig(fidelity="gadget", rigid_pool_floor=200)
-    assert game.game_layout(cfg.resolved()).m_size == 200
+    """One rigidity round over the 240-pair pool floor, played alone: honest
+    passes, a classical prover A and a basis swapper are rejected."""
+    cfg = ProtocolConfig(fidelity="gadget")
+    assert game.game_layout(cfg.resolved()).m_size == game.RIGID_POOL_FLOOR == 240
 
     def count(strat_a, verdict, seed0):
         return sum(run_single_round(cfg, "rigid", strat_a, seed=seed0 + t)[0] == verdict
@@ -861,6 +842,17 @@ def test_run_trials_interface():
     assert [json.loads(tr)["seed"] for tr in transcripts] == [17, 17, 17]
 
 
+def test_run_trials_transcripts_replay_from_the_config_seed():
+    """Each transcript records the seed its trial ran from, and replays as
+    ``play_trial`` of its stream."""
+    cfg = replace(ProtocolConfig(**SMALL, trials=3), seed=5)
+    _, transcripts = run_trials(cfg, "honest", "honest")
+    assert len(transcripts) == 3
+    for stream, tr in enumerate(transcripts):
+        assert json.loads(tr)["seed"] == 5
+        assert tr == game.play_trial(cfg, "honest", "honest", stream)[1].to_json()
+
+
 def _cvqd2_config(n, d, **kw):
     """The assembled run's config: q is the access model's query count."""
     cfg = ProtocolConfig(n=n, d=d, **kw)
@@ -868,33 +860,31 @@ def _cvqd2_config(n, d, **kw):
 
 
 def test_run_trials_depth_audit_both_targets():
-    cfg = _cvqd2_config(3, 2, target="inplace", t_parallel=8)
-    res, _ = run_trials(cfg, "honest", "honest", trials=40, seed=5)
+    cfg = _cvqd2_config(3, 2, target="inplace", t_parallel=8, trials=40, seed=5)
+    res, _ = run_trials(cfg, "honest", "honest")
     assert res["config"]["q"] == 3
     assert max(res["audited_depths"]) == 5
-    cfg = _cvqd2_config(3, 2, target="standard", t_parallel=8)
-    res, _ = run_trials(cfg, "honest", "honest", trials=40, seed=5)
+    cfg = _cvqd2_config(3, 2, target="standard", t_parallel=8, trials=40, seed=5)
+    res, _ = run_trials(cfg, "honest", "honest")
     assert res["config"]["q"] == 5
     assert max(res["audited_depths"]) == 7
 
 
 def test_run_trials_gadget_expected_depth_matches_honest_audit():
     """Gadget fidelity grades no final answer, so the honest audit is q+1."""
-    cfg = _cvqd2_config(3, 2, fidelity="gadget")
-    res, _ = run_trials(cfg, "honest", "honest", trials=100, seed=3)
+    cfg = _cvqd2_config(3, 2, fidelity="gadget", trials=100, seed=3)
+    res, _ = run_trials(cfg, "honest", "honest")
     assert res["expected_honest_depth"] == res["config"]["q"] + 1
     assert max(res["audited_depths"]) == res["expected_honest_depth"]
 
 
 def test_sequential_repetition_widens_gap():
     """Accept-all-repetitions amplifies honest-vs-cheat separation."""
-    cfg = _cvqd2_config(3, 2, t_parallel=8, oracle_mode="exact")
+    cfg = _cvqd2_config(3, 2, t_parallel=8, oracle_mode="exact", trials=60, seed=23)
     gaps = []
     for repeat in (1, 3):
-        h, _ = run_trials(cfg, "honest", "honest", trials=60, seed=23,
-                          repeat=repeat)
-        c, _ = run_trials(cfg, "lying", "honest", trials=60, seed=23,
-                          repeat=repeat)
+        h, _ = run_trials(cfg, "honest", "honest", repeat=repeat)
+        c, _ = run_trials(cfg, "lying", "honest", repeat=repeat)
         gaps.append(h["p_hat"] - c["p_hat"])
     assert gaps[1] > gaps[0]
 
@@ -909,8 +899,8 @@ def test_answer_branch_rates_when_no_test_runs():
     """Forcing the no-test branch: honest answers recover the shift at a
     >= 0.99 rate while uniformly random answers sit at chance level."""
     cfg = ProtocolConfig(n=3, d=2, q=3, alpha=0.999, seed=61, trials=300)
-    honest, _ = run_trials(cfg, "honest", "honest", trials=300)
-    rand, _ = run_trials(cfg, "random-answer", "honest", trials=300)
+    honest, _ = run_trials(cfg, "honest", "honest")
+    rand, _ = run_trials(cfg, "random-answer", "honest")
     assert honest["p_hat"] >= 0.99
     chance = 1.0 / (2 ** cfg.n - 1)
     assert abs(rand["p_hat"] - chance) < 0.06

@@ -79,8 +79,8 @@ def _estimate_case():
         (dict(n=2, d=1, q=2, t_parallel=4, alpha=0.9, seed=32), ("lying", "honest")),
         (dict(n=2, d=1, q=2, fidelity="gadget", seed=33), ("honest", "pauli-x")),
     ]:
-        cfg = game.ProtocolConfig(**kw)
-        rep, _ = game.run_trials(cfg, sa, so, trials=100)
+        cfg = game.ProtocolConfig(**kw, trials=100)
+        rep, _ = game.run_trials(cfg, sa, so)
         # the key set of the retired single-shot estimator
         res = {k: rep[k] for k in ("strategy_a", "strategy_o", "trials",
                                    "accepted", "p_hat", "ci95")}

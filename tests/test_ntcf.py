@@ -175,11 +175,27 @@ def test_preimage_only_rate(rng):
     assert abs(acc / 2000 - 2.0 ** -(d + 1)) < 0.02
 
 
+class _FailingProver(HonestProver):
+    """Honest, except that each answer is wrong with probability ``mu``.  The
+    failure draw comes before the measurement's draws, and a failed round
+    still pays its layer."""
+
+    def __init__(self, mu):
+        self.mu = mu
+
+    def answer(self, i, c):
+        if self.rng.random() >= self.mu:
+            return super().answer(i, c)
+        if i >= 2:
+            self.session.charge_layers(1, f"round_{i}_basis: a failed round")
+        return (1, 0) if c == 1 else (0, 0)
+
+
 def test_injected_failure_union_bound():
     """With per-round failure mu, acceptance stays above 1 - (d+1) mu."""
     d, mu, trials = 3, 0.05, 800
     acc = sum(
-        run_cvqd(d, HonestProver(failure_rate=mu), _seeded(9, t))[0] == "accept"
+        run_cvqd(d, _FailingProver(mu), _seeded(9, t))[0] == "accept"
         for t in range(trials))
     rate = acc / trials
     sigma = (rate * (1 - rate) / trials) ** 0.5
