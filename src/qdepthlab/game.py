@@ -42,7 +42,8 @@ from .oracles import (
 )
 from .qsim import (
     GATE_MATRICES, H, I2, S, SDG, T, Gate, PauliDistribution, PauliOp, SparseState,
-    StateVector, _gather_index, states_equal_up_to_phase, trial_rng,
+    StateVector, _gather_index, born_cdf, born_draw, states_equal_up_to_phase,
+    trial_rng,
 )
 from .qsim import measure as qsim_measure
 
@@ -140,7 +141,7 @@ def rigid_verdict(labels, requests, e_rep, outcomes) -> str:
     return "accept"
 
 
-def choose_alpha(q, p=1.0 / 3.0, c=1.0) -> float:
+def choose_alpha(q, p, c) -> float:
     """Weight of the no-test branch: alpha = 1 / (1 + 2 q c / p)."""
     if q < 1 or not (0 < p < 0.5) or c <= 0:
         raise QDepthError("need q >= 1, p in (0, 1/2), c > 0")
@@ -595,17 +596,19 @@ class ProverA:
         """
         coherent = self._charge("query_round: pool rotations and Bell "
                                 "measurements drawn as coins")
+        # the pool outcomes and both teleport corrections, in one bit draw
+        k, n_tot = len(labels), self.layout.n_tot
+        bits = rng.integers(0, 2, size=k + 2 * n_tot)
+        pool, a_bits, b_bits = bits[:k], bits[k:k + n_tot], bits[k + n_tot:]
         if coherent:
-            actual = rng.integers(0, 2, size=len(labels))
+            actual = pool
             actual_label = np.array(labels)
             if self.swap_half_z:
                 actual_label[np.flatnonzero(actual_label == Z_ID)[::2]] = X_ID
             reported = (1 - actual) if self.lie_outcomes else actual.copy()
         else:
-            reported, actual, actual_label = rng.integers(0, 2, size=len(labels)), None, None
-        n_tot = self.layout.n_tot
-        return (coherent, reported, actual, actual_label,
-                rng.integers(0, 2, size=n_tot), rng.integers(0, 2, size=n_tot))
+            reported, actual, actual_label = pool, None, None
+        return coherent, reported, actual, actual_label, a_bits, b_bits
 
     def final_answer(self, rng):
         cfg = self.cfg
@@ -852,8 +855,8 @@ class GameRun:
         if self.o.attack is not None:
             self._apply_attack(rnd, self.o.attack)
 
-        a_back = rng.integers(0, 2, size=layout.n_tot)
-        b_back = rng.integers(0, 2, size=layout.n_tot)
+        back = rng.integers(0, 2, size=2 * layout.n_tot)
+        a_back, b_back = back[:layout.n_tot], back[layout.n_tot:]
         self.log("O", "V", MSG_TPC, {"a": a_back, "b": b_back})
         keys[si_base:] = ledger.keys
 
@@ -915,7 +918,7 @@ class GameRun:
             idx = _gather_index(sv.num_qubits, (wire - si_base,))
             branches = _GADGET_KRAUS[a] @ sv.amplitudes[idx]
             probs = (abs(branches) ** 2).sum(axis=(1, 2))
-            c_val = int(rng.choice(2, p=probs / probs.sum()))
+            c_val = born_draw(rng, born_cdf(probs / probs.sum()))
             sv.amplitudes[idx] = branches[c_val] / math.sqrt(probs[c_val])
             return c_val
         w = rnd.codes[wire]

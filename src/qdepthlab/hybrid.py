@@ -100,9 +100,9 @@ class StepCircuit:
     """A dCQ circuit given as depth-1 steps, each a ``state -> state`` callable.
 
     The steps draw no randomness, so they prepare the same pre-measurement
-    state on every invocation.  The state and its Born table (the
-    distribution ``SparseState.born_distribution`` gives) are both built
-    once per circuit, on first use, and never mutated afterwards.
+    state on every invocation.  The state and its Born table (the indices
+    and cumulative distribution ``SparseState.born_distribution`` gives) are
+    both built once per circuit, on first use, and never mutated afterwards.
     """
 
     def __init__(self, steps, num_qubits):

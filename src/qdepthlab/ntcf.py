@@ -76,11 +76,9 @@ def samp_state(k: ToyNTCFKey) -> SparseState:
         raise CapacityError(
             f"claw state support {2 << n} exceeds cap {SPARSE_SUPPORT_CAP}")
     amp = 1.0 / np.sqrt(2 << n)
-    support = {}
-    for b in (0, 1):
-        for x in range(1 << n):
-            idx = (((b << n) | x) << n) | k.eval(b, x)
-            support[idx] = amp
+    pairs = [(b, x) for b in (0, 1) for x in range(1 << n)]
+    images = k.perm.eval_many([x ^ (b * k.shift) for b, x in pairs])
+    support = {(((b << n) | x) << n) | y: amp for (b, x), y in zip(pairs, images)}
     return SparseState(1 + 2 * n, support)
 
 

@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import xor
 
 import numpy as np
 
@@ -63,48 +64,69 @@ class KeyedPermutation:
         object.__setattr__(self, "_round_cache", {})
 
     @cached_property
-    def _round_prefixes(self) -> list:
-        return [self.key + rnd.to_bytes(2, "big") for rnd in range(self.rounds)]
+    def _round_hashes(self) -> list:
+        """Per round, a SHA-256 state fed (key, round); each round value
+        feeds the half to a copy of it."""
+        return [hashlib.sha256(self.key + rnd.to_bytes(2, "big"))
+                for rnd in range(self.rounds)]
 
-    def _round_value(self, rnd, half, out_bits) -> int:
-        """SHA-256 over (key, round, half), memoised on ``(rnd, half)``
-        (``out_bits`` follows from the parity of ``rnd``), since inputs that
-        share a round's half share its value."""
+    def _round_values(self, rnd, halves, out_bits) -> list:
+        """SHA-256 over (key, round, half) for each of ``halves``, memoised
+        on ``(rnd, half)`` (``out_bits`` follows from the parity of
+        ``rnd``), since inputs that share a round's half share its value."""
         cache = self._round_cache
-        value = cache.get((rnd, half))
-        if value is None:
-            h = hashlib.sha256(
-                self._round_prefixes[rnd] + half.to_bytes(16, "big")).digest()
-            value = int.from_bytes(h[:8], "big") & ((1 << out_bits) - 1)
-            if len(cache) < self._CACHE_CAP:
-                cache[(rnd, half)] = value
-        return value
+        prefix = self._round_hashes[rnd]
+        mask = (1 << out_bits) - 1
+        values = []
+        for half in halves:
+            value = cache.get((rnd, half))
+            if value is None:
+                h = prefix.copy()
+                h.update(half.to_bytes(16, "big"))
+                value = int.from_bytes(h.digest()[:8], "big") & mask
+                if len(cache) < self._CACHE_CAP:
+                    cache[(rnd, half)] = value
+            values.append(value)
+        return values
 
-    def _feistel(self, x, order, cache) -> int:
-        """Run the rounds in ``order`` on ``x``, through ``cache``."""
-        out = cache.get(x)
-        if out is not None:
-            return out
-        if not (0 <= x < (1 << self.width)):
+    def _feistel(self, xs, order, cache) -> list:
+        """Run the rounds in ``order`` on each of ``xs``: one round at a time
+        over the distinct inputs ``cache`` lacks, whose outputs it then
+        keeps, up to its cap, in order of first appearance."""
+        todo = [x for x in dict.fromkeys(xs) if x not in cache]
+        if any(not 0 <= x < (1 << self.width) for x in todo):
             raise QDepthError("input does not fit the permutation width")
         l_bits = self.width // 2
         r_bits = self.width - l_bits
-        left, right = x >> r_bits, x & ((1 << r_bits) - 1)
+        lefts = [x >> r_bits for x in todo]
+        rights = [x & ((1 << r_bits) - 1) for x in todo]
         for rnd in order:
             if rnd % 2 == 0:
-                left ^= self._round_value(rnd, right, l_bits)
+                lefts = list(map(xor, lefts, self._round_values(rnd, rights, l_bits)))
             else:
-                right ^= self._round_value(rnd, left, r_bits)
-        out = (left << r_bits) | right
-        if len(cache) < self._CACHE_CAP:
+                rights = list(map(xor, rights, self._round_values(rnd, lefts, r_bits)))
+        outs = {x: (left << r_bits) | right
+                for x, left, right in zip(todo, lefts, rights)}
+        for x, out in outs.items():
+            if len(cache) >= self._CACHE_CAP:
+                break
             cache[x] = out
-        return out
+        return [outs[x] if x in outs else cache[x] for x in xs]
 
     def eval(self, x) -> int:
-        return self._feistel(x, range(self.rounds), self._fwd_cache)
+        out = self._fwd_cache.get(x)
+        return self.eval_many((x,))[0] if out is None else out
+
+    def eval_many(self, xs) -> list:
+        """``[self.eval(x) for x in xs]``, one round at a time over all of
+        them, so each distinct (round, half) is hashed once."""
+        return self._feistel(xs, range(self.rounds), self._fwd_cache)
 
     def invert(self, y) -> int:
-        return self._feistel(y, reversed(range(self.rounds)), self._inv_cache)
+        out = self._inv_cache.get(y)
+        if out is None:
+            out = self._feistel((y,), reversed(range(self.rounds)), self._inv_cache)[0]
+        return out
 
 
 def random_keyed_permutation(width, rng) -> KeyedPermutation:
@@ -250,6 +272,9 @@ class _TablePerm:
     def eval(self, x):
         return int(self.table[x])
 
+    def eval_many(self, xs) -> list:
+        return self.table[xs].tolist()
+
     def invert(self, y):
         return int(self.inverse_table[y])
 
@@ -337,11 +362,13 @@ def sample_shuffling(
     oracle = ShufflingOracle(
         n=n, d=d, simon=simon, middle=middle, mode=mode, seed=seed,
     )
-    for x in range(1 << n):
-        y = oracle.chain_point(x)
-        if y in oracle.s_d:
-            raise QDepthError("chain endpoints collide; permutations corrupt")
-        oracle.s_d[y] = x
+    # every input's chain point, one permutation at a time over all of them
+    ends = list(range(1 << n))
+    for perm in middle:
+        ends = perm.eval_many(ends)
+    oracle.s_d = {y: x for x, y in enumerate(ends)}
+    if len(oracle.s_d) != len(ends):
+        raise QDepthError("chain endpoints collide; permutations corrupt")
     return oracle
 
 

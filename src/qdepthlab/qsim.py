@@ -323,11 +323,11 @@ class SparseState:
 
     def born_distribution(self):
         """The Born rule of a full measurement: the basis indices in support
-        order and their normalised probabilities."""
+        order and the ``born_cdf`` of their normalised probabilities."""
         indices = list(self.support)
         probs = np.fromiter((abs(a) ** 2 for a in self.support.values()),
                             dtype=float, count=len(indices))
-        return indices, probs / probs.sum()
+        return indices, born_cdf(probs / probs.sum())
 
     def sample_index(self, rng, born=None) -> int:
         """Draw one basis index by the Born rule (a full measurement).
@@ -336,8 +336,8 @@ class SparseState:
         it, as a dCQ circuit does for the state it samples on every
         invocation; otherwise it is built here.
         """
-        indices, probs = self.born_distribution() if born is None else born
-        return indices[int(rng.choice(len(indices), p=probs))]
+        indices, cdf = self.born_distribution() if born is None else born
+        return indices[born_draw(rng, cdf)]
 
     def to_dense(self, dense_limit=DENSE_LIMIT_DEFAULT) -> StateVector:
         if self.num_qubits > dense_limit:
@@ -359,6 +359,33 @@ def _hadamard_tensor(k) -> np.ndarray:
             hk = np.kron(hk, H)
         _HADAMARD_TENSORS[k] = hk
     return hk
+
+
+# numpy's tolerance on the sum of ``Generator.choice``'s p, for float64 p
+_BORN_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def born_cdf(probs) -> np.ndarray:
+    """The table ``Generator.choice(len(probs), p=probs)`` draws from: the
+    cumulative sum of ``probs``, divided by its last entry.
+
+    Raises ``QDepthError`` where ``choice`` raises on ``p``: NaN or negative
+    entries, or a sum more than numpy's tolerance away from 1.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    cdf = probs.cumsum()
+    total = cdf[-1] if cdf.size else math.nan
+    if not abs(total - 1.0) <= _BORN_ATOL or probs.min() < 0:
+        raise QDepthError(f"Born probabilities must be nonnegative and sum "
+                          f"to 1, not {total}")
+    cdf /= total
+    return cdf
+
+
+def born_draw(rng, cdf) -> int:
+    """One draw from a ``born_cdf`` table: the same index, and the same one
+    ``rng.random()`` taken, as ``Generator.choice`` with that ``p``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def trial_rng(seed, trial):
@@ -398,31 +425,33 @@ def measure(state, qubits, basis="standard", rng=None):
     elif basis != "standard":
         raise QDepthError(f"unknown measurement basis {basis!r}")
 
+    k = len(qubits)
     if sparse:
-        masks = [state._mask(q) for q in qubits]
+        # each entry's outcome as one int, the first measured qubit most
+        # significant: ints sort as the tuples of bits they spell
+        if qubits == list(range(qubits[0], qubits[-1] + 1)):
+            shift, low = state.num_qubits - 1 - qubits[-1], (1 << k) - 1
+            keys = [(idx >> shift) & low for idx in state.support]
+        else:
+            masks = [state._mask(q) for q in qubits]
+            keys = [bits_to_int([idx & m != 0 for m in masks]) for idx in state.support]
         patterns, members = {}, {}
-        for idx, a in state.support.items():
-            key = tuple((idx & m) != 0 for m in masks)
+        for key, (idx, a) in zip(keys, state.support.items()):
             patterns[key] = patterns.get(key, 0.0) + abs(a) ** 2
             members.setdefault(key, {})[idx] = a
-        keys = sorted(patterns)
-        probs = np.array([patterns[k] for k in keys])
-        probs = probs / probs.sum()
-        choice = keys[rng.choice(len(keys), p=probs)]
-        keep = members[choice]
+        outcomes = sorted(patterns)
+        probs = np.array([patterns[o] for o in outcomes])
+        pick = outcomes[born_draw(rng, born_cdf(probs / probs.sum()))]
+        keep = members[pick]
         nrm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
-        state.support = {k: v / nrm for k, v in keep.items()}
-        bits = tuple(int(b) for b in choice)
+        state.support = {i: v / nrm for i, v in keep.items()}
     else:
         probs = state.probabilities()
-        totals = np.bincount(outcome_ids, weights=probs, minlength=1 << len(qubits))
-        totals = totals / totals.sum()
-        pick = rng.choice(len(totals), p=totals)
-        sel = outcome_ids == pick
-        amps = np.where(sel, state.amplitudes, 0.0)
+        totals = np.bincount(outcome_ids, weights=probs, minlength=1 << k)
+        pick = born_draw(rng, born_cdf(totals / totals.sum()))
+        amps = np.where(outcome_ids == pick, state.amplitudes, 0.0)
         state.amplitudes = amps / np.linalg.norm(amps)
-        bits = tuple((pick >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits)))
-    return bits, state
+    return tuple((pick >> (k - 1 - i)) & 1 for i in range(k)), state
 
 
 def make_epr(m, dense_limit=DENSE_LIMIT_DEFAULT) -> StateVector:
@@ -528,8 +557,7 @@ class PauliDistribution:
     def sample(self, rng) -> PauliOp:
         ops = sorted(self.weights)
         probs = np.array([max(self.weights[o], 0.0) for o in ops])
-        probs = probs / probs.sum()
-        return ops[rng.choice(len(ops), p=probs)]
+        return ops[born_draw(rng, born_cdf(probs / probs.sum()))]
 
     def marginal_weight(self, predicate) -> float:
         return sum(w for op, w in self.weights.items() if predicate(op))

@@ -569,14 +569,14 @@ def _reference_first_half(sv, wire, psi, c):
 
 
 class _PickOutcome:
-    """An rng stand-in whose ``choice`` returns a fixed outcome, recording
-    the probabilities it was offered."""
+    """A stand-in for ``qsim.born_draw`` that returns a fixed outcome,
+    recording the probabilities of the CDF it was offered."""
 
     def __init__(self, c):
         self.c, self.p = c, None
 
-    def choice(self, n, p):
-        self.p = p
+    def __call__(self, rng, cdf):
+        self.p = np.diff(cdf, prepend=0.0)
         return self.c
 
 
@@ -592,7 +592,7 @@ def _first_half(sv, wire, code, rng):
     return c, rnd.standin_sv.amplitudes
 
 
-def test_gadget_kraus_matches_dense_reference():
+def test_gadget_kraus_matches_dense_reference(monkeypatch):
     """Over random 1-3 qubit stand-ins, every wire, all ten ancilla codes
     and both outcomes, the Kraus kernel gives the dense path's P[c] and
     post-state to 1e-12."""
@@ -606,7 +606,8 @@ def test_gadget_kraus_matches_dense_reference():
                     for c in (0, 1):
                         p_ref, post_ref = _reference_first_half(sv, wire, psi, c)
                         pick = _PickOutcome(c)
-                        got_c, post = _first_half(sv, wire, code, pick)
+                        monkeypatch.setattr(game, "born_draw", pick)
+                        got_c, post = _first_half(sv, wire, code, None)
                         assert got_c == c
                         assert abs(pick.p[c] - p_ref) < 1e-12
                         assert np.allclose(post, post_ref, rtol=0, atol=1e-12)
@@ -626,6 +627,30 @@ def test_gadget_kraus_makes_the_draw_the_dense_measurement_made():
         (c_ref,), _ = qsim.measure(merged, [wire], "standard", rng_ref)
         assert c == c_ref
         assert rng_new.random() == rng_ref.random()
+
+
+# The golden digests depend on this numpy property: int64 ``integers`` calls
+# with ranges below 2^32 each take one 32-bit word per value (two from each
+# 64-bit output, the spare one kept in the bit generator's state between
+# calls), so draws that follow each other can be made as one call and split.
+# ``ProverA.query_round`` and ``GameRun.run_round`` draw their bits that way.
+@pytest.mark.parametrize("earlier", [0, 1, 3])
+def test_merged_integer_draws_equal_separate_draws(earlier):
+    for seed in range(10):
+        sep, merged = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r in (sep, merged):     # an odd count leaves a spare word behind
+            r.integers(0, 2, size=earlier)
+        want = np.concatenate([sep.integers(0, 2, size=5), sep.integers(0, 2, size=3),
+                               sep.integers(0, 2, size=3)])
+        got = merged.integers(0, 2, size=11)
+        assert np.array_equal(got, want)
+        assert sep.bit_generator.state == merged.bit_generator.state
+        # mixed ranges, merged through array bounds
+        want = np.concatenate([sep.integers(0, 2, size=3), [sep.integers(64)],
+                               sep.integers(0, 5, size=2), [sep.integers(1, 1 << 31)]])
+        got = merged.integers([0, 0, 0, 0, 0, 0, 1], [2, 2, 2, 64, 5, 5, 1 << 31])
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert sep.bit_generator.state == merged.bit_generator.state
 
 
 def test_gadget_tables_match_the_pair_derivation():

@@ -326,6 +326,80 @@ def test_sample_index_matches_reference(case, seed, draws):
     assert rng_fresh.bit_generator.state == rng_want.bit_generator.state
 
 
+# -- the Born sampler ------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=hst.lists(hst.one_of(hst.just(0.0), hst.floats(1e-9, 1e3)),
+                         min_size=1, max_size=80).filter(lambda w: sum(w) > 0),
+       seed=hst.integers(0, 2**32 - 1), draws=hst.integers(1, 20))
+@example(weights=[0.0, 1.0], seed=0, draws=5)
+@example(weights=[1.0, 0.0, 0.0, 3.0, 0.0], seed=7, draws=20)
+def test_born_draw_matches_generator_choice(weights, seed, draws):
+    """Draw for draw, ``born_draw`` on a ``born_cdf`` table returns the index
+    ``Generator.choice`` returns for the same p, zero entries included, and
+    leaves the generator in the same state."""
+    p = np.array(weights) / sum(weights)
+    cdf = qsim.born_cdf(p)
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert qsim.born_draw(rng_got, cdf) == rng_want.choice(len(p), p=p)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [[0.5, np.nan], [1.2, -0.2], [0.5, 0.6], [0.2, 0.2],
+                               [], [np.inf, 0.0]])
+def test_born_cdf_rejects_what_choice_rejects(p):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(p), p=p)
+    with pytest.raises(QDepthError):
+        qsim.born_cdf(np.array(p, dtype=float))
+
+
+def _sparse_measure_reference(state, qubits, basis, rng):
+    """The sparse branch of ``qsim.measure`` as it was before the Born
+    sampler: outcome patterns keyed by tuples of bools, drawn by
+    ``Generator.choice``."""
+    if basis == "hadamard":
+        state.apply_hadamard_wall(qubits)
+    masks = [state._mask(q) for q in qubits]
+    patterns, members = {}, {}
+    for idx, a in state.support.items():
+        key = tuple((idx & m) != 0 for m in masks)
+        patterns[key] = patterns.get(key, 0.0) + abs(a) ** 2
+        members.setdefault(key, {})[idx] = a
+    keys = sorted(patterns)
+    probs = np.array([patterns[k] for k in keys])
+    probs = probs / probs.sum()
+    choice = keys[rng.choice(len(keys), p=probs)]
+    keep = members[choice]
+    nrm = np.sqrt(sum(abs(a) ** 2 for a in keep.values()))
+    state.support = {k: v / nrm for k, v in keep.items()}
+    return tuple(int(b) for b in choice), state
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_supports(), data=hst.data(), seed=hst.integers(0, 2**32 - 1),
+       basis=hst.sampled_from(["standard", "hadamard"]))
+def test_sparse_measure_matches_reference(case, data, seed, basis):
+    """Same bits, the same post-state (support order and amplitudes) and
+    the same generator state as the tuple-keyed draw, on contiguous runs
+    and on arbitrary qubit lists."""
+    n, support = case
+    qubits = data.draw(hst.one_of(
+        hst.tuples(hst.integers(0, n - 1), hst.integers(1, n)).map(
+            lambda t: list(range(t[0], min(n, t[0] + t[1])))),
+        hst.permutations(range(n)).flatmap(
+            lambda p: hst.integers(1, n).map(lambda k: list(p[:k])))))
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    bits, got = qsim.measure(SparseState(n, support), qubits, basis, rng_got)
+    bits_want, want = _sparse_measure_reference(SparseState(n, support), qubits,
+                                                basis, rng_want)
+    assert bits == bits_want and all(type(b) is int for b in bits)
+    assert list(got.support.items()) == list(want.support.items())
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
 # -- the Hadamard wall ---------------------------------------------------------
 
 
