@@ -45,7 +45,8 @@ from .qsim import (
     StateVector, _gather_index, born_cdf, born_draw, states_equal_up_to_phase,
     trial_rng,
 )
-from .qsim import measure as qsim_measure
+# unused here; kept because bench/tracer.py patches ``game.qsim_measure``
+from .qsim import measure as qsim_measure  # noqa: F401
 
 SIGMA = ("X", "Y", "Z", "F", "G")
 # basis labels travel as int codes into SIGMA; F and G are the two top codes
@@ -321,12 +322,21 @@ class GameLayout:
             BLOCK_MARGIN,
         )
         self.m_size = max(6 * self.n_tot + cfg.d * self.block_size, RIGID_POOL_FLOOR)
-        self.pool_need = cfg.q * (2 * self.n_tot + self.m_size)
+        # EPR ids per query (data, return, pool) and per trial
+        self.query_need = 2 * self.n_tot + self.m_size
+        self.pool_need = cfg.q * self.query_need
         # the d layer blocks of a partition: the pool less the two test sets,
         # cut where np.array_split cuts it
         size, extra = divmod(self.m_size - 2 * self.n_tot, d)
         ends = list(accumulate((size + (i < extra) for i in range(d)), initial=0))
         self.block_bounds = list(zip(ends, ends[1:]))
+        # the feasibility check counts (block, label group) codes: each block
+        # position's code base, as int64 bytes so that layouts compare by
+        # value, and the count each code needs
+        self.block_code_base = np.repeat(
+            np.arange(0, 3 * d, 3, dtype=np.int64), np.diff(ends)).tobytes()
+        self.block_need = tuple(nd[key] for nd in self.layer_needs
+                                for key in ("z_basis", "xy_basis", "gf_basis"))
 
 
 # the config fields GameLayout reads
@@ -414,44 +424,57 @@ class SetupPartition:
     blocks: list                    # pool positions per layer block
 
 
+# by label code (X, Y, Z, F, G), the group the feasibility check counts it
+# in: 0 for Z, 1 for X/Y and 2 for F/G, the order of ``GameLayout.block_need``
+_LABEL_GROUP = np.array([1, 1, 0, 2, 2])
+
+
+def draw_epr_order(layout: GameLayout, rounds, rng):
+    """The EPR ids of a trial's first ``rounds`` queries, in one secret
+    uniform order: a uniform ordered sample of ``rounds * query_need`` of the
+    ids ``[0, pool_need)``.  Query k takes the k-th run of ``query_need`` of
+    them, so each query's ids are distributed as a fresh uniform sample from
+    the ids the earlier queries left."""
+    return rng.choice(layout.pool_need, size=rounds * layout.query_need, replace=False)
+
+
 def draw_partition(layout: GameLayout, free_indices, rng):
-    """Sample one query's allocation; resample W until every block supports
+    """Sample one query's allocation from the unused ids ``free_indices``,
+    which the caller keeps in a secret uniform order (``draw_epr_order``):
+    the first ``query_need`` of them are the data block, the return block
+    and the pool, in that order, and the rest come back as a view, for the
+    next query.  The basis labels W are resampled until every block supports
     every round type (the feasibility predicate is round-independent, so
-    conditioning preserves blindness)."""
-    need = 2 * layout.n_tot + layout.m_size
+    conditioning preserves blindness).  Returns (partition, rest)."""
+    need, n_tot = layout.query_need, layout.n_tot
     if len(free_indices) < need:
         raise QDepthError("EPR pool exhausted")
-    take = rng.choice(len(free_indices), size=need, replace=False)
-    chosen = free_indices[take]
-    left = np.ones(len(free_indices), dtype=bool)
-    left[take] = False
-    remaining = free_indices[left]
-    data_block = chosen[: layout.n_tot]
-    return_block = chosen[layout.n_tot: 2 * layout.n_tot]
-    pool = chosen[2 * layout.n_tot:]
+    data_block = free_indices[:n_tot]
+    return_block = free_indices[n_tot:2 * n_tot]
+    pool = free_indices[2 * n_tot:need]
+    code_base = np.frombuffer(layout.block_code_base, dtype=np.int64)
 
     for _ in range(PARTITION_TRIES):
         w = rng.integers(0, len(SIGMA), size=len(pool))
-        z_pos = np.flatnonzero(w == Z_ID)
-        x_pos = np.flatnonzero(w == X_ID)
-        if len(z_pos) < layout.n_tot or len(x_pos) < layout.n_tot:
+        z_pos = (w == Z_ID).nonzero()[0]
+        x_pos = (w == X_ID).nonzero()[0]
+        if len(z_pos) < n_tot or len(x_pos) < n_tot:
             continue
-        n_x = z_pos[rng.choice(len(z_pos), size=layout.n_tot, replace=False)]
-        n_z = x_pos[rng.choice(len(x_pos), size=layout.n_tot, replace=False)]
+        n_x = z_pos[rng.choice(len(z_pos), size=n_tot, replace=False)]
+        n_z = x_pos[rng.choice(len(x_pos), size=n_tot, replace=False)]
         free = np.ones(len(pool), dtype=bool)
         free[n_x] = free[n_z] = False
-        rest = np.flatnonzero(free)
+        rest = free.nonzero()[0]
         rest = rest[rng.permutation(len(rest))]
-        blocks = [rest[a:b] for a, b in layout.block_bounds]
-        counts = (np.bincount(w[blk], minlength=len(SIGMA)) for blk in blocks)
-        if all(c[Z_ID] >= nd["z_basis"] and c[X_ID] + c[Y_ID] >= nd["xy_basis"]
-               and c[F_ID] + c[G_ID] >= nd["gf_basis"]
-               for c, nd in zip(counts, layout.layer_needs)):
+        counts = np.bincount(code_base + _LABEL_GROUP[w[rest]],
+                             minlength=len(layout.block_need))
+        if (counts >= layout.block_need).all():
             part = SetupPartition(
                 data_block=data_block, return_block=return_block, pool=pool,
-                w_labels=w, n_x=n_x, n_z=n_z, blocks=blocks,
+                w_labels=w, n_x=n_x, n_z=n_z,
+                blocks=[rest[a:b] for a, b in layout.block_bounds],
             )
-            return part, remaining
+            return part, free_indices[need:]
     raise QDepthError("could not draw a feasible partition")
 
 # ---------------------------------------------------------------------------
@@ -496,6 +519,14 @@ _GADGET_AFTER = _codes_of(_GADGET_OUT.reshape(-1, 2), _FAMILY).reshape(10, 10, 2
 _READ_P1 = np.round(1 - _P0_TABLE.reshape(-1, len(SIGMA)), 9)
 
 
+def _full_measurement_table(state: SparseState):
+    """The outcomes of measuring every qubit of ``state``, in the sorted
+    order ``qsim.measure`` draws them from, and their ``born_cdf``."""
+    outcomes = sorted(state.support)
+    probs = np.array([abs(state.support[o]) ** 2 for o in outcomes])
+    return outcomes, born_cdf(probs / probs.sum())
+
+
 def rigid_exchange(labels, act_label, e_act, measured, rng):
     """The verifier's requests to O in a rigidity round, and O's outcomes.
 
@@ -533,8 +564,9 @@ class ProverA:
     ``instances`` lists one shared ``SparseState`` t times, and each wall or
     oracle step runs once per distinct state.  Only a planted attack sets
     instance 0 apart: ``GameRun._apply_attack`` gives it its own copy on the
-    first write.  The final measurement draws each instance from a copy, so
-    afterwards ``instances`` holds the t post-measurement basis states.
+    first write.  The final measurement draws each instance, in order, from
+    its state's outcome table, built once per distinct state; afterwards
+    ``instances`` holds the t post-measurement basis states.
     """
 
     def __init__(self, budget=None, lie_outcomes=False, random_answer=False,
@@ -624,10 +656,21 @@ class ProverA:
         elif self.instances is not None and self._charge(
                 "final_hadamard", list({id(st): st for st in self.instances}.values()),
                 lambda st: st.apply_hadamard_wall(wall)):
-            drawn = [qsim_measure(st.copy(), range(total), "standard", rng)
-                     for st in self.instances]
-            self.instances = [st for _, st in drawn]
-            samples = [shift_sample(bits, cfg.n, inplace) for bits, _ in drawn]
+            # one outcome table per distinct state, then one draw per
+            # instance in instance order: the draws and collapses
+            # qsim.measure of each instance's own copy would make
+            tables, collapsed, samples = {}, [], []
+            for st in self.instances:
+                if id(st) not in tables:
+                    tables[id(st)] = _full_measurement_table(st)
+                outcomes, cdf = tables[id(st)]
+                pick = outcomes[born_draw(rng, cdf)]
+                a = st.support[pick]
+                collapsed.append(SparseState(total, {pick: a / math.sqrt(abs(a) ** 2)},
+                                             st.support_cap))
+                bits = [(pick >> (total - 1 - i)) & 1 for i in range(total)]
+                samples.append(shift_sample(bits, cfg.n, inplace))
+            self.instances = collapsed
             s_hat = solve_hidden_shift([y for y in samples if y is not None], cfg.n)
             if s_hat is not None:
                 return s_hat
@@ -692,7 +735,7 @@ class _Round:
     physical contents of prover O's side while it runs."""
 
     part: SetupPartition
-    free: np.ndarray                        # EPR indices the round left free
+    free: np.ndarray                        # the trial's EPR ids after this round's
     coherent: bool                          # A paid the layer and measured its pool
     e_rep: np.ndarray                       # A's reported pool outcomes
     e_act: np.ndarray                       # outcomes O's halves collapsed to
@@ -972,9 +1015,11 @@ class GameRun:
                 test_round = "ztest"
             else:
                 test_round = "rigid"
-        free = np.arange(self.layout.pool_need, dtype=np.int64)
-        # computation rounds up to the test round at query ell, or all q
-        for i in range(1, (cfg.q if gamma_zero else ell) + 1):
+        # computation rounds up to the test round at query ell, or all q,
+        # each taking the next ids of one secret order
+        rounds = cfg.q if gamma_zero else ell
+        free = draw_epr_order(self.layout, rounds, rng)
+        for i in range(1, rounds + 1):
             verdict, free = self.play_round(i, test_round if i == ell else "comp", free)
         if gamma_zero:
             if cfg.fidelity == "gadget":
@@ -1019,8 +1064,7 @@ def _play_single_round(cfg: ProtocolConfig, round_kind, prover_a, prover_o,
         oracle = make_oracle(cfg, rng)
     run = GameRun(cfg, prover_a, prover_o, oracle, rng)
     run.a.begin(run.cfg, run.layout, rng)
-    verdict, _ = run.play_round(1, round_kind,
-                                np.arange(run.layout.pool_need, dtype=np.int64))
+    verdict, _ = run.play_round(1, round_kind, draw_epr_order(run.layout, 1, rng))
     return verdict, run
 
 

@@ -97,7 +97,7 @@ def test_q_beyond_oracle_schedule_is_config_error(target, q):
 def test_partition_invariants(rng):
     cfg = ProtocolConfig(**SMALL).resolved()
     layout = GameLayout(cfg)
-    free = np.arange(layout.pool_need, dtype=np.int64)
+    free = rng.permutation(layout.pool_need)
     part, rest = draw_partition(layout, free, rng)
     # disjoint allocation
     everything = (set(part.data_block.tolist()) | set(part.return_block.tolist())
@@ -138,8 +138,9 @@ def test_game_layout_memo_keys_on_values():
 def test_draw_partition_invariants_over_seeds(fidelity, seed, d):
     cfg = ProtocolConfig(n=3, d=d, q=2, t_parallel=4, fidelity=fidelity).resolved()
     layout = GameLayout(cfg)
-    free = np.arange(layout.pool_need, dtype=np.int64)
-    part, rest = draw_partition(layout, free, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    free = rng.permutation(layout.pool_need)
+    part, rest = draw_partition(layout, free, rng)
     taken = np.concatenate([part.data_block, part.return_block, part.pool])
     assert len(set(taken.tolist())) == len(taken) == len(free) - len(rest)
     assert set(taken.tolist()).isdisjoint(rest.tolist())
@@ -160,6 +161,82 @@ def test_draw_partition_invariants_over_seeds(fidelity, seed, d):
         assert got.count("Z") >= needs["z_basis"]
         assert got.count("X") + got.count("Y") >= needs["xy_basis"]
         assert got.count("F") + got.count("G") >= needs["gf_basis"]
+
+
+def test_draw_partition_takes_the_prefix_and_returns_the_suffix():
+    """The first query_need ids are the data block, the return block and the
+    pool, in order; the rest come back as a view, in order, and the ids
+    themselves draw nothing from the generator."""
+    layout = GameLayout(ProtocolConfig(**SMALL).resolved())
+    ids = np.random.default_rng(5).permutation(layout.pool_need)
+    free = ids.copy()
+    rng = np.random.default_rng(6)
+    part, rest = draw_partition(layout, free, rng)
+    n_tot, need = layout.n_tot, layout.query_need
+    assert np.array_equal(part.data_block, ids[:n_tot])
+    assert np.array_equal(part.return_block, ids[n_tot:2 * n_tot])
+    assert np.array_equal(part.pool, ids[2 * n_tot:need])
+    assert np.array_equal(rest, ids[need:]) and np.shares_memory(rest, free)
+    # the same labels, test sets and blocks from any ids: only W and the
+    # positions are drawn
+    again, _ = draw_partition(layout, np.arange(layout.pool_need),
+                              np.random.default_rng(6))
+    assert np.array_equal(again.w_labels, part.w_labels)
+    assert all(np.array_equal(a, b) for a, b in zip(again.blocks, part.blocks))
+    with pytest.raises(QDepthError, match="exhausted"):
+        draw_partition(layout, ids[:need - 1], rng)
+
+
+def _setup_ids(transcript):
+    """Per V->A SetupSets message: its data, return and pool ids."""
+    return [np.concatenate([m["payload"][key] for key in ("data", "ret", "pool")])
+            for m in transcript.messages
+            if m["kind"] == game.MSG_SETUP and m["to"] == "A"]
+
+
+@pytest.mark.parametrize("fidelity, target", [
+    ("abstract", "inplace"), ("abstract", "standard"),
+    ("gadget", "inplace"), ("gadget", "standard"),
+])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trial=st.integers(0, 50),
+       alpha=st.sampled_from([None, 0.9]))
+def test_trial_setup_ids_are_disjoint_and_in_range(fidelity, target, seed, trial,
+                                                   alpha):
+    """Every round of a full trial gets ids no earlier round got, all inside
+    [0, pool_need)."""
+    cfg = ProtocolConfig(n=2, d=2, q=3, t_parallel=4, alpha=alpha, seed=seed,
+                         fidelity=fidelity, target=target).resolved()
+    layout = game.game_layout(cfg)
+    _, tr = game.play_trial(cfg, "honest", "honest", trial)
+    rounds = _setup_ids(tr)
+    audit = tr.depth_audit
+    assert len(rounds) == (cfg.q if audit["branch"] == "no-test" else audit["test_at"])
+    ids = np.concatenate(rounds)
+    assert all(len(r) == layout.query_need for r in rounds)
+    assert len(np.unique(ids)) == len(ids)
+    assert ids.min() >= 0 and ids.max() < layout.pool_need
+
+
+def test_second_round_data_ids_are_uniform():
+    """The data ids of a trial's second round spread evenly over
+    [0, pool_need): a chi-square over 10 equal bins, 2,000 gadget-fidelity
+    trials, must stay below 27.88, the 0.999 quantile at 9 degrees of
+    freedom."""
+    cfg = ProtocolConfig(n=3, d=2, q=3, fidelity="gadget", alpha=0.99,
+                         seed=1919).resolved()
+    layout = game.game_layout(cfg)
+    ids = []
+    for t in range(2000):
+        _, tr = game.play_trial(cfg, "honest", "honest", t)
+        rounds = [m["payload"]["data"] for m in tr.messages
+                  if m["kind"] == game.MSG_SETUP and m["to"] == "A"]
+        if len(rounds) >= 2:
+            ids.extend(rounds[1].tolist())
+    counts = np.bincount(np.asarray(ids) * 10 // layout.pool_need, minlength=10)
+    expected = len(ids) / 10
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    assert len(ids) >= 3000 and chi2 < 27.88
 
 
 # -- rigidity exchange and verdict against the per-element reference -------------------
@@ -753,15 +830,27 @@ def _no_test_trial(strategy, seed=3, strat_o="honest", **kw):
 def test_honest_abstract_audit_comes_from_executed_layers(monkeypatch):
     """Both Hadamard walls run once, on the one state the instances share,
     whatever t_parallel is; only the q teleport layers are declared, and
-    the audit reads q + 2."""
+    the audit reads q + 2.  The verdict holds at any seed: A's GF(2) solve
+    finds s or gives up, A answers what it found, and V accepts s only."""
     seen = _spy_session(monkeypatch)
+    solved = []
+
+    def spy_solve(samples, n):
+        solved.append(oracles.solve_hidden_shift(samples, n))
+        return solved[-1]
+
+    monkeypatch.setattr(game, "solve_hidden_shift", spy_solve)
     ops = {}
     for t_parallel in (2, SMALL["t_parallel"], 12):
         for key in seen:
             seen[key] = 0
+        solved.clear()
         cfg, _, verdict, tr = _no_test_trial("honest", t_parallel=t_parallel)
-        if t_parallel == SMALL["t_parallel"]:
-            assert verdict == "accept"
+        s = make_oracle(cfg, trial_rng(cfg.seed, 0)).base.simon.s
+        (w,) = [m["payload"]["w"] for m in tr.messages if m["kind"] == game.MSG_FINAL]
+        assert solved in ([s], [None])
+        assert w == s or solved == [None]
+        assert (verdict == "accept") == (w == s)
         assert seen["layer"] == 2
         assert seen["ops"] == 2          # one register per wall
         assert seen["charge_layers"] == seen["declared"] == cfg.q
@@ -828,26 +917,73 @@ def test_attack_wider_than_the_register_is_a_lab_error():
 
 
 def test_final_answer_draws_instance_zero_from_its_own_state(monkeypatch):
-    """Under attack the closing measurement draws instance 0 first, from its
-    own copy, then the other t-1 instances from the shared state, which
-    holds the attack-free support."""
-    def spy_on(drawn):
-        def spy(state, qubits, basis="standard", rng=None):
-            if isinstance(state, SparseState):
-                drawn.append(dict(state.support))
-            return qsim.measure(state, qubits, basis, rng)
+    """Under attack the closing measurement builds instance 0's outcome table
+    first, from its own copy, then one table for the other t-1 instances'
+    shared state, which holds the attack-free support."""
+    def spy_on(tables):
+        def spy(state):
+            tables.append(dict(state.support))
+            return full_table(state)
         return spy
 
+    full_table = game._full_measurement_table
     attacked, clean = [], []
-    monkeypatch.setattr(game, "qsim_measure", spy_on(attacked))
+    monkeypatch.setattr(game, "_full_measurement_table", spy_on(attacked))
     cfg, prover, _, _ = _no_test_trial("honest", strat_o="pauli-x")
-    monkeypatch.setattr(game, "qsim_measure", spy_on(clean))
+    monkeypatch.setattr(game, "_full_measurement_table", spy_on(clean))
     _no_test_trial("honest")
-    assert len(attacked) == len(clean) == cfg.t_parallel
-    assert attacked[0] != attacked[1]
-    assert all(sup == clean[0] for sup in attacked[1:])
+    assert len(attacked) == 2 and len(clean) == 1
+    assert attacked[0] != attacked[1] == clean[0]
     assert set(prover.instances[0].support) <= set(attacked[0])
     assert all(len(st.support) == 1 for st in prover.instances)
+    assert len(prover.instances) == cfg.t_parallel
+
+
+def _measured_final_answer(self, rng):
+    """Honest prover A's final answer drawn by ``qsim.measure`` of each
+    instance's own copy, one outcome table per instance."""
+    cfg, total = self.cfg, self.layout.inst_width
+    inplace = cfg.target == "inplace"
+    wall = list(range(cfg.n)) + ([total - 1] if inplace else [])
+    if self.instances is not None and self._charge(
+            "final_hadamard", list({id(st): st for st in self.instances}.values()),
+            lambda st: st.apply_hadamard_wall(wall)):
+        drawn = [qsim.measure(st.copy(), range(total), "standard", rng)
+                 for st in self.instances]
+        self.instances = [st for _, st in drawn]
+        samples = [oracles.shift_sample(bits, cfg.n, inplace) for bits, _ in drawn]
+        s_hat = oracles.solve_hidden_shift([y for y in samples if y is not None], cfg.n)
+        if s_hat is not None:
+            return s_hat
+    return int(rng.integers(0, 1 << cfg.n))
+
+
+@pytest.mark.parametrize("target", ["inplace", "standard"])
+@pytest.mark.parametrize("strat_o", ["honest", "pauli-x", "pauli-z"])
+def test_final_answer_draws_what_measuring_each_copy_draws(monkeypatch, target,
+                                                           strat_o):
+    """One table per distinct state gives each instance the outcome and the
+    collapsed state, and leaves the generator where, ``qsim.measure`` of the
+    instance's own copy does."""
+    def recorded(final_answer, out):
+        def answer(self, rng):
+            w = final_answer(self, rng)
+            out.append((w, [st.support for st in self.instances],
+                        rng.bit_generator.state))
+            return w
+        return answer
+
+    for seed in range(3):
+        got = {}
+        for name, final_answer in (("table", game.ProverA.final_answer),
+                                   ("measure", _measured_final_answer)):
+            out = got[name] = []
+            with monkeypatch.context() as patch:
+                patch.setattr(game.ProverA, "final_answer", recorded(final_answer, out))
+                _, _, _, tr = _no_test_trial("honest", seed=seed, strat_o=strat_o,
+                                             target=target)
+            out.append(tr.to_json())
+        assert got["table"] == got["measure"]
 
 
 def test_classical_prover_runs_no_layer(monkeypatch):

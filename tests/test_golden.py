@@ -153,15 +153,15 @@ CASES = {
 
 GOLDEN = {
     "dssp": "745cf07edfbcef448da37e3603ecf355272a64b22e45e62e915fceab1be8ce7f",
-    "estimate-acceptance": "6cbad6fedbd7e4fea98d51d0cc057d6586c60f4e872cc699a9e9a74c976570fb",
+    "estimate-acceptance": "358a2adbe4de2f340cfe7a9081f158aeab50f7d24f4cfa4c1e265c0d5066c27e",
     "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
-    "protocol:gadget": "4ef9d66fe89efebbfce6064dd08b65f844dcd4f0283f5a13c1089b1b4852cd33",
-    "protocol:gadget-answer": "10139af4325ff454e697e6cc13930fdf783a862ccafbbab4de96f2fb034423c2",
-    "protocol:inplace": "e6a9beb5da2316c6ad5c3a00116420079af6b6c028494b9369dff32ed28f9d49",
-    "protocol:inplace-answer": "04371b174035ce06a941093e93bfc6a47c187e830a88b0d5b8bc0a984cb68eec",
-    "protocol:inplace-prp": "8c520642707ace1837c5613b836034874d3e25d3aab4028bb5004db825183855",
-    "protocol:standard": "59265359bd653252ecbc16366442ba1dd2b19aa6b4ac6ecd5d70b7d1a5b8af64",
-    "run-cvqd2": "88e6849787b40cc1c7f3ee8d408e7a82330f636e3ea39bc5a885bc41c5867573",
+    "protocol:gadget": "fb03fc0046d704e7037cbdc1789fc7199b39be53b2176ab39aa881a5911ae446",
+    "protocol:gadget-answer": "3bdd8ecb62854054ab88ef5ac6147fc0d6b7fd0a615c576b0d77f47025fdd265",
+    "protocol:inplace": "9bf4e1448d41d4d80cde9008d5092cfb200f6bbee6da14ca21e57e70547742be",
+    "protocol:inplace-answer": "f6f4023dba9f7f99d78b4e52486efaed2a985a83a542230dab5fb8fe01bcda13",
+    "protocol:inplace-prp": "646c7e2955a3d147f155f91767a7d5f8afd62883bf5cfbda58e53fde03d83ae0",
+    "protocol:standard": "65d4df73b204d286e5f16df9d85626b3cf31a41b569034bb02d964434d5dc1d4",
+    "run-cvqd2": "c8d219eaac4b40284ae6a9dd1365ef80c8b4a880f78c00a26f89d660c6420df5",
     "single-round:gadget": "d4e569a4bae77f37503348c3f3a3895e054ff5afa59460a41bfec6bc97ce7f93",
     "single-round:inplace": "b4eff85fee8a3068116ddb0b8d2afb177c09a327b841672e95dd60399b505ae7",
     "single-round:standard": "56d2a11b98e65f6ffadde724fd072243daa25df77f2d4481d2e06d3c7635d52f",
