@@ -144,14 +144,13 @@ def cmd_gadget_check(args):
             for c, e in itertools.product((0, 1), repeat=2):
                 st = qsim.StateVector(1, np.linalg.matrix_power(qsim.X, a)
                                       @ np.linalg.matrix_power(qsim.Z, b) @ psi)
-                ledger = gadgets.KeyLedger.with_keys([[a, b]])
                 try:
-                    _, _, out, ledger = gadgets.run_t_gadget(
+                    _, _, out, keys = gadgets.run_t_gadget(
                         st, 0, RoundType.COMPUTATION, "computation", z, rng,
-                        ledger=ledger, force=(c, e))
+                        keys=[[a, b]], force=(c, e))
                 except QDepthError:
                     continue
-                a2, b2 = ledger.keys[0]
+                a2, b2 = keys[0]
                 want = (np.linalg.matrix_power(qsim.X, a2)
                         @ np.linalg.matrix_power(qsim.Z, b2) @ qsim.T @ psi)
                 branches += 1
@@ -307,7 +306,7 @@ def cmd_game_run(args):
         violations.append(f"unknown strategy-o {args.strategy_o!r}")
     if violations:
         raise ConfigError(violations)
-    cfg = build_protocol_config(args).validate()
+    cfg = build_protocol_config(args)
     result, transcripts = game.run_trials(
         cfg, args.strategy_a, args.strategy_o, repeat=args.repeat, jobs=args.jobs)
     write_manifest(args, result["config"])

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,50 +91,40 @@ def choose_W(round_type: RoundType, parity, a_key, c, z) -> np.ndarray:
     raise QDepthError(f"unknown parity {parity!r}")
 
 
-def update_keys(gate, ledger, outcomes):
-    """Apply one key-update rule in place and return the ledger.
+def update_keys(gate, keys, outcomes):
+    """Apply one key-update rule in place to ``keys``, the per-wire pad keys
+    as [a, b] rows for X^a Z^b, and return them.
 
     ``outcomes`` carries the wires plus whichever of c, e, z, parity the rule
     needs.  All arithmetic is mod 2.
     """
     if gate == "H":
         w = outcomes["wire"]
-        a, b = ledger.keys[w]
-        ledger.keys[w] = [b, a]
+        a, b = keys[w]
+        keys[w] = [b, a]
     elif gate == "CNOT":
         ctl, tgt = outcomes["control"], outcomes["target"]
-        a, b = ledger.keys[ctl]
-        a2, b2 = ledger.keys[tgt]
-        ledger.keys[ctl] = [a, (b + b2) % 2]
-        ledger.keys[tgt] = [(a + a2) % 2, b2]
+        a, b = keys[ctl]
+        a2, b2 = keys[tgt]
+        keys[ctl] = [a, (b + b2) % 2]
+        keys[tgt] = [(a + a2) % 2, b2]
     elif gate == "T":
         w = outcomes["wire"]
         c, e, z = outcomes["c"], outcomes["e"], outcomes["z"]
         parity = outcomes["parity"]
-        a, b = ledger.keys[w]
+        a, b = keys[w]
         if parity == "computation":
             a2 = (a + c) % 2
-            ledger.keys[w] = [a2, (b + e + a + c + a2 * z) % 2]
+            keys[w] = [a2, (b + e + a + c + a2 * z) % 2]
         elif parity == "even":
-            ledger.keys[w] = [e, 0]
+            keys[w] = [e, 0]
         elif parity == "odd":
-            ledger.keys[w] = [0, (b + e + z) % 2]
+            keys[w] = [0, (b + e + z) % 2]
         else:
             raise QDepthError(f"unknown parity {parity!r}")
     else:
         raise QDepthError(f"no key-update rule for gate {gate!r}")
-    return ledger
-
-
-@dataclass
-class KeyLedger:
-    """Per-wire one-time-pad keys, as [a, b] rows for X^a Z^b."""
-
-    keys: list
-
-    @classmethod
-    def with_keys(cls, keys):
-        return cls(keys=[list(k) for k in keys])
+    return keys
 
 
 def compile_ops(ops):
@@ -179,13 +168,14 @@ def _postselect(state: StateVector, qubit, bit):
 
 
 def run_t_gadget(state, data_wire, round_type, parity, z, rng,
-                 ledger=None, force=None):
+                 keys=None, force=None):
     """Run one T gadget on ``data_wire`` using a fresh EPR pair.
 
     The pair is appended to the register; the verifier wire is measured with
     choose_W after the prover's data-wire measurement produced c; the
     surviving half takes the data wire's place after the inverse-phase-gate
-    correction.  Returns (c, e, state, ledger).
+    correction.  ``keys``, [a, b] rows as ``update_keys`` takes them, are
+    updated in place when given.  Returns (c, e, state, keys).
 
     ``force=(c, e)`` postselects both outcomes (used by exhaustive tests); a
     forced branch of probability zero raises.
@@ -205,7 +195,7 @@ def run_t_gadget(state, data_wire, round_type, parity, z, rng,
         if _postselect(state, data_wire, c) < 1e-12:
             raise QDepthError("forced c branch has probability 0")
 
-    a_key = ledger.keys[data_wire][0] if ledger is not None else 0
+    a_key = keys[data_wire][0] if keys is not None else 0
     w_matrix = choose_W(round_type, parity, a_key, c, z)
 
     # verifier: rotate its half by W and measure
@@ -225,10 +215,10 @@ def run_t_gadget(state, data_wire, round_type, parity, z, rng,
     # the surviving EPR half is now the last qubit; put it where the data was
     state.move_qubit(state.num_qubits - 1, data_wire)
 
-    if ledger is not None:
-        update_keys("T", ledger, {"wire": data_wire, "c": c, "e": e, "z": z,
-                                  "parity": parity})
-    return c, e, state, ledger
+    if keys is not None:
+        update_keys("T", keys, {"wire": data_wire, "c": c, "e": e, "z": z,
+                                "parity": parity})
+    return c, e, state, keys
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,15 +232,15 @@ def _index_parities(n) -> np.ndarray:
     return par
 
 
-def _apply_pad(state: StateVector, ledger: KeyLedger, z_first) -> StateVector:
-    """A copy of ``state`` under X^a Z^b on every wire, Z applied first when
-    ``z_first``, else X.  Paulis only permute and negate amplitudes, so this
+def _apply_pad(state: StateVector, keys, z_first) -> StateVector:
+    """A copy of ``state`` under X^a Z^b on every wire, by the [a, b] rows
+    ``keys``, Z applied first when ``z_first``, else X.  Paulis only permute and negate amplitudes, so this
     is one gather and one sign flip, exact as gate-by-gate application."""
     n = state.num_qubits
-    if len(ledger.keys) < n:
-        raise QDepthError(f"{len(ledger.keys)} pad keys for {n} wires")
+    if len(keys) < n:
+        raise QDepthError(f"{len(keys)} pad keys for {n} wires")
     a_mask = b_mask = 0
-    for a, b in ledger.keys[:n]:
+    for a, b in keys[:n]:
         a_mask = (a_mask << 1) | a
         b_mask = (b_mask << 1) | b
     idx = np.arange(1 << n)
@@ -262,13 +252,13 @@ def _apply_pad(state: StateVector, ledger: KeyLedger, z_first) -> StateVector:
     return StateVector(n, amps, state.dense_limit)
 
 
-def encrypt_state(state: StateVector, ledger: KeyLedger) -> StateVector:
-    """A copy of ``state`` under the one-time pad X^a Z^b of the ledger's
-    keys, wire by wire: Z where b is set, then X where a is set."""
-    return _apply_pad(state, ledger, z_first=True)
+def encrypt_state(state: StateVector, keys) -> StateVector:
+    """A copy of ``state`` under the one-time pad X^a Z^b of the [a, b] rows
+    ``keys``, wire by wire: Z where b is set, then X where a is set."""
+    return _apply_pad(state, keys, z_first=True)
 
 
-def decrypt_state(state: StateVector, ledger: KeyLedger) -> StateVector:
+def decrypt_state(state: StateVector, keys) -> StateVector:
     """A copy of ``state`` with the pad of ``encrypt_state`` removed:
     X where a is set, then Z where b is set."""
-    return _apply_pad(state, ledger, z_first=False)
+    return _apply_pad(state, keys, z_first=False)

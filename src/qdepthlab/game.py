@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, DepthBudgetExceeded, ProtocolOrderError, QDepthError
 from .gadgets import (
-    KeyLedger, RoundType, compile_ops, decrypt_state, encrypt_state, gadget_parity,
-    update_keys,
+    RoundType, compile_ops, decrypt_state, encrypt_state, gadget_parity, update_keys,
 )
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import (
@@ -187,11 +186,17 @@ RIGID_POOL_FLOOR = 240
 PARTITION_TRIES = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     """The settable values of a game; the fixed ones are the constants above.
     Every field except ``alpha`` is a ``game-run`` flag, and a ``--config``
-    file may set any field."""
+    file may set any field.
+
+    A config is checked when it is built: ``ConfigError`` names every value
+    the game cannot run with.  An unset ``alpha`` or ``t_parallel`` is then
+    filled in, so a built config is complete and never changes.
+    ``dataclasses.replace`` keeps the filled-in values: the alpha of a
+    config built at one q stays when q is replaced."""
 
     n: int = 3
     d: int = 2
@@ -204,21 +209,7 @@ class ProtocolConfig:
     fidelity: str = "abstract"
     target: str = "inplace"          # or "standard": oracle access model
 
-    def resolved(self) -> "ProtocolConfig":
-        """This config with alpha and t_parallel filled in; ``self`` when they
-        already are, since nothing mutates a resolved config."""
-        if None not in (self.alpha, self.t_parallel):
-            return self
-        cfg = replace(self)
-        if cfg.alpha is None:
-            cfg.alpha = choose_alpha(cfg.q, P_TEST, ALPHA_C)
-        if cfg.t_parallel is None:
-            # the shift-recovery failure rate is about (2^(n-1)-1)(3/4)^t,
-            # so two dozen parallel instances keep it under 1% at any n
-            cfg.t_parallel = max(24, 6 * cfg.n)
-        return cfg
-
-    def validate(self):
+    def __post_init__(self):
         violations = []
         if self.alpha is not None and not (0 < self.alpha < 1):
             violations.append(f"alpha={self.alpha} outside (0, 1)")
@@ -232,33 +223,36 @@ class ProtocolConfig:
             violations.append(f"unknown fidelity mode {self.fidelity!r}")
         if self.target not in ("inplace", "standard"):
             violations.append(f"unknown target {self.target!r}")
-        violations += schedule_violations(self)
+        if self.fidelity == "abstract" and self.q > query_count(self):
+            # query k applies step k of the solver's schedule
+            violations.append(f"q={self.q} above the {query_count(self)} oracle "
+                              f"queries of {self.target} access at d={self.d}")
         if violations:
             raise ConfigError(violations)
-        return self.resolved()
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", choose_alpha(self.q, P_TEST, ALPHA_C))
+        if self.t_parallel is None:
+            # the shift-recovery failure rate is about (2^(n-1)-1)(3/4)^t,
+            # so two dozen parallel instances keep it under 1% at any n
+            object.__setattr__(self, "t_parallel", max(24, 6 * self.n))
+
+    def resolved(self) -> "ProtocolConfig":
+        """``self``, since a built config is already complete; kept for
+        callers that still resolve a config before they run it."""
+        return self
 
     def to_json(self):
-        cfg = self.resolved()
-        out = dict(vars(cfg))
+        out = dict(vars(self))
         # the fixed settings, at the values the game runs with: every report
         # and transcript records them
-        out.update(p=P_TEST, m=game_layout(cfg).pool_need,
-                   standin_wires=STANDIN_WIRES, width_factor=cfg.d + 2)
+        out.update(p=P_TEST, m=game_layout(self).pool_need,
+                   standin_wires=STANDIN_WIRES, width_factor=self.d + 2)
         return out
 
 
 def query_count(cfg: ProtocolConfig) -> int:
     """Oracle queries of the hidden-shift schedule: d+1 in-place, 2d+1 standard."""
     return cfg.d + 1 if cfg.target == "inplace" else 2 * cfg.d + 1
-
-
-def schedule_violations(cfg: ProtocolConfig) -> list:
-    """In abstract fidelity query k applies step k of the solver's schedule,
-    so q may not run past the schedule's last query."""
-    if cfg.fidelity == "abstract" and cfg.q > query_count(cfg):
-        return [f"q={cfg.q} above the {query_count(cfg)} oracle queries of "
-                f"{cfg.target} access at d={cfg.d}"]
-    return []
 
 
 def standin_layers(cfg: ProtocolConfig):
@@ -283,8 +277,6 @@ class GameLayout:
     """Wire and EPR-pool geometry derived from a config."""
 
     def __init__(self, cfg: ProtocolConfig):
-        if cfg.t_parallel is None:
-            cfg = cfg.resolved()
         n, d = cfg.n, cfg.d
         # the (d+2)n-bit enlarged domain of the shuffling oracle
         self.big_width = (d + 2) * n
@@ -299,9 +291,8 @@ class GameLayout:
             self.n_tot = self.n_si
         # the stand-in's layers and the amplitudes q honest applications of
         # them leave, which the gadget-fidelity final check compares against
-        # (a tuple, so that layouts compare by value)
         self.standin_layers = standin_layers(cfg)
-        self.expected_standin = tuple(expected_standin_state(cfg).amplitudes.tolist())
+        self.expected_standin = expected_standin_state(cfg).amplitudes
         # the compiled stand-in's T gadgets per layer, which every round
         # reuses, and each layer's gadget counts by parity class
         self.layer_gadgets = []
@@ -331,10 +322,8 @@ class GameLayout:
         ends = list(accumulate((size + (i < extra) for i in range(d)), initial=0))
         self.block_bounds = list(zip(ends, ends[1:]))
         # the feasibility check counts (block, label group) codes: each block
-        # position's code base, as int64 bytes so that layouts compare by
-        # value, and the count each code needs
-        self.block_code_base = np.repeat(
-            np.arange(0, 3 * d, 3, dtype=np.int64), np.diff(ends)).tobytes()
+        # position's code base, and the count each code needs
+        self.block_code_base = np.repeat(np.arange(0, 3 * d, 3), np.diff(ends))
         self.block_need = tuple(nd[key] for nd in self.layer_needs
                                 for key in ("z_basis", "xy_basis", "gf_basis"))
 
@@ -346,8 +335,7 @@ _LAYOUTS = {}
 
 def game_layout(cfg: ProtocolConfig) -> GameLayout:
     """The layout of ``cfg``, built once per distinct value of the fields it
-    reads.  The key holds values, not the config's identity, because a
-    ``ProtocolConfig`` is mutable."""
+    reads, so configs that differ only in alpha, trials or seed share it."""
     key = tuple(getattr(cfg, name) for name in _LAYOUT_FIELDS)
     layout = _LAYOUTS.get(key)
     if layout is None:
@@ -452,7 +440,6 @@ def draw_partition(layout: GameLayout, free_indices, rng):
     data_block = free_indices[:n_tot]
     return_block = free_indices[n_tot:2 * n_tot]
     pool = free_indices[2 * n_tot:need]
-    code_base = np.frombuffer(layout.block_code_base, dtype=np.int64)
 
     for _ in range(PARTITION_TRIES):
         w = rng.integers(0, len(SIGMA), size=len(pool))
@@ -466,7 +453,7 @@ def draw_partition(layout: GameLayout, free_indices, rng):
         free[n_x] = free[n_z] = False
         rest = free.nonzero()[0]
         rest = rest[rng.permutation(len(rest))]
-        counts = np.bincount(code_base + _LABEL_GROUP[w[rest]],
+        counts = np.bincount(layout.block_code_base + _LABEL_GROUP[w[rest]],
                              minlength=len(layout.block_need))
         if (counts >= layout.block_need).all():
             part = SetupPartition(
@@ -749,22 +736,19 @@ class _Round:
 class GameRun:
     def __init__(self, cfg: ProtocolConfig, prover_a: ProverA, prover_o: ProverO,
                  oracle, rng):
-        self.cfg = cfg.resolved()
-        self.layout = game_layout(self.cfg)
+        self.cfg = cfg
+        self.layout = game_layout(cfg)
         self.a = prover_a
         self.o = prover_o
         self.oracle = oracle
         self.rng = rng
-        self.transcript = Transcript(config=self.cfg.to_json(), seed=self.cfg.seed)
+        self.transcript = Transcript(config=cfg.to_json(), seed=cfg.seed)
         self._step = 0
         # the solver's schedule: step 0 is its opening H wall, step k <= q
         # the map of query k, the last step its closing H wall
         self.steps = None
-        if self.cfg.fidelity == "abstract":
-            violations = schedule_violations(self.cfg)
-            if violations:
-                raise ConfigError(violations)
-            schedule = inplace_steps if self.cfg.target == "inplace" else standard_steps
+        if cfg.fidelity == "abstract":
+            schedule = inplace_steps if cfg.target == "inplace" else standard_steps
             self.steps, _ = schedule(oracle)
 
     def log(self, frm, to, kind, payload=None):
@@ -826,12 +810,13 @@ class GameRun:
 
         si_base = layout.n_tot - layout.n_si
         # every wire's keys, as (a, b) rows; only the stand-in wires' keys
-        # change during the round, so only they go through the ledger
+        # change during the round, so only they go through the key updates,
+        # as Python lists (cheaper to update one at a time than numpy rows)
         if comp:
             keys = np.stack([rnd.a_rep, rnd.b_rep], 1)
-            ledger = KeyLedger.with_keys(keys[si_base:].tolist())
+            si_keys = keys[si_base:].tolist()
             if rnd.coherent:
-                rnd.standin_sv = encrypt_state(self.a.standin, ledger)
+                rnd.standin_sv = encrypt_state(self.a.standin, si_keys)
             else:
                 rnd.standin_sv = StateVector.from_bits(
                     list(rng.integers(0, 2, size=layout.n_si))
@@ -841,7 +826,7 @@ class GameRun:
             e_test = rnd.e_rep[positions]
             zero = np.zeros_like(e_test)
             keys = np.stack([e_test, zero] if x_test else [zero, e_test], 1)
-            ledger = KeyLedger.with_keys(keys[si_base:].tolist())
+            si_keys = keys[si_base:].tolist()
             # a test wire is an eigenstate of the basis its test reads (Z or X),
             # of A's outcome where A measured that basis, else of a fair coin
             value = rnd.e_act[positions].copy()
@@ -867,7 +852,7 @@ class GameRun:
             for cl in cliffords:
                 if cl[0] == "CNOT":
                     self._apply_gate(rnd, "CNOT", cl[1:], si_base)
-                    update_keys("CNOT", ledger, {"control": cl[1], "target": cl[2]})
+                    update_keys("CNOT", si_keys, {"control": cl[1], "target": cl[2]})
 
             c_list = [self._gadget_first_half(rnd, si_base + op[1], si_base, pos)
                       for op, pos, _ in chosen]
@@ -876,7 +861,7 @@ class GameRun:
             z_list = []
             for (op, pos, parity), c_val in zip(chosen, c_list):
                 if parity == "computation":
-                    z = (ledger.keys[op[1]][0] + int(labels[pos] == F_ID) + c_val) % 2
+                    z = (si_keys[op[1]][0] + int(labels[pos] == F_ID) + c_val) % 2
                 elif parity == "even":
                     z = int(rng.integers(2))
                 else:
@@ -884,7 +869,7 @@ class GameRun:
                 z_list.append(z)
                 if z:  # the inverse-phase correction on the surviving ancilla
                     self._apply_gate(rnd, "SDG", (op[1],), si_base)
-                update_keys("T", ledger, {
+                update_keys("T", si_keys, {
                     "wire": op[1], "c": c_val, "e": int(rnd.e_rep[pos]), "z": z,
                     "parity": parity,
                 })
@@ -901,13 +886,13 @@ class GameRun:
         back = rng.integers(0, 2, size=2 * layout.n_tot)
         a_back, b_back = back[:layout.n_tot], back[layout.n_tot:]
         self.log("O", "V", MSG_TPC, {"a": a_back, "b": b_back})
-        keys[si_base:] = ledger.keys
+        keys[si_base:] = si_keys
 
         if comp:
             self.log("V", "A", MSG_KEYS, {"a": (a_back + keys[:, 0]) % 2,
                                           "b": (b_back + keys[:, 1]) % 2})
             if rnd.coherent:
-                self.a.standin = decrypt_state(rnd.standin_sv, ledger)
+                self.a.standin = decrypt_state(rnd.standin_sv, si_keys)
             return None, rnd.free
 
         # test verdict: the X test reads the bit keys, the Z test the phase keys
@@ -971,13 +956,16 @@ class GameRun:
         return c_val
 
     def _apply_attack(self, rnd: _Round, attack: PauliOp):
-        """X^x Z^z on the register's first ``attack.width`` wires: in a
-        computation round on instance 0, as one Z mask and then one X mask;
-        in a test round through the Z and X code maps, wire by wire."""
-        width = self.layout.inst_width if rnd.codes is None else len(rnd.codes)
+        """X^x Z^z on the register's first ``attack.width`` wires: in an
+        abstract-fidelity computation round on instance 0, as one Z mask and
+        then one X mask; otherwise wire by wire, Z then X, on the live
+        stand-in (a gadget-fidelity computation round) or through the code
+        maps (a test round)."""
+        on_instance = rnd.codes is None and self.cfg.fidelity == "abstract"
+        width = self.layout.inst_width if on_instance else self.layout.n_tot
         if attack.width > width:
             raise QDepthError(f"a {attack.width}-wire attack on {width} wires")
-        if rnd.codes is None:
+        if on_instance:
             inst = self.a.instances
             if inst:
                 if len(inst) > 1 and inst[0] is inst[1]:
@@ -1075,7 +1063,6 @@ def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
     ``round_kind`` is "comp", "xtest", "ztest" or "rigid".  Used by tests to
     exercise the delegation machinery without the surrounding query loop.
     """
-    cfg = cfg.resolved()
     return _play_single_round(cfg, round_kind, STRATEGIES_A[strat_a](cfg),
                               STRATEGIES_O[strat_o](cfg), oracle, trial_rng(seed, 0))
 
@@ -1087,7 +1074,6 @@ def attack_failure_rates(cfg: ProtocolConfig, attack: PauliDistribution, trials,
     honest prover A; before each, one Pauli drawn from ``attack`` becomes
     prover O's planted attack.  All draws come from ``rng``.
     """
-    cfg = cfg.resolved()
     rates = []
     for kind in ("xtest", "ztest"):
         rejects = 0
@@ -1106,7 +1092,6 @@ def attack_failure_rates(cfg: ProtocolConfig, attack: PauliDistribution, trials,
 
 def make_oracle(cfg: ProtocolConfig, rng):
     """Sample a fresh hidden-shift oracle matching the config."""
-    cfg = cfg.resolved()
     simon = sample_simon(cfg.n, rng)
     shuffling = sample_shuffling(simon, cfg.d, rng, mode=cfg.oracle_mode)
     if cfg.target == "inplace":
@@ -1166,7 +1151,6 @@ def run_trials(cfg: ProtocolConfig, strat_a, strat_o, repeat=1, jobs=1):
     it.  Returns (report, transcripts), the latter the JSON of streams 0-2,
     less any that an earlier reject in their trial skipped.
     """
-    cfg = cfg.resolved()
     trials = cfg.trials
     if trials < 1 or repeat < 1 or jobs < 1:
         raise ConfigError([f"need trials, repeat and jobs >= 1, got "

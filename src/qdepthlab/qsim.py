@@ -8,7 +8,6 @@ taken up to a global phase.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -213,10 +212,6 @@ class StateVector:
         """Reorder the register so qubit ``src`` sits at position ``dst``."""
         self.amplitudes = self.amplitudes[_move_index(self.num_qubits, src, dst)]
         return self
-
-    def dump_json(self) -> str:
-        amps = [[float(a.real), float(a.imag)] for a in self.amplitudes]
-        return json.dumps({"n": self.num_qubits, "amps": amps})
 
 
 class SparseState:

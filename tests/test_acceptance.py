@@ -14,7 +14,7 @@ import pytest
 
 from qdepthlab import gadgets, game, ntcf, oracles, qsim
 from qdepthlab.errors import DepthBudgetExceeded, QDepthError
-from qdepthlab.gadgets import KeyLedger, RoundType
+from qdepthlab.gadgets import RoundType
 from qdepthlab.hybrid import DQC, HybridSession, audited_depth
 from qdepthlab.qsim import PauliDistribution, SparseState, StateVector
 
@@ -43,14 +43,13 @@ def test_criterion_02_t_gadget_exhaustion():
     t0 = time.perf_counter()
 
     def branch(st, keys, round_type, parity, z, c, e):
-        """The forced (c, e) branch: (output, ledger), None at probability 0."""
+        """The forced (c, e) branch: (output, keys), None at probability 0."""
         try:
-            _, _, out, ledger = gadgets.run_t_gadget(
-                st, 0, round_type, parity, z, rng,
-                ledger=KeyLedger.with_keys([keys]), force=(c, e))
+            _, _, out, keys = gadgets.run_t_gadget(
+                st, 0, round_type, parity, z, rng, keys=[keys], force=(c, e))
         except QDepthError:
             return None
-        return out, ledger
+        return out, keys
 
     def xz(a, b):
         return np.linalg.matrix_power(qsim.X, a) @ np.linalg.matrix_power(qsim.Z, b)
@@ -68,8 +67,8 @@ def test_criterion_02_t_gadget_exhaustion():
             if got is None:
                 continue
             n += 1
-            out, ledger = got
-            want = xz(*ledger.keys[0]) @ qsim.T @ psi
+            out, keys = got
+            want = xz(*keys[0]) @ qsim.T @ psi
             worst = min(worst, qsim.fidelity(out.amplitudes, want))
         n_comp.append(n)
     # X-test even and Z-test odd rows act as the identity up to keys
@@ -80,16 +79,16 @@ def test_criterion_02_t_gadget_exhaustion():
                      z, c, e)
         if got is not None:
             n_x += 1
-            out, ledger = got
+            out, keys = got
             want = np.zeros(2, dtype=complex)
-            want[ledger.keys[0][0]] = 1
+            want[keys[0][0]] = 1
             worst = min(worst, qsim.fidelity(out.amplitudes, want))
         got = branch(StateVector(1, xz(a, b) @ plus), [a, b], RoundType.ZTEST, "odd",
                      z, c, e)
         if got is not None:
             n_z += 1
-            out, ledger = got
-            want = np.linalg.matrix_power(qsim.Z, ledger.keys[0][1]) @ plus
+            out, keys = got
+            want = np.linalg.matrix_power(qsim.Z, keys[0][1]) @ plus
             worst = min(worst, qsim.fidelity(out.amplitudes, want))
     ok_counts = n_comp == [32] * 10 and (n_x, n_z) == (16, 32)
     elapsed = time.perf_counter() - t0
@@ -150,7 +149,7 @@ def test_criterion_04_test_round_pauli_relations():
 def test_criterion_05_two_prover_honest_completeness():
     t0 = time.perf_counter()
     cfg = game.ProtocolConfig(n=3, d=2, q=3, target="inplace", seed=505,
-                              t_parallel=12).resolved()
+                              t_parallel=12)
     trials = 5000
     branch = defaultdict(lambda: [0, 0])
     for t in range(trials):
@@ -260,7 +259,7 @@ def test_criterion_09_rigidity_statistical_test():
     basis swapper (X for every other requested Z) are caught."""
     t0 = time.perf_counter()
     cfg = game.ProtocolConfig(fidelity="gadget")
-    m = game.game_layout(cfg.resolved()).m_size
+    m = game.game_layout(cfg).m_size
     assert m == game.RIGID_POOL_FLOOR == 240
     trials = 500
 

@@ -10,7 +10,6 @@ from qdepthlab import game, qsim
 from qdepthlab.errors import QDepthError
 from qdepthlab.gadgets import (
     H_COMPILE_SEQUENCE,
-    KeyLedger,
     RoundType,
     choose_W,
     compile_ops,
@@ -77,32 +76,32 @@ def test_choose_w_rows():
 
 
 def test_update_keys_h_row():
-    ledger = KeyLedger.with_keys([[1, 0]])
-    update_keys("H", ledger, {"wire": 0})
-    assert ledger.keys[0] == [0, 1]
+    keys = [[1, 0]]
+    update_keys("H", keys, {"wire": 0})
+    assert keys[0] == [0, 1]
 
 
 def test_update_keys_cnot_row():
-    ledger = KeyLedger.with_keys([[1, 0], [0, 1]])
-    update_keys("CNOT", ledger, {"control": 0, "target": 1})
-    assert ledger.keys[0] == [1, 1] and ledger.keys[1] == [1, 1]
+    keys = [[1, 0], [0, 1]]
+    update_keys("CNOT", keys, {"control": 0, "target": 1})
+    assert keys == [[1, 1], [1, 1]]
 
 
 def test_update_keys_t_computation_row():
     # a=1, c=1, z=1, b=0, e=0: a'=0, b' = 0+0+1+1+0*1 = 0
-    ledger = KeyLedger.with_keys([[1, 0]])
-    update_keys("T", ledger, {"wire": 0, "c": 1, "e": 0, "z": 1,
-                              "parity": "computation"})
-    assert ledger.keys[0] == [0, 0]
+    keys = [[1, 0]]
+    update_keys("T", keys, {"wire": 0, "c": 1, "e": 0, "z": 1,
+                            "parity": "computation"})
+    assert keys[0] == [0, 0]
 
 
 def test_update_keys_test_rows():
-    ledger = KeyLedger.with_keys([[1, 1]])
-    update_keys("T", ledger, {"wire": 0, "c": 0, "e": 1, "z": 0, "parity": "even"})
-    assert ledger.keys[0] == [1, 0]
-    ledger = KeyLedger.with_keys([[1, 1]])
-    update_keys("T", ledger, {"wire": 0, "c": 0, "e": 1, "z": 1, "parity": "odd"})
-    assert ledger.keys[0] == [0, 1]
+    keys = [[1, 1]]
+    update_keys("T", keys, {"wire": 0, "c": 0, "e": 1, "z": 0, "parity": "even"})
+    assert keys[0] == [1, 0]
+    keys = [[1, 1]]
+    update_keys("T", keys, {"wire": 0, "c": 0, "e": 1, "z": 1, "parity": "odd"})
+    assert keys[0] == [0, 1]
 
 
 # -- the T gadget, exhaustively ----------------------------------------------------
@@ -123,15 +122,14 @@ def test_t_gadget_computation_exhaustive(rng):
         for a, b, z in itertools.product((0, 1), repeat=3):
             for c, e in itertools.product((0, 1), repeat=2):
                 st = StateVector(1, _xz(a, b) @ psi)
-                ledger = KeyLedger.with_keys([[a, b]])
                 try:
-                    c2, e2, out, ledger = run_t_gadget(
+                    c2, e2, out, keys = run_t_gadget(
                         st, 0, RoundType.COMPUTATION, "computation", z, rng,
-                        ledger=ledger, force=(c, e))
+                        keys=[[a, b]], force=(c, e))
                 except QDepthError:
                     continue  # zero-probability branch
                 branches += 1
-                a2, b2 = ledger.keys[0]
+                a2, b2 = keys[0]
                 want = _xz(a2, b2) @ qsim.T @ psi
                 assert qsim.fidelity(out.amplitudes, want) > 1 - 1e-9
         assert branches == 32
@@ -145,17 +143,16 @@ def test_t_gadget_xtest_even_identity(rng):
     for a, b, z in itertools.product((0, 1), repeat=3):
         for c, e in itertools.product((0, 1), repeat=2):
             st = StateVector.from_bits([a])
-            ledger = KeyLedger.with_keys([[a, b]])
             try:
-                _, _, out, ledger = run_t_gadget(
+                _, _, out, keys = run_t_gadget(
                     st, 0, RoundType.XTEST, "even", z, rng,
-                    ledger=ledger, force=(c, e))
+                    keys=[[a, b]], force=(c, e))
             except QDepthError:
                 continue
             branches += 1
             want = np.zeros(2, dtype=complex)
-            want[ledger.keys[0][0]] = 1
-            assert ledger.keys[0] == [e, 0]
+            want[keys[0][0]] = 1
+            assert keys[0] == [e, 0]
             assert qsim.fidelity(out.amplitudes, want) > 1 - 1e-9
     assert branches == 16
 
@@ -167,16 +164,15 @@ def test_t_gadget_ztest_odd_identity(rng):
     for a, b, z in itertools.product((0, 1), repeat=3):
         for c, e in itertools.product((0, 1), repeat=2):
             st = StateVector(1, _xz(a, b) @ plus)
-            ledger = KeyLedger.with_keys([[a, b]])
             try:
-                _, _, out, ledger = run_t_gadget(
+                _, _, out, keys = run_t_gadget(
                     st, 0, RoundType.ZTEST, "odd", z, rng,
-                    ledger=ledger, force=(c, e))
+                    keys=[[a, b]], force=(c, e))
             except QDepthError:
                 continue
             branches += 1
-            assert ledger.keys[0] == [0, (b + e + z) % 2]
-            want = np.linalg.matrix_power(qsim.Z, ledger.keys[0][1]) @ plus
+            assert keys[0] == [0, (b + e + z) % 2]
+            want = np.linalg.matrix_power(qsim.Z, keys[0][1]) @ plus
             assert qsim.fidelity(out.amplitudes, want) > 1 - 1e-9
     assert branches == 32
 
@@ -187,23 +183,23 @@ def test_t_gadget_ztest_odd_identity(rng):
 def _delegate(state, ops, keys, rng):
     """Run ``ops`` on the pad of ``state`` under ``keys`` gate by gate: CNOT
     and the compiled H gates directly, each T through ``run_t_gadget`` with
-    a fresh z; returns (final padded state, ledger)."""
-    ledger = KeyLedger.with_keys(keys)
-    state = encrypt_state(state, ledger)
+    a fresh z; returns (final padded state, final keys)."""
+    keys = [list(k) for k in keys]
+    state = encrypt_state(state, keys)
     compiled = compile_ops(ops)
     for op in compiled:
         if op[0] == "cnot":
             state.apply_gate(Gate("CNOT", op[1:]))
-            update_keys("CNOT", ledger, {"control": op[1], "target": op[2]})
+            update_keys("CNOT", keys, {"control": op[1], "target": op[2]})
         elif op[0] == "h":
             state.apply_gate(Gate("H", (op[1],)))
-            update_keys("H", ledger, {"wire": op[1]})
+            update_keys("H", keys, {"wire": op[1]})
         else:
             parity = gadget_parity(RoundType.COMPUTATION, op[2])
             _, _, state, _ = run_t_gadget(state, op[1], RoundType.COMPUTATION,
                                           parity, int(rng.integers(2)), rng,
-                                          ledger=ledger)
-    return state, ledger
+                                          keys=keys)
+    return state, keys
 
 
 @pytest.mark.parametrize("ops", [
@@ -217,8 +213,8 @@ def test_computation_session_implements_circuit(rng, ops):
     for _ in range(4):
         psi = qsim.random_state(2, rng)
         keys = rng.integers(2, size=(2, 2)).tolist()
-        st, ledger = _delegate(StateVector(2, psi.copy()), ops, keys, rng)
-        got = decrypt_state(st, ledger)
+        st, final_keys = _delegate(StateVector(2, psi.copy()), ops, keys, rng)
+        got = decrypt_state(st, final_keys)
         want = StateVector(2, psi.copy())
         for op in ops:
             if op[0] == "CNOT":
@@ -303,15 +299,14 @@ def test_pad_equals_gate_by_gate_application(n, rng):
     state = StateVector(n, qsim.random_state(n, rng))
     for bits in itertools.product((0, 1), repeat=2 * n):
         keys = [list(bits[2 * q: 2 * q + 2]) for q in range(n)]
-        ledger = KeyLedger.with_keys(keys)
-        enc = encrypt_state(state, ledger)
-        dec = decrypt_state(state, ledger)
+        enc = encrypt_state(state, keys)
+        dec = decrypt_state(state, keys)
         assert np.array_equal(enc.amplitudes, _pad_gate_by_gate(state, keys, True).amplitudes)
         assert np.array_equal(dec.amplitudes, _pad_gate_by_gate(state, keys, False).amplitudes)
-        assert np.array_equal(decrypt_state(enc, ledger).amplitudes, state.amplitudes)
+        assert np.array_equal(decrypt_state(enc, keys).amplitudes, state.amplitudes)
         assert enc.amplitudes is not state.amplitudes
 
 
 def test_pad_needs_a_key_per_wire():
     with pytest.raises(QDepthError):
-        encrypt_state(StateVector(2), KeyLedger.with_keys([[1, 0]]))
+        encrypt_state(StateVector(2), [[1, 0]])

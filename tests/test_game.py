@@ -2,7 +2,7 @@
 
 import json
 from collections.abc import Sized
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -64,38 +64,53 @@ def test_wilson_interval_sane():
 
 
 def test_config_validation_reports_all_violations():
-    cfg = ProtocolConfig(n=1, d=0, q=0)
+    """A config is checked when it is built, and the error names every
+    value the game cannot run with."""
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
-    assert len(err.value.violations) >= 3
+        ProtocolConfig(n=1, d=0, q=0, t_parallel=0, alpha=1.0, oracle_mode="quantum")
+    assert err.value.violations == [
+        "alpha=1.0 outside (0, 1)", "q must be >= 1", "n must be >= 2",
+        "d must be >= 1", "t_parallel must be >= 1", "unknown oracle mode 'quantum'"]
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(alpha=0.0, fidelity="dense", target="random")
+    assert err.value.violations == [
+        "alpha=0.0 outside (0, 1)", "unknown fidelity mode 'dense'",
+        "unknown target 'random'"]
+
+
+def test_config_is_frozen_and_complete_when_built():
+    """A built config fills in alpha and t_parallel and never changes."""
+    cfg = ProtocolConfig(n=5, q=3)
+    assert cfg.alpha == choose_alpha(3, game.P_TEST, game.ALPHA_C) == 0.1
+    assert cfg.t_parallel == 30
+    assert cfg.resolved() is cfg
+    with pytest.raises(FrozenInstanceError):
+        cfg.d = 3
+    assert ProtocolConfig(q=1, alpha=0.5, t_parallel=2).alpha == 0.5
 
 
 @pytest.mark.parametrize("name, value", [("t_parallel", -1), ("t_parallel", 0)])
 def test_config_needs_a_standin_wire_and_an_instance(name, value):
     """Prover A answers from its instances' samples: below one instance,
-    validate reports it."""
+    building the config reports it."""
     with pytest.raises(ConfigError) as err:
-        ProtocolConfig(**{**SMALL, name: value}).validate()
+        ProtocolConfig(**{**SMALL, name: value})
     assert err.value.violations == [f"{name} must be >= 1"]
 
 
 @pytest.mark.parametrize("target, q", [("inplace", 4), ("standard", 6)])
 def test_q_beyond_oracle_schedule_is_config_error(target, q):
-    """d=2 has d+1 = 3 in-place and 2d+1 = 5 standard oracle queries."""
-    cfg = ProtocolConfig(n=3, d=2, q=q, target=target, t_parallel=4)
-    with pytest.raises(ConfigError):
-        cfg.validate()
-    cfg = cfg.resolved()
-    rng = trial_rng(0, 0)
-    orc = make_oracle(cfg, rng)
-    with pytest.raises(ConfigError):
-        run_query_protocol(cfg, STRATEGIES_A["honest"](cfg),
-                           STRATEGIES_O["honest"](cfg), orc, rng)
-    ProtocolConfig(n=3, d=2, q=q, target=target, fidelity="gadget").validate()
+    """d=2 has d+1 = 3 in-place and 2d+1 = 5 standard oracle queries; gadget
+    fidelity runs no oracle schedule, so any q builds there."""
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(n=3, d=2, q=q, target=target, t_parallel=4)
+    assert err.value.violations == [
+        f"q={q} above the {q - 1} oracle queries of {target} access at d=2"]
+    ProtocolConfig(n=3, d=2, q=q, target=target, fidelity="gadget")
 
 
 def test_partition_invariants(rng):
-    cfg = ProtocolConfig(**SMALL).resolved()
+    cfg = ProtocolConfig(**SMALL)
     layout = GameLayout(cfg)
     free = rng.permutation(layout.pool_need)
     part, rest = draw_partition(layout, free, rng)
@@ -119,24 +134,22 @@ def test_partition_invariants(rng):
 
 
 def test_game_layout_memo_keys_on_values():
-    """One layout per value of the fields GameLayout reads; a config mutated
-    in place gets the layout of its new values, equal to one built afresh."""
+    """One layout per value of the fields GameLayout reads: configs that
+    differ elsewhere share it, and one with another d gets its own."""
     cfg = ProtocolConfig(**SMALL)
     layout = game.game_layout(cfg)
     assert game.game_layout(ProtocolConfig(**SMALL)) is layout
     assert game.game_layout(replace(cfg, seed=9, trials=5, alpha=0.3)) is layout
-    assert vars(layout) == vars(GameLayout(cfg))
-    cfg.d = 3
-    moved = game.game_layout(cfg)
+    moved = game.game_layout(replace(cfg, d=3))
     assert moved is not layout and len(moved.block_bounds) == 3
-    assert vars(moved) == vars(GameLayout(cfg))
+    assert moved.block_bounds == GameLayout(replace(cfg, d=3)).block_bounds
 
 
 @pytest.mark.parametrize("fidelity", ["abstract", "gadget"])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3))
 def test_draw_partition_invariants_over_seeds(fidelity, seed, d):
-    cfg = ProtocolConfig(n=3, d=d, q=2, t_parallel=4, fidelity=fidelity).resolved()
+    cfg = ProtocolConfig(n=3, d=d, q=2, t_parallel=4, fidelity=fidelity)
     layout = GameLayout(cfg)
     rng = np.random.default_rng(seed)
     free = rng.permutation(layout.pool_need)
@@ -167,7 +180,7 @@ def test_draw_partition_takes_the_prefix_and_returns_the_suffix():
     """The first query_need ids are the data block, the return block and the
     pool, in order; the rest come back as a view, in order, and the ids
     themselves draw nothing from the generator."""
-    layout = GameLayout(ProtocolConfig(**SMALL).resolved())
+    layout = GameLayout(ProtocolConfig(**SMALL))
     ids = np.random.default_rng(5).permutation(layout.pool_need)
     free = ids.copy()
     rng = np.random.default_rng(6)
@@ -206,7 +219,7 @@ def test_trial_setup_ids_are_disjoint_and_in_range(fidelity, target, seed, trial
     """Every round of a full trial gets ids no earlier round got, all inside
     [0, pool_need)."""
     cfg = ProtocolConfig(n=2, d=2, q=3, t_parallel=4, alpha=alpha, seed=seed,
-                         fidelity=fidelity, target=target).resolved()
+                         fidelity=fidelity, target=target)
     layout = game.game_layout(cfg)
     _, tr = game.play_trial(cfg, "honest", "honest", trial)
     rounds = _setup_ids(tr)
@@ -224,7 +237,7 @@ def test_second_round_data_ids_are_uniform():
     trials, must stay below 27.88, the 0.999 quantile at 9 degrees of
     freedom."""
     cfg = ProtocolConfig(n=3, d=2, q=3, fidelity="gadget", alpha=0.99,
-                         seed=1919).resolved()
+                         seed=1919)
     layout = game.game_layout(cfg)
     ids = []
     for t in range(2000):
@@ -319,7 +332,7 @@ def test_comp_round_gadget_mode_decrypts_to_circuit_output():
 def test_comp_round_abstract_mode_applies_oracle():
     """After one computation round, prover A's decrypted instance equals the
     first oracle map applied to the prepared superposition."""
-    cfg = ProtocolConfig(**SMALL, seed=4).resolved()
+    cfg = ProtocolConfig(**SMALL, seed=4)
     rng = trial_rng(4, 0)
     orc = make_oracle(cfg, rng)
     verdict, run = run_single_round(cfg, "comp", oracle=orc, seed=4)
@@ -488,7 +501,7 @@ def test_rigid_standalone_rates():
     """One rigidity round over the 240-pair pool floor, played alone: honest
     passes, a classical prover A and a basis swapper are rejected."""
     cfg = ProtocolConfig(fidelity="gadget")
-    assert game.game_layout(cfg.resolved()).m_size == game.RIGID_POOL_FLOOR == 240
+    assert game.game_layout(cfg).m_size == game.RIGID_POOL_FLOOR == 240
 
     def count(strat_a, verdict, seed0):
         return sum(run_single_round(cfg, "rigid", strat_a, seed=seed0 + t)[0] == verdict
@@ -512,7 +525,7 @@ def test_ideal_correlators():
 
 
 def test_full_honest_run_accepts_and_audits():
-    cfg = ProtocolConfig(**SMALL, seed=8).resolved()
+    cfg = ProtocolConfig(**SMALL, seed=8)
     rng = trial_rng(8, 0)
     orc = make_oracle(cfg, rng)
     a = STRATEGIES_A["honest"](cfg)
@@ -527,16 +540,16 @@ def test_transcript_replays_deterministically():
     outs = []
     for _ in range(2):
         rng = trial_rng(21, 0)
-        orc = make_oracle(cfg.resolved(), rng)
-        a = STRATEGIES_A["honest"](cfg.resolved())
-        o = STRATEGIES_O["honest"](cfg.resolved())
-        verdict, tr = run_query_protocol(cfg.resolved(), a, o, orc, rng)
+        orc = make_oracle(cfg, rng)
+        a = STRATEGIES_A["honest"](cfg)
+        o = STRATEGIES_O["honest"](cfg)
+        verdict, tr = run_query_protocol(cfg, a, o, orc, rng)
         outs.append(tr.to_json())
     assert outs[0] == outs[1]
 
 
 def test_message_count_bound():
-    cfg = ProtocolConfig(**SMALL, seed=13).resolved()
+    cfg = ProtocolConfig(**SMALL, seed=13)
     rng = trial_rng(13, 0)
     orc = make_oracle(cfg, rng)
     a = STRATEGIES_A["honest"](cfg)
@@ -749,7 +762,7 @@ def test_gadget_tables_match_the_pair_derivation():
 def test_inplace_game_never_builds_the_off_domain_permutation():
     """Prover A's queries stay on the valid set of the final bijection, so a
     whole in-place game leaves its off-domain permutation unbuilt."""
-    cfg = ProtocolConfig(**SMALL, alpha=0.9).resolved()
+    cfg = ProtocolConfig(**SMALL, alpha=0.9)
     for seed in range(4):
         rng = trial_rng(seed, 0)
         orc = make_oracle(cfg, rng)
@@ -759,7 +772,7 @@ def test_inplace_game_never_builds_the_off_domain_permutation():
 
 
 def test_protocol_order_violation_rejects():
-    cfg = ProtocolConfig(**SMALL, seed=3).resolved()
+    cfg = ProtocolConfig(**SMALL, seed=3)
     rng = trial_rng(3, 0)
     orc = make_oracle(cfg, rng)
 
@@ -783,7 +796,7 @@ def test_lab_error_in_depth_charge_is_not_fabrication(monkeypatch, call):
         raise SchemeViolation("lab bug")
 
     monkeypatch.setattr(game.HybridSession, call, broken)
-    cfg = ProtocolConfig(**SMALL, seed=3).resolved()
+    cfg = ProtocolConfig(**SMALL, seed=3)
     rng = trial_rng(3, 0)
     orc = make_oracle(cfg, rng)
     with pytest.raises(SchemeViolation, match="lab bug"):
@@ -817,7 +830,7 @@ def _spy_session(monkeypatch):
 
 
 def _no_test_trial(strategy, seed=3, strat_o="honest", **kw):
-    cfg = ProtocolConfig(**{**SMALL, **kw}, alpha=0.99, seed=seed).resolved()
+    cfg = ProtocolConfig(**{**SMALL, **kw}, alpha=0.99, seed=seed)
     rng = trial_rng(seed, 0)
     orc = make_oracle(cfg, rng)
     prover = STRATEGIES_A[strategy](cfg)
@@ -1015,9 +1028,13 @@ def test_run_trials_transcripts_replay_from_the_config_seed():
 
 
 def _cvqd2_config(n, d, **kw):
-    """The assembled run's config: q is the access model's query count."""
-    cfg = ProtocolConfig(n=n, d=d, **kw)
-    return replace(cfg, q=query_count(cfg))
+    """The assembled run's config: q is the access model's query count, d+1
+    in-place and 2d+1 standard, set when the config is built so that alpha
+    is chosen for it."""
+    q = d + 1 if kw.get("target", "inplace") == "inplace" else 2 * d + 1
+    cfg = ProtocolConfig(n=n, d=d, q=q, **kw)
+    assert q == query_count(cfg)
+    return cfg
 
 
 def test_run_trials_depth_audit_both_targets():
@@ -1054,6 +1071,25 @@ def test_gadget_fidelity_full_protocol():
     cfg = ProtocolConfig(n=2, d=2, q=3, fidelity="gadget", seed=29, trials=150)
     res, _ = run_trials(cfg, "honest", "honest")
     assert res["p_hat"] >= 0.97
+
+
+def test_gadget_fidelity_attack_reaches_the_stand_in():
+    """In gadget fidelity prover O's attack acts on the live stand-in of a
+    computation round, so A decrypts the honest state under the Pauli, and
+    the no-test branch's final check rejects a bit flip.  (A phase flip is
+    only a global phase on the stand-in's basis state.)"""
+    cfg = ProtocolConfig(n=3, d=2, q=3, fidelity="gadget", alpha=0.999, seed=11,
+                         trials=200)
+    for seed in range(3):
+        _, clean = run_single_round(cfg, "comp", seed=seed)
+        _, attacked = run_single_round(cfg, "comp", "honest", "pauli-x", seed=seed)
+        want = clean.a.standin.copy()
+        want.apply_gate(qsim.Gate("X", (0,)))
+        assert qsim.states_equal_up_to_phase(attacked.a.standin.amplitudes,
+                                             want.amplitudes)
+    honest, _ = run_trials(cfg, "honest", "honest")
+    flipped, _ = run_trials(cfg, "honest", "pauli-x")
+    assert (honest["p_hat"], flipped["p_hat"]) == (1.0, 0.0)
 
 
 def test_answer_branch_rates_when_no_test_runs():

@@ -9,7 +9,6 @@ an RNG draw order on purpose must say so and record the new digest here.
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -45,7 +44,7 @@ def _instances(prover_a):
 
 
 def _protocol_case(name):
-    cfg = game.ProtocolConfig(**GAME_CONFIGS[name]).resolved()
+    cfg = game.ProtocolConfig(**GAME_CONFIGS[name])
     parts = []
     for k, (sa, so) in enumerate(PAIRS):
         for r in range(2):
@@ -94,9 +93,10 @@ def _cvqd2_case():
     for target in ("inplace", "standard"):
         for sa in ("honest", "lying", "reset"):
             for repeat in (1, 2):
-                cfg = game.ProtocolConfig(n=2, d=1, target=target, trials=12,
-                                          seed=41, t_parallel=4, alpha=0.5)
-                cfg = replace(cfg, q=game.query_count(cfg))
+                # q is the access model's query count at d=1
+                cfg = game.ProtocolConfig(n=2, d=1, q=2 if target == "inplace" else 3,
+                                          target=target, trials=12, seed=41,
+                                          t_parallel=4, alpha=0.5)
                 rep, _ = game.run_trials(cfg, sa, "honest", repeat=repeat)
                 # the key set of the retired repetition runner
                 res = {k: rep[k] for k in (
@@ -153,10 +153,10 @@ CASES = {
 
 GOLDEN = {
     "dssp": "745cf07edfbcef448da37e3603ecf355272a64b22e45e62e915fceab1be8ce7f",
-    "estimate-acceptance": "358a2adbe4de2f340cfe7a9081f158aeab50f7d24f4cfa4c1e265c0d5066c27e",
+    "estimate-acceptance": "1cf74046da64d5ba53f5d0a5cb95006ad2c01004f2257a245e99ea2c44adb5d3",
     "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
-    "protocol:gadget": "fb03fc0046d704e7037cbdc1789fc7199b39be53b2176ab39aa881a5911ae446",
-    "protocol:gadget-answer": "3bdd8ecb62854054ab88ef5ac6147fc0d6b7fd0a615c576b0d77f47025fdd265",
+    "protocol:gadget": "4ea08d44cbe42351b464622ffdfa024d78f2540c20db1a971f21e62c6f82122e",
+    "protocol:gadget-answer": "0008143231c8da5ae546e332c3fb64cd597401ce5b34e9f20b3706332343ac07",
     "protocol:inplace": "9bf4e1448d41d4d80cde9008d5092cfb200f6bbee6da14ca21e57e70547742be",
     "protocol:inplace-answer": "f6f4023dba9f7f99d78b4e52486efaed2a985a83a542230dab5fb8fe01bcda13",
     "protocol:inplace-prp": "646c7e2955a3d147f155f91767a7d5f8afd62883bf5cfbda58e53fde03d83ae0",

@@ -194,7 +194,7 @@ def test_charge_layers_zero_with_no_open_step(rng):
 
 def _prover_a_trace(fidelity):
     cfg = game.ProtocolConfig(n=3, d=2, q=3, t_parallel=10, alpha=0.99,
-                              fidelity=fidelity, seed=3).resolved()
+                              fidelity=fidelity, seed=3)
     rng = trial_rng(3, 0)
     orc = game.make_oracle(cfg, rng) if fidelity == "abstract" else None
     prover = game.STRATEGIES_A["honest"](cfg)

@@ -1,10 +1,7 @@
 """Simulator core: gates, measurement statistics, EPR pairs, twirling."""
 
 import itertools
-import json
-import pathlib
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +10,6 @@ from hypothesis import strategies as hst
 from qdepthlab import qsim
 from qdepthlab.errors import CapacityError, QDepthError
 from qdepthlab.qsim import Gate, SparseState, StateVector
-
-SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
 @pytest.fixture
@@ -481,15 +476,6 @@ def test_measure_rejects_bad_qubits(kernel, qubits, basis):
         assert state.support == before.support
     if basis == "standard":
         assert qsim.measure(state, [1, 0], basis, np.random.default_rng(0))[0] == (1, 0)
-
-
-def test_state_dump_json():
-    st = StateVector.from_bits([1, 0])
-    payload = json.loads(st.dump_json())
-    assert payload["n"] == 2
-    assert payload["amps"][2] == [1.0, 0.0]
-    schema = json.loads((SCHEMAS / "state_dump.v1.schema.json").read_text())
-    jsonschema.Draft202012Validator(schema).validate(payload)
 
 
 # -- Pauli machinery ---------------------------------------------------------
