@@ -28,7 +28,6 @@ import numpy as np  # noqa: E402  (after the thread settings above)
 
 from .errors import CapacityError, ConfigError, QDepthError
 from . import gadgets, game, ntcf, oracles, qsim
-from .gadgets import RoundType
 from .hybrid import audited_depth
 
 
@@ -134,29 +133,12 @@ def cmd_gadget_check(args):
     report["checks"].append({"name": "h_compile_identity", "pass": bool(ok)})
     failures += not ok
 
-    # every (a, b, z, c, e) branch of the computation gadget can occur, so
-    # each of the three states must run all 32
-    ok = True
-    branches = 0
-    for trial in range(3):
-        psi = qsim.random_state(1, rng)
-        for a, b, z in itertools.product((0, 1), repeat=3):
-            for c, e in itertools.product((0, 1), repeat=2):
-                st = qsim.StateVector(1, np.linalg.matrix_power(qsim.X, a)
-                                      @ np.linalg.matrix_power(qsim.Z, b) @ psi)
-                try:
-                    _, _, out, keys = gadgets.run_t_gadget(
-                        st, 0, RoundType.COMPUTATION, "computation", z, rng,
-                        keys=[[a, b]], force=(c, e))
-                except QDepthError:
-                    continue
-                a2, b2 = keys[0]
-                want = (np.linalg.matrix_power(qsim.X, a2)
-                        @ np.linalg.matrix_power(qsim.Z, b2) @ qsim.T @ psi)
-                branches += 1
-                if not qsim.states_equal_up_to_phase(out.amplitudes, want):
-                    ok = False
-    ok = ok and branches == 3 * 32
+    # the referee's T-gadget kernel on every branch of three random states:
+    # all 32 computation branches of each can occur, 16 X-test even and
+    # 32 Z-test odd ones
+    comp, n_x, n_z, worst = game.t_gadget_exhaustion(
+        [qsim.random_state(1, rng) for _ in range(3)])
+    ok = comp == [32] * 3 and (n_x, n_z) == (16, 32) and worst >= 1 - 1e-9
     report["checks"].append({"name": "t_gadget_exhaustive", "pass": bool(ok)})
     failures += not ok
 
@@ -355,7 +337,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gadget-check", help="exhaustive gadget/key-table checks")
+    p = sub.add_parser("gadget-check", help="H compilation and every branch of the "
+                                            "referee's T-gadget kernel")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--planted-attack", default=None, metavar="P:WIRE")

@@ -1,4 +1,4 @@
-"""Shared exception types and process exit codes."""
+"""Shared exception types."""
 
 
 class QDepthError(Exception):
@@ -8,31 +8,21 @@ class QDepthError(Exception):
 class CapacityError(QDepthError):
     """A state or table would exceed the configured size limits."""
 
-    exit_code = 4
-
 
 class DepthBudgetExceeded(QDepthError):
     """A hybrid scheme attempted more quantum depth than its budget allows."""
-
-    exit_code = 2
 
 
 class SchemeViolation(QDepthError):
     """An execution broke the structural rules of its hybrid scheme."""
 
-    exit_code = 2
-
 
 class ProtocolOrderError(QDepthError):
     """A prover strategy sent or requested messages out of protocol order."""
 
-    exit_code = 2
-
 
 class ConfigError(QDepthError):
     """Invalid configuration; carries the full list of violations."""
-
-    exit_code = 3
 
     def __init__(self, violations):
         if isinstance(violations, str):
@@ -40,8 +30,3 @@ class ConfigError(QDepthError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
-
-EXIT_OK = 0
-EXIT_FAIL = 2
-EXIT_CONFIG = 3
-EXIT_CAPACITY = 4

@@ -1,25 +1,19 @@
 """Delegated computation on one-time-padded data via teleportation gadgets.
 
 A delegated circuit over {CNOT, H, T} runs on data encrypted with a quantum
-one-time pad X^a Z^b.  Every T gate is executed as a three-wire gadget that
-consumes a fresh EPR pair; every H gate is pre-compiled into the ten-gate
-sequence HTTHTTHTTH (equal to H up to the global phase e^{i pi/4}), whose six
-T gates run as gadgets too.  Test rounds run the same gadget traffic on
-encrypted |0^n> or |+^n> so that the whole computation acts as the identity
-up to a key update, exposing bit-flip or phase-flip tampering.
+one-time pad X^a Z^b.  Every T gate is executed as a gadget that consumes a
+fresh EPR pair; every H gate is pre-compiled into the ten-gate sequence
+HTTHTTHTTH (equal to H up to the global phase e^{i pi/4}), whose six T gates
+run as gadgets too.  Test rounds run the same gadget traffic on encrypted
+|0^n> or |+^n> so that the whole computation acts as the identity up to a
+key update, exposing bit-flip or phase-flip tampering.
 
 This module holds the pieces both round kinds share: the pad
 (``encrypt_state``, ``decrypt_state``), the key-update rules
-(``update_keys``), the H compilation and the gadget parity rule
-(``compile_ops``, ``gadget_parity``), and ``run_t_gadget``, a dense
-reference simulation of one gadget with its verifier measurement
-``choose_W``.  Rounds themselves, X and Z tests included, are played only by
-``game.GameRun``, whose gadget tables are tested against ``run_t_gadget``.
-
-Phase conventions (fixed by requiring the key-update rules to hold exactly,
-branch by branch): the computation-round measurement is H P^w T with
-P = diag(1, i) and w = (a + c + z) mod 2; the odd-parity measurement and the
-correction on the surviving wire use the inverse phase gate diag(1, -i).
+(``update_keys``), and the H compilation and the gadget parity rule
+(``compile_ops``, ``gadget_parity``).  The gadget itself is the referee's
+kernel in ``game`` (``gadget_first_half``, ``gadget_second_half``), which
+``game.t_gadget_exhaustion`` checks branch by branch against these rules.
 """
 
 from __future__ import annotations
@@ -30,18 +24,9 @@ import functools
 import numpy as np
 
 from .errors import QDepthError
-from .qsim import (
-    GATE_MATRICES,
-    Gate,
-    H,
-    I2,
-    S,
-    SDG,
-    StateVector,
-    T,
-    make_epr,
-    measure,
-)
+from .qsim import GATE_MATRICES, StateVector
+# unused here; kept because bench/tracer.py patches ``gadgets.measure``
+from .qsim import measure  # noqa: F401
 
 
 class RoundType(enum.Enum):
@@ -73,22 +58,6 @@ def gadget_parity(round_type: RoundType, h_count) -> str:
     if round_type == RoundType.ZTEST:
         return "odd" if h % 2 == 0 else "even"
     return "computation"
-
-
-def choose_W(round_type: RoundType, parity, a_key, c, z) -> np.ndarray:
-    """Measurement unitary for the gadget's verifier wire, as a 2x2 matrix.
-
-    Computation rounds use H P^{a'+c+z} T with the exponent mod 2, where a'
-    is the X key of the data wire entering the gadget.
-    """
-    if round_type == RoundType.COMPUTATION:
-        w = (a_key + c + z) % 2
-        return H @ np.linalg.matrix_power(S, w) @ T
-    if parity == "even":
-        return I2.copy()
-    if parity == "odd":
-        return H @ np.linalg.matrix_power(SDG, z)
-    raise QDepthError(f"unknown parity {parity!r}")
 
 
 def update_keys(gate, keys, outcomes):
@@ -155,72 +124,6 @@ def compile_ops(ops):
     return compiled
 
 
-def _postselect(state: StateVector, qubit, bit):
-    """Project a qubit onto |bit>; returns branch probability (state mutated)."""
-    mask = state._mask(qubit)
-    idx = np.arange(len(state.amplitudes))
-    sel = ((idx & mask) != 0) == bool(bit)
-    amps = np.where(sel, state.amplitudes, 0.0)
-    p = float(np.vdot(amps, amps).real)
-    if p > 1e-12:
-        state.amplitudes = amps / np.sqrt(p)
-    return p
-
-
-def run_t_gadget(state, data_wire, round_type, parity, z, rng,
-                 keys=None, force=None):
-    """Run one T gadget on ``data_wire`` using a fresh EPR pair.
-
-    The pair is appended to the register; the verifier wire is measured with
-    choose_W after the prover's data-wire measurement produced c; the
-    surviving half takes the data wire's place after the inverse-phase-gate
-    correction.  ``keys``, [a, b] rows as ``update_keys`` takes them, are
-    updated in place when given.  Returns (c, e, state, keys).
-
-    ``force=(c, e)`` postselects both outcomes (used by exhaustive tests); a
-    forced branch of probability zero raises.
-    """
-    n = state.num_qubits
-    epr = make_epr(1)
-    state = StateVector(n + 2, np.kron(state.amplitudes, epr.amplitudes),
-                        state.dense_limit)
-    a_wire, v_wire = n, n + 1
-
-    # prover: CNOT from its EPR half onto the data wire, then measure it
-    state.apply_gate(Gate("CNOT", (a_wire, data_wire)))
-    if force is None:
-        (c,), state = measure(state, [data_wire], "standard", rng)
-    else:
-        c = force[0]
-        if _postselect(state, data_wire, c) < 1e-12:
-            raise QDepthError("forced c branch has probability 0")
-
-    a_key = keys[data_wire][0] if keys is not None else 0
-    w_matrix = choose_W(round_type, parity, a_key, c, z)
-
-    # verifier: rotate its half by W and measure
-    state.apply_gate(Gate("W", (v_wire,), matrix=w_matrix))
-    if force is None:
-        (e,), state = measure(state, [v_wire], "standard", rng)
-    else:
-        e = force[1]
-        if _postselect(state, v_wire, e) < 1e-12:
-            raise QDepthError("forced e branch has probability 0")
-
-    # prover: inverse phase correction on the surviving wire
-    state.apply_gate(Gate("PZC", (a_wire,), matrix=np.linalg.matrix_power(SDG, z)))
-
-    state.remove_qubit(v_wire, e)
-    state.remove_qubit(data_wire, c)
-    # the surviving EPR half is now the last qubit; put it where the data was
-    state.move_qubit(state.num_qubits - 1, data_wire)
-
-    if keys is not None:
-        update_keys("T", keys, {"wire": data_wire, "c": c, "e": e, "z": z,
-                                "parity": parity})
-    return c, e, state, keys
-
-
 @functools.lru_cache(maxsize=None)
 def _index_parities(n) -> np.ndarray:
     """Per basis index of an n-qubit register, the parity of its set bits."""
@@ -249,7 +152,7 @@ def _apply_pad(state: StateVector, keys, z_first) -> StateVector:
     # Z^b applied first reads its sign on the source index, applied last on
     # the output index
     amps[_index_parities(n)[(src if z_first else idx) & b_mask]] *= -1
-    return StateVector(n, amps, state.dense_limit)
+    return StateVector(n, amps)
 
 
 def encrypt_state(state: StateVector, keys) -> StateVector:

@@ -17,6 +17,7 @@ In ``gadget`` mode the stand-in circuit is the whole delegated computation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,9 +41,9 @@ from .oracles import (
     standard_steps,
 )
 from .qsim import (
-    GATE_MATRICES, H, I2, S, SDG, T, Gate, PauliDistribution, PauliOp, SparseState,
-    StateVector, _gather_index, born_cdf, born_draw, states_equal_up_to_phase,
-    trial_rng,
+    GATE_MATRICES, H, I2, S, SDG, T, X, Z, Gate, PauliDistribution, PauliOp,
+    SparseState, StateVector, _gather_index, born_cdf, born_draw, fidelity,
+    states_equal_up_to_phase, trial_rng,
 )
 # unused here; kept because bench/tracer.py patches ``game.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
@@ -186,6 +187,14 @@ RIGID_POOL_FLOOR = 240
 PARTITION_TRIES = 1000
 
 
+class _FilledAlpha(float):
+    """An alpha that ``ProtocolConfig`` filled in, not one a caller set."""
+
+
+class _FilledInt(int):
+    """A t_parallel that ``ProtocolConfig`` filled in, not one a caller set."""
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """The settable values of a game; the fixed ones are the constants above.
@@ -194,9 +203,7 @@ class ProtocolConfig:
 
     A config is checked when it is built: ``ConfigError`` names every value
     the game cannot run with.  An unset ``alpha`` or ``t_parallel`` is then
-    filled in, so a built config is complete and never changes.
-    ``dataclasses.replace`` keeps the filled-in values: the alpha of a
-    config built at one q stays when q is replaced."""
+    filled in, so a built config is complete and never changes."""
 
     n: int = 3
     d: int = 2
@@ -229,12 +236,15 @@ class ProtocolConfig:
                               f"queries of {self.target} access at d={self.d}")
         if violations:
             raise ConfigError(violations)
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", choose_alpha(self.q, P_TEST, ALPHA_C))
-        if self.t_parallel is None:
+        # dataclasses.replace passes every field on, a filled-in value too;
+        # its type tells this config to fill it in again from its own q or n
+        if self.alpha is None or type(self.alpha) is _FilledAlpha:
+            object.__setattr__(self, "alpha",
+                               _FilledAlpha(choose_alpha(self.q, P_TEST, ALPHA_C)))
+        if self.t_parallel is None or type(self.t_parallel) is _FilledInt:
             # the shift-recovery failure rate is about (2^(n-1)-1)(3/4)^t,
             # so two dozen parallel instances keep it under 1% at any n
-            object.__setattr__(self, "t_parallel", max(24, 6 * self.n))
+            object.__setattr__(self, "t_parallel", _FilledInt(max(24, 6 * self.n)))
 
     def resolved(self) -> "ProtocolConfig":
         """``self``, since a built config is already complete; kept for
@@ -242,7 +252,7 @@ class ProtocolConfig:
         return self
 
     def to_json(self):
-        out = dict(vars(self))
+        out = dict(vars(self), alpha=float(self.alpha), t_parallel=int(self.t_parallel))
         # the fixed settings, at the values the game runs with: every report
         # and transcript records them
         out.update(p=P_TEST, m=game_layout(self).pool_need,
@@ -504,6 +514,148 @@ _GADGET_P1 = np.round(np.sum(abs(_GADGET_OUT[:, :, 1]) ** 2, axis=-1), 9)
 _GADGET_AFTER = _codes_of(_GADGET_OUT.reshape(-1, 2), _FAMILY).reshape(10, 10, 2)
 # P[1] of a wire read in a basis, by [wire code, basis label code]
 _READ_P1 = np.round(1 - _P0_TABLE.reshape(-1, len(SIGMA)), 9)
+
+
+# -- the T-gadget kernel ----------------------------------------------------
+# A gadget's ancilla is coded 2*label + e: O's EPR half, collapsed by A's
+# outcome e in the basis ``label``.  ``GameRun.run_round`` runs each gadget of
+# a layer through a first half, then through ``gadget_second_half``;
+# ``t_gadget_exhaustion`` runs the same functions on every branch.
+
+
+def gadget_first_half(sv: StateVector, wire, ancilla, rng) -> int:
+    """A computation round's gadget first half on the live stand-in ``sv``:
+    CNOT from the ancilla onto ``wire``, the wire read as c, the ancilla left
+    in its place.  Draws c by the Born rule, applies that branch's Kraus
+    operator to ``sv`` in place and returns c."""
+    idx = _gather_index(sv.num_qubits, (wire,))
+    branches = _GADGET_KRAUS[ancilla] @ sv.amplitudes[idx]
+    probs = (abs(branches) ** 2).sum(axis=(1, 2))
+    c = born_draw(rng, born_cdf(probs / probs.sum()))
+    sv.amplitudes[idx] = branches[c] / math.sqrt(probs[c])
+    return c
+
+
+def gadget_first_half_codes(codes, wire, ancilla, rng) -> int:
+    """A test round's gadget first half on the wire codes ``codes``, looked
+    up in the tables derived from the same Kraus operators: c is drawn only
+    where it is a fair coin.  Returns c."""
+    w = codes[wire]
+    p1 = _GADGET_P1[w, ancilla]   # on the family always 0, 1/2 or 1
+    c = int(rng.integers(2)) if p1 == 0.5 else int(p1)
+    codes[wire] = int(_GADGET_AFTER[w, ancilla, c])
+    return c
+
+
+def gadget_second_half(apply_gate, keys, wire, label, c, e, parity, rng) -> int:
+    """A gadget's second half once its first half read c: the verifier's z
+    bit, the prover's correction and the key update.  ``keys`` holds the
+    stand-in's [a, b] rows, ``label`` and ``e`` are the ancilla's basis code
+    and A's reported outcome, and ``apply_gate(name, wires)`` runs a gate on
+    the stand-in.  Returns z.
+
+    z is a + [label is F] + c mod 2 in a computation round, with a the
+    wire's X key before the gadget; a fair coin for an even gadget and
+    [label is Y] for an odd one.  The correction is S^-1 where z is set."""
+    if parity == "computation":
+        z = (keys[wire][0] + int(label == F_ID) + c) % 2
+    elif parity == "even":
+        z = int(rng.integers(2))
+    else:
+        z = int(label == Y_ID)
+    if z:
+        apply_gate("SDG", (wire,))
+    update_keys("T", keys, {"wire": wire, "c": c, "e": e, "z": z, "parity": parity})
+    return z
+
+
+def apply_code_gate(codes, name, wires):
+    """Gate ``name`` on the test-round wires ``wires`` of ``codes``, through
+    the gate's code map."""
+    index = 0
+    for w in wires:
+        index = 10 * index + codes[w]
+    code = int(_GATE_CODES[name][index])
+    if code < 0:
+        raise QDepthError(f"{name} takes test-round wires {wires} off the family")
+    for w in reversed(wires):
+        code, codes[w] = divmod(code, 10)
+
+
+class _ForcedDraw:
+    """Stands in for the generator on one branch of the kernel, which draws
+    at most once: ``integers(2)``, or a Born draw of c through ``random()``,
+    comes out ``bit`` wherever that outcome can occur."""
+
+    def __init__(self, bit):
+        self.bit = bit
+
+    def integers(self, high):
+        return self.bit
+
+    def random(self):
+        # a Born draw picks c = 0 below P[c = 0], c = 1 at or above it
+        return 0.0 if self.bit == 0 else math.nextafter(1.0, 0.0)
+
+
+def t_gadget_exhaustion(psis):
+    """Every branch of the referee's T-gadget kernel, against the key table.
+
+    Computation rows run each one-wire state of ``psis`` under every pad
+    X^a Z^b through ``gadget_first_half`` and ``gadget_second_half``, for
+    both F/G ancilla labels, both outcomes e and both c: the stand-in must
+    end as X^a' Z^b' T|psi> under the updated keys [a', b'].  X-test even
+    rows start the wire at |a> with a Z ancilla and both z coins, Z-test odd
+    rows at Z^b|+> with an X or a Y ancilla; both run
+    ``gadget_first_half_codes`` and the same second half, and the wire must
+    end as |a'> or Z^b'|+>.
+
+    Returns (computation branches per state, X-test branches, Z-test
+    branches, least fidelity to the wanted state).
+    """
+    def pad(a, b):
+        return np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
+
+    def test_row(parity, code, label, a, b, e, c, draw):
+        """One test-round branch from wire code ``code``: None where c
+        cannot occur, else the wire's end state and its keys."""
+        codes, keys = [code], [[a, b]]
+        if gadget_first_half_codes(codes, 0, 2 * label + e, draw) != c:
+            return None
+        gadget_second_half(lambda name, wires: apply_code_gate(codes, name, wires),
+                           keys, 0, label, c, e, parity, draw)
+        return _FAMILY[codes[0]], keys[0]
+
+    worst = 1.0
+    comp = []
+    for psi in psis:
+        count = 0
+        for a, b, v, e, c in itertools.product((0, 1), repeat=5):
+            sv = StateVector(1, pad(a, b) @ psi)
+            keys, label = [[a, b]], (F_ID, G_ID)[v]
+            if gadget_first_half(sv, 0, 2 * label + e, _ForcedDraw(c)) != c:
+                continue
+            gadget_second_half(lambda name, wires: sv.apply_gate(Gate(name, wires)),
+                               keys, 0, label, c, e, "computation", None)
+            count += 1
+            worst = min(worst, fidelity(sv.amplitudes, pad(*keys[0]) @ T @ psi))
+        comp.append(count)
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+    n_x = n_z = 0
+    for a, b, v, e, c in itertools.product((0, 1), repeat=5):
+        # an even gadget's one draw is its z coin v; an odd gadget draws c,
+        # and v picks its X or Y ancilla
+        got = test_row("even", 2 * Z_ID + a, Z_ID, a, b, e, c, _ForcedDraw(v))
+        if got is not None:
+            n_x += 1
+            out, (a2, _) = got
+            worst = min(worst, fidelity(out, np.eye(2)[a2]))
+        got = test_row("odd", 2 * X_ID + b, (X_ID, Y_ID)[v], a, b, e, c, _ForcedDraw(c))
+        if got is not None:
+            n_z += 1
+            out, (_, b2) = got
+            worst = min(worst, fidelity(out, pad(0, b2) @ plus))
+    return comp, n_x, n_z, worst
 
 
 def _full_measurement_table(state: SparseState):
@@ -837,6 +989,9 @@ class GameRun:
 
         self.log("V", "O", MSG_SETUP, {"N": part.data_block, "ret": part.return_block})
 
+        def apply_gate(name, wires):
+            self._apply_gate(rnd, name, wires, si_base)
+
         for ell, (cliffords, _) in enumerate(layout.standin_layers):
             avail = part.blocks[ell]
             chosen = []
@@ -851,28 +1006,15 @@ class GameRun:
 
             for cl in cliffords:
                 if cl[0] == "CNOT":
-                    self._apply_gate(rnd, "CNOT", cl[1:], si_base)
+                    apply_gate("CNOT", cl[1:])
                     update_keys("CNOT", si_keys, {"control": cl[1], "target": cl[2]})
 
             c_list = [self._gadget_first_half(rnd, si_base + op[1], si_base, pos)
                       for op, pos, _ in chosen]
             self.log("O", "V", MSG_GADGET, {"c": c_list})
-
-            z_list = []
-            for (op, pos, parity), c_val in zip(chosen, c_list):
-                if parity == "computation":
-                    z = (si_keys[op[1]][0] + int(labels[pos] == F_ID) + c_val) % 2
-                elif parity == "even":
-                    z = int(rng.integers(2))
-                else:
-                    z = int(labels[pos] == Y_ID)
-                z_list.append(z)
-                if z:  # the inverse-phase correction on the surviving ancilla
-                    self._apply_gate(rnd, "SDG", (op[1],), si_base)
-                update_keys("T", si_keys, {
-                    "wire": op[1], "c": c_val, "e": int(rnd.e_rep[pos]), "z": z,
-                    "parity": parity,
-                })
+            z_list = [gadget_second_half(apply_gate, si_keys, op[1], labels[pos], c_val,
+                                         int(rnd.e_rep[pos]), parity, rng)
+                      for (op, pos, parity), c_val in zip(chosen, c_list)]
             self.log("V", "O", MSG_ZBITS, {"z": z_list})
 
         # oracle action on the data wires, then any planted attack
@@ -920,40 +1062,19 @@ class GameRun:
         register wires ``base + w``."""
         if rnd.codes is None:
             rnd.standin_sv.apply_gate(Gate(name, wires))
-            return
-        index = 0
-        for w in wires:
-            index = 10 * index + rnd.codes[base + w]
-        code = int(_GATE_CODES[name][index])
-        if code < 0:
-            raise QDepthError(f"{name} takes test-round wires {wires} off the family")
-        for w in reversed(wires):
-            code, rnd.codes[base + w] = divmod(code, 10)
+        else:
+            apply_code_gate(rnd.codes, name, [base + w for w in wires])
 
     def _gadget_first_half(self, rnd: _Round, wire, si_base, pos):
-        """CNOT from the collapsed ancilla onto the wire, measure it: outcome c.
-
-        The ancilla is O's half at pool position ``pos``, collapsed by A's
-        outcome ``rnd.e_act[pos]`` in the observable ``rnd.act_label[pos]``.
-        A computation round applies the gadget's Kraus operators to the live
-        stand-in in place and draws c by the Born rule; a test round looks
-        the wire's and the ancilla's codes up in the tables derived from the
-        same operators, and draws c only where it is a fair coin."""
-        rng = self.rng
+        """A gadget's first half on register wire ``wire``, its ancilla O's
+        half at pool position ``pos``, collapsed by A's outcome
+        ``rnd.e_act[pos]`` in the observable ``rnd.act_label[pos]``: through
+        the Kraus operators on the live stand-in in a computation round,
+        through the tables in a test round.  Returns c."""
         a = 2 * int(rnd.act_label[pos]) + int(rnd.e_act[pos])
         if rnd.codes is None:
-            sv = rnd.standin_sv
-            idx = _gather_index(sv.num_qubits, (wire - si_base,))
-            branches = _GADGET_KRAUS[a] @ sv.amplitudes[idx]
-            probs = (abs(branches) ** 2).sum(axis=(1, 2))
-            c_val = born_draw(rng, born_cdf(probs / probs.sum()))
-            sv.amplitudes[idx] = branches[c_val] / math.sqrt(probs[c_val])
-            return c_val
-        w = rnd.codes[wire]
-        p1 = _GADGET_P1[w, a]   # on the family always 0, 1/2 or 1
-        c_val = int(rng.integers(2)) if p1 == 0.5 else int(p1)
-        rnd.codes[wire] = int(_GADGET_AFTER[w, a, c_val])
-        return c_val
+            return gadget_first_half(rnd.standin_sv, wire - si_base, a, self.rng)
+        return gadget_first_half_codes(rnd.codes, wire, a, self.rng)
 
     def _apply_attack(self, rnd: _Round, attack: PauliOp):
         """X^x Z^z on the register's first ``attack.width`` wires: in an

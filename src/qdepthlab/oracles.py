@@ -261,22 +261,11 @@ class _TablePerm:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=np.int64)
 
-    @cached_property
-    def inverse_table(self) -> np.ndarray:
-        """The inverse permutation, by one O(N) scatter on first use: most
-        tables are only ever evaluated forwards."""
-        inverse = np.empty_like(self.table)
-        inverse[self.table] = np.arange(self.table.size)
-        return inverse
-
     def eval(self, x):
         return int(self.table[x])
 
     def eval_many(self, xs) -> list:
         return self.table[xs].tolist()
-
-    def invert(self, y):
-        return int(self.inverse_table[y])
 
 
 @dataclass
@@ -412,17 +401,8 @@ class _ComplementPermutation:
             w = self.feistel.eval(w)
         return w
 
-    def _walk_back(self, w) -> int:
-        r = self.feistel.invert(w)
-        while r >= self.size:
-            r = self.feistel.invert(r)
-        return r
-
     def eval(self, z) -> int:
         return self._unrank(self._walk(self._rank(z, self.v_in)), self.v_out)
-
-    def invert(self, z) -> int:
-        return self._unrank(self._walk_back(self._rank(z, self.v_out)), self.v_in)
 
 
 class FinalBijection:
@@ -469,13 +449,6 @@ class FinalBijection:
             out = self.off_domain.eval(z)
         return out >> 1, out & 1
 
-    def invert(self, value, flag):
-        z = (value << 1) | flag
-        src = self.backward.get(z)
-        if src is None:
-            src = self.off_domain.invert(z)
-        return src >> 1, src & 1
-
 
 @dataclass
 class InPlaceShufflingOracle:
@@ -511,17 +484,6 @@ class InPlaceShufflingOracle:
                 v, fl = self.final.eval(vf >> 1, vf & 1)
                 return (v << 1) | fl
             return fd
-        raise QDepthError("level must be in [1, d]")
-
-    def unitary_inv_fn(self, level):
-        if 1 <= level <= self.d - 1:
-            perm = self.base.middle[level]
-            return lambda vf: (perm.invert(vf >> 1) << 1) | (vf & 1)
-        if level == self.d:
-            def fd_inv(vf):
-                v, fl = self.final.invert(vf >> 1, vf & 1)
-                return (v << 1) | fl
-            return fd_inv
         raise QDepthError("level must be in [1, d]")
 
 
@@ -593,10 +555,6 @@ def _echelon(vectors, n):
             rows.append(v)
             rows.sort(reverse=True)
     return rows
-
-
-def gf2_rank(vectors, n) -> int:
-    return len(_echelon(vectors, n))
 
 
 def solve_hidden_shift(samples, n):

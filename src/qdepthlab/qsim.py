@@ -1,5 +1,5 @@
 """Minimal quantum simulator: dense and sparse statevectors, gates,
-measurements, EPR pairs, and the Pauli twirl with its channel references.
+measurements, and the Pauli twirl with its channel references.
 
 Qubit 0 is the most significant bit of a basis index.  All state-returning
 operations preserve the L2 norm to within 1e-9; state equality is always
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, QDepthError
 
-DENSE_LIMIT_DEFAULT = 22
+DENSE_LIMIT = 22
 SPARSE_SUPPORT_CAP = 1 << 20
 # twirl's dense process arithmetic is exponential in n; callers check this
 # before drawing a channel
@@ -76,10 +76,10 @@ def bits_to_int(bits):
     return idx
 
 
-# Index maps of the dense kernel.  Each is built once per register width and
+# Index maps of the kernels.  Each is built once per register width and
 # qubit tuple by the reshape/transpose that would otherwise run on every
-# call's amplitudes, here run on the basis indices; a gate, a measurement or a
-# qubit move is then one gather (and scatter) through it.
+# call's amplitudes, here run on the basis indices; a dense gate is then one
+# gather and one scatter through it.
 _INDEX_MAPS = {}
 
 
@@ -130,42 +130,15 @@ def _wall_spread(n, qubits) -> np.ndarray:
     return np.array(spread, dtype=object)
 
 
-@_index_map
-def _outcome_ids(n, qubits) -> np.ndarray:
-    """Per basis index, the bits of ``qubits`` (checked here) as one integer."""
-    _check_targets(n, qubits)
-    idxs = np.arange(1 << n)
-    ids = np.zeros(1 << n, dtype=np.int64)
-    for q in qubits:
-        ids = (ids << 1) | ((idxs & (1 << (n - 1 - q))) != 0)
-    return ids
-
-
-@_index_map
-def _qubit_halves(n, qubit) -> np.ndarray:
-    """Row b: the basis indices whose ``qubit`` reads b, in index order."""
-    grid = _basis_grid(n)
-    return np.stack([np.take(grid, b, axis=qubit).reshape(-1) for b in (0, 1)])
-
-
-@_index_map
-def _move_index(n, src, dst) -> np.ndarray:
-    """Basis indices in the order that puts qubit ``src`` at position ``dst``."""
-    order = [q for q in range(n) if q != src]
-    order.insert(dst, src)
-    return np.transpose(_basis_grid(n), order).reshape(-1)
-
-
 class StateVector:
-    """Dense complex statevector on up to ``dense_limit`` qubits."""
+    """Dense complex statevector on up to ``DENSE_LIMIT`` qubits."""
 
-    def __init__(self, num_qubits, amplitudes=None, dense_limit=DENSE_LIMIT_DEFAULT):
-        if num_qubits > dense_limit:
+    def __init__(self, num_qubits, amplitudes=None):
+        if num_qubits > DENSE_LIMIT:
             raise CapacityError(
-                f"{num_qubits} qubits exceeds dense limit {dense_limit}"
+                f"{num_qubits} qubits exceeds dense limit {DENSE_LIMIT}"
             )
         self.num_qubits = num_qubits
-        self.dense_limit = dense_limit
         if amplitudes is None:
             amplitudes = np.zeros(1 << num_qubits, dtype=complex)
             amplitudes[0] = 1.0
@@ -174,19 +147,16 @@ class StateVector:
             raise QDepthError("amplitude vector has wrong length")
 
     @classmethod
-    def from_bits(cls, bits, **kw):
+    def from_bits(cls, bits):
         amps = np.zeros(1 << len(bits), dtype=complex)
         amps[bits_to_int(bits)] = 1.0
-        return cls(len(bits), amps, **kw)
+        return cls(len(bits), amps)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy(), self.dense_limit)
+        return StateVector(self.num_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def _mask(self, qubit) -> int:
-        return 1 << (self.num_qubits - 1 - qubit)
 
     def apply_gate(self, gate: Gate):
         u = gate.unitary()
@@ -194,23 +164,6 @@ class StateVector:
         out = np.empty_like(self.amplitudes)
         out[idx] = u @ self.amplitudes[idx]
         self.amplitudes = out
-        return self
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def remove_qubit(self, qubit, bit):
-        """Drop a qubit known to be in the computational state |bit>."""
-        halves = _qubit_halves(self.num_qubits, qubit)
-        if np.linalg.norm(self.amplitudes[halves[1 - bit]]) > 1e-7:
-            raise QDepthError("qubit is not in a definite computational state")
-        self.num_qubits -= 1
-        self.amplitudes = self.amplitudes[halves[bit]]
-        return self
-
-    def move_qubit(self, src, dst):
-        """Reorder the register so qubit ``src`` sits at position ``dst``."""
-        self.amplitudes = self.amplitudes[_move_index(self.num_qubits, src, dst)]
         return self
 
 
@@ -334,14 +287,6 @@ class SparseState:
         indices, cdf = self.born_distribution() if born is None else born
         return indices[born_draw(rng, cdf)]
 
-    def to_dense(self, dense_limit=DENSE_LIMIT_DEFAULT) -> StateVector:
-        if self.num_qubits > dense_limit:
-            raise CapacityError("state too wide for dense conversion")
-        amps = np.zeros(1 << self.num_qubits, dtype=complex)
-        for k, a in self.support.items():
-            amps[k] = a
-        return StateVector(self.num_qubits, amps)
-
 
 _HADAMARD_TENSORS = {}
 
@@ -393,71 +338,45 @@ def trial_rng(seed, trial):
                                                         spawn_key=(trial,)))
 
 
-def measure(state, qubits, basis="standard", rng=None):
-    """Measure a subset of qubits; returns (bits, post-measurement state).
+def measure(state: SparseState, qubits, basis="standard", rng=None):
+    """Measure a subset of qubits of a sparse state; returns (bits,
+    post-measurement state).
 
-    ``hadamard`` basis applies H to each measured qubit first (one wall on a
-    sparse state).  The state is collapsed and renormalized in place.
+    ``hadamard`` basis applies one Hadamard wall to the measured qubits
+    first.  The state is collapsed and renormalized in place.
     """
     qubits = list(qubits)
     if state.num_qubits == 0 or not qubits:
         raise QDepthError("measurement needs a nonempty register")
     if rng is None:
         raise QDepthError("measurement requires an injected rng")
-    sparse = isinstance(state, SparseState)
-    # the qubits are checked before the state is touched, on a dense state
-    # by the memoised outcome-id build
-    if sparse:
-        _check_targets(state.num_qubits, qubits)
-    else:
-        outcome_ids = _outcome_ids(state.num_qubits, tuple(qubits))
+    # the qubits are checked before the state is touched
+    _check_targets(state.num_qubits, qubits)
     if basis == "hadamard":
-        if sparse:
-            state.apply_hadamard_wall(qubits)
-        else:
-            for q in qubits:
-                state.apply_gate(Gate("H", (q,)))
+        state.apply_hadamard_wall(qubits)
     elif basis != "standard":
         raise QDepthError(f"unknown measurement basis {basis!r}")
 
     k = len(qubits)
-    if sparse:
-        # each entry's outcome as one int, the first measured qubit most
-        # significant: ints sort as the tuples of bits they spell
-        if qubits == list(range(qubits[0], qubits[-1] + 1)):
-            shift, low = state.num_qubits - 1 - qubits[-1], (1 << k) - 1
-            keys = [(idx >> shift) & low for idx in state.support]
-        else:
-            masks = [state._mask(q) for q in qubits]
-            keys = [bits_to_int([idx & m != 0 for m in masks]) for idx in state.support]
-        patterns, members = {}, {}
-        for key, (idx, a) in zip(keys, state.support.items()):
-            patterns[key] = patterns.get(key, 0.0) + abs(a) ** 2
-            members.setdefault(key, {})[idx] = a
-        outcomes = sorted(patterns)
-        probs = np.array([patterns[o] for o in outcomes])
-        pick = outcomes[born_draw(rng, born_cdf(probs / probs.sum()))]
-        keep = members[pick]
-        nrm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
-        state.support = {i: v / nrm for i, v in keep.items()}
+    # each entry's outcome as one int, the first measured qubit most
+    # significant: ints sort as the tuples of bits they spell
+    if qubits == list(range(qubits[0], qubits[-1] + 1)):
+        shift, low = state.num_qubits - 1 - qubits[-1], (1 << k) - 1
+        keys = [(idx >> shift) & low for idx in state.support]
     else:
-        probs = state.probabilities()
-        totals = np.bincount(outcome_ids, weights=probs, minlength=1 << k)
-        pick = born_draw(rng, born_cdf(totals / totals.sum()))
-        amps = np.where(outcome_ids == pick, state.amplitudes, 0.0)
-        state.amplitudes = amps / np.linalg.norm(amps)
+        masks = [state._mask(q) for q in qubits]
+        keys = [bits_to_int([idx & m != 0 for m in masks]) for idx in state.support]
+    patterns, members = {}, {}
+    for key, (idx, a) in zip(keys, state.support.items()):
+        patterns[key] = patterns.get(key, 0.0) + abs(a) ** 2
+        members.setdefault(key, {})[idx] = a
+    outcomes = sorted(patterns)
+    probs = np.array([patterns[o] for o in outcomes])
+    pick = outcomes[born_draw(rng, born_cdf(probs / probs.sum()))]
+    keep = members[pick]
+    nrm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
+    state.support = {i: v / nrm for i, v in keep.items()}
     return tuple((pick >> (k - 1 - i)) & 1 for i in range(k)), state
-
-
-def make_epr(m, dense_limit=DENSE_LIMIT_DEFAULT) -> StateVector:
-    """m EPR pairs on 2m qubits, pairing qubit i with qubit i+m."""
-    if 2 * m > dense_limit:
-        raise CapacityError(f"{2 * m} qubits exceeds dense limit {dense_limit}")
-    amps = np.zeros(1 << (2 * m), dtype=complex)
-    scale = 2.0 ** (-m / 2.0)
-    for k in range(1 << m):
-        amps[(k << m) | k] = scale
-    return StateVector(2 * m, amps, dense_limit)
 
 
 def states_equal_up_to_phase(u, v, tol=ATOL) -> bool:
@@ -614,11 +533,6 @@ def pauli_channel_apply(r: PauliDistribution, rho) -> np.ndarray:
         p = op.matrix()
         out += w * (p @ rho @ p.conj().T)
     return out
-
-
-def pauli_deviation(r: PauliDistribution) -> float:
-    """Weight off the identity; 2*(1 - r_0) upper-bounds the diamond deviation."""
-    return 1.0 - r.identity_weight()
 
 
 def haar_unitary(dim, rng) -> np.ndarray:

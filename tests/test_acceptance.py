@@ -14,9 +14,8 @@ import pytest
 
 from qdepthlab import gadgets, game, ntcf, oracles, qsim
 from qdepthlab.errors import DepthBudgetExceeded, QDepthError
-from qdepthlab.gadgets import RoundType
 from qdepthlab.hybrid import DQC, HybridSession, audited_depth
-from qdepthlab.qsim import PauliDistribution, SparseState, StateVector
+from qdepthlab.qsim import PauliDistribution, SparseState
 
 
 def report(number, ok, detail):
@@ -39,57 +38,15 @@ def test_criterion_01_h_compilation_identity():
 
 
 def test_criterion_02_t_gadget_exhaustion():
+    """The referee's T-gadget kernel, the functions ``GameRun.run_round``
+    runs, on every branch: computation rows on 10 random padded states, and
+    the X-test even and Z-test odd rows."""
     rng = seeded(2)
     t0 = time.perf_counter()
-
-    def branch(st, keys, round_type, parity, z, c, e):
-        """The forced (c, e) branch: (output, keys), None at probability 0."""
-        try:
-            _, _, out, keys = gadgets.run_t_gadget(
-                st, 0, round_type, parity, z, rng, keys=[keys], force=(c, e))
-        except QDepthError:
-            return None
-        return out, keys
-
-    def xz(a, b):
-        return np.linalg.matrix_power(qsim.X, a) @ np.linalg.matrix_power(qsim.Z, b)
-
-    worst = 1.0
-    # branches run, per input state: every computation and Z-test branch
-    # can occur, and half of the X-test ones (e is fixed by a and c)
-    n_comp = []
-    for _ in range(10):
-        psi = qsim.random_state(1, rng)
-        n = 0
-        for a, b, z, c, e in itertools.product((0, 1), repeat=5):
-            got = branch(StateVector(1, xz(a, b) @ psi), [a, b],
-                         RoundType.COMPUTATION, "computation", z, c, e)
-            if got is None:
-                continue
-            n += 1
-            out, keys = got
-            want = xz(*keys[0]) @ qsim.T @ psi
-            worst = min(worst, qsim.fidelity(out.amplitudes, want))
-        n_comp.append(n)
-    # X-test even and Z-test odd rows act as the identity up to keys
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    n_x = n_z = 0
-    for a, b, z, c, e in itertools.product((0, 1), repeat=5):
-        got = branch(StateVector.from_bits([a]), [a, b], RoundType.XTEST, "even",
-                     z, c, e)
-        if got is not None:
-            n_x += 1
-            out, keys = got
-            want = np.zeros(2, dtype=complex)
-            want[keys[0][0]] = 1
-            worst = min(worst, qsim.fidelity(out.amplitudes, want))
-        got = branch(StateVector(1, xz(a, b) @ plus), [a, b], RoundType.ZTEST, "odd",
-                     z, c, e)
-        if got is not None:
-            n_z += 1
-            out, keys = got
-            want = np.linalg.matrix_power(qsim.Z, keys[0][1]) @ plus
-            worst = min(worst, qsim.fidelity(out.amplitudes, want))
+    n_comp, n_x, n_z, worst = game.t_gadget_exhaustion(
+        [qsim.random_state(1, rng) for _ in range(10)])
+    # every computation and Z-test branch can occur, and half of the X-test
+    # ones (c is fixed by the wire and the ancilla)
     ok_counts = n_comp == [32] * 10 and (n_x, n_z) == (16, 32)
     elapsed = time.perf_counter() - t0
     report(2, ok_counts and worst >= 1 - 1e-9 and elapsed < 5,

@@ -43,6 +43,20 @@ def test_gadget_check_passes():
     assert report["pass"] is True
 
 
+def test_gadget_check_fails_without_the_kernels_correction(monkeypatch):
+    """The check runs the referee's own gadget: with its S^-1 correction
+    taken out, the exhaustive check fails."""
+    second_half = game.gadget_second_half
+    monkeypatch.setattr(game, "gadget_second_half",
+                        lambda apply_gate, *args: second_half(lambda *gate: None, *args))
+    code, out = run_cli(["gadget-check", "--trials", "1"])
+    assert code == 2
+    report = json.loads(out)
+    validate(report, "gadget_check_report.v1.schema.json")
+    check = next(c for c in report["checks"] if c["name"] == "t_gadget_exhaustive")
+    assert check["pass"] is False and report["pass"] is False
+
+
 def test_gadget_check_planted_attack_rates():
     code, out = run_cli(["gadget-check", "--planted-attack", "X:1",
                          "--trials", "60"])

@@ -1,5 +1,6 @@
-"""Delegation gadget layer: compilation, key tables, the T-gadget reference,
-and what the game's test rounds show of planted attacks and z bits."""
+"""Delegation gadget layer: compilation, key tables, the referee's T-gadget
+kernel branch by branch, and what the game's test rounds show of planted
+attacks and z bits."""
 
 import itertools
 
@@ -11,13 +12,11 @@ from qdepthlab.errors import QDepthError
 from qdepthlab.gadgets import (
     H_COMPILE_SEQUENCE,
     RoundType,
-    choose_W,
     compile_ops,
     decrypt_state,
     encrypt_state,
     gadget_parity,
     h_sequence_matrix,
-    run_t_gadget,
     update_keys,
 )
 from qdepthlab.qsim import Gate, PauliDistribution, StateVector
@@ -56,22 +55,6 @@ def test_h_gadget_parity_schedule():
     assert gadget_parity(RoundType.ZTEST, None) == "odd"
 
 
-# -- measurement table ----------------------------------------------------------
-
-
-def test_choose_w_rows():
-    assert np.allclose(choose_W(RoundType.COMPUTATION, None, 0, 0, 0),
-                       qsim.H @ qsim.T)
-    assert np.allclose(choose_W(RoundType.XTEST, "even", 0, 0, 1), np.eye(2))
-    odd = choose_W(RoundType.ZTEST, "odd", 0, 0, 1)
-    assert np.allclose(odd, qsim.H @ qsim.SDG)
-    # the computation exponent is mod 2 in the phase gate
-    assert np.allclose(choose_W(RoundType.COMPUTATION, None, 1, 1, 0),
-                       qsim.H @ qsim.T)
-    assert np.allclose(choose_W(RoundType.COMPUTATION, None, 1, 0, 0),
-                       qsim.H @ qsim.S @ qsim.T)
-
-
 # -- key update table -------------------------------------------------------------
 
 
@@ -104,7 +87,7 @@ def test_update_keys_test_rows():
     assert keys[0] == [0, 1]
 
 
-# -- the T gadget, exhaustively ----------------------------------------------------
+# -- the referee's T gadget, exhaustively ----------------------------------------
 
 
 def _xz(a, b):
@@ -112,68 +95,89 @@ def _xz(a, b):
             @ np.linalg.matrix_power(qsim.Z, b))
 
 
+def _comp_branch(psi, a, b, label, e, c):
+    """The (label, e, c) branch of the kernel's computation gadget on
+    X^a Z^b |psi> under keys [a, b]: (output amplitudes, keys), None where c
+    cannot occur."""
+    sv = StateVector(1, _xz(a, b) @ psi)
+    keys = [[a, b]]
+    if game.gadget_first_half(sv, 0, 2 * label + e, game._ForcedDraw(c)) != c:
+        return None
+    game.gadget_second_half(lambda name, wires: sv.apply_gate(Gate(name, wires)),
+                            keys, 0, label, c, e, "computation", None)
+    return sv.amplitudes, keys
+
+
+def _test_branch(parity, code, label, a, b, e, c, draw):
+    """A test-round gadget of ``parity`` on a wire of family code ``code``
+    under keys [a, b], its one draw forced by ``draw``: (output state, keys,
+    z), None where c cannot occur."""
+    codes, keys = [code], [[a, b]]
+    if game.gadget_first_half_codes(codes, 0, 2 * label + e, draw) != c:
+        return None
+    z = game.gadget_second_half(
+        lambda name, wires: game.apply_code_gate(codes, name, wires),
+        keys, 0, label, c, e, parity, draw)
+    return game._FAMILY[codes[0]], keys, z
+
+
 def test_t_gadget_computation_exhaustive(rng):
-    """All (a,b,z), both measurement branches, 10 random states: the output
-    is X^{a'} Z^{b'} T |psi> with keys from the update table.  Every one of
-    the 32 branches per state can occur."""
+    """All pads (a, b), both F/G ancilla labels and outcomes e, both c, 10
+    random states: the output is X^{a'} Z^{b'} T |psi> with keys from the
+    update table.  Every one of the 32 branches per state can occur."""
     for _ in range(10):
         psi = qsim.random_state(1, rng)
         branches = 0
-        for a, b, z in itertools.product((0, 1), repeat=3):
-            for c, e in itertools.product((0, 1), repeat=2):
-                st = StateVector(1, _xz(a, b) @ psi)
-                try:
-                    c2, e2, out, keys = run_t_gadget(
-                        st, 0, RoundType.COMPUTATION, "computation", z, rng,
-                        keys=[[a, b]], force=(c, e))
-                except QDepthError:
-                    continue  # zero-probability branch
-                branches += 1
-                a2, b2 = keys[0]
-                want = _xz(a2, b2) @ qsim.T @ psi
-                assert qsim.fidelity(out.amplitudes, want) > 1 - 1e-9
+        for a, b, label, e, c in itertools.product((0, 1), (0, 1), (game.F_ID, game.G_ID),
+                                                   (0, 1), (0, 1)):
+            got = _comp_branch(psi, a, b, label, e, c)
+            if got is None:
+                continue  # zero-probability branch
+            branches += 1
+            out, keys = got
+            a2, b2 = keys[0]
+            want = _xz(a2, b2) @ qsim.T @ psi
+            assert qsim.fidelity(out, want) > 1 - 1e-9
         assert branches == 32
 
 
-def test_t_gadget_xtest_even_identity(rng):
+def test_t_gadget_xtest_even_identity():
     """X-test on an OTP of |0>: new keys (e, 0), state |e> exactly.  The
-    verifier reads e in the basis the pair was made in, so e is fixed by a
-    and c, and half of the 32 (a,b,z,c,e) branches occur."""
+    ancilla is |e>, so c is fixed by a and e, and half of the 32
+    (a, b, z, e, c) branches occur."""
     branches = 0
-    for a, b, z in itertools.product((0, 1), repeat=3):
-        for c, e in itertools.product((0, 1), repeat=2):
-            st = StateVector.from_bits([a])
-            try:
-                _, _, out, keys = run_t_gadget(
-                    st, 0, RoundType.XTEST, "even", z, rng,
-                    keys=[[a, b]], force=(c, e))
-            except QDepthError:
-                continue
-            branches += 1
-            want = np.zeros(2, dtype=complex)
-            want[keys[0][0]] = 1
-            assert keys[0] == [e, 0]
-            assert qsim.fidelity(out.amplitudes, want) > 1 - 1e-9
+    for a, b, z, e, c in itertools.product((0, 1), repeat=5):
+        got = _test_branch("even", 2 * game.Z_ID + a, game.Z_ID, a, b, e, c,
+                           game._ForcedDraw(z))
+        if got is None:
+            continue
+        branches += 1
+        out, keys, z_sent = got
+        want = np.zeros(2, dtype=complex)
+        want[keys[0][0]] = 1
+        assert z_sent == z
+        assert keys[0] == [e, 0]
+        assert qsim.fidelity(out, want) > 1 - 1e-9
     assert branches == 16
 
 
-def test_t_gadget_ztest_odd_identity(rng):
-    """Z-test on an OTP of |+>: new keys (0, b+e+z), all 32 branches occur."""
+def test_t_gadget_ztest_odd_identity():
+    """Z-test on an OTP of |+>: z is 1 for a Y ancilla, new keys
+    (0, b+e+z), all 32 branches occur."""
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     branches = 0
-    for a, b, z in itertools.product((0, 1), repeat=3):
-        for c, e in itertools.product((0, 1), repeat=2):
-            st = StateVector(1, _xz(a, b) @ plus)
-            try:
-                _, _, out, keys = run_t_gadget(
-                    st, 0, RoundType.ZTEST, "odd", z, rng,
-                    keys=[[a, b]], force=(c, e))
-            except QDepthError:
-                continue
-            branches += 1
-            assert keys[0] == [0, (b + e + z) % 2]
-            want = np.linalg.matrix_power(qsim.Z, keys[0][1]) @ plus
-            assert qsim.fidelity(out.amplitudes, want) > 1 - 1e-9
+    for a, b, label, e, c in itertools.product((0, 1), (0, 1), (game.X_ID, game.Y_ID),
+                                               (0, 1), (0, 1)):
+        got = _test_branch("odd", 2 * game.X_ID + b, label, a, b, e, c,
+                           game._ForcedDraw(c))
+        if got is None:
+            continue
+        branches += 1
+        out, keys, z = got
+        assert z == int(label == game.Y_ID)
+        assert keys[0] == [0, (b + e + z) % 2]
+        want = np.linalg.matrix_power(qsim.Z, keys[0][1]) @ plus
+        assert qsim.fidelity(out, want) > 1 - 1e-9
     assert branches == 32
 
 
@@ -182,23 +186,28 @@ def test_t_gadget_ztest_odd_identity(rng):
 
 def _delegate(state, ops, keys, rng):
     """Run ``ops`` on the pad of ``state`` under ``keys`` gate by gate: CNOT
-    and the compiled H gates directly, each T through ``run_t_gadget`` with
-    a fresh z; returns (final padded state, final keys)."""
+    and the compiled H gates directly, each T through the referee's kernel
+    with an ancilla of random F/G label and outcome; returns (final padded
+    state, final keys)."""
     keys = [list(k) for k in keys]
     state = encrypt_state(state, keys)
-    compiled = compile_ops(ops)
-    for op in compiled:
+
+    def apply_gate(name, wires):
+        state.apply_gate(Gate(name, wires))
+
+    for op in compile_ops(ops):
         if op[0] == "cnot":
-            state.apply_gate(Gate("CNOT", op[1:]))
+            apply_gate("CNOT", op[1:])
             update_keys("CNOT", keys, {"control": op[1], "target": op[2]})
         elif op[0] == "h":
-            state.apply_gate(Gate("H", (op[1],)))
+            apply_gate("H", (op[1],))
             update_keys("H", keys, {"wire": op[1]})
         else:
-            parity = gadget_parity(RoundType.COMPUTATION, op[2])
-            _, _, state, _ = run_t_gadget(state, op[1], RoundType.COMPUTATION,
-                                          parity, int(rng.integers(2)), rng,
-                                          keys=keys)
+            label = (game.F_ID, game.G_ID)[rng.integers(2)]
+            e = int(rng.integers(2))
+            c = game.gadget_first_half(state, op[1], 2 * label + e, rng)
+            game.gadget_second_half(apply_gate, keys, op[1], label, c, e,
+                                    gadget_parity(RoundType.COMPUTATION, op[2]), rng)
     return state, keys
 
 
@@ -247,7 +256,7 @@ def test_pauli_attack_iff_at_zero_error():
     """Accept-probability 1 in both tests iff the Pauli attack is trivial."""
     ops = {op.label(): op for op in qsim.all_paulis(1)}
     ident = PauliDistribution({ops["I"]: 1.0})
-    assert qsim.pauli_deviation(ident) == 0.0
+    assert 1 - ident.identity_weight() == 0.0
     rho_probe = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                  np.full((2, 2), 0.5), np.array([[0.5, -0.5j], [0.5j, 0.5]])]
     for rho in rho_probe:

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdepthlab import gadgets, game, oracles, qsim
+from qdepthlab import game, oracles, qsim
 from qdepthlab.errors import ConfigError, ProtocolOrderError, QDepthError, SchemeViolation
-from qdepthlab.gadgets import RoundType
 from qdepthlab.game import (
     GameLayout,
-    GameRun,
     ProtocolConfig,
     choose_alpha,
     draw_partition,
@@ -87,6 +85,19 @@ def test_config_is_frozen_and_complete_when_built():
     with pytest.raises(FrozenInstanceError):
         cfg.d = 3
     assert ProtocolConfig(q=1, alpha=0.5, t_parallel=2).alpha == 0.5
+
+
+def test_replaced_config_fills_in_what_its_caller_did_not_set():
+    """``dataclasses.replace`` gives the alpha and t_parallel a fresh build
+    gives, and keeps the ones a caller set; the JSON holds plain numbers."""
+    assert replace(ProtocolConfig(q=3), q=1) == ProtocolConfig(q=1)
+    assert replace(ProtocolConfig(q=3), q=1).alpha == 0.25
+    assert replace(ProtocolConfig(n=3), n=5).t_parallel == 30
+    assert replace(ProtocolConfig(q=3, alpha=0.2), q=1).alpha == 0.2
+    assert replace(ProtocolConfig(n=3, t_parallel=7), n=5).t_parallel == 7
+    assert replace(ProtocolConfig(q=1), alpha=None, q=3).alpha == 0.1
+    out = replace(ProtocolConfig(q=3), q=1).to_json()
+    assert (type(out["alpha"]), type(out["t_parallel"])) == (float, int)
 
 
 @pytest.mark.parametrize("name, value", [("t_parallel", -1), ("t_parallel", 0)])
@@ -399,11 +410,13 @@ def test_gadget_first_half_table_matches_dense_simulation():
         for a, anc in enumerate(game._FAMILY):
             p1 = game._GADGET_P1[w, a]
             assert p1 in (0, 0.5, 1)    # the round draws c only where p1 is 1/2
+            sv = qsim.StateVector(2, np.kron(wire, anc))
+            sv.apply_gate(qsim.Gate("CNOT", (1, 0)))
+            rows = sv.amplitudes.reshape(2, 2)      # [wire bit, ancilla]
             for c, p_c in ((0, 1 - p1), (1, p1)):
-                sv = qsim.StateVector(2, np.kron(wire, anc))
-                sv.apply_gate(qsim.Gate("CNOT", (1, 0)))
-                assert abs(gadgets._postselect(sv, 0, c) - p_c) < 1e-9
-                left = sv.amplitudes.reshape(2, 2)[c] if p_c > 0 else np.zeros(2)
+                p = float(np.vdot(rows[c], rows[c]).real)
+                assert abs(p - p_c) < 1e-9
+                left = rows[c] / np.sqrt(p) if p_c > 0 else np.zeros(2)
                 assert game._GADGET_AFTER[w, a, c] == _family_code(left, game._FAMILY)
 
 
@@ -430,6 +443,19 @@ def test_read_table_is_p1_in_each_basis():
             assert abs(game._READ_P1[code, label] - p1) < 1e-9
 
 
+def _textbook_t_gadget(psi, w_matrix, z, c, e):
+    """The textbook T gadget on one wire, in plain numpy: |psi> next to an
+    EPR pair, CNOT from the prover's half onto the wire, the wire read as c,
+    the verifier's half rotated by ``w_matrix`` and read as e, then S^-z on
+    the prover's half.  Returns (P[c, e], that half's state)."""
+    st = np.einsum("d,av->dav", psi, np.eye(2) / np.sqrt(2))   # [wire, prover, verifier]
+    st[:, 1] = st[::-1, 1].copy()           # the CNOT flips the wire where the half is 1
+    half = (st[c] @ w_matrix.T)[:, e]
+    half = np.linalg.matrix_power(qsim.SDG, z) @ half
+    p = float(np.vdot(half, half).real)
+    return p, half / np.sqrt(p) if p > 0 else half
+
+
 @pytest.mark.parametrize("parity, wire_label, anc_label, z", [
     ("even", game.Z_ID, game.Z_ID, 0), ("even", game.Z_ID, game.Z_ID, 1),
     ("odd", game.X_ID, game.X_ID, 0), ("odd", game.X_ID, game.Y_ID, 1)])
@@ -437,27 +463,23 @@ def test_tables_follow_the_dense_t_gadget_in_honest_cases(parity, wire_label,
                                                           anc_label, z):
     """An even gadget runs on an X-test wire with a Z ancilla, an odd one on
     a Z-test wire with an X (z=0) or Y (z=1) ancilla: first half, then S^-z,
-    must leave the state ``gadgets.run_t_gadget`` leaves in that branch."""
-    round_type = RoundType.XTEST if parity == "even" else RoundType.ZTEST
+    must leave the state the textbook gadget leaves in that branch, whose
+    verifier reads its half in Z (even) or through H S^-z (odd)."""
+    w_matrix = np.eye(2) if parity == "even" else qsim.H @ np.linalg.matrix_power(qsim.SDG, z)
     for value in (0, 1):
         w = 2 * wire_label + value
         for c in (0, 1):
             for e in (0, 1):
                 a = 2 * anc_label + e
                 p_c = game._GADGET_P1[w, a] if c else 1 - game._GADGET_P1[w, a]
-                state = qsim.StateVector(1, game._FAMILY[w])
+                p_ref, out = _textbook_t_gadget(game._FAMILY[w], w_matrix, z, c, e)
                 if p_c == 0:
-                    with pytest.raises(QDepthError):
-                        gadgets.run_t_gadget(state, 0, round_type, parity, z,
-                                             None, force=(c, e))
+                    assert p_ref < 1e-12
                     continue
-                _, _, out, _ = gadgets.run_t_gadget(state, 0, round_type, parity,
-                                                    z, None, force=(c, e))
                 code = game._GADGET_AFTER[w, a, c]
                 if z:
                     code = game._GATE_CODES["SDG"][code]
-                assert qsim.states_equal_up_to_phase(out.amplitudes,
-                                                     game._FAMILY[code])
+                assert qsim.states_equal_up_to_phase(out, game._FAMILY[code])
 
 
 def test_biased_test_round_outcome_is_a_lab_error(monkeypatch):
@@ -633,29 +655,16 @@ def test_round_payload_arrays_are_read_only():
 # -- the T gadget's first half ------------------------------------------------
 
 
-def _dense_after_cnot(sv, wire, psi):
-    """The dense path computation rounds once ran, up to the read-out: the
-    stand-in merged with the ancilla ``psi`` as its last qubit, then CNOT
-    from the ancilla onto ``wire``."""
-    merged = qsim.StateVector(sv.num_qubits + 1,
-                              np.outer(sv.amplitudes, psi).reshape(-1))
-    merged.apply_gate(qsim.Gate("CNOT", (sv.num_qubits, wire)))
-    return merged
-
-
 def _reference_first_half(sv, wire, psi, c):
-    """The dense first half: ``_dense_after_cnot``, the wire projected onto
-    |c>, dropped, and the ancilla moved into its place.  Returns (P[c],
+    """The dense first half in plain numpy: the stand-in with the ancilla
+    ``psi`` as its last qubit, CNOT from the ancilla onto ``wire``, the wire
+    projected onto |c> and the ancilla put in its place.  Returns (P[c],
     post-state); P[c] > 0 on a state without zero amplitudes."""
-    merged = _dense_after_cnot(sv, wire, psi)
-    halves = qsim._qubit_halves(merged.num_qubits, wire)
-    amps = np.zeros_like(merged.amplitudes)
-    amps[halves[c]] = merged.amplitudes[halves[c]]
-    p = float(np.vdot(amps, amps).real)
-    merged.amplitudes = amps / np.sqrt(p)
-    merged.remove_qubit(wire, c)
-    merged.move_qubit(merged.num_qubits - 1, wire)
-    return p, merged.amplitudes
+    merged = np.multiply.outer(sv.amplitudes.reshape([2] * sv.num_qubits), psi)
+    merged[..., 1] = np.flip(merged[..., 1], axis=wire).copy()
+    branch = np.moveaxis(np.take(merged, c, axis=wire), -1, wire).reshape(-1)
+    p = float(np.vdot(branch, branch).real)
+    return p, branch / np.sqrt(p)
 
 
 class _PickOutcome:
@@ -671,15 +680,11 @@ class _PickOutcome:
 
 
 def _first_half(sv, wire, code, rng):
-    """Run ``GameRun._gadget_first_half`` on a copy of ``sv`` with the
-    ancilla of family code ``code`` at pool position 0."""
-    run = GameRun.__new__(GameRun)
-    run.rng = rng
-    rnd = game._Round(part=None, free=None, coherent=True, e_rep=None,
-                      e_act=np.array([code % 2]), act_label=np.array([code // 2]),
-                      a_rep=None, b_rep=None, standin_sv=sv.copy())
-    c = run._gadget_first_half(rnd, wire, 0, 0)
-    return c, rnd.standin_sv.amplitudes
+    """Run ``game.gadget_first_half`` on a copy of ``sv`` with the ancilla of
+    family code ``code``."""
+    sv = sv.copy()
+    c = game.gadget_first_half(sv, wire, code, rng)
+    return c, sv.amplitudes
 
 
 def test_gadget_kraus_matches_dense_reference(monkeypatch):
@@ -704,8 +709,9 @@ def test_gadget_kraus_matches_dense_reference(monkeypatch):
 
 
 def test_gadget_kraus_makes_the_draw_the_dense_measurement_made():
-    """With a real generator, the kernel draws c as ``qsim.measure`` did:
-    the same outcome and the generator left in the same state."""
+    """With a real generator, the kernel draws c as the dense measurement
+    did, ``Generator.choice`` on the Born probabilities of the wire: the
+    same outcome and the generator left in the same state."""
     src = np.random.default_rng(8)
     for trial in range(40):
         n = 1 + trial % 3
@@ -713,8 +719,9 @@ def test_gadget_kraus_makes_the_draw_the_dense_measurement_made():
         wire, code = trial % n, trial % 10
         rng_new, rng_ref = (np.random.default_rng(trial) for _ in range(2))
         c, _ = _first_half(sv, wire, code, rng_new)
-        merged = _dense_after_cnot(sv, wire, game._FAMILY[code])
-        (c_ref,), _ = qsim.measure(merged, [wire], "standard", rng_ref)
+        probs = np.array([_reference_first_half(sv, wire, game._FAMILY[code], c)[0]
+                          for c in (0, 1)])
+        c_ref = rng_ref.choice(2, p=probs / probs.sum())
         assert c == c_ref
         assert rng_new.random() == rng_ref.random()
 

@@ -278,18 +278,6 @@ def test_exact_mode_width_policy(rng):
         sample_shuffling(sample_simon(9, rng), 2, rng, mode="exact")
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 17, 1 << 12])
-def test_table_perm_inverse_is_argsort(size):
-    """The scattered inverse table is the array ``np.argsort`` gives."""
-    for seed in range(3):
-        table = np.random.default_rng(seed).permutation(size)
-        perm = oracles._TablePerm(table)
-        want = np.argsort(table)
-        assert perm.inverse_table.dtype == want.dtype
-        assert np.array_equal(perm.inverse_table, want)
-        assert all(perm.invert(perm.eval(x)) == x for x in range(min(size, 64)))
-
-
 def test_oracle_descriptor_withholds_shift(rng):
     schema = json.loads((SCHEMAS / "oracle_descriptor.v1.schema.json").read_text())
     for mode in ("exact", "prp"):
@@ -326,8 +314,7 @@ def test_final_bijection_exhaustive(inplace_oracle):
 
 def test_final_bijection_builds_its_complement_on_first_use():
     """The off-domain permutation is built by the first evaluation off the
-    valid set, gives the eager construction's known answers, and inverts
-    its own images."""
+    valid set and gives the eager construction's known answers."""
     rng = np.random.default_rng(5)
     final = build_inplace(sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact"),
                           rng).final
@@ -335,20 +322,16 @@ def test_final_bijection_builds_its_complement_on_first_use():
     assert 0 not in final.forward and 0 not in final.backward
     assert final.eval(0, 0) == (3089, 1)
     assert "off_domain" in vars(final)
-    assert final.invert(3089, 1) == (0, 0)
     assert [final.eval(z >> 1, z & 1) for z in (1, 2, 3)] == [(1822, 0), (1502, 0),
                                                              (2940, 0)]
-    assert [final.invert(z >> 1, z & 1) for z in (1, 10, 11)] == [(2541, 1), (1904, 0),
-                                                                 (252, 1)]
 
 
-def test_middle_unitary_inverse_roundtrip(inplace_oracle, rng):
+def test_middle_unitary_is_injective(inplace_oracle, rng):
+    """Distinct points of the (value, flag) field map to distinct points."""
     fn = inplace_oracle.unitary_fn(1)
-    inv = inplace_oracle.unitary_inv_fn(1)
     W = inplace_oracle.big_width
-    for z in rng.integers(0, 1 << (W + 1), size=100):
-        z = int(z)
-        assert inv(fn(z)) == z
+    pts = {int(z) for z in rng.integers(0, 1 << (W + 1), size=100)}
+    assert len({fn(z) for z in pts}) == len(pts)
 
 
 def test_flag_flips_by_coset_membership(inplace_oracle):
@@ -419,7 +402,7 @@ def test_solve_hidden_shift_spanning_property(rng):
             s = int(rng.integers(1, 1 << n))
             space = [y for y in range(1 << n) if dot_bits(y, s) == 0]
             samples = [space[i] for i in rng.integers(0, len(space), size=4 * n)]
-            rank = oracles.gf2_rank(samples, n)
+            rank = len(oracles._echelon(samples, n))
             got = solve_hidden_shift(samples, n)
             if rank == n - 1:
                 assert got == s
@@ -601,14 +584,12 @@ def test_prp_mode_solver(rng):
 
 
 def test_prp_mode_inplace_bijectivity_spot_check(rng):
-    """Inverse round-trips on 10^4 random points of the prp-backed unitaries."""
+    """The prp-backed unitaries map 10^4 random points to distinct points."""
     f = sample_simon(4, rng)
     sh = sample_shuffling(f, 2, rng, mode="prp")
     ipo = build_inplace(sh, rng)
     W = ipo.big_width
-    pts = rng.integers(0, 1 << (W + 1), size=10_000)
+    pts = {int(z) for z in rng.integers(0, 1 << (W + 1), size=10_000)}
     for level in (1, 2):
-        fn, inv = ipo.unitary_fn(level), ipo.unitary_inv_fn(level)
-        for z in pts:
-            z = int(z)
-            assert inv(fn(z)) == z
+        fn = ipo.unitary_fn(level)
+        assert len({fn(z) for z in pts}) == len(pts)
