@@ -27,7 +27,8 @@ from .qsim import SparseState, bits_to_int
 # unused here; kept because bench/tracer.py patches ``oracles.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
 
-EXACT_TABLE_WIDTH_LIMIT = 24
+# the widest 2^width domain Generator.choice samples: its population is an int64
+EXACT_WIDTH_LIMIT = 62
 FEISTEL_ROUNDS = 10
 
 
@@ -257,15 +258,51 @@ def pseudorandom_simon(key, s, n, m=None) -> SimonFunction:
 # ---------------------------------------------------------------------------
 
 
-class _TablePerm:
-    def __init__(self, table):
-        self.table = np.asarray(table, dtype=np.int64)
+class _LazyPermutation:
+    """Uniform permutation of the ``width``-bit strings, sampled lazily.
 
-    def eval(self, x):
-        return int(self.table[x])
+    Built with its images on the chain points; any other point gets, on its
+    first evaluation, a uniform image among the values not yet used.  Those
+    draws come from a generator spawned off ``rng`` on first need, so the
+    trial stream after the build never depends on which points are evaluated.
+    """
+
+    def __init__(self, width, points, images, rng):
+        self.width = width
+        self.images = dict(zip(points, images))
+        self._parent = rng
+        self._rng = None
+        self._used = None
+
+    def eval(self, x) -> int:
+        out = self.images.get(x)
+        return self.eval_many((x,))[0] if out is None else out
 
     def eval_many(self, xs) -> list:
-        return self.table[xs].tolist()
+        images = self.images
+        try:
+            return [images[x] for x in xs]
+        except KeyError:
+            self._extend(xs)
+            return [images[x] for x in xs]
+
+    def _extend(self, xs):
+        """Image the points of ``xs`` the map lacks, in order of first
+        appearance, each by rejection: uniform draws until one hits a value
+        not yet used.  One draw at a time, so images do not depend on how
+        evaluations are batched."""
+        todo = [x for x in dict.fromkeys(xs) if x not in self.images]
+        if any(not 0 <= x < (1 << self.width) for x in todo):
+            raise QDepthError("input does not fit the permutation width")
+        if self._rng is None:
+            self._rng = self._parent.spawn(1)[0]
+            self._used = set(self.images.values())
+        for x in todo:
+            v = int(self._rng.integers(1 << self.width))
+            while v in self._used:
+                v = int(self._rng.integers(1 << self.width))
+            self._used.add(v)
+            self.images[x] = v
 
 
 @dataclass
@@ -273,7 +310,9 @@ class ShufflingOracle:
     """Chain (f_0, ..., f_d) hiding a Simon function on the set S_d.
 
     f_0..f_{d-1} are permutations of the enlarged domain; f_d maps S_d to the
-    hidden function's values and is undefined (None) elsewhere.
+    hidden function's values and is undefined (None) elsewhere.  In exact
+    mode each f_i is a uniform permutation sampled lazily: images fixed at
+    build on the chain points, drawn on first use anywhere else.
     """
 
     n: int
@@ -303,7 +342,8 @@ class ShufflingOracle:
         return self.simon.evaluate(pre)
 
     def junk_value(self, y) -> int:
-        """Deterministic keyed filler standing in for bottom in XOR oracles."""
+        """Deterministic filler standing in for bottom in XOR oracles: a hash
+        of ``y`` alone, unkeyed, so equal for every oracle of the same m."""
         h = hashlib.sha256(b"junk" + y.to_bytes(16, "big")).digest()
         return int.from_bytes(h[:4], "big") & ((1 << self.simon.m) - 1)
 
@@ -331,30 +371,37 @@ def sample_shuffling(
     simon: SimonFunction, d, rng, mode="exact", seed=None
 ) -> ShufflingOracle:
     """Draw the middle permutations and assemble the chain for ``simon``,
-    over the (d+2)n-bit enlarged domain."""
+    over the (d+2)n-bit enlarged domain.
+
+    Exact mode draws each middle map as a uniform permutation sampled
+    lazily: its images on the 2^n points the chain reaches are one
+    ``rng.choice(..., replace=False)``, since a uniform permutation
+    restricted to a set drawn independently of it is a uniform injection.
+    It is limited to ``EXACT_WIDTH_LIMIT``-bit domains; prp mode draws a
+    key per map.
+    """
     n = simon.n
     big = (d + 2) * n
-    middle = []
-    if mode == "exact":
-        if big > EXACT_TABLE_WIDTH_LIMIT:
-            raise CapacityError(
-                f"exact tables limited to {EXACT_TABLE_WIDTH_LIMIT}-bit domains; "
-                "use prp mode"
-            )
-        for _ in range(d):
-            middle.append(_TablePerm(rng.permutation(1 << big)))
-    elif mode == "prp":
-        for _ in range(d):
-            middle.append(random_keyed_permutation(big, rng))
-    else:
+    if mode not in ("exact", "prp"):
         raise QDepthError(f"unknown shuffling mode {mode!r}")
+    if mode == "exact" and big > EXACT_WIDTH_LIMIT:
+        raise CapacityError(
+            f"exact mode limited to {EXACT_WIDTH_LIMIT}-bit domains; use prp mode"
+        )
+    # every input's chain point, one permutation at a time over all of them
+    ends = list(range(1 << n))
+    middle = []
+    for _ in range(d):
+        if mode == "exact":
+            images = rng.choice(1 << big, size=len(ends), replace=False).tolist()
+            perm = _LazyPermutation(big, ends, images, rng)
+        else:
+            perm = random_keyed_permutation(big, rng)
+        middle.append(perm)
+        ends = perm.eval_many(ends)
     oracle = ShufflingOracle(
         n=n, d=d, simon=simon, middle=middle, mode=mode, seed=seed,
     )
-    # every input's chain point, one permutation at a time over all of them
-    ends = list(range(1 << n))
-    for perm in middle:
-        ends = perm.eval_many(ends)
     oracle.s_d = {y: x for x, y in enumerate(ends)}
     if len(oracle.s_d) != len(ends):
         raise QDepthError("chain endpoints collide; permutations corrupt")

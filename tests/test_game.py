@@ -1064,8 +1064,13 @@ def test_run_trials_gadget_expected_depth_matches_honest_audit():
 
 
 def test_sequential_repetition_widens_gap():
-    """Accept-all-repetitions amplifies honest-vs-cheat separation."""
-    cfg = _cvqd2_config(3, 2, t_parallel=8, oracle_mode="exact", trials=60, seed=23)
+    """Accept-all-repetitions amplifies honest-vs-cheat separation.
+
+    Honest acceptance is about 0.98 here and lying about 0.08, so the gap is
+    expected to grow by about 0.04 from one repetition to three.  At 60
+    trials that held at only about 3 seeds in 4; 480 make it a 2.5-sigma
+    margin."""
+    cfg = _cvqd2_config(3, 2, t_parallel=8, oracle_mode="exact", trials=480, seed=23)
     gaps = []
     for repeat in (1, 3):
         h, _ = run_trials(cfg, "honest", "honest", repeat=repeat)

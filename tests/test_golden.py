@@ -152,19 +152,19 @@ CASES = {
 }
 
 GOLDEN = {
-    "dssp": "745cf07edfbcef448da37e3603ecf355272a64b22e45e62e915fceab1be8ce7f",
-    "estimate-acceptance": "1cf74046da64d5ba53f5d0a5cb95006ad2c01004f2257a245e99ea2c44adb5d3",
+    "dssp": "649a6db50da6bc388f0c1a5da2204e79d886a9dd12918dd0c786e47ea502d24e",
+    "estimate-acceptance": "68d5b51023a5be67ce6d582fb6ff5050e9d0673d7523fe8b32149b5558f3d111",
     "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
     "protocol:gadget": "4ea08d44cbe42351b464622ffdfa024d78f2540c20db1a971f21e62c6f82122e",
     "protocol:gadget-answer": "0008143231c8da5ae546e332c3fb64cd597401ce5b34e9f20b3706332343ac07",
-    "protocol:inplace": "9bf4e1448d41d4d80cde9008d5092cfb200f6bbee6da14ca21e57e70547742be",
-    "protocol:inplace-answer": "f6f4023dba9f7f99d78b4e52486efaed2a985a83a542230dab5fb8fe01bcda13",
+    "protocol:inplace": "009ee46054744874f4adf49e1b3a1a27b32a826978c8ae9e29f8d58507805d63",
+    "protocol:inplace-answer": "7408d6cb66e43f6e4ace4124caa781573a9b1a13aee25b768c98e6b356cd0b04",
     "protocol:inplace-prp": "646c7e2955a3d147f155f91767a7d5f8afd62883bf5cfbda58e53fde03d83ae0",
-    "protocol:standard": "65d4df73b204d286e5f16df9d85626b3cf31a41b569034bb02d964434d5dc1d4",
-    "run-cvqd2": "c8d219eaac4b40284ae6a9dd1365ef80c8b4a880f78c00a26f89d660c6420df5",
+    "protocol:standard": "fa9c7a81c717a8e42c4a4e58a71dbdf18c6d6e6bb3e46220dee485652d7d802a",
+    "run-cvqd2": "637627bf0ef71f7b2ff4d70728ca8103005cda429e74ae91d0c27f0bc4b189c3",
     "single-round:gadget": "d4e569a4bae77f37503348c3f3a3895e054ff5afa59460a41bfec6bc97ce7f93",
-    "single-round:inplace": "b4eff85fee8a3068116ddb0b8d2afb177c09a327b841672e95dd60399b505ae7",
-    "single-round:standard": "56d2a11b98e65f6ffadde724fd072243daa25df77f2d4481d2e06d3c7635d52f",
+    "single-round:inplace": "c20c28d069ebb153986490787cbc5b7a39d9c36b457d6483878b4b9b1491a9ff",
+    "single-round:standard": "0b64c5d6041a435fb324a8fd41fa4a8265a76553227ac8360fcfb84e635d8983",
 }
 
 

@@ -33,8 +33,9 @@ from qdepthlab.qsim import Gate, SparseState, bits_to_int, measure
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
-# chi-square critical value at p = 0.01 for 62 degrees of freedom
+# chi-square critical values at p = 0.01 for 62 and 63 degrees of freedom
 CHI2_99_DOF62 = 90.802
+CHI2_99_DOF63 = 92.010
 
 
 @pytest.fixture
@@ -274,8 +275,85 @@ def test_final_is_bottom_off_hidden_set(rng):
 
 
 def test_exact_mode_width_policy(rng):
+    """Exact mode samples domains up to the widest Generator.choice takes."""
+    assert oracles.EXACT_WIDTH_LIMIT == 62
     with pytest.raises(CapacityError):
-        sample_shuffling(sample_simon(9, rng), 2, rng, mode="exact")
+        sample_shuffling(sample_simon(3, rng), 19, rng, mode="exact")  # 63 bits
+    f = sample_simon(2, rng)
+    sh = sample_shuffling(f, 29, rng, mode="exact")  # 62 bits
+    assert all(sh.compose(x) == f.evaluate(x) for x in range(4))
+
+
+def test_exact_mode_builds_a_36_bit_chain(rng):
+    """n=9, d=2, refused while exact mode drew whole tables, builds and
+    hides the Simon function on every input."""
+    f = sample_simon(9, rng)
+    sh = sample_shuffling(f, 2, rng, mode="exact")
+    assert sh.big_width == 36
+    assert all(sh.compose(x) == f.evaluate(x) for x in range(1 << 9))
+
+
+def _narrow_exact(seed):
+    """The one middle map of an exact n=2, d=1 chain: a permutation of the
+    6-bit strings whose chain points are 0..3."""
+    rng = np.random.default_rng(seed)
+    return sample_shuffling(sample_simon(2, rng), 1, rng, mode="exact").middle[0]
+
+
+def test_exact_permutation_images_are_uniform():
+    """The image of a fixed chain point, and of a fixed point off the chain,
+    is uniform over the 64 values."""
+    trials = 3200
+    counts = np.zeros((2, 64))
+    for t in range(trials):
+        perm = _narrow_exact((2217, t))
+        counts[0, perm.eval(0)] += 1
+        counts[1, perm.eval(41)] += 1
+    expected = trials / 64
+    for row in counts:
+        assert ((row - expected) ** 2 / expected).sum() < CHI2_99_DOF63
+
+
+def test_exact_permutation_is_injective_and_stable():
+    """Chain and off-chain images are pairwise distinct and fixed once drawn:
+    evaluating all 64 points, some one at a time first, gives a permutation,
+    and repeat calls agree."""
+    for t in range(20):
+        perm = _narrow_exact((2218, t))
+        order = np.random.default_rng((2219, t)).permutation(64).tolist()
+        singles = [perm.eval(x) for x in order[:20]]
+        images = perm.eval_many(order)
+        assert sorted(images) == list(range(64))
+        assert images[:20] == singles
+        assert perm.eval_many(order) == images
+        assert [perm.eval(x) for x in order] == images
+
+
+def test_exact_permutation_batches_like_single_evaluations():
+    """eval_many(xs) is [eval(x) for x in xs], also across twin
+    permutations: batching evaluations does not change the images drawn."""
+    for t in range(20):
+        batched, single = _narrow_exact((2220, t)), _narrow_exact((2220, t))
+        xs = np.random.default_rng((2221, t)).integers(0, 64, size=40).tolist()
+        xs += [3, 0, 2, 1]
+        assert batched.eval_many(xs) == [single.eval(x) for x in xs]
+        assert batched.eval_many(xs) == [batched.eval(x) for x in xs]
+
+
+def test_exact_off_chain_evaluations_leave_the_trial_stream():
+    """Off-chain images come from a generator the permutation spawns, so
+    the trial generator's state after the build is the same with or without
+    them."""
+    def build(probe):
+        rng = np.random.default_rng(2222)
+        sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
+        if probe:
+            for perm in sh.middle:
+                perm.eval_many(range(100, 140))
+            assert all(len(perm.images) == 8 + 40 for perm in sh.middle)
+        return rng.bit_generator.state
+
+    assert build(probe=True) == build(probe=False)
 
 
 def test_oracle_descriptor_withholds_shift(rng):
@@ -320,10 +398,10 @@ def test_final_bijection_builds_its_complement_on_first_use():
                           rng).final
     assert "off_domain" not in vars(final)
     assert 0 not in final.forward and 0 not in final.backward
-    assert final.eval(0, 0) == (3089, 1)
+    assert final.eval(0, 0) == (2024, 1)
     assert "off_domain" in vars(final)
-    assert [final.eval(z >> 1, z & 1) for z in (1, 2, 3)] == [(1822, 0), (1502, 0),
-                                                             (2940, 0)]
+    assert [final.eval(z >> 1, z & 1) for z in (1, 2, 3)] == [(310, 0), (1467, 1),
+                                                             (3661, 0)]
 
 
 def test_middle_unitary_is_injective(inplace_oracle, rng):
