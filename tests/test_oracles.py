@@ -275,22 +275,18 @@ def test_final_is_bottom_off_hidden_set(rng):
 
 
 def test_exact_mode_width_policy(rng):
-    """Exact mode samples domains up to the widest Generator.choice takes."""
+    """Exact mode samples domains up to the widest Generator.choice takes:
+    a 63-bit chain is refused; a 62-bit one, and n=9, d=2 (36 bits, refused
+    while exact mode drew whole tables), build and hide the Simon function
+    on every input."""
     assert oracles.EXACT_WIDTH_LIMIT == 62
     with pytest.raises(CapacityError):
-        sample_shuffling(sample_simon(3, rng), 19, rng, mode="exact")  # 63 bits
-    f = sample_simon(2, rng)
-    sh = sample_shuffling(f, 29, rng, mode="exact")  # 62 bits
-    assert all(sh.compose(x) == f.evaluate(x) for x in range(4))
-
-
-def test_exact_mode_builds_a_36_bit_chain(rng):
-    """n=9, d=2, refused while exact mode drew whole tables, builds and
-    hides the Simon function on every input."""
-    f = sample_simon(9, rng)
-    sh = sample_shuffling(f, 2, rng, mode="exact")
-    assert sh.big_width == 36
-    assert all(sh.compose(x) == f.evaluate(x) for x in range(1 << 9))
+        sample_shuffling(sample_simon(3, rng), 19, rng, mode="exact")
+    for n, d, width in [(2, 29, 62), (9, 2, 36)]:
+        f = sample_simon(n, rng)
+        sh = sample_shuffling(f, d, rng, mode="exact")
+        assert sh.big_width == width
+        assert all(sh.compose(x) == f.evaluate(x) for x in range(1 << n))
 
 
 def _narrow_exact(seed):
