@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -174,44 +173,12 @@ def _planted_attack(spec, n_wires):
     return pauli.upper(), int(wire)
 
 
-def _twirl_probe_states(n):
-    single = [
-        np.diag([1.0, 0.0]).astype(complex),
-        np.diag([0.0, 1.0]).astype(complex),
-        np.full((2, 2), 0.5, dtype=complex),
-        np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
-    ]
-    if n == 1:
-        return single
-    out = []
-    for combo in itertools.product(single, repeat=n):
-        rho = combo[0]
-        for extra in combo[1:]:
-            rho = np.kron(rho, extra)
-        out.append(rho)
-    return out
-
-
-def _twirl_max_deviation(n, trials, rng):
-    """Largest entry gap between the twirl of ``trials`` random n-qubit
-    channels and their Pauli channels, over product probe states."""
-    worst = 0.0
-    for _ in range(trials):
-        kraus = qsim.random_cptp(n, rng)
-        r = qsim.twirl(kraus, n)
-        for basis in _twirl_probe_states(n):
-            lhs = qsim.twirled_channel_apply(kraus, n, basis)
-            rhs = qsim.pauli_channel_apply(r, basis)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 def cmd_twirl_check(args):
     require_at_least(args, n=1, trials=1)
     if args.n > qsim.TWIRL_MAX_QUBITS:
         raise CapacityError(f"twirl-check needs --n <= {qsim.TWIRL_MAX_QUBITS}")
-    worst = _twirl_max_deviation(args.n, args.trials,
-                                 np.random.default_rng(args.seed))
+    worst = qsim.twirl_max_deviation(args.n, args.trials,
+                                     np.random.default_rng(args.seed))
     result = {"n": args.n, "trials": args.trials, "max_deviation": worst,
               "pass": worst < 1e-9}
     emit(result, args)
@@ -310,8 +277,7 @@ def cmd_ntcf_run(args):
         prover = ntcf.PROVERS[args.prover]()
         verdict, run = ntcf.run_cvqd(args.d, prover, rng, n=args.n)
         accepted += verdict == "accept"
-        if run.audited_depth is not None:
-            depths.add(run.audited_depth)
+        depths.add(run.audited_depth)
     result = {
         "d": args.d, "d0": ntcf.D0_DEFAULT, "n": args.n, "prover": args.prover,
         "trials": args.trials, "accept_rate": accepted / args.trials,

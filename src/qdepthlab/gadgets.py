@@ -124,7 +124,7 @@ def compile_ops(ops):
     return compiled
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _index_parities(n) -> np.ndarray:
     """Per basis index of an n-qubit register, the parity of its set bits."""
     par = np.arange(1 << n)

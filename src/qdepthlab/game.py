@@ -149,8 +149,9 @@ def choose_alpha(q, p, c) -> float:
     return 1.0 / (1.0 + 2.0 * q * c / p)
 
 
-def wilson_interval(successes, trials, z=1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, trials):
+    """Wilson score 95% interval for a binomial proportion."""
+    z = 1.96  # the two-sided 95% normal quantile
     if trials == 0:
         return 0.0, 0.0, 1.0
     phat = successes / trials
@@ -805,8 +806,7 @@ class ProverA:
                 outcomes, cdf = tables[id(st)]
                 pick = outcomes[born_draw(rng, cdf)]
                 a = st.support[pick]
-                collapsed.append(SparseState(total, {pick: a / math.sqrt(abs(a) ** 2)},
-                                             st.support_cap))
+                collapsed.append(SparseState(total, {pick: a / math.sqrt(abs(a) ** 2)}))
                 bits = [(pick >> (total - 1 - i)) & 1 for i in range(total)]
                 samples.append(shift_sample(bits, cfg.n, inplace))
             self.instances = collapsed

@@ -14,8 +14,10 @@ Lai, and a ``HybridSession`` has one call that runs quantum depth in each:
 Budget enforcement is fail-fast: a violating layer or invocation aborts
 before any of it runs.
 
-``charge_layers(layers, note)`` declares depth the lab does not simulate,
-and each call's note says why.  Its call sites:
+Every dQC layer enters the trace through ``charge_layers(layers, note)``:
+``layer`` charges its one layer there before its op runs, and a caller
+declares there the depth the lab does not simulate, each note saying why.
+Its direct call sites:
 
 * ``game.ProverA``: each query's layer, which ``query_round`` pays before
   it measures the pool (pool rotations and Bell measurements are drawn as
@@ -147,9 +149,14 @@ class HybridSession:
         self._current_quantum = None
         self.trace.steps.append(TraceStep("classical", name=name))
 
-    def _charge(self, layers, note):
-        """Add ``layers`` to the open quantum step; the dQC budget is
-        checked first, so an over-budget charge changes nothing."""
+    def charge_layers(self, layers, note=""):
+        """Add ``layers`` to the open quantum step, named by ``note``.
+
+        Every dQC layer enters the trace here: each one ``layer`` runs, and
+        depth the lab does not simulate, declared directly with a note that
+        says why.  The dQC budget is checked first, so an over-budget charge
+        changes nothing.
+        """
         if self.scheme_kind == DQC:
             if self.trace.total_quantum_layers() + layers > self.budget:
                 raise DepthBudgetExceeded(
@@ -170,17 +177,14 @@ class HybridSession:
 
         ``op`` is a ``state -> state`` callable acting in place; the
         registers are disjoint, so the layer costs 1 however many there are.
-        The budget is checked before ``op`` touches any register.
+        The layer is charged through ``charge_layers``, so the budget is
+        checked before ``op`` touches any register.
         """
         if self.scheme_kind != DQC:
             raise SchemeViolation("layer is only available in dQC sessions")
-        self._charge(1, note)
+        self.charge_layers(1, note)
         for st in states:
             op(st)
-
-    def charge_layers(self, layers, note=""):
-        """Declare depth the lab does not simulate; ``note`` says why."""
-        self._charge(layers, note)
 
     def invoke(self, circuit: StepCircuit):
         """dCQ: run ``circuit`` on a fresh |0...0> register, measure every qubit.

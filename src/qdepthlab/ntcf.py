@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ProtocolOrderError, QDepthError, SchemeViolation
+from .errors import CapacityError, ProtocolOrderError, QDepthError
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import KeyedPermutation, dot_bits, random_keyed_permutation
 from .qsim import SPARSE_SUPPORT_CAP, SparseState, bits_to_int, trial_rng
@@ -279,7 +279,9 @@ def run_cvqd(d, prover, rng, n=4):
     """One protocol execution: d+1 keys, sequential challenges.
 
     The verdict is reject as soon as any round's predicate fails; each
-    challenge bit is sampled only after the previous answer arrived.
+    challenge bit is sampled only after the previous answer arrived.  The
+    audited depth comes from the prover's finished trace; an error there is
+    a lab bug and reaches the caller.
     """
     keys = [gen(n, rng)[0] for _ in range(d + 1)]
     run = CvqdRun(d=d, keys=keys)
@@ -297,10 +299,7 @@ def run_cvqd(d, prover, rng, n=4):
             break
     else:
         run.verdict = "accept"
-    try:
-        run.audited_depth = audited_depth(prover.trace())
-    except SchemeViolation:
-        run.audited_depth = None
+    run.audited_depth = audited_depth(prover.trace())
     return run.verdict, run
 
 
@@ -332,8 +331,9 @@ def rewind_extract(prover: ResetProver, rng, n=4, d=2):
     return y, w0, w1, int(v0 and v1), (v0, v1)
 
 
-def extractor_experiment(d, trials, rng_seed=0, n=4, mode="guess", j=1):
-    """Monte-Carlo check of the rewinding inequality.
+def extractor_experiment(d, trials, rng_seed=0, n=4, mode="guess"):
+    """Monte-Carlo check of the rewinding inequality, replaying a
+    ``ResetProver`` that resets in round 1 with ``mode`` equations.
 
     Returns p0_hat, p1_hat, both_rate; the construction guarantees
     both_rate >= p0_hat + p1_hat - 1 up to sampling noise.
@@ -341,7 +341,7 @@ def extractor_experiment(d, trials, rng_seed=0, n=4, mode="guess", j=1):
     v0s, v1s, boths = 0, 0, 0
     for t in range(trials):
         rng = trial_rng(rng_seed, t)
-        prover = ResetProver(j=j, equation_mode=mode)
+        prover = ResetProver(j=1, equation_mode=mode)
         _, _, _, both, (v0, v1) = rewind_extract(prover, rng, n=n, d=d)
         v0s += v0
         v1s += v1

@@ -13,6 +13,7 @@ comparison under this convention.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -30,6 +31,9 @@ from .qsim import measure as qsim_measure  # noqa: F401
 # the widest 2^width domain Generator.choice samples: its population is an int64
 EXACT_WIDTH_LIMIT = 62
 FEISTEL_ROUNDS = 10
+# the widest Feistel map whose halves fit a round value (64 bits of a digest)
+# and the 16 bytes a half is hashed as
+PRP_WIDTH_LIMIT = 128
 
 
 def bit_at(x, i, n):
@@ -44,22 +48,26 @@ def bit_at(x, i, n):
 
 @dataclass(frozen=True)
 class KeyedPermutation:
-    """Feistel-network bijection on m-bit strings.
+    """Feistel-network bijection on ``width``-bit strings, 2 to
+    ``PRP_WIDTH_LIMIT`` bits.
 
-    Alternating-half rounds keep odd widths invertible without swaps; the
-    round function is SHA-256 over (key, round, half).  This stands in for a
-    keyed pseudorandom permutation; no cryptographic strength is claimed.
+    ``FEISTEL_ROUNDS`` alternating-half rounds keep odd widths invertible
+    without swaps; the round function is SHA-256 over (key, round, half).
+    This stands in for a keyed pseudorandom permutation; no cryptographic
+    strength is claimed.
     """
 
     key: bytes
     width: int
-    rounds: int = FEISTEL_ROUNDS
 
     _CACHE_CAP = 1 << 18
 
     def __post_init__(self):
         if self.width < 2:
             raise QDepthError("permutation width must be at least 2 bits")
+        if self.width > PRP_WIDTH_LIMIT:
+            raise CapacityError(f"Feistel maps are limited to {PRP_WIDTH_LIMIT} "
+                                f"bits, where each round still mixes every bit")
         object.__setattr__(self, "_fwd_cache", {})
         object.__setattr__(self, "_inv_cache", {})
         object.__setattr__(self, "_round_cache", {})
@@ -69,7 +77,7 @@ class KeyedPermutation:
         """Per round, a SHA-256 state fed (key, round); each round value
         feeds the half to a copy of it."""
         return [hashlib.sha256(self.key + rnd.to_bytes(2, "big"))
-                for rnd in range(self.rounds)]
+                for rnd in range(FEISTEL_ROUNDS)]
 
     def _round_values(self, rnd, halves, out_bits) -> list:
         """SHA-256 over (key, round, half) for each of ``halves``, memoised
@@ -121,12 +129,12 @@ class KeyedPermutation:
     def eval_many(self, xs) -> list:
         """``[self.eval(x) for x in xs]``, one round at a time over all of
         them, so each distinct (round, half) is hashed once."""
-        return self._feistel(xs, range(self.rounds), self._fwd_cache)
+        return self._feistel(xs, range(FEISTEL_ROUNDS), self._fwd_cache)
 
     def invert(self, y) -> int:
         out = self._inv_cache.get(y)
         if out is None:
-            out = self._feistel((y,), reversed(range(self.rounds)), self._inv_cache)[0]
+            out = self._feistel((y,), reversed(range(FEISTEL_ROUNDS)), self._inv_cache)[0]
         return out
 
 
@@ -162,23 +170,20 @@ class SubgroupEmbedding:
         """T_s: identity on H, shift-by-s on the other coset."""
         return x if self.in_h(x) else x ^ self.s
 
-    def project(self, x, m) -> int:
-        """W_s: drop coordinate ``pivot`` and zero-pad to m bits."""
-        if m < self.n - 1:
-            raise QDepthError("codomain narrower than n-1 bits")
+    def project(self, x) -> int:
+        """W_s: drop coordinate ``pivot`` and zero-pad back to n bits."""
         i = self.pivot
         hi = x >> (self.n - i + 1)
         lo = x & ((1 << (self.n - i)) - 1)
-        packed = (hi << (self.n - i)) | lo
-        return packed << (m - (self.n - 1))
+        return ((hi << (self.n - i)) | lo) << 1
 
 
 @dataclass
 class SimonFunction:
-    """2-to-1 function with f(x) = f(x^s), backed by a table or a keyed PRP."""
+    """2-to-1 function on n-bit strings, n bits to n bits, with
+    f(x) = f(x^s), backed by a table or a keyed PRP."""
 
     n: int
-    m: int
     s: int
     table: np.ndarray | None = None
     prp: KeyedPermutation | None = None
@@ -186,8 +191,6 @@ class SimonFunction:
     def __post_init__(self):
         if self.s == 0:
             raise QDepthError("Simon shift must be nonzero")
-        if self.m < self.n - 1:
-            raise QDepthError("codomain must have at least n-1 bits")
         if (self.table is None) == (self.prp is None):
             raise QDepthError("exactly one backing (table or prp) required")
 
@@ -201,7 +204,7 @@ class SimonFunction:
         if self.table is not None:
             return int(self.table[x])
         emb = self.embedding
-        return self.prp.eval(emb.project(emb.collapse(x), self.m))
+        return self.prp.eval(emb.project(emb.collapse(x)))
 
     def check_two_to_one(self):
         """Exhaustive 2-to-1/shift validation (small n only)."""
@@ -217,20 +220,15 @@ class SimonFunction:
         return True
 
 
-def sample_simon(n, rng, forced_shift=None, m=None) -> SimonFunction:
-    """Uniform Simon's function: uniform shift plus a uniform injection on H."""
+def sample_simon(n, rng) -> SimonFunction:
+    """Uniform Simon's function on n bits: a uniform nonzero shift plus a
+    uniform injection of H into the n-bit strings."""
     if n < 2:
         raise QDepthError("need n >= 2")
-    m = n if m is None else m
-    if forced_shift is not None:
-        if forced_shift == 0:
-            raise QDepthError("forced shift must be nonzero")
-        s = int(forced_shift)
-    else:
-        s = int(rng.integers(1, 1 << n))
-    if n > 20 or m > 22:
-        raise CapacityError("table-backed sampling limited to small n, m")
-    values = rng.permutation(1 << m)[: 1 << (n - 1)]
+    s = int(rng.integers(1, 1 << n))
+    if n > 20:
+        raise CapacityError("table-backed sampling limited to n <= 20")
+    values = rng.permutation(1 << n)[: 1 << (n - 1)]
     table = np.empty(1 << n, dtype=np.int64)
     emb = SubgroupEmbedding(n, s)
     rep_index = {}
@@ -239,18 +237,13 @@ def sample_simon(n, rng, forced_shift=None, m=None) -> SimonFunction:
         if rep not in rep_index:
             rep_index[rep] = len(rep_index)
         table[x] = values[rep_index[rep]]
-    return SimonFunction(n=n, m=m, s=s, table=table)
+    return SimonFunction(n=n, s=s, table=table)
 
 
-def pseudorandom_simon(key, s, n, m=None) -> SimonFunction:
-    """g = F_k o W_s o T_s over a keyed permutation F_k on m bits."""
-    m = n if m is None else m
-    if m < n - 1:
-        raise QDepthError("codomain must have at least n-1 bits")
-    if s == 0:
-        raise QDepthError("shift must be nonzero")
+def pseudorandom_simon(key, s, n) -> SimonFunction:
+    """g = F_k o W_s o T_s over a keyed permutation F_k on n bits."""
     key = key if isinstance(key, bytes) else bytes(key)
-    return SimonFunction(n=n, m=m, s=int(s), prp=KeyedPermutation(key, m))
+    return SimonFunction(n=n, s=int(s), prp=KeyedPermutation(key, n))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +320,10 @@ class ShufflingOracle:
     def big_width(self) -> int:
         return (self.d + 2) * self.n
 
-    def chain_point(self, x, upto=None) -> int:
-        """f_{upto-1} o ... o f_0 applied to the input, an n-bit string
+    def chain_point(self, x) -> int:
+        """f_{d-1} o ... o f_0 applied to the input, an n-bit string
         zero-padded into the low bits of the enlarged domain."""
-        for perm in self.middle[:upto]:
+        for perm in self.middle:
             x = perm.eval(x)
         return x
 
@@ -343,9 +336,9 @@ class ShufflingOracle:
 
     def junk_value(self, y) -> int:
         """Deterministic filler standing in for bottom in XOR oracles: a hash
-        of ``y`` alone, unkeyed, so equal for every oracle of the same m."""
+        of ``y`` alone, unkeyed, so equal for every oracle of the same n."""
         h = hashlib.sha256(b"junk" + y.to_bytes(16, "big")).digest()
-        return int.from_bytes(h[:4], "big") & ((1 << self.simon.m) - 1)
+        return int.from_bytes(h[:4], "big") & ((1 << self.n) - 1)
 
     def compose(self, x):
         return self.final_eval(self.chain_point(x))
@@ -377,8 +370,10 @@ def sample_shuffling(
     lazily: its images on the 2^n points the chain reaches are one
     ``rng.choice(..., replace=False)``, since a uniform permutation
     restricted to a set drawn independently of it is a uniform injection.
-    It is limited to ``EXACT_WIDTH_LIMIT``-bit domains; prp mode draws a
-    key per map.
+    It is limited to ``EXACT_WIDTH_LIMIT``-bit domains.  Prp mode draws a
+    key per map and is limited to domains one bit narrower than
+    ``PRP_WIDTH_LIMIT``, so that the in-place complement map, one bit wider
+    than the chain, is built on first use without fail.
     """
     n = simon.n
     big = (d + 2) * n
@@ -387,6 +382,10 @@ def sample_shuffling(
     if mode == "exact" and big > EXACT_WIDTH_LIMIT:
         raise CapacityError(
             f"exact mode limited to {EXACT_WIDTH_LIMIT}-bit domains; use prp mode"
+        )
+    if mode == "prp" and big + 1 > PRP_WIDTH_LIMIT:
+        raise CapacityError(
+            f"prp mode limited to {PRP_WIDTH_LIMIT - 1}-bit domains"
         )
     # every input's chain point, one permutation at a time over all of them
     ends = list(range(1 << n))
@@ -418,7 +417,8 @@ class _ComplementPermutation:
 
     Ranks the input within the complement of ``valid_in``, permutes ranks by a
     cycle-walked Feistel network, and unranks into the complement of
-    ``valid_out``.
+    ``valid_out``.  The sets are kept as sorted lists of Python ints, so
+    domains wider than 63 bits work.
     """
 
     def __init__(self, width, valid_in, valid_out, key):
@@ -426,12 +426,12 @@ class _ComplementPermutation:
         self.size = (1 << width) - len(valid_in)
         if self.size <= 0:
             raise QDepthError("no room left to extend: hidden set is the full domain")
-        self.v_in = np.array(sorted(valid_in), dtype=np.int64)
-        self.v_out = np.array(sorted(valid_out), dtype=np.int64)
-        self.feistel = KeyedPermutation(key, max(width, 2))
+        self.v_in = sorted(valid_in)
+        self.v_out = sorted(valid_out)
+        self.feistel = KeyedPermutation(key, width)
 
     def _rank(self, z, valid) -> int:
-        return int(z - np.searchsorted(valid, z, side="right"))
+        return z - bisect.bisect_right(valid, z)
 
     def _unrank(self, r, valid) -> int:
         z = r
@@ -440,7 +440,7 @@ class _ComplementPermutation:
                 z += 1
             else:
                 break
-        return int(z)
+        return z
 
     def _walk(self, r) -> int:
         w = self.feistel.eval(r)
@@ -455,30 +455,26 @@ class _ComplementPermutation:
 class FinalBijection:
     """Bijective extension F_d over the (big_width+1)-bit space (value, flag).
 
-    On S_d x {0,1} the value register becomes the hidden function's output
-    zero-padded, with one designated pad bit carrying the incoming flag so the
-    map stays injective, and the flag flips by the coset bit b' of the Simon
-    preimage.  A flag of 0 therefore reproduces |f(x'), b'(x')> exactly.  Off
-    the valid set the map is a keyed permutation of the complement, built on
-    first use: the hidden-shift solver never leaves the valid set.
+    On S_d x {0,1} the value register becomes the hidden function's n-bit
+    output zero-padded, with the pad bit above it carrying the incoming flag
+    so the map stays injective (the (d+2)n-bit register always has room for
+    it), and the flag flips by the coset bit b' of the Simon preimage.  A
+    flag of 0 therefore reproduces |f(x'), b'(x')> exactly.  Off the valid
+    set the map is a keyed permutation of the complement, built on first
+    use: the hidden-shift solver never leaves the valid set.
     """
 
-    def __init__(self, oracle: ShufflingOracle, simon: SimonFunction, key):
+    def __init__(self, oracle: ShufflingOracle, key):
         self.big = oracle.big_width
-        self.n_val = simon.m
-        if self.big < self.n_val + 1:
-            raise CapacityError("enlarged domain too narrow for the pad bit")
-        self.simon = simon
-        self.oracle = oracle
+        n, simon = oracle.n, oracle.simon
         emb = simon.embedding
-        # b'(y) = 1 iff the Simon preimage of y lies in H
-        self.coset_bit = {y: int(emb.in_h(x)) for y, x in oracle.s_d.items()}
         self.forward = {}
         for y, x in oracle.s_d.items():
             v = simon.evaluate(x)
+            # b'(y) = 1 iff the Simon preimage of y lies in H
+            coset_bit = int(emb.in_h(x))
             for b in (0, 1):
-                self.forward[(y << 1) | b] = ((((b << self.n_val) | v) << 1)
-                                              | (b ^ self.coset_bit[y]))
+                self.forward[(y << 1) | b] = (((b << n) | v) << 1) | (b ^ coset_bit)
         self.backward = {o: i for i, o in self.forward.items()}
         if len(self.backward) != len(self.forward):
             raise QDepthError("bijective extension collides; construction bug")
@@ -502,42 +498,22 @@ class InPlaceShufflingOracle:
     """Unitary (erasing) access to a shuffling chain.
 
     U_{f_0} keeps the input and writes f_0 into a fresh register; the middle
-    maps act in place; the final map acts on (value register, flag qubit)
-    through the bijective extension.
+    maps (``base.middle``) act in place on it; the final map acts on (value
+    register, flag qubit) through the bijective extension.
     """
 
     base: ShufflingOracle
     final: FinalBijection
 
-    @property
-    def n(self):
-        return self.base.n
-
-    @property
-    def d(self):
-        return self.base.d
-
-    @property
-    def big_width(self):
-        return self.base.big_width
-
-    def unitary_fn(self, level):
-        """Basis-index bijection for U_{f_level} on the (value, flag) field."""
-        if 1 <= level <= self.d - 1:
-            perm = self.base.middle[level]
-            return lambda vf: (perm.eval(vf >> 1) << 1) | (vf & 1)
-        if level == self.d:
-            def fd(vf):
-                v, fl = self.final.eval(vf >> 1, vf & 1)
-                return (v << 1) | fl
-            return fd
-        raise QDepthError("level must be in [1, d]")
+    def final_unitary(self, vf) -> int:
+        """Basis-index bijection for U_{f_d} on the (value, flag) field."""
+        v, fl = self.final.eval(vf >> 1, vf & 1)
+        return (v << 1) | fl
 
 
 def build_inplace(shuffling: ShufflingOracle, rng) -> InPlaceShufflingOracle:
     key = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-    final = FinalBijection(shuffling, shuffling.simon, key)
-    return InPlaceShufflingOracle(base=shuffling, final=final)
+    return InPlaceShufflingOracle(base=shuffling, final=FinalBijection(shuffling, key))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +645,7 @@ def inplace_steps(ipo: InPlaceShufflingOracle):
         return step
 
     def u_final(state):
-        return apply_inplace_perm(state, ipo.unitary_fn(base.d), (n, big + 1))
+        return apply_inplace_perm(state, ipo.final_unitary, (n, big + 1))
 
     def h_out(state):
         return state.apply_hadamard_wall(list(range(n)) + [total - 1])
@@ -680,16 +656,16 @@ def inplace_steps(ipo: InPlaceShufflingOracle):
     return steps, total
 
 
-# register layout, standard: [input n][w_1 big]...[w_d big][out m]
+# register layout, standard: [input n][w_1 big]...[w_d big][out n]
 def standard_steps(base: ShufflingOracle):
     """The compute/uncompute schedule of one sample: (steps, register width)."""
-    n, big, d, m = base.n, base.big_width, base.d, base.simon.m
-    total = n + d * big + m
+    n, big, d = base.n, base.big_width, base.d
+    total = n + d * big + n
 
     def reg(i):  # workspace i in [1, d]
         return (n + (i - 1) * big, big)
 
-    out_reg = (n + d * big, m)
+    out_reg = (n + d * big, n)
 
     def h_in(state):
         return state.apply_hadamard_wall(range(n))
@@ -731,37 +707,33 @@ def _collect_samples(session, schedule, n, inplace, target, max_runs):
     return samples, runs
 
 
-def solve_inplace_dssp(
-    oracle: InPlaceShufflingOracle, rng, accepted_target=None, max_runs=None
-):
+def solve_inplace_dssp(oracle: InPlaceShufflingOracle, rng, accepted_target=None):
     """Recover the hidden shift with the depth-(d+3) erasing-access algorithm.
 
     Runs as a dCQ scheme with per-invocation depth d+3, collecting samples
     whose flag qubit measured 0 after the closing Hadamard layer, until
-    ``accepted_target`` samples are in hand, then solves the GF(2) system.
+    ``accepted_target`` samples (3n by default) are in hand or 20 times that
+    many invocations are spent, then solves the GF(2) system.
 
     Returns (s_hat_or_None, trace, stats).
     """
-    n, d = oracle.n, oracle.d
+    n, d = oracle.base.n, oracle.base.d
     accepted_target = 3 * n if accepted_target is None else accepted_target
-    max_runs = 20 * accepted_target if max_runs is None else max_runs
     session = HybridSession(DCQ, d + 3, rng)
     samples, runs = _collect_samples(session, inplace_steps(oracle), n, True,
-                                     accepted_target, max_runs)
+                                     accepted_target, 20 * accepted_target)
     s_hat = solve_hidden_shift(samples, n)
     trace = session.finish()
     return s_hat, trace, {"runs": runs, "accepted": len(samples), "samples": samples}
 
 
-def solve_standard_dssp(oracle, rng, samples_target=None, max_runs=None):
-    """Recover the hidden shift with the (2d+3)-depth compute/uncompute chain."""
-    base = oracle.base if isinstance(oracle, InPlaceShufflingOracle) else oracle
-    n, d = base.n, base.d
-    samples_target = 3 * n if samples_target is None else samples_target
-    max_runs = 10 * samples_target if max_runs is None else max_runs
+def solve_standard_dssp(oracle: ShufflingOracle, rng):
+    """Recover the hidden shift with the (2d+3)-depth compute/uncompute chain:
+    3n samples, or 30n invocations if fewer."""
+    n, d = oracle.n, oracle.d
     session = HybridSession(DCQ, 2 * d + 3, rng)
-    samples, runs = _collect_samples(session, standard_steps(base), n, False,
-                                     samples_target, max_runs)
+    samples, runs = _collect_samples(session, standard_steps(oracle), n, False,
+                                     3 * n, 30 * n)
     s_hat = solve_hidden_shift(samples, n)
     trace = session.finish()
     return s_hat, trace, {"runs": runs, "samples": samples}

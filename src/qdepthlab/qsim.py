@@ -8,6 +8,8 @@ taken up to a global phase.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,22 +81,8 @@ def bits_to_int(bits):
 # Index maps of the kernels.  Each is built once per register width and
 # qubit tuple by the reshape/transpose that would otherwise run on every
 # call's amplitudes, here run on the basis indices; a dense gate is then one
-# gather and one scatter through it.
-_INDEX_MAPS = {}
-
-
-def _index_map(build):
-    """Memoise ``build`` in ``_INDEX_MAPS``, keyed by its name and arguments.
-    Every caller shares the map, so it is read-only."""
-    def get(*args):
-        key = (build.__name__,) + args
-        idx = _INDEX_MAPS.get(key)
-        if idx is None:
-            idx = build(*args)
-            idx.flags.writeable = False
-            _INDEX_MAPS[key] = idx
-        return idx
-    return get
+# gather and one scatter through it.  Every caller shares a cached map, so
+# the function that makes a map marks it read-only.
 
 
 def _basis_grid(n) -> np.ndarray:
@@ -107,17 +95,19 @@ def _check_targets(n, targets):
         raise QDepthError(f"qubits {targets} invalid on {n} qubits")
 
 
-@_index_map
+@functools.cache
 def _gather_index(n, targets) -> np.ndarray:
     """(2^k, 2^(n-k)) basis indices: row i holds, in one order for every row,
     the indices whose target bits read i.  The targets are checked here, so
     only the first gate on each (n, targets) pays for it."""
     _check_targets(n, targets)
     perm = list(targets) + [q for q in range(n) if q not in targets]
-    return np.transpose(_basis_grid(n), perm).reshape(1 << len(targets), -1)
+    idx = np.transpose(_basis_grid(n), perm).reshape(1 << len(targets), -1)
+    idx.flags.writeable = False
+    return idx
 
 
-@_index_map
+@functools.cache
 def _wall_spread(n, qubits) -> np.ndarray:
     """Per sub-index of a Hadamard wall on ``qubits`` (its first qubit most
     significant), the basis bits it sets.  Python ints, so registers wider
@@ -127,7 +117,9 @@ def _wall_spread(n, qubits) -> np.ndarray:
     for q in qubits:
         m = 1 << (n - 1 - q)
         spread = [s | b for s in spread for b in (0, m)]
-    return np.array(spread, dtype=object)
+    spread = np.array(spread, dtype=object)
+    spread.flags.writeable = False
+    return spread
 
 
 class StateVector:
@@ -168,26 +160,26 @@ class StateVector:
 
 
 class SparseState:
-    """Statevector stored as a map basis-index -> amplitude."""
+    """Statevector stored as a map basis-index -> amplitude, at most
+    ``SPARSE_SUPPORT_CAP`` entries."""
 
-    def __init__(self, num_qubits, support=None, support_cap=SPARSE_SUPPORT_CAP):
+    def __init__(self, num_qubits, support=None):
         self.num_qubits = num_qubits
-        self.support_cap = support_cap
         self.support = dict(support) if support is not None else {0: 1.0 + 0j}
         self._check_cap()
 
     def _check_cap(self):
-        if len(self.support) > self.support_cap:
+        if len(self.support) > SPARSE_SUPPORT_CAP:
             raise CapacityError(
-                f"sparse support {len(self.support)} exceeds cap {self.support_cap}"
+                f"sparse support {len(self.support)} exceeds cap {SPARSE_SUPPORT_CAP}"
             )
 
     @classmethod
-    def from_bits(cls, bits, **kw):
-        return cls(len(bits), {bits_to_int(bits): 1.0 + 0j}, **kw)
+    def from_bits(cls, bits):
+        return cls(len(bits), {bits_to_int(bits): 1.0 + 0j})
 
     def copy(self) -> "SparseState":
-        return SparseState(self.num_qubits, self.support, self.support_cap)
+        return SparseState(self.num_qubits, self.support)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.support.values()))
@@ -288,16 +280,13 @@ class SparseState:
         return indices[born_draw(rng, cdf)]
 
 
-_HADAMARD_TENSORS = {}
-
-
+@functools.cache
 def _hadamard_tensor(k) -> np.ndarray:
-    hk = _HADAMARD_TENSORS.get(k)
-    if hk is None:
-        hk = np.array([[1.0]], dtype=complex)
-        for _ in range(k):
-            hk = np.kron(hk, H)
-        _HADAMARD_TENSORS[k] = hk
+    """H tensored k times; shared by every wall on k qubits, so read-only."""
+    hk = np.array([[1.0]], dtype=complex)
+    for _ in range(k):
+        hk = np.kron(hk, H)
+    hk.flags.writeable = False
     return hk
 
 
@@ -515,6 +504,35 @@ def twirl(kraus, n) -> PauliDistribution:
     total = sum(weights.values())
     weights = {op: w / total for op, w in weights.items()}
     return PauliDistribution(weights)
+
+
+def _twirl_probe_states(n):
+    """The 4^n product states of |0>, |1>, |+> and |+i> on n qubits, the
+    first qubit's factor outermost."""
+    single = (
+        np.diag([1.0, 0.0]).astype(complex),
+        np.diag([0.0, 1.0]).astype(complex),
+        np.full((2, 2), 0.5, dtype=complex),
+        np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex),
+    )
+    return [functools.reduce(np.kron, combo)
+            for combo in itertools.product(single, repeat=n)]
+
+
+def twirl_max_deviation(n, trials, rng):
+    """Largest entry gap between the twirl of ``trials`` random n-qubit
+    channels (``random_cptp``) and their Pauli channels, over the product
+    probe states."""
+    probes = _twirl_probe_states(n)
+    worst = 0.0
+    for _ in range(trials):
+        kraus = random_cptp(n, rng)
+        r = twirl(kraus, n)
+        for rho in probes:
+            lhs = twirled_channel_apply(kraus, n, rho)
+            rhs = pauli_channel_apply(r, rho)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def twirled_channel_apply(kraus, n, rho) -> np.ndarray:

@@ -333,6 +333,14 @@ def test_ntcf_run_over_cap_claw_state_is_capacity_error(capsys):
     validate(json.loads(out), "ntcf_report.v1.schema.json")
 
 
+def test_dssp_run_over_wide_prp_chain_is_capacity_error(capsys):
+    """A 129-bit prp chain (n=3, d=41) is refused (exit 4) before a trial
+    runs: its Feistel halves would outgrow the round values."""
+    assert main(["dssp-run", "--mode", "prp", "--n", "3", "--d", "41",
+                 "--runs", "1"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "capacity"
+
+
 @pytest.mark.parametrize("n", ["4", "20"])
 def test_twirl_check_over_cap_is_capacity_error(n, capsys):
     """The dense twirl stops at three qubits; a larger --n is refused (exit

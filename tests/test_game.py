@@ -812,9 +812,11 @@ def test_lab_error_in_depth_charge_is_not_fabrication(monkeypatch, call):
 
 
 def _spy_session(monkeypatch):
-    """Count ``HybridSession.layer`` calls and the runs of their ops, and
-    ``charge_layers`` calls and the layers they declare."""
+    """Count ``HybridSession.layer`` calls and the runs of their ops, every
+    ``charge_layers`` call (``layer`` charges through it too), and the
+    layers declared by calls made outside ``layer``."""
     seen = {"layer": 0, "ops": 0, "charge_layers": 0, "declared": 0}
+    in_layer = []
     layer = game.HybridSession.layer
     charge_layers = game.HybridSession.charge_layers
 
@@ -824,11 +826,16 @@ def _spy_session(monkeypatch):
         def counted(st):
             seen["ops"] += 1
             return op(st)
-        return layer(self, states, counted, note)
+        in_layer.append(True)
+        try:
+            return layer(self, states, counted, note)
+        finally:
+            in_layer.pop()
 
     def spy_charge_layers(self, layers, note=""):
         seen["charge_layers"] += 1
-        seen["declared"] += layers
+        if not in_layer:
+            seen["declared"] += layers
         return charge_layers(self, layers, note)
 
     monkeypatch.setattr(game.HybridSession, "layer", spy_layer)
@@ -849,8 +856,9 @@ def _no_test_trial(strategy, seed=3, strat_o="honest", **kw):
 
 def test_honest_abstract_audit_comes_from_executed_layers(monkeypatch):
     """Both Hadamard walls run once, on the one state the instances share,
-    whatever t_parallel is; only the q teleport layers are declared, and
-    the audit reads q + 2.  The verdict holds at any seed: A's GF(2) solve
+    whatever t_parallel is; only the q teleport layers are declared, every
+    layer run or declared is charged through ``charge_layers``, and the
+    audit reads q + 2.  The verdict holds at any seed: A's GF(2) solve
     finds s or gives up, A answers what it found, and V accepts s only."""
     seen = _spy_session(monkeypatch)
     solved = []
@@ -873,7 +881,8 @@ def test_honest_abstract_audit_comes_from_executed_layers(monkeypatch):
         assert (verdict == "accept") == (w == s)
         assert seen["layer"] == 2
         assert seen["ops"] == 2          # one register per wall
-        assert seen["charge_layers"] == seen["declared"] == cfg.q
+        assert seen["declared"] == cfg.q
+        assert seen["charge_layers"] == cfg.q + 2
         assert tr.depth_audit["audited_depth"] == cfg.q + 2
         ops[t_parallel] = seen["ops"]
     assert ops[2] == ops[12]
@@ -1012,6 +1021,8 @@ def test_classical_prover_runs_no_layer(monkeypatch):
     _, prover, _, tr = _no_test_trial("classical")
     assert prover.instances is None
     assert seen["ops"] == 0 and seen["declared"] == 0
+    # the wall's one charge is the refused one
+    assert seen["layer"] == seen["charge_layers"] == 1
     assert tr.depth_audit["audited_depth"] == 0
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qdepthlab import ntcf
-from qdepthlab.errors import CapacityError, QDepthError
+from qdepthlab.errors import CapacityError, QDepthError, SchemeViolation
+from qdepthlab.hybrid import HybridSession
 from qdepthlab.ntcf import (
     HonestProver,
     PreimageOnlyProver,
@@ -244,8 +245,7 @@ def test_honest_depth_budget_is_tight(rng):
 
 
 def test_lab_error_in_trace_is_not_swallowed(rng):
-    """Only a scheme violation leaves a run unaudited; any other error in the
-    prover's trace is a lab bug and reaches the caller."""
+    """An error in the prover's trace is a lab bug and reaches the caller."""
 
     class Broken(HonestProver):
         def trace(self):
@@ -253,6 +253,18 @@ def test_lab_error_in_trace_is_not_swallowed(rng):
 
     with pytest.raises(QDepthError, match="lab bug"):
         run_cvqd(2, Broken(), rng)
+
+
+def test_scheme_violation_in_finish_reaches_the_caller(monkeypatch, rng):
+    """A trace that fails its scheme check is a lab bug, not a run without
+    an audit: the error reaches the caller."""
+
+    def broken(self):
+        raise SchemeViolation("lab bug")
+
+    monkeypatch.setattr(HybridSession, "finish", broken)
+    with pytest.raises(SchemeViolation, match="lab bug"):
+        run_cvqd(2, HonestProver(), rng)
 
 
 def test_samp_state_refuses_an_over_cap_claw_state_before_building(monkeypatch):

@@ -101,6 +101,19 @@ def test_prp_memos_stop_at_the_cap(monkeypatch):
     assert [perm.eval(x) for x in range(16)] == [FEISTEL_KNOWN[4][x] for x in range(16)]
 
 
+def test_prp_width_cap():
+    """Feistel maps go up to 128 bits, where each 64-bit round value covers
+    its half: the images of 0..63 set every bit.  129 bits are refused."""
+    perm = KeyedPermutation(b"k" * 16, oracles.PRP_WIDTH_LIMIT)
+    assert oracles.PRP_WIDTH_LIMIT == 128
+    union = 0
+    for y in perm.eval_many(range(64)):
+        union |= y
+    assert union == (1 << 128) - 1
+    with pytest.raises(CapacityError):
+        KeyedPermutation(b"k" * 16, 129)
+
+
 def _feistel_reference(key, width, x):
     """One input through the rounds, every round value hashed afresh."""
     l_bits = width // 2
@@ -176,26 +189,27 @@ def test_subgroup_embedding_structure():
 def test_projection_injective_on_h():
     emb = SubgroupEmbedding(4, 0b0110)
     members = [x for x in range(16) if emb.in_h(x)]
-    images = {emb.project(x, 4) for x in members}
+    images = {emb.project(x) for x in members}
     assert len(images) == len(members)
 
 
 def test_smallest_simon_case(rng):
-    f = sample_simon(2, rng, forced_shift=0b11)
-    assert f.evaluate(0b00) == f.evaluate(0b11)
-    assert f.evaluate(0b01) == f.evaluate(0b10)
-    assert len({f.evaluate(x) for x in range(4)}) == 2
+    """At n=2 every shift is drawn, 0b11 among them, and each function
+    pairs x with x^s onto two values."""
+    shifts = set()
+    for _ in range(30):
+        f = sample_simon(2, rng)
+        shifts.add(f.s)
+        assert f.evaluate(0b00) == f.evaluate(f.s)
+        assert f.evaluate(0b11) == f.evaluate(0b11 ^ f.s)
+        assert len({f.evaluate(x) for x in range(4)}) == 2
+    assert shifts == {0b01, 0b10, 0b11}
 
 
 def test_sample_simon_exhaustive(rng):
     for n in (3, 5, 8):
         f = sample_simon(n, rng)
         assert f.check_two_to_one()
-
-
-def test_forced_zero_shift_rejected(rng):
-    with pytest.raises(QDepthError):
-        sample_simon(3, rng, forced_shift=0)
 
 
 def test_shift_distribution_uniform(rng):
@@ -236,15 +250,10 @@ def test_pseudorandom_simon_injective_on_h(rng):
 def test_pseudorandom_simon_identity_perm_formula():
     """With the identity permutation, g reduces to the drop-and-pad map."""
     n, s = 4, 0b0101
-    f = oracles.SimonFunction(n=n, m=n, s=s, prp=_IdentityPerm())
+    f = oracles.SimonFunction(n=n, s=s, prp=_IdentityPerm())
     emb = SubgroupEmbedding(n, s)
     for x in range(16):
-        assert f.evaluate(x) == emb.project(emb.collapse(x), n)
-
-
-def test_pseudorandom_simon_width_guard():
-    with pytest.raises(QDepthError):
-        pseudorandom_simon(b"k" * 16, 1, 4, m=2)
+        assert f.evaluate(x) == emb.project(emb.collapse(x))
 
 
 # -- shuffling oracles ---------------------------------------------------------
@@ -287,6 +296,21 @@ def test_exact_mode_width_policy(rng):
         sh = sample_shuffling(f, d, rng, mode="exact")
         assert sh.big_width == width
         assert all(sh.compose(x) == f.evaluate(x) for x in range(1 << n))
+
+
+def test_prp_mode_width_policy(rng):
+    """A prp chain of n=3, d=40 (126 bits) builds in place, and its final map
+    images a point off the valid set through the 127-bit complement map;
+    d=41 (129 bits) is refused."""
+    f = sample_simon(3, rng)
+    ipo = build_inplace(sample_shuffling(f, 40, rng, mode="prp"), rng)
+    assert ipo.base.big_width == 126
+    assert 0 not in ipo.final.forward
+    out = ipo.final_unitary(0)
+    assert 0 <= out < 1 << 127 and out not in ipo.final.backward
+    assert all(ipo.base.compose(x) == f.evaluate(x) for x in range(8))
+    with pytest.raises(CapacityError):
+        sample_shuffling(f, 41, rng, mode="prp")
 
 
 def _narrow_exact(seed):
@@ -376,7 +400,7 @@ def inplace_oracle(rng):
 
 
 def test_final_bijection_exhaustive(inplace_oracle):
-    W = inplace_oracle.big_width
+    W = inplace_oracle.base.big_width
     seen = set()
     for z in range(1 << (W + 1)):
         v, fl = inplace_oracle.final.eval(z >> 1, z & 1)
@@ -401,11 +425,12 @@ def test_final_bijection_builds_its_complement_on_first_use():
 
 
 def test_middle_unitary_is_injective(inplace_oracle, rng):
-    """Distinct points of the (value, flag) field map to distinct points."""
-    fn = inplace_oracle.unitary_fn(1)
-    W = inplace_oracle.big_width
-    pts = {int(z) for z in rng.integers(0, 1 << (W + 1), size=100)}
-    assert len({fn(z) for z in pts}) == len(pts)
+    """The middle map the in-place schedule applies to the value register
+    maps distinct points to distinct points."""
+    perm = inplace_oracle.base.middle[1]
+    W = inplace_oracle.base.big_width
+    pts = {int(z) >> 1 for z in rng.integers(0, 1 << (W + 1), size=100)}
+    assert len({perm.eval(z) for z in pts}) == len(pts)
 
 
 def test_flag_flips_by_coset_membership(inplace_oracle):
@@ -416,7 +441,7 @@ def test_flag_flips_by_coset_membership(inplace_oracle):
     for y, x_pre in base.s_d.items():
         v, fl = inplace_oracle.final.eval(y, 0)
         assert fl == int(emb.in_h(x_pre))
-        assert v & ((1 << base.simon.m) - 1) == base.simon.evaluate(x_pre)
+        assert v & ((1 << base.n) - 1) == base.simon.evaluate(x_pre)
         v1, fl1 = inplace_oracle.final.eval(y, 1)
         assert fl1 == 1 ^ int(emb.in_h(x_pre))
 
@@ -432,7 +457,7 @@ def test_erasing_chain_reaches_tagged_state(inplace_oracle, rng):
     apply_standard_oracle(st, base.middle[0].eval, (0, n), (n, W))
     for lvl in range(1, base.d):
         apply_inplace_perm(st, base.middle[lvl].eval, (n, W))
-    apply_inplace_perm(st, inplace_oracle.unitary_fn(base.d), (n, W + 1))
+    apply_inplace_perm(st, inplace_oracle.final_unitary, (n, W + 1))
     emb = base.simon.embedding
     want = {}
     amp = 2.0 ** (-n / 2)
@@ -645,7 +670,7 @@ def test_flag_statistic_near_half(rng):
     f = sample_simon(3, rng)
     sh = sample_shuffling(f, 1, rng, mode="exact")
     ipo = build_inplace(sh, rng)
-    _, _, stats = solve_inplace_dssp(ipo, rng, accepted_target=400, max_runs=4000)
+    _, _, stats = solve_inplace_dssp(ipo, rng, accepted_target=400)
     assert abs(stats["accepted"] / stats["runs"] - 0.5) < 0.06
 
 
@@ -658,12 +683,13 @@ def test_prp_mode_solver(rng):
 
 
 def test_prp_mode_inplace_bijectivity_spot_check(rng):
-    """The prp-backed unitaries map 10^4 random points to distinct points."""
+    """The prp-backed middle map, on the value register, and final unitary,
+    on the (value, flag) field, map 10^4 random points to distinct points."""
     f = sample_simon(4, rng)
     sh = sample_shuffling(f, 2, rng, mode="prp")
     ipo = build_inplace(sh, rng)
-    W = ipo.big_width
+    W = sh.big_width
     pts = {int(z) for z in rng.integers(0, 1 << (W + 1), size=10_000)}
-    for level in (1, 2):
-        fn = ipo.unitary_fn(level)
-        assert len({fn(z) for z in pts}) == len(pts)
+    values = {z >> 1 for z in pts}
+    assert len({sh.middle[1].eval(z) for z in values}) == len(values)
+    assert len({ipo.final_unitary(z) for z in pts}) == len(pts)

@@ -51,9 +51,10 @@ def test_dense_limit_enforced():
         StateVector(23)
 
 
-def test_sparse_support_cap():
+def test_sparse_support_cap(monkeypatch):
+    monkeypatch.setattr(qsim, "SPARSE_SUPPORT_CAP", 2)
     with pytest.raises(CapacityError):
-        SparseState(3, {i: 0.5 for i in range(4)}, support_cap=2)
+        SparseState(3, {i: 0.5 for i in range(4)})
 
 
 def test_measure_deterministic_one(rng):
