@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from .errors import QDepthError
-from .qsim import GATE_MATRICES, StateVector
+from .qsim import GATE_MATRICES, StateVector, read_only
 # unused here; kept because bench/tracer.py patches ``gadgets.measure``
 from .qsim import measure  # noqa: F401
 
@@ -125,20 +125,28 @@ def compile_ops(ops):
 
 
 @functools.cache
-def _index_parities(n) -> np.ndarray:
-    """Per basis index of an n-qubit register, the parity of its set bits."""
-    par = np.arange(1 << n)
-    for shift in (32, 16, 8, 4, 2, 1):
-        par = par ^ (par >> shift)
-    par = (par & 1).astype(bool)
-    par.flags.writeable = False
-    return par
+def _pad_operator(n, a_mask, b_mask, z_first) -> np.ndarray:
+    """X^a Z^b on every wire of an n-qubit register, a and b the wire's bits
+    of ``a_mask`` and ``b_mask`` (wire 0 most significant), Z applied first
+    when ``z_first``, else X: a signed permutation, built once per
+    (n, a_mask, b_mask, z_first) and shared, so read-only."""
+    a_mask, b_mask = int(a_mask), int(b_mask)
+    op = np.zeros((1 << n, 1 << n), dtype=complex)
+    for out in range(1 << n):
+        src = out ^ a_mask
+        # Z^b applied first reads its sign on the source index, applied
+        # last on the output index
+        odd = ((src if z_first else out) & b_mask).bit_count() & 1
+        op[out, src] = -1.0 if odd else 1.0
+    return read_only(op)
 
 
 def _apply_pad(state: StateVector, keys, z_first) -> StateVector:
     """A copy of ``state`` under X^a Z^b on every wire, by the [a, b] rows
-    ``keys``, Z applied first when ``z_first``, else X.  Paulis only permute and negate amplitudes, so this
-    is one gather and one sign flip, exact as gate-by-gate application."""
+    ``keys``, Z applied first when ``z_first``, else X.  One product with
+    the pad's cached signed permutation: each amplitude is moved and
+    negated or not, so this is exact as gate-by-gate application, and the
+    caller's array is not written."""
     n = state.num_qubits
     if len(keys) < n:
         raise QDepthError(f"{len(keys)} pad keys for {n} wires")
@@ -146,13 +154,7 @@ def _apply_pad(state: StateVector, keys, z_first) -> StateVector:
     for a, b in keys[:n]:
         a_mask = (a_mask << 1) | a
         b_mask = (b_mask << 1) | b
-    idx = np.arange(1 << n)
-    src = idx ^ a_mask
-    amps = state.amplitudes[src]
-    # Z^b applied first reads its sign on the source index, applied last on
-    # the output index
-    amps[_index_parities(n)[(src if z_first else idx) & b_mask]] *= -1
-    return StateVector(n, amps)
+    return StateVector(n, _pad_operator(n, a_mask, b_mask, z_first) @ state.amplitudes)
 
 
 def encrypt_state(state: StateVector, keys) -> StateVector:

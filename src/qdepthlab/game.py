@@ -17,6 +17,7 @@ In ``gadget`` mode the stand-in circuit is the whole delegated computation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from .gadgets import (
 )
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import (
+    CHAIN_WIDTH_LIMITS,
     InPlaceShufflingOracle,
     build_inplace,
     inplace_steps,
@@ -42,8 +44,8 @@ from .oracles import (
 )
 from .qsim import (
     GATE_MATRICES, H, I2, S, SDG, T, X, Z, Gate, PauliDistribution, PauliOp,
-    SparseState, StateVector, _gather_index, born_cdf, born_draw, fidelity,
-    states_equal_up_to_phase, trial_rng,
+    SparseState, StateVector, born_cdf, born_draw, embed_operator, fidelity,
+    read_only, states_equal_up_to_phase, trial_rng,
 )
 # unused here; kept because bench/tracer.py patches ``game.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
@@ -235,6 +237,12 @@ class ProtocolConfig:
             # query k applies step k of the solver's schedule
             violations.append(f"q={self.q} above the {query_count(self)} oracle "
                               f"queries of {self.target} access at d={self.d}")
+        if self.fidelity == "abstract" and self.oracle_mode in CHAIN_WIDTH_LIMITS:
+            # the oracle's shuffling chain runs over (d+2)n bits
+            cap = CHAIN_WIDTH_LIMITS[self.oracle_mode]
+            if (self.d + 2) * self.n > cap:
+                violations.append(f"(d+2)n = {(self.d + 2) * self.n} bits above the "
+                                  f"{cap}-bit {self.oracle_mode} oracle chain limit")
         if violations:
             raise ConfigError(violations)
         # dataclasses.replace passes every field on, a filled-in value too;
@@ -271,6 +279,12 @@ def standin_layers(cfg: ProtocolConfig):
     return [([("CNOT", 0, 1)], [0]) for _ in range(cfg.d)]
 
 
+@functools.cache
+def _gate(name, wires) -> Gate:
+    """The ``Gate`` of ``name`` on the stand-in ``wires``, built once per pair."""
+    return Gate(name, wires)
+
+
 def expected_standin_state(cfg: ProtocolConfig) -> StateVector:
     """q honest applications of the stand-in circuit on the zero state."""
     sv = StateVector.from_bits([0] * STANDIN_WIRES)
@@ -278,9 +292,9 @@ def expected_standin_state(cfg: ProtocolConfig) -> StateVector:
         for cliffords, t_wires in standin_layers(cfg):
             for cl in cliffords:
                 if cl[0] == "CNOT":
-                    sv.apply_gate(Gate("CNOT", (cl[1], cl[2])))
+                    sv.apply_gate(_gate("CNOT", (cl[1], cl[2])))
             for w in t_wires:
-                sv.apply_gate(Gate("T", (w,)))
+                sv.apply_gate(_gate("T", (w,)))
     return sv
 
 
@@ -524,16 +538,26 @@ _READ_P1 = np.round(1 - _P0_TABLE.reshape(-1, len(SIGMA)), 9)
 # ``t_gadget_exhaustion`` runs the same functions on every branch.
 
 
+@functools.cache
+def _gadget_operator(n, wire, ancilla) -> np.ndarray:
+    """Both Kraus branches of a gadget first half on ``wire`` of an n-qubit
+    stand-in, its ancilla of code ``ancilla``: a (2, 2^n, 2^n) register
+    operator by c, built once and shared, so read-only."""
+    return read_only(np.array([embed_operator(k, (wire,), n)
+                               for k in _GADGET_KRAUS[ancilla]]))
+
+
 def gadget_first_half(sv: StateVector, wire, ancilla, rng) -> int:
     """A computation round's gadget first half on the live stand-in ``sv``:
     CNOT from the ancilla onto ``wire``, the wire read as c, the ancilla left
-    in its place.  Draws c by the Born rule, applies that branch's Kraus
-    operator to ``sv`` in place and returns c."""
-    idx = _gather_index(sv.num_qubits, (wire,))
-    branches = _GADGET_KRAUS[ancilla] @ sv.amplitudes[idx]
-    probs = (abs(branches) ** 2).sum(axis=(1, 2))
+    in its place.  One product with the cached operator of both Kraus
+    branches gives each branch and its P[c]; c is drawn by the Born rule
+    through ``born_cdf`` and ``born_draw``, and ``sv`` moves to that branch,
+    normalised, on a new array.  Returns c."""
+    branches = _gadget_operator(sv.num_qubits, wire, ancilla) @ sv.amplitudes
+    probs = (abs(branches) ** 2).sum(axis=1)
     c = born_draw(rng, born_cdf(probs / probs.sum()))
-    sv.amplitudes[idx] = branches[c] / math.sqrt(probs[c])
+    sv.amplitudes = branches[c] / math.sqrt(probs[c])
     return c
 
 
@@ -636,7 +660,7 @@ def t_gadget_exhaustion(psis):
             keys, label = [[a, b]], (F_ID, G_ID)[v]
             if gadget_first_half(sv, 0, 2 * label + e, _ForcedDraw(c)) != c:
                 continue
-            gadget_second_half(lambda name, wires: sv.apply_gate(Gate(name, wires)),
+            gadget_second_half(lambda name, wires: sv.apply_gate(_gate(name, wires)),
                                keys, 0, label, c, e, "computation", None)
             count += 1
             worst = min(worst, fidelity(sv.amplitudes, pad(*keys[0]) @ T @ psi))
@@ -964,8 +988,9 @@ class GameRun:
         # every wire's keys, as (a, b) rows; only the stand-in wires' keys
         # change during the round, so only they go through the key updates,
         # as Python lists (cheaper to update one at a time than numpy rows)
+        keys = np.zeros((layout.n_tot, 2), dtype=np.int64)
         if comp:
-            keys = np.stack([rnd.a_rep, rnd.b_rep], 1)
+            keys[:, 0], keys[:, 1] = rnd.a_rep, rnd.b_rep
             si_keys = keys[si_base:].tolist()
             if rnd.coherent:
                 rnd.standin_sv = encrypt_state(self.a.standin, si_keys)
@@ -975,9 +1000,7 @@ class GameRun:
                 )
         else:
             positions = part.n_x if x_test else part.n_z
-            e_test = rnd.e_rep[positions]
-            zero = np.zeros_like(e_test)
-            keys = np.stack([e_test, zero] if x_test else [zero, e_test], 1)
+            keys[:, 0 if x_test else 1] = rnd.e_rep[positions]
             si_keys = keys[si_base:].tolist()
             # a test wire is an eigenstate of the basis its test reads (Z or X),
             # of A's outcome where A measured that basis, else of a fair coin
@@ -1061,7 +1084,7 @@ class GameRun:
         computation round; in a test round through the gate's code map, on
         register wires ``base + w``."""
         if rnd.codes is None:
-            rnd.standin_sv.apply_gate(Gate(name, wires))
+            rnd.standin_sv.apply_gate(_gate(name, wires))
         else:
             apply_code_gate(rnd.codes, name, [base + w for w in wires])
 

@@ -15,7 +15,7 @@ to keep quantum coherence for d extra layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,13 +107,16 @@ def verify_v(t: ToyNTCFKey, y, c, w) -> int:
 
 @dataclass
 class CvqdRun:
+    """A finished run of ``run_cvqd``: what was committed, asked and
+    answered, the verdict and the depth audited from the prover's trace."""
+
     d: int
     keys: list
-    images: list = field(default_factory=list)
-    challenges: list = field(default_factory=list)
-    responses: list = field(default_factory=list)
-    verdict: str | None = None
-    audited_depth: int | None = None
+    images: list
+    challenges: list
+    responses: list
+    verdict: str
+    audited_depth: int
 
     def to_json(self):
         return {
@@ -284,23 +287,23 @@ def run_cvqd(d, prover, rng, n=4):
     a lab bug and reaches the caller.
     """
     keys = [gen(n, rng)[0] for _ in range(d + 1)]
-    run = CvqdRun(d=d, keys=keys)
     images = prover.begin(keys, d, rng)
     if len(images) != d + 1:
         raise ProtocolOrderError("prover must commit d+1 images first")
-    run.images = [int(y) for y in images]
+    images = [int(y) for y in images]
+    challenges, responses = [], []
+    verdict = "accept"
     for i in range(1, d + 2):
         c = int(rng.integers(2))
-        run.challenges.append(c)
+        challenges.append(c)
         w = prover.answer(i, c)
-        run.responses.append(tuple(int(v) for v in w))
-        if not verify_v(keys[i - 1], run.images[i - 1], c, w):
-            run.verdict = "reject"
+        responses.append(tuple(int(v) for v in w))
+        if not verify_v(keys[i - 1], images[i - 1], c, w):
+            verdict = "reject"
             break
-    else:
-        run.verdict = "accept"
-    run.audited_depth = audited_depth(prover.trace())
-    return run.verdict, run
+    run = CvqdRun(d, keys, images, challenges, responses, verdict,
+                  audited_depth(prover.trace()))
+    return verdict, run
 
 
 def rewind_extract(prover: ResetProver, rng, n=4, d=2):

@@ -34,6 +34,9 @@ FEISTEL_ROUNDS = 10
 # the widest Feistel map whose halves fit a round value (64 bits of a digest)
 # and the 16 bytes a half is hashed as
 PRP_WIDTH_LIMIT = 128
+# the widest (d+2)n-bit shuffling chain of each mode: prp leaves one bit for
+# the in-place complement map
+CHAIN_WIDTH_LIMITS = {"exact": EXACT_WIDTH_LIMIT, "prp": PRP_WIDTH_LIMIT - 1}
 
 
 def bit_at(x, i, n):
@@ -377,16 +380,11 @@ def sample_shuffling(
     """
     n = simon.n
     big = (d + 2) * n
-    if mode not in ("exact", "prp"):
+    if mode not in CHAIN_WIDTH_LIMITS:
         raise QDepthError(f"unknown shuffling mode {mode!r}")
-    if mode == "exact" and big > EXACT_WIDTH_LIMIT:
-        raise CapacityError(
-            f"exact mode limited to {EXACT_WIDTH_LIMIT}-bit domains; use prp mode"
-        )
-    if mode == "prp" and big + 1 > PRP_WIDTH_LIMIT:
-        raise CapacityError(
-            f"prp mode limited to {PRP_WIDTH_LIMIT - 1}-bit domains"
-        )
+    if big > CHAIN_WIDTH_LIMITS[mode]:
+        raise CapacityError(f"{mode} mode limited to {CHAIN_WIDTH_LIMITS[mode]}-bit "
+                            f"domains" + ("; use prp mode" if mode == "exact" else ""))
     # every input's chain point, one permutation at a time over all of them
     ends = list(range(1 << n))
     middle = []

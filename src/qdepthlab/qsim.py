@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import CapacityError, QDepthError
 
-DENSE_LIMIT = 22
+# a dense register operator on 8 qubits takes 1 MiB
+DENSE_LIMIT = 8
 SPARSE_SUPPORT_CAP = 1 << 20
 # twirl's dense process arithmetic is exponential in n; callers check this
 # before drawing a channel
@@ -78,52 +79,66 @@ def bits_to_int(bits):
     return idx
 
 
-# Index maps of the kernels.  Each is built once per register width and
-# qubit tuple by the reshape/transpose that would otherwise run on every
-# call's amplitudes, here run on the basis indices; a dense gate is then one
-# gather and one scatter through it.  Every caller shares a cached map, so
-# the function that makes a map marks it read-only.
-
-
-def _basis_grid(n) -> np.ndarray:
-    return np.arange(1 << n).reshape([2] * n)
-
-
 def _check_targets(n, targets):
     """Gate targets or measured qubits must be distinct, in an n-qubit register."""
     if len(set(targets)) != len(targets) or not all(0 <= t < n for t in targets):
         raise QDepthError(f"qubits {targets} invalid on {n} qubits")
 
 
-@functools.cache
-def _gather_index(n, targets) -> np.ndarray:
-    """(2^k, 2^(n-k)) basis indices: row i holds, in one order for every row,
-    the indices whose target bits read i.  The targets are checked here, so
-    only the first gate on each (n, targets) pays for it."""
+def embed_operator(u, targets, n) -> np.ndarray:
+    """The 2^n x 2^n matrix of the 2^k x 2^k matrix ``u`` acting on the k
+    ``targets`` of an n-qubit register, its first target most significant
+    in ``u``'s index.  Checks the targets and the shape."""
     _check_targets(n, targets)
-    perm = list(targets) + [q for q in range(n) if q not in targets]
-    idx = np.transpose(_basis_grid(n), perm).reshape(1 << len(targets), -1)
-    idx.flags.writeable = False
-    return idx
+    k = len(targets)
+    if u.shape != (1 << k, 1 << k):
+        raise QDepthError(f"matrix shape {u.shape} does not fit {k} target(s)")
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    # kron(u, I) acts on the qubit order targets + rest; each register
+    # qubit's row and column axes are then moved to its own place
+    axes = np.argsort(order).tolist()
+    full = np.kron(u, np.eye(1 << (n - k))).reshape([2] * (2 * n))
+    return full.transpose(axes + [n + a for a in axes]).reshape(1 << n, 1 << n)
+
+
+def read_only(array) -> np.ndarray:
+    """``array``, marked read-only: for operators every caller shares."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def named_operator(n, name, targets) -> np.ndarray:
+    """The register operator of the named gate ``name`` on ``targets`` of an
+    n-qubit register, built on first use; shared, so read-only."""
+    return read_only(embed_operator(GATE_MATRICES[name], targets, n))
 
 
 @functools.cache
 def _wall_spread(n, qubits) -> np.ndarray:
     """Per sub-index of a Hadamard wall on ``qubits`` (its first qubit most
     significant), the basis bits it sets.  Python ints, so registers wider
-    than 63 qubits work; the qubits are checked here, as in _gather_index."""
+    than 63 qubits work; the qubits are checked here, so only the first
+    wall on each (n, qubits) pays for it."""
     _check_targets(n, qubits)
     spread = [0]
     for q in qubits:
         m = 1 << (n - 1 - q)
         spread = [s | b for s in spread for b in (0, m)]
-    spread = np.array(spread, dtype=object)
-    spread.flags.writeable = False
-    return spread
+    return read_only(np.array(spread, dtype=object))
 
 
 class StateVector:
-    """Dense complex statevector on up to ``DENSE_LIMIT`` qubits."""
+    """Dense complex statevector on up to ``DENSE_LIMIT`` qubits: the
+    game's 2-wire stand-in and the 1-wire gadget check.
+
+    Every operation on it is one product of a 2^n x 2^n register operator
+    with ``amplitudes``, which gives a new array: a named gate's operator is
+    built once per (n, name, targets) and shared read-only, an explicit
+    matrix is embedded on each call.  The pad (``gadgets``) and a gadget's
+    first half (``game``) keep cached operators of their own.  No operation
+    writes the array a caller handed in.
+    """
 
     def __init__(self, num_qubits, amplitudes=None):
         if num_qubits > DENSE_LIMIT:
@@ -151,11 +166,12 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def apply_gate(self, gate: Gate):
-        u = gate.unitary()
-        idx = _gather_index(self.num_qubits, gate.targets)
-        out = np.empty_like(self.amplitudes)
-        out[idx] = u @ self.amplitudes[idx]
-        self.amplitudes = out
+        n = self.num_qubits
+        if gate.matrix is None:
+            op = named_operator(n, gate.name, gate.targets)
+        else:
+            op = embed_operator(gate.matrix, gate.targets, n)
+        self.amplitudes = op @ self.amplitudes
         return self
 
 
@@ -286,8 +302,7 @@ def _hadamard_tensor(k) -> np.ndarray:
     hk = np.array([[1.0]], dtype=complex)
     for _ in range(k):
         hk = np.kron(hk, H)
-    hk.flags.writeable = False
-    return hk
+    return read_only(hk)
 
 
 # numpy's tolerance on the sum of ``Generator.choice``'s p, for float64 p

@@ -238,6 +238,14 @@ def test_invalid_strategy_name_is_config_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [["--d", "20"], ["--d", "41", "--oracle-mode", "prp"]])
+def test_game_run_over_wide_oracle_chain_is_config_error(argv, capsys):
+    """A 66-bit exact or 129-bit prp chain (n=3) is refused (exit 3) when
+    the config is built, not by the first trial's oracle."""
+    assert main(["game-run", "--n", "3", "--q", "3", "--trials", "2", *argv]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_game_run_repeat_below_one_is_config_error():
     """--repeat 0 would play no stream and accept every trial."""
     assert main(["game-run", "--repeat", "0", "--trials", "5"]) == 3

@@ -304,7 +304,8 @@ def _pad_gate_by_gate(state, keys, z_first):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pad_equals_gate_by_gate_application(n, rng):
-    """For every key pattern the gathered pad is exactly the gate sequence."""
+    """For every key pattern the cached pad operator gives exactly what the
+    gate sequence gives."""
     state = StateVector(n, qsim.random_state(n, rng))
     for bits in itertools.product((0, 1), repeat=2 * n):
         keys = [list(bits[2 * q: 2 * q + 2]) for q in range(n)]

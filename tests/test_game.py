@@ -120,6 +120,22 @@ def test_q_beyond_oracle_schedule_is_config_error(target, q):
     ProtocolConfig(n=3, d=2, q=q, target=target, fidelity="gadget")
 
 
+@pytest.mark.parametrize("mode, widest_d, cap", [("exact", 18, 62), ("prp", 40, 127)])
+def test_over_wide_oracle_chain_is_config_error(mode, widest_d, cap):
+    """The oracle's chain runs over (d+2)n bits: at n=3 exact mode takes
+    d=18 (60 bits) and prp mode d=40 (126 bits), one bit short of the
+    128-bit Feistel cap for the in-place complement map.  One more layer
+    is refused when the config is built; gadget fidelity builds no oracle,
+    so the same size builds there."""
+    d = widest_d + 1
+    ProtocolConfig(n=3, d=widest_d, q=3, oracle_mode=mode)
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(n=3, d=d, q=3, oracle_mode=mode)
+    assert err.value.violations == [
+        f"(d+2)n = {(d + 2) * 3} bits above the {cap}-bit {mode} oracle chain limit"]
+    ProtocolConfig(n=3, d=d, q=3, oracle_mode=mode, fidelity="gadget")
+
+
 def test_partition_invariants(rng):
     cfg = ProtocolConfig(**SMALL)
     layout = GameLayout(cfg)

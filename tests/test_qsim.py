@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from qdepthlab import qsim
+from qdepthlab import gadgets, game, qsim
 from qdepthlab.errors import CapacityError, QDepthError
 from qdepthlab.qsim import Gate, SparseState, StateVector
 
@@ -47,8 +47,9 @@ def test_random_layer_preserves_norm(rng):
 
 
 def test_dense_limit_enforced():
+    StateVector(qsim.DENSE_LIMIT)
     with pytest.raises(CapacityError):
-        StateVector(23)
+        StateVector(qsim.DENSE_LIMIT + 1)
 
 
 def test_sparse_support_cap(monkeypatch):
@@ -88,8 +89,8 @@ def test_measure_requires_rng():
 
 
 def test_dense_sparse_agreement(rng):
-    """Random circuits on <= 12 qubits agree amplitude-wise within 1e-9."""
-    n = 9
+    """Random circuits on 5 qubits agree amplitude-wise within 1e-9."""
+    n = 5
     for trial in range(3):
         dense = StateVector.from_bits([0] * n)
         sparse = SparseState.from_bits([0] * n)
@@ -107,7 +108,7 @@ def test_dense_sparse_agreement(rng):
         assert np.allclose(dense.amplitudes, sparse_amps, atol=1e-9)
 
 
-# -- dense kernel: memoised index maps against direct references ------------
+# -- dense kernel: cached register operators against direct references ------
 
 
 ONE_QUBIT_NAMES = ["I", "X", "Y", "Z", "H", "S", "SDG", "T", "TDG", "U"]
@@ -159,8 +160,9 @@ def test_apply_gate_matches_embedded_unitary(case):
 @settings(max_examples=100, deadline=None)
 @given(case=_gate_cases())
 def test_dense_kernel_never_writes_the_callers_array(case):
-    """Gates leave the array a caller handed to ``StateVector`` as it was,
-    as when states are built straight from a shared table's rows."""
+    """Gates, pads and gadget first halves leave the array a caller handed
+    to ``StateVector`` as it was, as when states are built straight from a
+    shared table's rows."""
     n, targets, name, seed = case
     rng = np.random.default_rng(seed)
     gate = _gate_of(name, targets, rng)
@@ -169,6 +171,12 @@ def test_dense_kernel_never_writes_the_callers_array(case):
     sv = StateVector(n, psi)
     assert sv.amplitudes is psi      # the state starts on the caller's array
     sv.apply_gate(gate)
+    assert sv.amplitudes is not psi
+    keys = rng.integers(2, size=(n, 2)).tolist()
+    for pad in (gadgets.encrypt_state, gadgets.decrypt_state):
+        assert pad(StateVector(n, psi), keys).amplitudes is not psi
+    sv = StateVector(n, psi)
+    game.gadget_first_half(sv, targets[0], int(rng.integers(10)), rng)
     assert sv.amplitudes is not psi
 
 
