@@ -19,7 +19,7 @@ import typing
 # Keep numpy's BLAS to one thread unless the user set otherwise: the
 # simulator's many small matrix products run erratic and far slower on a
 # thread pool.  Set before numpy is imported (the package __init__ does not
-# import it); run_trials' worker processes inherit the settings.
+# import it); run_streams' worker processes inherit the settings.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -120,7 +120,7 @@ def write_manifest(args, cfg_json, oracle_descriptor=None):
 
 
 def cmd_gadget_check(args):
-    require_at_least(args, trials=1)
+    require_at_least(args, trials=1, seed=0)
     n_wires = game.STANDIN_WIRES
     attack = _planted_attack(args.planted_attack, n_wires) if args.planted_attack else None
     rng = np.random.default_rng(args.seed)
@@ -174,7 +174,7 @@ def _planted_attack(spec, n_wires):
 
 
 def cmd_twirl_check(args):
-    require_at_least(args, n=1, trials=1)
+    require_at_least(args, n=1, trials=1, seed=0)
     if args.n > qsim.TWIRL_MAX_QUBITS:
         raise CapacityError(f"twirl-check needs --n <= {qsim.TWIRL_MAX_QUBITS}")
     worst = qsim.twirl_max_deviation(args.n, args.trials,
@@ -191,7 +191,7 @@ def cmd_twirl_check(args):
 
 
 def cmd_simon(args):
-    require_at_least(args, n=2, samples=1)
+    require_at_least(args, n=2, samples=1, seed=0)
     rng = np.random.default_rng(args.seed)
     shifts = {}
     for _ in range(args.samples):
@@ -210,31 +210,29 @@ def cmd_simon(args):
 
 
 def cmd_dssp_run(args):
-    require_at_least(args, n=2, d=1, runs=1)
+    require_at_least(args, n=2, d=1, runs=1, seed=0)
     rng = np.random.default_rng(args.seed)
     simon = oracles.sample_simon(args.n, rng)
     shuffling = oracles.sample_shuffling(simon, args.d, rng, mode=args.mode)
-    recovered = 0
-    depths = set()
-    accepted_frac = []
-    for run_idx in range(args.runs):
-        run_rng = qsim.trial_rng(args.seed, run_idx)
+
+    def play(rng, stream):
         if args.access == "inplace":
-            ipo = oracles.build_inplace(shuffling, run_rng)
-            s_hat, trace, stats = oracles.solve_inplace_dssp(ipo, run_rng)
-            accepted_frac.append(stats["accepted"] / max(1, stats["runs"]))
+            s_hat, trace, stats = oracles.solve_inplace_dssp(
+                oracles.build_inplace(shuffling, rng), rng)
+            accepted_frac = stats["accepted"] / max(1, stats["runs"])
         else:
-            s_hat, trace, stats = oracles.solve_standard_dssp(shuffling, run_rng)
-        recovered += s_hat == simon.s
-        depths.add(audited_depth(trace))
+            s_hat, trace, _ = oracles.solve_standard_dssp(shuffling, rng)
+            accepted_frac = None
+        return s_hat == simon.s, audited_depth(trace), accepted_frac
+    recovered, depths, accepted_fracs = qsim.run_streams(play, args.seed, args.runs, 1, 1)
     result = {
         "n": args.n, "d": args.d, "mode": args.mode, "access": args.access,
         "runs": args.runs, "recovery_rate": recovered / args.runs,
         "audited_depth": sorted(depths),
         "expected_depth": args.d + 3 if args.access == "inplace" else 2 * args.d + 3,
     }
-    if accepted_frac:
-        result["flag_accept_fraction"] = float(np.mean(accepted_frac))
+    if accepted_fracs:
+        result["flag_accept_fraction"] = float(np.mean(accepted_fracs))
     write_manifest(args, {k: getattr(args, k) for k in (
         "n", "d", "mode", "access", "runs", "seed")}, shuffling.descriptor())
     emit(result, args)
@@ -269,15 +267,12 @@ def cmd_game_run(args):
 
 
 def cmd_ntcf_run(args):
-    require_at_least(args, n=2, d=1, trials=1)
-    accepted = 0
-    depths = set()
-    for t in range(args.trials):
-        rng = qsim.trial_rng(args.seed, t)
-        prover = ntcf.PROVERS[args.prover]()
-        verdict, run = ntcf.run_cvqd(args.d, prover, rng, n=args.n)
-        accepted += verdict == "accept"
-        depths.add(run.audited_depth)
+    require_at_least(args, n=2, d=1, trials=1, seed=0)
+
+    def play(rng, stream):
+        verdict, run = ntcf.run_cvqd(args.d, ntcf.PROVERS[args.prover](), rng, n=args.n)
+        return verdict == "accept", run.audited_depth, None
+    accepted, depths, _ = qsim.run_streams(play, args.seed, args.trials, 1, 1)
     result = {
         "d": args.d, "d0": ntcf.D0_DEFAULT, "n": args.n, "prover": args.prover,
         "trials": args.trials, "accept_rate": accepted / args.trials,

@@ -45,7 +45,7 @@ from .oracles import (
 from .qsim import (
     GATE_MATRICES, H, I2, S, SDG, T, X, Z, Gate, PauliDistribution, PauliOp,
     SparseState, StateVector, born_cdf, born_draw, embed_operator, fidelity,
-    read_only, states_equal_up_to_phase, trial_rng,
+    read_only, run_streams, states_equal_up_to_phase, trial_rng,
 )
 # unused here; kept because bench/tracer.py patches ``game.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
@@ -223,7 +223,7 @@ class ProtocolConfig:
         violations = []
         if self.alpha is not None and not (0 < self.alpha < 1):
             violations.append(f"alpha={self.alpha} outside (0, 1)")
-        for name, low in (("q", 1), ("n", 2), ("d", 1), ("t_parallel", 1)):
+        for name, low in (("q", 1), ("n", 2), ("d", 1), ("t_parallel", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
                 violations.append(f"{name} must be >= {low}")
@@ -1255,73 +1255,36 @@ def run_query_protocol(cfg: ProtocolConfig, prover_a, prover_o, oracle, rng):
         return "reject", t
 
 
-def play_trial(cfg: ProtocolConfig, strat_a, strat_o, t):
-    """Trial ``t`` of a seeded run: a fresh oracle (abstract fidelity only)
-    and fresh provers from the named strategies, all drawing from
-    ``trial_rng(cfg.seed, t)``.  Returns (verdict, transcript)."""
-    rng = trial_rng(cfg.seed, t)
+def _play_stream(cfg: ProtocolConfig, strat_a, strat_o, rng, stream):
+    """One stream of ``run_trials``: a fresh oracle (abstract fidelity only) and
+    fresh provers, all drawing from ``rng``; keeps the JSON of streams 0-2."""
     oracle = make_oracle(cfg, rng) if cfg.fidelity == "abstract" else None
-    return run_query_protocol(cfg, STRATEGIES_A[strat_a](cfg),
-                              STRATEGIES_O[strat_o](cfg), oracle, rng)
-
-
-def _trial_chunk(cfg, strat_a, strat_o, repeat, t0, t1):
-    """Logical trials ``[t0, t1)`` of a run: trial t plays streams
-    ``t*repeat + r`` and stops at the first reject.  Returns (accepted,
-    audited depths, the JSON of the streams below 3 that were played)."""
-    accepted = 0
-    depths = set()
-    transcripts = []
-    for t in range(t0, t1):
-        for stream in range(t * repeat, (t + 1) * repeat):
-            verdict, transcript = play_trial(cfg, strat_a, strat_o, stream)
-            depths.add(transcript.depth_audit.get("audited_depth"))
-            if stream < 3:
-                transcripts.append(transcript.to_json())
-            if verdict != "accept":
-                break
-        else:
-            accepted += 1
-    return accepted, depths, transcripts
+    verdict, transcript = run_query_protocol(cfg, STRATEGIES_A[strat_a](cfg),
+                                             STRATEGIES_O[strat_o](cfg), oracle, rng)
+    return (verdict == "accept", transcript.depth_audit.get("audited_depth"),
+            transcript.to_json() if stream < 3 else None)
 
 
 def run_trials(cfg: ProtocolConfig, strat_a, strat_o, repeat=1, jobs=1):
     """Monte-Carlo acceptance of the named strategies with a Wilson 95% interval.
 
-    Plays ``cfg.trials`` logical trials from ``cfg.seed``.  ``repeat`` > 1
-    applies sequential repetition: one logical trial accepts only if all its
-    repetitions accept.  ``jobs`` > 1 splits the logical trials into
-    contiguous chunks over worker processes; the results do not depend on
-    it.  Returns (report, transcripts), the latter the JSON of streams 0-2,
-    less any that an earlier reject in their trial skipped.
+    Plays ``cfg.trials`` logical trials from ``cfg.seed`` through
+    ``qsim.run_streams``, each of ``repeat`` sequential repetitions that must
+    all accept, over ``jobs`` worker processes.  Returns (report,
+    transcripts), the latter the JSON of streams 0-2, less any that an
+    earlier reject in their trial skipped.
     """
-    trials = cfg.trials
-    if trials < 1 or repeat < 1 or jobs < 1:
-        raise ConfigError([f"need trials, repeat and jobs >= 1, got "
-                           f"{trials}, {repeat} and {jobs}"])
-    bounds = np.linspace(0, trials, jobs + 1, dtype=int)
-    chunks = [(cfg, strat_a, strat_o, repeat, int(a), int(b))
-              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if jobs == 1:
-        parts = [_trial_chunk(*chunk) for chunk in chunks]
-    else:
-        # imported here: at module level they would slow every import of game
-        import concurrent.futures
-        import multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(_trial_chunk, *chunk) for chunk in chunks]
-            parts = [f.result() for f in futures]
-    accepted = sum(part[0] for part in parts)
-    depths = set().union(*(part[1] for part in parts))
-    phat, lo, hi = wilson_interval(accepted, trials)
+    accepted, depths, transcripts = run_streams(
+        functools.partial(_play_stream, cfg, strat_a, strat_o),
+        cfg.seed, cfg.trials, repeat, jobs)
+    phat, lo, hi = wilson_interval(accepted, cfg.trials)
     report = {
         "config": cfg.to_json(),
         "strategy_a": strat_a, "strategy_o": strat_o,
-        "trials": trials, "repeat": repeat, "accepted": accepted,
+        "trials": cfg.trials, "repeat": repeat, "accepted": accepted,
         "p_hat": phat, "ci95": [lo, hi],
-        "audited_depths": sorted(x for x in depths if x is not None),
+        "audited_depths": sorted(depths),
         # gadget fidelity grades no answer, so it runs no closing H wall
         "expected_honest_depth": cfg.q + (2 if cfg.fidelity == "abstract" else 1),
     }
-    return report, [tr for part in parts for tr in part[2]]
+    return report, transcripts

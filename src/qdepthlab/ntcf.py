@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CapacityError, ProtocolOrderError, QDepthError
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import KeyedPermutation, dot_bits, random_keyed_permutation
-from .qsim import SPARSE_SUPPORT_CAP, SparseState, bits_to_int, trial_rng
+from .qsim import SPARSE_SUPPORT_CAP, SparseState, bits_to_int, run_streams
 from .qsim import measure as qsim_measure
 
 # the claw block d0: the layers that prepare every claw state and measure
@@ -311,7 +311,7 @@ def rewind_extract(prover: ResetProver, rng, n=4, d=2):
 
     Drives the protocol up to the final round, forces the classical residue
     sigma_j into existence, then asks for both a preimage and an equation
-    for the same image.  Returns (y, w0, w1, both_valid).
+    for the same image.  Returns (y, w0, w1, both_valid, (v0, v1)).
     """
     keys = [gen(n, rng)[0] for _ in range(d + 1)]
     images = prover.begin(keys, d, rng)
@@ -338,20 +338,17 @@ def extractor_experiment(d, trials, rng_seed=0, n=4, mode="guess"):
     """Monte-Carlo check of the rewinding inequality, replaying a
     ``ResetProver`` that resets in round 1 with ``mode`` equations.
 
-    Returns p0_hat, p1_hat, both_rate; the construction guarantees
-    both_rate >= p0_hat + p1_hat - 1 up to sampling noise.
+    Returns a dict of trials, p0, p1 and both_valid_rate; the construction
+    guarantees both_valid_rate >= p0 + p1 - 1 up to sampling noise.
     """
-    v0s, v1s, boths = 0, 0, 0
-    for t in range(trials):
-        rng = trial_rng(rng_seed, t)
-        prover = ResetProver(j=1, equation_mode=mode)
-        _, _, _, both, (v0, v1) = rewind_extract(prover, rng, n=n, d=d)
-        v0s += v0
-        v1s += v1
-        boths += both
+    def play(rng, stream):
+        _, _, _, both, valid = rewind_extract(ResetProver(j=1, equation_mode=mode),
+                                              rng, n=n, d=d)
+        return both, None, valid
+    boths, _, valid = run_streams(play, rng_seed, trials, 1, 1)
     return {
         "trials": trials,
-        "p0": v0s / trials,
-        "p1": v1s / trials,
+        "p0": sum(v0 for v0, _ in valid) / trials,
+        "p1": sum(v1 for _, v1 in valid) / trials,
         "both_valid_rate": boths / trials,
     }

@@ -11,11 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, QDepthError
+from .errors import CapacityError, ConfigError, QDepthError
 
 # a dense register operator on 8 qubits takes 1 MiB
 DENSE_LIMIT = 8
@@ -340,6 +341,49 @@ def trial_rng(seed, trial):
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                         spawn_key=(trial,)))
+
+
+def _stream_chunk(play, seed, repeat, t0, t1):
+    """Logical trials ``[t0, t1)`` of ``run_streams``."""
+    accepted, depths, kept = 0, set(), []
+    for t in range(t0, t1):
+        for stream in range(t * repeat, (t + 1) * repeat):
+            ok, depth, keep = play(trial_rng(seed, stream), stream)
+            depths.add(depth)
+            if keep is not None:
+                kept.append(keep)
+            if not ok:
+                break
+        else:
+            accepted += 1
+    return accepted, depths - {None}, kept
+
+
+def run_streams(play, seed, trials, repeat, jobs):
+    """The seeded Monte-Carlo loop.  Logical trial t of ``trials`` plays
+    streams ``t*repeat + r`` as ``play(trial_rng(seed, stream), stream) ->
+    (accepted, audited depth, kept)`` and stops at the first stream not
+    accepted.  ``jobs`` > 1 cuts ``jobs`` contiguous chunks for at most one
+    spawned worker per CPU, so ``play`` must pickle.  Returns the accepted
+    trials, the audited depths and the kept values in stream order, less
+    any None; none depends on ``jobs``."""
+    if trials < 1 or repeat < 1 or jobs < 1:
+        raise ConfigError([f"need trials, repeat and jobs >= 1, got "
+                           f"{trials}, {repeat} and {jobs}"])
+    if jobs == 1:
+        return _stream_chunk(play, seed, repeat, 0, trials)
+    # imported here: at module level they would slow every import of qsim
+    import concurrent.futures
+    import multiprocessing
+    bounds = np.linspace(0, trials, jobs + 1, dtype=int).tolist()
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(jobs, os.cpu_count() or 1),
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = [pool.submit(_stream_chunk, play, seed, repeat, a, b)
+                   for a, b in itertools.pairwise(bounds) if b > a]
+        parts = [f.result() for f in futures]
+    return (sum(part[0] for part in parts), set().union(*(part[1] for part in parts)),
+            [keep for part in parts for keep in part[2]])
 
 
 def measure(state: SparseState, qubits, basis="standard", rng=None):

@@ -95,17 +95,19 @@ def test_criterion_05_two_prover_honest_completeness():
     cfg = game.ProtocolConfig(n=3, d=2, q=3, target="inplace", seed=505,
                               t_parallel=12)
     trials = 5000
-    branch = defaultdict(lambda: [0, 0])
-    for t in range(trials):
-        rng = game.trial_rng(505, t)
+
+    def play(rng, stream):
         orc = game.make_oracle(cfg, rng)
         a = game.STRATEGIES_A["honest"](cfg)
         o = game.STRATEGIES_O["honest"](cfg)
         verdict, tr = game.run_query_protocol(cfg, a, o, orc, rng)
-        br = tr.depth_audit["branch"]
-        branch[br][0] += verdict == "accept"
+        return verdict == "accept", None, (tr.depth_audit["branch"], verdict == "accept")
+
+    accepted, _, verdicts = qsim.run_streams(play, 505, trials, 1, 1)
+    branch = defaultdict(lambda: [0, 0])
+    for br, ok in verdicts:
+        branch[br][0] += ok
         branch[br][1] += 1
-    accepted = sum(v[0] for v in branch.values())
     rate = accepted / trials
     bound = 1 - cfg.alpha / 3 - 0.02
     x_rate = branch["xtest"][0] / max(1, branch["xtest"][1])

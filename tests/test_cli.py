@@ -162,6 +162,8 @@ def test_dssp_run_runs_below_one_is_config_error():
     ["game-run", "--trials", "0"],
     ["dssp-run", "--d", "0"],
     ["dssp-run", "--n", "1"],
+    *([cmd, "--seed", "-1"] for cmd in ("gadget-check", "twirl-check", "simon",
+                                        "dssp-run", "game-run", "ntcf-run")),
 ], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
 def test_count_below_minimum_is_config_error(argv, capsys):
     """A run over nothing, or over a range the solvers cannot take, is a
@@ -179,12 +181,18 @@ def test_game_run_and_determinism(tmp_path):
     assert out1 == out2  # byte-identical reports from identical (config, seed)
 
 
-def test_game_run_jobs_invariance():
+def test_game_run_jobs_invariance(tmp_path):
+    """The report and the three transcripts are the same at any --jobs."""
     base = ["game-run", "--n", "3", "--d", "2", "--q", "3", "--trials", "40",
             "--seed", "11", "--t-parallel", "8"]
-    _, out1 = run_cli(base + ["--jobs", "1"])
-    _, out2 = run_cli(base + ["--jobs", "2"])
-    assert json.loads(out1)["accepted"] == json.loads(out2)["accepted"]
+    runs = []
+    for jobs in ("1", "2"):
+        outdir = tmp_path / jobs
+        code, out = run_cli(base + ["--jobs", jobs, "--outdir", str(outdir)])
+        assert code == 0
+        runs.append([out] + [(outdir / f"transcript_{i}.json").read_text()
+                             for i in range(3)])
+    assert runs[0] == runs[1]
 
 
 def test_game_run_writes_manifest_and_transcripts(tmp_path):
@@ -288,6 +296,15 @@ def test_config_file_bad_key_or_value_is_config_error(tmp_path, line, capsys):
     assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
     key = line.split(" = ")[0]
     assert any(repr(key) in v for v in json.loads(capsys.readouterr().err)["violations"])
+
+
+def test_config_file_negative_seed_is_config_error(tmp_path, capsys):
+    """A seed below 0 from a --config file exits 3 naming it, as --seed -1
+    does."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 2\nd = 1\nq = 2\nseed = -3\n")
+    assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
+    assert json.loads(capsys.readouterr().err)["violations"] == ["seed must be >= 0"]
 
 
 @pytest.mark.parametrize("line", ["t_parallel = -1", "t_parallel = 0"])
@@ -409,19 +426,23 @@ def _command(name, required, optional):
     return st.fixed_dictionaries(required, optional=optional).map(argv)
 
 
+_SEEDS = st.sampled_from([-1, 0, 1])
+
 # counts of work are always drawn, so that no example runs a default-sized
 # run; --jobs above 1 would spawn worker processes and is left out
 _ARGV = st.one_of(
     _command("gadget-check", {"trials": _COUNTS},
-             {"planted-attack": st.sampled_from(["X:0", "Z:1", "X:2", "Y:0"])}),
+             {"planted-attack": st.sampled_from(["X:0", "Z:1", "X:2", "Y:0"]),
+              "seed": _SEEDS}),
     _command("twirl-check", {"trials": _COUNTS},
-             {"n": st.sampled_from([-1, 0, 1, 2, qsim.TWIRL_MAX_QUBITS + 1])}),
+             {"n": st.sampled_from([-1, 0, 1, 2, qsim.TWIRL_MAX_QUBITS + 1]),
+              "seed": _SEEDS}),
     _command("simon", {"samples": _COUNTS},
-             {"n": _sizes(21), "verify": st.just(True)}),
+             {"n": _sizes(21), "verify": st.just(True), "seed": _SEEDS}),
     _command("dssp-run", {"runs": _COUNTS},
              {"n": _sizes(21), "d": _D, "mode": st.sampled_from(["exact", "prp"]),
               "access": st.sampled_from(["inplace", "standard"]),
-              "min-rate": st.sampled_from([0.0, 1.0])}),
+              "min-rate": st.sampled_from([0.0, 1.0]), "seed": _SEEDS}),
     _command("game-run", {"trials": _COUNTS},
              {"n": _sizes(21), "d": _D, "q": st.sampled_from([-1, 0, 1, 2, 3]),
               "target": st.sampled_from(["inplace", "standard"]),
@@ -429,11 +450,11 @@ _ARGV = st.one_of(
               "oracle-mode": st.sampled_from(["exact", "prp"]),
               "strategy-a": st.sampled_from([*game.STRATEGIES_A, "nope"]),
               "strategy-o": st.sampled_from([*game.STRATEGIES_O, "nope"]),
-              "t-parallel": _COUNTS, "repeat": _COUNTS}),
+              "t-parallel": _COUNTS, "repeat": _COUNTS, "seed": _SEEDS}),
     _command("ntcf-run", {"trials": _COUNTS},
              {"n": _sizes(20), "d": st.sampled_from([-1, 0, 1, 2]),
               "prover": st.sampled_from(sorted(ntcf.PROVERS)),
-              "extract": st.just(True)}),
+              "extract": st.just(True), "seed": _SEEDS}),
 )
 
 

@@ -39,6 +39,15 @@ def rng():
 SMALL = dict(n=3, d=2, q=3, t_parallel=10)
 
 
+def _honest_stream(cfg, stream):
+    """Transcript of stream ``stream`` of an honest ``run_trials`` run of
+    ``cfg``, replayed alone."""
+    rng = trial_rng(cfg.seed, stream)
+    oracle = make_oracle(cfg, rng) if cfg.fidelity == "abstract" else None
+    return run_query_protocol(cfg, STRATEGIES_A["honest"](cfg),
+                              STRATEGIES_O["honest"](cfg), oracle, rng)[1]
+
+
 # -- alpha and intervals ---------------------------------------------------------
 
 
@@ -65,10 +74,12 @@ def test_config_validation_reports_all_violations():
     """A config is checked when it is built, and the error names every
     value the game cannot run with."""
     with pytest.raises(ConfigError) as err:
-        ProtocolConfig(n=1, d=0, q=0, t_parallel=0, alpha=1.0, oracle_mode="quantum")
+        ProtocolConfig(n=1, d=0, q=0, t_parallel=0, alpha=1.0, seed=-1,
+                       oracle_mode="quantum")
     assert err.value.violations == [
         "alpha=1.0 outside (0, 1)", "q must be >= 1", "n must be >= 2",
-        "d must be >= 1", "t_parallel must be >= 1", "unknown oracle mode 'quantum'"]
+        "d must be >= 1", "t_parallel must be >= 1", "seed must be >= 0",
+        "unknown oracle mode 'quantum'"]
     with pytest.raises(ConfigError) as err:
         ProtocolConfig(alpha=0.0, fidelity="dense", target="random")
     assert err.value.violations == [
@@ -248,7 +259,7 @@ def test_trial_setup_ids_are_disjoint_and_in_range(fidelity, target, seed, trial
     cfg = ProtocolConfig(n=2, d=2, q=3, t_parallel=4, alpha=alpha, seed=seed,
                          fidelity=fidelity, target=target)
     layout = game.game_layout(cfg)
-    _, tr = game.play_trial(cfg, "honest", "honest", trial)
+    tr = _honest_stream(cfg, trial)
     rounds = _setup_ids(tr)
     audit = tr.depth_audit
     assert len(rounds) == (cfg.q if audit["branch"] == "no-test" else audit["test_at"])
@@ -268,7 +279,7 @@ def test_second_round_data_ids_are_uniform():
     layout = game.game_layout(cfg)
     ids = []
     for t in range(2000):
-        _, tr = game.play_trial(cfg, "honest", "honest", t)
+        tr = _honest_stream(cfg, t)
         rounds = [m["payload"]["data"] for m in tr.messages
                   if m["kind"] == game.MSG_SETUP and m["to"] == "A"]
         if len(rounds) >= 2:
@@ -1051,14 +1062,14 @@ def test_run_trials_interface():
 
 
 def test_run_trials_transcripts_replay_from_the_config_seed():
-    """Each transcript records the seed its trial ran from, and replays as
-    ``play_trial`` of its stream."""
+    """Each transcript records the seed its trial ran from, and replaying
+    its stream alone reproduces it."""
     cfg = replace(ProtocolConfig(**SMALL, trials=3), seed=5)
     _, transcripts = run_trials(cfg, "honest", "honest")
     assert len(transcripts) == 3
     for stream, tr in enumerate(transcripts):
         assert json.loads(tr)["seed"] == 5
-        assert tr == game.play_trial(cfg, "honest", "honest", stream)[1].to_json()
+        assert tr == _honest_stream(cfg, stream).to_json()
 
 
 def _cvqd2_config(n, d, **kw):

@@ -2,17 +2,21 @@
 
 Every case below replays a fixed set of seeded runs and hashes what they
 produce: transcripts, verdicts, depth audits, prover A's final instance
-supports and the summary dicts of the Monte-Carlo runners.  A refactor that
+supports, the summary dicts of the Monte-Carlo runners and the reports
+``ntcf-run`` and ``dssp-run`` print.  A refactor that
 changes no seeded output leaves every digest as it is; a change that alters
 an RNG draw order on purpose must say so and record the new digest here.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
 from qdepthlab import game, ntcf, oracles
+from qdepthlab.cli import main
 
 PAIRS = [(a, o) for a in game.STRATEGIES_A for o in game.STRATEGIES_O]
 
@@ -140,6 +144,25 @@ def _dssp_case():
     return _digest(parts)
 
 
+def _cli_case(commands):
+    """What ``main`` prints for each command, aggregation included."""
+    parts = []
+    for command in commands:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(command.split()) == 0
+        parts.append(buf.getvalue())
+    return _digest(parts)
+
+
+CLI_COMMANDS = {
+    "ntcf-run": ["ntcf-run --trials 40 --seed 3 --extract",
+                 "ntcf-run --trials 40 --seed 3 --extract --prover reset-planted",
+                 "ntcf-run --trials 40 --seed 5 --prover preimage-only --n 3 --d 2"],
+    "dssp-run": ["dssp-run --runs 6 --seed 2",
+                 "dssp-run --runs 6 --seed 2 --access standard --mode prp"],
+}
+
 CASES = {
     **{f"protocol:{name}": (lambda name=name: _protocol_case(name))
        for name in GAME_CONFIGS},
@@ -149,9 +172,13 @@ CASES = {
     "run-cvqd2": _cvqd2_case,
     "ntcf": _ntcf_case,
     "dssp": _dssp_case,
+    **{f"cli:{name}": (lambda name=name: _cli_case(CLI_COMMANDS[name]))
+       for name in CLI_COMMANDS},
 }
 
 GOLDEN = {
+    "cli:dssp-run": "ba1ac648981ce763acad291f01c277d799bc7d0d18fbdcdfdc1e4033aa0f40c3",
+    "cli:ntcf-run": "5c57d7cffa731e7282733bd45c871e4217792a0718b264c17b92bf300610a18b",
     "dssp": "649a6db50da6bc388f0c1a5da2204e79d886a9dd12918dd0c786e47ea502d24e",
     "estimate-acceptance": "68d5b51023a5be67ce6d582fb6ff5050e9d0673d7523fe8b32149b5558f3d111",
     "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",

@@ -1,6 +1,8 @@
 """Simulator core: gates, measurement statistics, twirling."""
 
+import concurrent.futures
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from qdepthlab import gadgets, game, qsim
-from qdepthlab.errors import CapacityError, QDepthError
+from qdepthlab.errors import CapacityError, ConfigError, QDepthError
 from qdepthlab.qsim import Gate, SparseState, StateVector
 
 
@@ -459,3 +461,61 @@ def test_pauli_deviation_values():
     eps = 0.03
     planted = qsim.PauliDistribution({ops["I"]: 1 - 4 * eps, ops["Z"]: 4 * eps})
     assert abs(1 - planted.identity_weight() - 4 * eps) < 1e-12
+
+
+# -- the seeded trial loop ---------------------------------------------------------
+
+
+def _alternate_play(played):
+    """A stream play that rejects every stream 2 mod 3, audits depth 1 on odd
+    streams and keeps the first draw of even ones, recording what it plays."""
+    def play(rng, stream):
+        played.append(stream)
+        return stream % 3 != 2, stream % 2 or None, None if stream % 2 else rng.random()
+    return play
+
+
+def test_run_streams_stops_each_trial_at_its_first_reject():
+    """Trial t plays streams 2t and 2t+1 from their own generators, stops at
+    a reject, and records no None depth or kept value."""
+    played = []
+    accepted, depths, kept = qsim.run_streams(_alternate_play(played), 7, 4, 2, 1)
+    assert played == [0, 1, 2, 4, 5, 6, 7]
+    assert accepted == 2 and depths == {1}
+    assert kept == [qsim.trial_rng(7, s).random() for s in (0, 2, 4, 6)]
+
+
+@pytest.mark.parametrize("trials, repeat, jobs", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+def test_run_streams_counts_below_one_are_config_errors(trials, repeat, jobs):
+    with pytest.raises(ConfigError):
+        qsim.run_streams(_alternate_play([]), 0, trials, repeat, jobs)
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(2, 5, 2), (None, 3, 1), (8, 3, 3)])
+def test_run_streams_caps_its_workers_at_the_cpu_count(monkeypatch, cpus, jobs, workers):
+    """``jobs`` chunks go to a pool of at most one worker per CPU, with the
+    results of one job.  The pool here runs each chunk inline, so no process
+    starts."""
+    pools, submits = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submits.append(args)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    split = qsim.run_streams(_alternate_play([]), 7, 6, 2, jobs)
+    assert pools == [workers] and len(submits) == jobs
+    assert split == qsim.run_streams(_alternate_play([]), 7, 6, 2, 1)
