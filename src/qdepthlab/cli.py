@@ -147,7 +147,7 @@ def cmd_gadget_check(args):
         op = qsim.PauliOp(n_wires, bit if pauli == "X" else 0, bit if pauli == "Z" else 0)
         cfg = game.ProtocolConfig(fidelity="gadget")
         ex, ez = game.attack_failure_rates(cfg, qsim.PauliDistribution({op: 1.0}),
-                                           args.trials, rng)
+                                           args.trials, args.seed)
         # a bit flip on a wire fails every X test and no Z test; a phase
         # flip the other way round
         ok = (ex, ez) == ((1.0, 0.0) if pauli == "X" else (0.0, 1.0))
@@ -211,6 +211,8 @@ def cmd_simon(args):
 
 def cmd_dssp_run(args):
     require_at_least(args, n=2, d=1, runs=1, seed=0)
+    if not 0 <= args.min_rate <= 1:
+        raise ConfigError([f"need 0 <= min_rate <= 1, got {args.min_rate}"])
     rng = np.random.default_rng(args.seed)
     simon = oracles.sample_simon(args.n, rng)
     shuffling = oracles.sample_shuffling(simon, args.d, rng, mode=args.mode)
@@ -268,20 +270,22 @@ def cmd_game_run(args):
 
 def cmd_ntcf_run(args):
     require_at_least(args, n=2, d=1, trials=1, seed=0)
+    mode = "planted" if args.prover == "reset-planted" else "guess"
 
     def play(rng, stream):
+        """Protocol trial ``stream``; with --extract, the extractor's replay
+        then continues the same stream, so it grades fresh keys."""
         verdict, run = ntcf.run_cvqd(args.d, ntcf.PROVERS[args.prover](), rng, n=args.n)
-        return verdict == "accept", run.audited_depth, None
-    accepted, depths, _ = qsim.run_streams(play, args.seed, args.trials, 1, 1)
+        replay = ntcf.extractor_replay(rng, args.d, args.n, mode) if args.extract else None
+        return verdict == "accept", run.audited_depth, replay
+    accepted, depths, replays = qsim.run_streams(play, args.seed, args.trials, 1, 1)
     result = {
         "d": args.d, "d0": ntcf.D0_DEFAULT, "n": args.n, "prover": args.prover,
         "trials": args.trials, "accept_rate": accepted / args.trials,
         "audited_depths": sorted(depths),
     }
     if args.extract:
-        result["extractor"] = ntcf.extractor_experiment(
-            args.d, args.trials, rng_seed=args.seed, n=args.n,
-            mode="planted" if args.prover == "reset-planted" else "guess")
+        result["extractor"] = ntcf.extractor_rates(replays)
     emit(result, args)
     return 0
 

@@ -1211,22 +1211,22 @@ def run_single_round(cfg: ProtocolConfig, round_kind, strat_a="honest",
                               STRATEGIES_O[strat_o](cfg), oracle, trial_rng(seed, 0))
 
 
-def attack_failure_rates(cfg: ProtocolConfig, attack: PauliDistribution, trials, rng):
+def attack_failure_rates(cfg: ProtocolConfig, attack: PauliDistribution, trials, seed):
     """Monte-Carlo rejection rates (eps_X, eps_Z) of the X and Z tests.
 
-    Plays ``trials`` X-test rounds, then as many Z-test rounds, against an
-    honest prover A; before each, one Pauli drawn from ``attack`` becomes
-    prover O's planted attack.  All draws come from ``rng``.
+    Plays ``2*trials`` streams of ``seed`` through ``qsim.run_streams``:
+    streams ``[0, trials)`` are X-test rounds and ``[trials, 2*trials)``
+    Z-test rounds, each against an honest prover A and a prover O whose
+    planted attack is one Pauli drawn from ``attack`` on that stream.
     """
-    rates = []
-    for kind in ("xtest", "ztest"):
-        rejects = 0
-        for _ in range(trials):
-            prover_o = ProverO(attack=attack.sample(rng))
-            verdict, _ = _play_single_round(cfg, kind, ProverA(), prover_o, None, rng)
-            rejects += verdict == "reject"
-        rates.append(rejects / trials)
-    return tuple(rates)
+    def play(rng, stream):
+        kind = "xtest" if stream < trials else "ztest"
+        prover_o = ProverO(attack=attack.sample(rng))
+        verdict, _ = _play_single_round(cfg, kind, ProverA(), prover_o, None, rng)
+        return True, None, (kind, verdict == "reject")
+    _, _, rounds = run_streams(play, seed, 2 * trials, 1, 1)
+    return tuple(sum(rejected for k, rejected in rounds if k == kind) / trials
+                 for kind in ("xtest", "ztest"))
 
 
 # ---------------------------------------------------------------------------

@@ -334,21 +334,30 @@ def rewind_extract(prover: ResetProver, rng, n=4, d=2):
     return y, w0, w1, int(v0 and v1), (v0, v1)
 
 
-def extractor_experiment(d, trials, rng_seed=0, n=4, mode="guess"):
-    """Monte-Carlo check of the rewinding inequality, replaying a
-    ``ResetProver`` that resets in round 1 with ``mode`` equations.
+def extractor_replay(rng, d, n, mode):
+    """One extractor trial: ``rewind_extract`` on a ``ResetProver`` that
+    resets in round 1 with ``mode`` equations; returns its (v0, v1)."""
+    return rewind_extract(ResetProver(j=1, equation_mode=mode), rng, n=n, d=d)[4]
 
-    Returns a dict of trials, p0, p1 and both_valid_rate; the construction
-    guarantees both_valid_rate >= p0 + p1 - 1 up to sampling noise.
-    """
-    def play(rng, stream):
-        _, _, _, both, valid = rewind_extract(ResetProver(j=1, equation_mode=mode),
-                                              rng, n=n, d=d)
-        return both, None, valid
-    boths, _, valid = run_streams(play, rng_seed, trials, 1, 1)
+
+def extractor_rates(valid):
+    """The extractor's report over the (v0, v1) of its replays: trials, p0,
+    p1 and both_valid_rate; the construction guarantees both_valid_rate >=
+    p0 + p1 - 1 up to sampling noise."""
+    trials = len(valid)
     return {
         "trials": trials,
         "p0": sum(v0 for v0, _ in valid) / trials,
         "p1": sum(v1 for _, v1 in valid) / trials,
-        "both_valid_rate": boths / trials,
+        "both_valid_rate": sum(v0 and v1 for v0, v1 in valid) / trials,
     }
+
+
+def extractor_experiment(d, trials, rng_seed=0, n=4, mode="guess"):
+    """Monte-Carlo check of the rewinding inequality: ``extractor_rates``
+    over one ``extractor_replay`` on each of ``trials`` streams of
+    ``rng_seed``.  ``ntcf-run --extract`` does not call it; its replays
+    continue the streams of its protocol trials."""
+    def play(rng, stream):
+        return True, None, extractor_replay(rng, d, n, mode)
+    return extractor_rates(run_streams(play, rng_seed, trials, 1, 1)[2])

@@ -316,7 +316,6 @@ class ShufflingOracle:
     simon: SimonFunction
     middle: list
     mode: str
-    seed: int | None = None
     s_d: dict = field(default_factory=dict)   # chain endpoint -> n-bit preimage
 
     @property
@@ -355,7 +354,6 @@ class ShufflingOracle:
                 "n": self.n,
                 "d": self.d,
                 "mode": self.mode,
-                "seed": self.seed,
                 "width_factor": self.d + 2,
                 "shift_commitment": commit,
             },
@@ -363,9 +361,7 @@ class ShufflingOracle:
         )
 
 
-def sample_shuffling(
-    simon: SimonFunction, d, rng, mode="exact", seed=None
-) -> ShufflingOracle:
+def sample_shuffling(simon: SimonFunction, d, rng, mode="exact") -> ShufflingOracle:
     """Draw the middle permutations and assemble the chain for ``simon``,
     over the (d+2)n-bit enlarged domain.
 
@@ -396,9 +392,7 @@ def sample_shuffling(
             perm = random_keyed_permutation(big, rng)
         middle.append(perm)
         ends = perm.eval_many(ends)
-    oracle = ShufflingOracle(
-        n=n, d=d, simon=simon, middle=middle, mode=mode, seed=seed,
-    )
+    oracle = ShufflingOracle(n=n, d=d, simon=simon, middle=middle, mode=mode)
     oracle.s_d = {y: x for x, y in enumerate(ends)}
     if len(oracle.s_d) != len(ends):
         raise QDepthError("chain endpoints collide; permutations corrupt")

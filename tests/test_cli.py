@@ -162,9 +162,11 @@ def test_dssp_run_runs_below_one_is_config_error():
     ["game-run", "--trials", "0"],
     ["dssp-run", "--d", "0"],
     ["dssp-run", "--n", "1"],
+    # a recovery-rate bound below 0 passes vacuously, above 1 or nan never
+    *(["dssp-run", "--min-rate", rate] for rate in ("-5", "7", "nan")),
     *([cmd, "--seed", "-1"] for cmd in ("gadget-check", "twirl-check", "simon",
                                         "dssp-run", "game-run", "ntcf-run")),
-], ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv))
+], ids=lambda argv: "_".join(arg.removeprefix("--") for arg in argv))
 def test_count_below_minimum_is_config_error(argv, capsys):
     """A run over nothing, or over a range the solvers cannot take, is a
     config error (exit 3), not a crash, a vacuous pass or a lab failure."""
@@ -344,6 +346,50 @@ def test_ntcf_run_with_extractor():
     assert report["audited_depths"] == [16]
     ex = report["extractor"]
     assert ex["both_valid_rate"] >= ex["p0"] + ex["p1"] - 1 - 3 * 0.05
+
+
+def _graded_keys(monkeypatch):
+    """Per trial of ``ntcf-run --extract`` at seed 3, d=3, n=4: the Feistel
+    keys of the protocol run and of the extractor's replay."""
+    protocol, extractor = [], []
+    run_cvqd, rewind_extract = ntcf.run_cvqd, ntcf.rewind_extract
+
+    def record_run(*args, **kw):
+        verdict, run = run_cvqd(*args, **kw)
+        protocol.append([k.perm.key for k in run.keys])
+        return verdict, run
+
+    def record_replay(prover, *args, **kw):
+        out = rewind_extract(prover, *args, **kw)
+        extractor.append([k.perm.key for k in prover.keys])
+        return out
+    monkeypatch.setattr(ntcf, "run_cvqd", record_run)
+    monkeypatch.setattr(ntcf, "rewind_extract", record_replay)
+    code, _ = run_cli(["ntcf-run", "--trials", "20", "--seed", "3", "--d", "3",
+                       "--n", "4", "--extract"])
+    assert code == 0 and len(protocol) == len(extractor) == 20
+    return list(zip(protocol, extractor))
+
+
+def _fresh_keys(pairs):
+    """No key the extractor grades in a trial is a protocol key of it."""
+    return all(not set(ext) & set(prot) for prot, ext in pairs)
+
+
+def test_ntcf_run_extractor_grades_fresh_keys(monkeypatch):
+    """The extractor's replay of trial t continues stream t after the
+    protocol run, so its d+1 keys are not the protocol's."""
+    assert _fresh_keys(_graded_keys(monkeypatch))
+
+
+def test_ntcf_run_extractor_key_check_fails_on_shared_streams(monkeypatch):
+    """Planted: replaying trial t from a fresh ``trial_rng(seed, t)``, as a
+    second loop over the protocol's streams would, regrades the protocol's
+    keys, and the check above fails."""
+    replay, trial = ntcf.extractor_replay, iter(range(20))
+    monkeypatch.setattr(ntcf, "extractor_replay",
+                        lambda rng, *args: replay(qsim.trial_rng(3, next(trial)), *args))
+    assert not _fresh_keys(_graded_keys(monkeypatch))
 
 
 def test_ntcf_run_over_cap_claw_state_is_capacity_error(capsys):

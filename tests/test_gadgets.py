@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qdepthlab import game, qsim
-from qdepthlab.errors import QDepthError
+from qdepthlab.errors import ConfigError, QDepthError
 from qdepthlab.gadgets import (
     H_COMPILE_SEQUENCE,
     RoundType,
@@ -233,7 +233,7 @@ def test_computation_session_implements_circuit(rng, ops):
         assert qsim.fidelity(got.amplitudes, want.amplitudes) > 1 - 1e-9
 
 
-def test_planted_pauli_failure_rates(rng):
+def test_planted_pauli_failure_rates():
     """eps_X estimates the weight with a bit-flip part, eps_Z the phase part,
     through the referee's own test rounds."""
     ops = {op.label(): op for op in qsim.all_paulis(2)}
@@ -242,7 +242,7 @@ def test_planted_pauli_failure_rates(rng):
     })
     trials = 1200
     cfg = game.ProtocolConfig(fidelity="gadget")
-    ex, ez = game.attack_failure_rates(cfg, r, trials, rng)
+    ex, ez = game.attack_failure_rates(cfg, r, trials, 2024)
     x_weight = r.marginal_weight(lambda op: op.x_bits != 0)   # 0.25
     z_weight = r.marginal_weight(lambda op: op.z_bits != 0)   # 0.25
     sigma = (0.25 * 0.75 / trials) ** 0.5
@@ -250,6 +250,15 @@ def test_planted_pauli_failure_rates(rng):
     assert abs(ez - z_weight) < 3 * sigma + 1e-12
     r0 = r.identity_weight()
     assert r0 >= 1 - 2 * ex - 2 * ez
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_attack_failure_rates_refuses_no_trials(trials):
+    """No round to play is a config error, not a rate of 0/0."""
+    cfg = game.ProtocolConfig(fidelity="gadget")
+    ident = PauliDistribution({qsim.PauliOp(2, 0, 0): 1.0})
+    with pytest.raises(ConfigError):
+        game.attack_failure_rates(cfg, ident, trials, 0)
 
 
 def test_pauli_attack_iff_at_zero_error():

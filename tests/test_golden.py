@@ -178,7 +178,7 @@ CASES = {
 
 GOLDEN = {
     "cli:dssp-run": "ba1ac648981ce763acad291f01c277d799bc7d0d18fbdcdfdc1e4033aa0f40c3",
-    "cli:ntcf-run": "5c57d7cffa731e7282733bd45c871e4217792a0718b264c17b92bf300610a18b",
+    "cli:ntcf-run": "25d8626387dddaf1aa7b5d554e1270449ebf4775f026ceccc8b12ae4afedbcdc",
     "dssp": "649a6db50da6bc388f0c1a5da2204e79d886a9dd12918dd0c786e47ea502d24e",
     "estimate-acceptance": "68d5b51023a5be67ce6d582fb6ff5050e9d0673d7523fe8b32149b5558f3d111",
     "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
