@@ -44,8 +44,8 @@ from .oracles import (
 )
 from .qsim import (
     GATE_MATRICES, H, I2, S, SDG, T, X, Z, Gate, PauliDistribution, PauliOp,
-    SparseState, StateVector, born_cdf, born_draw, embed_operator, fidelity,
-    read_only, run_streams, states_equal_up_to_phase, trial_rng,
+    SparseState, StateVector, born_cdf, born_draw, born_pick, embed_operator,
+    fidelity, read_only, run_streams, states_equal_up_to_phase, trial_rng,
 )
 # unused here; kept because bench/tracer.py patches ``game.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
@@ -552,11 +552,11 @@ def gadget_first_half(sv: StateVector, wire, ancilla, rng) -> int:
     CNOT from the ancilla onto ``wire``, the wire read as c, the ancilla left
     in its place.  One product with the cached operator of both Kraus
     branches gives each branch and its P[c]; c is drawn by the Born rule
-    through ``born_cdf`` and ``born_draw``, and ``sv`` moves to that branch,
-    normalised, on a new array.  Returns c."""
+    through ``born_pick``, and ``sv`` moves to that branch, normalised, on a
+    new array.  Returns c."""
     branches = _gadget_operator(sv.num_qubits, wire, ancilla) @ sv.amplitudes
     probs = (abs(branches) ** 2).sum(axis=1)
-    c = born_draw(rng, born_cdf(probs / probs.sum()))
+    c = born_pick(rng, probs)
     sv.amplitudes = branches[c] / math.sqrt(probs[c])
     return c
 
@@ -687,6 +687,8 @@ def _full_measurement_table(state: SparseState):
     """The outcomes of measuring every qubit of ``state``, in the sorted
     order ``qsim.measure`` draws them from, and their ``born_cdf``."""
     outcomes = sorted(state.support)
+    # Python's abs(a) ** 2, not np.abs(...) ** 2: the two differ in the last
+    # bit for some amplitudes, which would move seeded draws
     probs = np.array([abs(state.support[o]) ** 2 for o in outcomes])
     return outcomes, born_cdf(probs / probs.sum())
 

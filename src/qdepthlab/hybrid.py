@@ -208,7 +208,7 @@ class HybridSession:
         )
         idx = state.sample_index(self.rng, circuit.born_table())
         total = circuit.num_qubits
-        return tuple((idx >> (total - 1 - q)) & 1 for q in range(total))
+        return tuple([(idx >> q) & 1 for q in range(total - 1, -1, -1)])
 
     def finish(self):
         self._current_quantum = None

@@ -58,6 +58,11 @@ class KeyedPermutation:
     without swaps; the round function is SHA-256 over (key, round, half).
     This stands in for a keyed pseudorandom permutation; no cryptographic
     strength is claimed.
+
+    Round values are memoised per round, keyed by the half, so each distinct
+    (round, half) is hashed once while its round's memo has room; the
+    rounds' memos share ``_CACHE_CAP`` evenly, and the forward and inverse
+    memos hold up to ``_CACHE_CAP`` outputs each.
     """
 
     key: bytes
@@ -73,31 +78,28 @@ class KeyedPermutation:
                                 f"bits, where each round still mixes every bit")
         object.__setattr__(self, "_fwd_cache", {})
         object.__setattr__(self, "_inv_cache", {})
-        object.__setattr__(self, "_round_cache", {})
-
-    @cached_property
-    def _round_hashes(self) -> list:
-        """Per round, a SHA-256 state fed (key, round); each round value
-        feeds the half to a copy of it."""
-        return [hashlib.sha256(self.key + rnd.to_bytes(2, "big"))
-                for rnd in range(FEISTEL_ROUNDS)]
+        object.__setattr__(self, "_round_cache", [{} for _ in range(FEISTEL_ROUNDS)])
+        object.__setattr__(self, "_round_prefixes", [self.key + rnd.to_bytes(2, "big")
+                                                     for rnd in range(FEISTEL_ROUNDS)])
 
     def _round_values(self, rnd, halves, out_bits) -> list:
         """SHA-256 over (key, round, half) for each of ``halves``, memoised
-        on ``(rnd, half)`` (``out_bits`` follows from the parity of
+        per round on ``half`` (``out_bits`` follows from the parity of
         ``rnd``), since inputs that share a round's half share its value."""
-        cache = self._round_cache
-        prefix = self._round_hashes[rnd]
+        cache = self._round_cache[rnd]
+        prefix = self._round_prefixes[rnd]
+        sha256 = hashlib.sha256
         mask = (1 << out_bits) - 1
+        room = self._CACHE_CAP // FEISTEL_ROUNDS - len(cache)
         values = []
         for half in halves:
-            value = cache.get((rnd, half))
+            value = cache.get(half)
             if value is None:
-                h = prefix.copy()
-                h.update(half.to_bytes(16, "big"))
-                value = int.from_bytes(h.digest()[:8], "big") & mask
-                if len(cache) < self._CACHE_CAP:
-                    cache[(rnd, half)] = value
+                digest = sha256(prefix + half.to_bytes(16, "big")).digest()
+                value = int.from_bytes(digest[:8], "big") & mask
+                if room > 0:
+                    cache[half] = value
+                    room -= 1
             values.append(value)
         return values
 

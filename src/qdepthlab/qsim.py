@@ -282,6 +282,8 @@ class SparseState:
         """The Born rule of a full measurement: the basis indices in support
         order and the ``born_cdf`` of their normalised probabilities."""
         indices = list(self.support)
+        # Python's abs(a) ** 2, not np.abs(...) ** 2: the two differ in the
+        # last bit for some amplitudes, which would move seeded draws
         probs = np.fromiter((abs(a) ** 2 for a in self.support.values()),
                             dtype=float, count=len(indices))
         return indices, born_cdf(probs / probs.sum())
@@ -331,6 +333,27 @@ def born_draw(rng, cdf) -> int:
     """One draw from a ``born_cdf`` table: the same index, and the same one
     ``rng.random()`` taken, as ``Generator.choice`` with that ``p``."""
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def born_pick(rng, probs) -> int:
+    """``born_draw(rng, born_cdf(probs / probs.sum()))`` for nonnegative
+    weights ``probs``.
+
+    Two weights take a path in Python floats that builds the table
+    ``born_cdf`` builds, bit for bit: its first entry is a / (a + b), its
+    last 1.0, so the index is whether the one ``rng.random()`` reaches the
+    first.  Weights ``born_cdf`` refuses, all-zero ones included, raise
+    ``QDepthError`` as it does.
+    """
+    if len(probs) == 2:
+        p0, p1 = float(probs[0]), float(probs[1])
+        s = p0 + p1
+        if s:
+            a, b = p0 / s, p1 / s
+            total = a + b
+            if abs(total - 1.0) <= _BORN_ATOL and min(a, b) >= 0:
+                return int(rng.random() >= a / total)
+    return born_draw(rng, born_cdf(probs / probs.sum()))
 
 
 def trial_rng(seed, trial):
@@ -415,12 +438,12 @@ def measure(state: SparseState, qubits, basis="standard", rng=None):
         masks = [state._mask(q) for q in qubits]
         keys = [bits_to_int([idx & m != 0 for m in masks]) for idx in state.support]
     patterns, members = {}, {}
+    # Python's abs(a) ** 2, as in ``SparseState.born_distribution``
     for key, (idx, a) in zip(keys, state.support.items()):
         patterns[key] = patterns.get(key, 0.0) + abs(a) ** 2
         members.setdefault(key, {})[idx] = a
     outcomes = sorted(patterns)
-    probs = np.array([patterns[o] for o in outcomes])
-    pick = outcomes[born_draw(rng, born_cdf(probs / probs.sum()))]
+    pick = outcomes[born_pick(rng, np.array([patterns[o] for o in outcomes]))]
     keep = members[pick]
     nrm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
     state.support = {i: v / nrm for i, v in keep.items()}
@@ -518,8 +541,7 @@ class PauliDistribution:
 
     def sample(self, rng) -> PauliOp:
         ops = sorted(self.weights)
-        probs = np.array([max(self.weights[o], 0.0) for o in ops])
-        return ops[born_draw(rng, born_cdf(probs / probs.sum()))]
+        return ops[born_pick(rng, np.array([max(self.weights[o], 0.0) for o in ops]))]
 
     def marginal_weight(self, predicate) -> float:
         return sum(w for op, w in self.weights.items() if predicate(op))

@@ -695,14 +695,14 @@ def _reference_first_half(sv, wire, psi, c):
 
 
 class _PickOutcome:
-    """A stand-in for ``qsim.born_draw`` that returns a fixed outcome,
-    recording the probabilities of the CDF it was offered."""
+    """A stand-in for ``qsim.born_pick`` that returns a fixed outcome,
+    recording the normalised probabilities of the weights it was offered."""
 
     def __init__(self, c):
         self.c, self.p = c, None
 
-    def __call__(self, rng, cdf):
-        self.p = np.diff(cdf, prepend=0.0)
+    def __call__(self, rng, probs):
+        self.p = probs / probs.sum()
         return self.c
 
 
@@ -728,7 +728,7 @@ def test_gadget_kraus_matches_dense_reference(monkeypatch):
                     for c in (0, 1):
                         p_ref, post_ref = _reference_first_half(sv, wire, psi, c)
                         pick = _PickOutcome(c)
-                        monkeypatch.setattr(game, "born_draw", pick)
+                        monkeypatch.setattr(game, "born_pick", pick)
                         got_c, post = _first_half(sv, wire, code, None)
                         assert got_c == c
                         assert abs(pick.p[c] - p_ref) < 1e-12

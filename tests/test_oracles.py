@@ -93,12 +93,20 @@ def test_prp_known_answers(width):
 
 
 def test_prp_memos_stop_at_the_cap(monkeypatch):
-    monkeypatch.setattr(KeyedPermutation, "_CACHE_CAP", 5)
-    perm = KeyedPermutation(bytes(range(16)), 4)
-    assert all(perm.invert(perm.eval(x)) == x for x in range(16))
-    for memo in (perm._fwd_cache, perm._inv_cache, perm._round_cache):
-        assert len(memo) == 5
-    assert [perm.eval(x) for x in range(16)] == [FEISTEL_KNOWN[4][x] for x in range(16)]
+    """The forward and inverse memos stop at ``_CACHE_CAP`` outputs each;
+    the rounds' memos, ``_CACHE_CAP // FEISTEL_ROUNDS`` values each, stay
+    within it together.  Capped outputs are still the known answers."""
+    for cap in (5, 12, 25):
+        monkeypatch.setattr(KeyedPermutation, "_CACHE_CAP", cap)
+        perm = KeyedPermutation(bytes(range(16)), 4)
+        assert all(perm.invert(perm.eval(x)) == x for x in range(16))
+        assert len(perm._fwd_cache) == len(perm._inv_cache) == min(cap, 16)
+        # a 4-bit map has four 2-bit halves per round
+        assert [len(memo) for memo in perm._round_cache] == \
+            [min(cap // oracles.FEISTEL_ROUNDS, 4)] * oracles.FEISTEL_ROUNDS
+        assert sum(len(memo) for memo in perm._round_cache) <= cap
+        assert [perm.eval(x) for x in range(16)] == \
+            [FEISTEL_KNOWN[4][x] for x in range(16)]
 
 
 def test_prp_width_cap():
@@ -114,13 +122,16 @@ def test_prp_width_cap():
         KeyedPermutation(b"k" * 16, 129)
 
 
-def _feistel_reference(key, width, x):
-    """One input through the rounds, every round value hashed afresh."""
+def _feistel_reference(key, width, x, hashed=None):
+    """One input through the rounds, every round value hashed afresh; each
+    (round, half) hashed is added to the set ``hashed`` if one is given."""
     l_bits = width // 2
     r_bits = width - l_bits
     left, right = x >> r_bits, x & ((1 << r_bits) - 1)
     for rnd in range(oracles.FEISTEL_ROUNDS):
         half, bits = (right, l_bits) if rnd % 2 == 0 else (left, r_bits)
+        if hashed is not None:
+            hashed.add((rnd, half))
         h = hashlib.sha256(key + rnd.to_bytes(2, "big") + half.to_bytes(16, "big"))
         value = int.from_bytes(h.digest()[:8], "big") & ((1 << bits) - 1)
         if rnd % 2 == 0:
@@ -153,6 +164,54 @@ def test_eval_many_matches_scalar_eval(width, data):
     assert list(batch._fwd_cache.items()) == list(scalar._fwd_cache.items())
     assert batch._round_cache == scalar._round_cache
     assert all(batch.invert(y) == x for x, y in zip(xs, got))
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=hst.integers(2, 70), data=hst.data())
+def test_capped_memos_keep_eval_invert_and_eval_many_exact(width, data):
+    """Under a cap of two round values per round and twenty outputs per
+    direction, interleaved ``eval``, ``invert`` and ``eval_many`` calls give
+    the per-input reference, and the memos never outgrow the cap."""
+    top = (1 << width) - 1
+    key = bytes(range(16))
+    calls = data.draw(hst.lists(hst.tuples(
+        hst.sampled_from(["eval", "invert", "eval_many"]),
+        hst.lists(hst.integers(0, top), min_size=1, max_size=12)), max_size=8))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KeyedPermutation, "_CACHE_CAP", 20)
+        perm = KeyedPermutation(key, width)
+        for name, xs in calls:
+            if name == "eval_many":
+                assert perm.eval_many(xs) == [_feistel_reference(key, width, x) for x in xs]
+            elif name == "eval":
+                assert perm.eval(xs[0]) == _feistel_reference(key, width, xs[0])
+            else:
+                assert _feistel_reference(key, width, perm.invert(xs[0])) == xs[0]
+            assert len(perm._fwd_cache) <= 20 and len(perm._inv_cache) <= 20
+            assert all(len(memo) <= 2 for memo in perm._round_cache)
+
+
+def test_eval_many_hashes_each_round_half_once(monkeypatch):
+    """On a fresh key, ``eval_many`` calls SHA-256 exactly once per distinct
+    (round, half) its inputs pass through, and inverting every output
+    reuses those round values without hashing again."""
+    key, width = b"count-the-hashes", 12
+    xs = [5, 4095, 5, 64, 65, 128, 3000, 64, 7]
+    hashed = set()
+    want = [_feistel_reference(key, width, x, hashed) for x in xs]
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counted(data=b""):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(oracles.hashlib, "sha256", counted)
+    perm = KeyedPermutation(key, width)
+    assert perm.eval_many(xs) == want
+    assert len(calls) == len(hashed) < len(set(xs)) * oracles.FEISTEL_ROUNDS
+    assert [perm.invert(y) for y in want] == xs
+    assert len(calls) == len(hashed)
 
 
 @pytest.mark.parametrize("bad", [-1, 1 << 5, 1 << 70])

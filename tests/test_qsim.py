@@ -263,6 +263,90 @@ def test_born_draw_matches_generator_choice(weights, seed, draws):
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
+def _pick_or_refusal(pick, rng):
+    try:
+        return pick(rng)
+    except QDepthError:
+        return "refused"
+
+
+_WEIGHTS = hst.one_of(hst.just(0.0), hst.floats(5e-324, 1e300),
+                      hst.floats(1e-9, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=hst.one_of(hst.lists(_WEIGHTS, min_size=2, max_size=2),
+                          hst.lists(_WEIGHTS, min_size=1, max_size=40)),
+       seed=hst.integers(0, 2**32 - 1), draws=hst.integers(1, 5))
+@example(weights=[0.0, 1.0], seed=0, draws=5)
+@example(weights=[1.0, 0.0], seed=0, draws=5)
+@example(weights=[5e-324, 1.0], seed=1, draws=5)
+@example(weights=[1.0, 1e-300], seed=2, draws=5)
+@example(weights=[0.3, 0.7], seed=3, draws=5)
+@example(weights=[0.0, 0.0], seed=0, draws=1)
+@example(weights=[1e300, 1e300], seed=0, draws=1)
+@example(weights=[1e308, 1e308], seed=0, draws=1)
+@example(weights=[np.inf, 1.0], seed=0, draws=1)
+@example(weights=[np.nan, 1.0], seed=0, draws=1)
+@example(weights=[1.0, -0.5], seed=0, draws=1)
+@example(weights=[0.25, 0.0, 0.75], seed=4, draws=5)
+def test_born_pick_matches_born_draw_on_born_cdf(weights, seed, draws):
+    """``born_pick`` on raw weights returns, draw for draw, the index
+    ``born_draw`` takes from the ``born_cdf`` of the normalised weights, two
+    entries or more, zero entries and extreme ratios included; it refuses
+    the weights ``born_cdf`` refuses, and leaves the generator in the same
+    state."""
+    p = np.array(weights, dtype=float)
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for _ in range(draws):
+            want = _pick_or_refusal(
+                lambda rng: qsim.born_draw(rng, qsim.born_cdf(p / p.sum())), rng_want)
+            assert _pick_or_refusal(lambda rng: qsim.born_pick(rng, p), rng_got) == want
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+class _FixedRandom:
+    """A generator stand-in whose ``random()`` returns ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+@pytest.mark.parametrize("weights", [[0.1, 0.2], [0.0, 1.0], [1.0, 0.0],
+                                     [77668.31143422979, 61300.33010530405]])
+def test_born_pick_splits_two_weights_where_born_cdf_does(weights):
+    """At the table's first entry and one ulp either side of it, the
+    two-weight path picks what ``born_draw`` picks, also where the
+    normalised weights sum to one ulp below 1, so that entry is a / (a + b)
+    and not a."""
+    p = np.array(weights)
+    edge = qsim.born_cdf(p / p.sum())[0]
+    for r in (0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
+        if 0.0 <= r < 1.0:
+            rng = _FixedRandom(float(r))
+            assert qsim.born_pick(rng, p) == qsim.born_draw(rng, qsim.born_cdf(p / p.sum()))
+
+
+def test_born_distribution_squares_amplitudes_in_python():
+    """The Born weights are Python's ``abs(a) ** 2``.  For this amplitude
+    numpy's ``np.abs(a) ** 2`` is one ulp away, so a vectorised table would
+    move seeded draws; the full-measurement table of a referee's final
+    answer keeps the same weights."""
+    z, w = 0.1257302210933933 + 0.32359471786070765j, 0.5 + 0.25j
+    weights = np.array([abs(z) ** 2, abs(w) ** 2])
+    want = qsim.born_cdf(weights / weights.sum())
+    indices, cdf = SparseState(1, {0: z, 1: w}).born_distribution()
+    assert indices == [0, 1]
+    assert cdf.tolist() == want.tolist()
+    outcomes, table = game._full_measurement_table(SparseState(1, {1: w, 0: z}))
+    assert outcomes == [0, 1]
+    assert table.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("p", [[0.5, np.nan], [1.2, -0.2], [0.5, 0.6], [0.2, 0.2],
                                [], [np.inf, 0.0]])
 def test_born_cdf_rejects_what_choice_rejects(p):
