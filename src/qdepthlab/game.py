@@ -180,8 +180,12 @@ ALPHA_C = 0.5
 RIGID_EXACT_TOL = 0.25
 RIGID_CHSH_MIN = 1.8
 RIGID_MIN_SAMPLES = 4
-# the stand-in circuit's wires; each of its d layers is CNOT(0, 1), then T on 0
+# the stand-in circuit: d identical layers, each this compiled op list, on
+# STANDIN_WIRES wires that start in STANDIN_INPUT (|00>).  The layout, the
+# round engine and the reference state all read the stand-in from here.
 STANDIN_WIRES = 2
+STANDIN_LAYER = tuple(compile_ops([("CNOT", 0, 1), ("T", 0)]))
+STANDIN_INPUT = read_only(StateVector.from_bits([0] * STANDIN_WIRES).amplitudes)
 # smallest layer block, and smallest measured pool per query: the floor keeps
 # the rigidity correlator classes populated even for tiny gadget-mode games
 BLOCK_MARGIN = 20
@@ -223,7 +227,8 @@ class ProtocolConfig:
         violations = []
         if self.alpha is not None and not (0 < self.alpha < 1):
             violations.append(f"alpha={self.alpha} outside (0, 1)")
-        for name, low in (("q", 1), ("n", 2), ("d", 1), ("t_parallel", 1), ("seed", 0)):
+        for name, low in (("q", 1), ("n", 2), ("d", 1), ("t_parallel", 1), ("trials", 1),
+                          ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
                 violations.append(f"{name} must be >= {low}")
@@ -274,11 +279,6 @@ def query_count(cfg: ProtocolConfig) -> int:
     return cfg.d + 1 if cfg.target == "inplace" else 2 * cfg.d + 1
 
 
-def standin_layers(cfg: ProtocolConfig):
-    """Stand-in circuit as d layers of (clifford ops, T wires)."""
-    return [([("CNOT", 0, 1)], [0]) for _ in range(cfg.d)]
-
-
 @functools.cache
 def _gate(name, wires) -> Gate:
     """The ``Gate`` of ``name`` on the stand-in ``wires``, built once per pair."""
@@ -286,16 +286,28 @@ def _gate(name, wires) -> Gate:
 
 
 def expected_standin_state(cfg: ProtocolConfig) -> StateVector:
-    """q honest applications of the stand-in circuit on the zero state."""
-    sv = StateVector.from_bits([0] * STANDIN_WIRES)
-    for _ in range(cfg.q):
-        for cliffords, t_wires in standin_layers(cfg):
-            for cl in cliffords:
-                if cl[0] == "CNOT":
-                    sv.apply_gate(_gate("CNOT", (cl[1], cl[2])))
-            for w in t_wires:
-                sv.apply_gate(_gate("T", (w,)))
+    """q honest applications of the stand-in circuit's d layers to its input:
+    each ``cnot`` and ``t`` of ``STANDIN_LAYER`` as its gate."""
+    sv = StateVector(STANDIN_WIRES, STANDIN_INPUT)
+    for _ in range(cfg.q * cfg.d):
+        for op in STANDIN_LAYER:
+            if op[0] == "cnot":
+                sv.apply_gate(_gate("CNOT", op[1:]))
+            elif op[0] == "t":
+                sv.apply_gate(_gate("T", op[1:2]))
+            else:
+                raise QDepthError(f"the reference state runs no stand-in op {op[0]!r}")
     return sv
+
+
+# by label code (X, Y, Z, F, G), the group the feasibility check counts it
+# in: 0 for Z, 1 for X/Y and 2 for F/G, the order of ``GameLayout.block_need``
+_LABEL_GROUP = np.array([1, 1, 0, 2, 2])
+# by T-gadget parity, the label group its ancilla comes from: Z for even,
+# X/Y for odd gadgets, F/G in computation rounds
+_PARITY_GROUP = {"even": 0, "odd": 1, "computation": 2}
+# the ancilla bases a gadget of each parity may consume, as masks over codes
+_ANCILLA_BASES = {parity: _LABEL_GROUP == group for parity, group in _PARITY_GROUP.items()}
 
 
 class GameLayout:
@@ -309,34 +321,20 @@ class GameLayout:
             self.inst_width = n + self.big_width + 1
         else:
             self.inst_width = n + d * self.big_width + n
-        self.n_si = STANDIN_WIRES
         if cfg.fidelity == "abstract":
-            self.n_tot = cfg.t_parallel * self.inst_width + self.n_si
+            self.n_tot = cfg.t_parallel * self.inst_width + STANDIN_WIRES
         else:
-            self.n_tot = self.n_si
-        # the stand-in's layers and the amplitudes q honest applications of
-        # them leave, which the gadget-fidelity final check compares against
-        self.standin_layers = standin_layers(cfg)
+            self.n_tot = STANDIN_WIRES
+        # the amplitudes q honest applications of the stand-in leave, which
+        # the gadget-fidelity final check compares against
         self.expected_standin = expected_standin_state(cfg).amplitudes
-        # the compiled stand-in's T gadgets per layer, which every round
-        # reuses, and each layer's gadget counts by parity class
-        self.layer_gadgets = []
-        self.layer_needs = []
-        for _, t_wires in self.standin_layers:
-            ops = [("T", w) for w in t_wires]
-            compiled = compile_ops(ops)
-            gadgets = [op for op in compiled if op[0] == "t"]
-            self.layer_gadgets.append(gadgets)
-            # by parity, the most gadgets of that parity either test round runs
-            most = {parity: max(sum(gadget_parity(rt, op[2]) == parity for op in gadgets)
-                                for rt in (RoundType.XTEST, RoundType.ZTEST))
-                    for parity in ("even", "odd")}
-            self.layer_needs.append({"z_basis": most["even"], "xy_basis": most["odd"],
-                                     "gf_basis": len(gadgets)})
-        self.block_size = max(
-            5 * max((sum(nd.values()) for nd in self.layer_needs), default=1),
-            BLOCK_MARGIN,
-        )
+        # by label group, the most ancillas a round type's gadgets take from
+        # it in one stand-in layer
+        gadgets = [op for op in STANDIN_LAYER if op[0] == "t"]
+        layer_need = [max(sum(_PARITY_GROUP[gadget_parity(rt, op[2])] == group
+                              for op in gadgets) for rt in RoundType)
+                      for group in range(len(_PARITY_GROUP))]
+        self.block_size = max(5 * sum(layer_need), BLOCK_MARGIN)
         self.m_size = max(6 * self.n_tot + cfg.d * self.block_size, RIGID_POOL_FLOOR)
         # EPR ids per query (data, return, pool) and per trial
         self.query_need = 2 * self.n_tot + self.m_size
@@ -349,8 +347,7 @@ class GameLayout:
         # the feasibility check counts (block, label group) codes: each block
         # position's code base, and the count each code needs
         self.block_code_base = np.repeat(np.arange(0, 3 * d, 3), np.diff(ends))
-        self.block_need = tuple(nd[key] for nd in self.layer_needs
-                                for key in ("z_basis", "xy_basis", "gf_basis"))
+        self.block_need = tuple(layer_need) * d
 
 
 # the config fields GameLayout reads
@@ -435,11 +432,6 @@ class SetupPartition:
     n_x: np.ndarray                 # pool positions reserved for the X test
     n_z: np.ndarray
     blocks: list                    # pool positions per layer block
-
-
-# by label code (X, Y, Z, F, G), the group the feasibility check counts it
-# in: 0 for Z, 1 for X/Y and 2 for F/G, the order of ``GameLayout.block_need``
-_LABEL_GROUP = np.array([1, 1, 0, 2, 2])
 
 
 def draw_epr_order(layout: GameLayout, rounds, rng):
@@ -760,7 +752,7 @@ class ProverA:
         else:
             ready = self._charge("prepare: gadget fidelity simulates no instances")
         if ready:
-            self.standin = StateVector.from_bits([0] * layout.n_si)
+            self.standin = StateVector(STANDIN_WIRES, STANDIN_INPUT)
 
     def _charge(self, note, states=None, op=None) -> bool:
         """Spend one layer of the budget; False once the prover fabricates.
@@ -880,15 +872,6 @@ STRATEGIES_O = {
 # ---------------------------------------------------------------------------
 
 
-# ancilla bases a T gadget may consume, as masks over label codes, by the
-# gadget's parity: F/G in computation rounds, Z for even, X/Y for odd gadgets
-_ANCILLA_BASES = {
-    parity: np.isin(np.arange(len(SIGMA)), codes)
-    for parity, codes in (("computation", (F_ID, G_ID)), ("even", (Z_ID,)),
-                          ("odd", (X_ID, Y_ID)))
-}
-
-
 # the round kinds ``GameRun.play_round`` plays through ``run_round``
 _ROUND_KINDS = {"comp": RoundType.COMPUTATION, "xtest": RoundType.XTEST,
                 "ztest": RoundType.ZTEST}
@@ -986,7 +969,7 @@ class GameRun:
         comp = round_type == RoundType.COMPUTATION
         x_test = round_type == RoundType.XTEST
 
-        si_base = layout.n_tot - layout.n_si
+        si_base = layout.n_tot - STANDIN_WIRES
         # every wire's keys, as (a, b) rows; only the stand-in wires' keys
         # change during the round, so only they go through the key updates,
         # as Python lists (cheaper to update one at a time than numpy rows)
@@ -997,9 +980,7 @@ class GameRun:
             if rnd.coherent:
                 rnd.standin_sv = encrypt_state(self.a.standin, si_keys)
             else:
-                rnd.standin_sv = StateVector.from_bits(
-                    list(rng.integers(0, 2, size=layout.n_si))
-                )
+                rnd.standin_sv = StateVector.from_bits(list(rng.integers(0, 2, size=STANDIN_WIRES)))
         else:
             positions = part.n_x if x_test else part.n_z
             keys[:, 0 if x_test else 1] = rnd.e_rep[positions]
@@ -1017,29 +998,29 @@ class GameRun:
         def apply_gate(name, wires):
             self._apply_gate(rnd, name, wires, si_base)
 
-        for ell, (cliffords, _) in enumerate(layout.standin_layers):
-            avail = part.blocks[ell]
-            chosen = []
-            for op in layout.layer_gadgets[ell]:
-                parity = gadget_parity(round_type, op[2])
-                cand = avail[_ANCILLA_BASES[parity][labels[avail]]]
-                pos = int(cand[rng.integers(len(cand))])
-                avail = avail[avail != pos]
-                chosen.append((op, pos, parity))
-            self.log("V", "O", MSG_TSUB,
-                     {"layer": ell + 1, "T": [pos for _, pos, _ in chosen]})
-
-            for cl in cliffords:
-                if cl[0] == "CNOT":
-                    apply_gate("CNOT", cl[1:])
-                    update_keys("CNOT", si_keys, {"control": cl[1], "target": cl[2]})
-
-            c_list = [self._gadget_first_half(rnd, si_base + op[1], si_base, pos)
-                      for op, pos, _ in chosen]
+        # each layer walks STANDIN_LAYER: a cnot is its gate and key update, a
+        # t a gadget whose ancilla is drawn from the layer's block among the
+        # bases its parity may consume
+        for ell, avail in enumerate(part.blocks):
+            t_pos, c_list, z_list = [], [], []
+            for op in STANDIN_LAYER:
+                if op[0] == "cnot":
+                    apply_gate("CNOT", op[1:])
+                    update_keys("CNOT", si_keys, {"control": op[1], "target": op[2]})
+                elif op[0] == "t":
+                    parity = gadget_parity(round_type, op[2])
+                    cand = avail[_ANCILLA_BASES[parity][labels[avail]]]
+                    pos = int(cand[rng.integers(len(cand))])
+                    avail = avail[avail != pos]
+                    c = self._gadget_first_half(rnd, si_base + op[1], si_base, pos)
+                    t_pos.append(pos)
+                    c_list.append(c)
+                    z_list.append(gadget_second_half(apply_gate, si_keys, op[1], labels[pos],
+                                                     c, int(rnd.e_rep[pos]), parity, rng))
+                else:
+                    raise QDepthError(f"the round engine runs no stand-in op {op[0]!r}")
+            self.log("V", "O", MSG_TSUB, {"layer": ell + 1, "T": t_pos})
             self.log("O", "V", MSG_GADGET, {"c": c_list})
-            z_list = [gadget_second_half(apply_gate, si_keys, op[1], labels[pos], c_val,
-                                         int(rnd.e_rep[pos]), parity, rng)
-                      for (op, pos, parity), c_val in zip(chosen, c_list)]
             self.log("V", "O", MSG_ZBITS, {"z": z_list})
 
         # oracle action on the data wires, then any planted attack

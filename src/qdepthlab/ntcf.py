@@ -64,6 +64,8 @@ def gen(n, rng):
 
 def chk(k: ToyNTCFKey, b, x, y) -> int:
     """Public preimage check: 1 iff f_{k,b}(x) = y (no trapdoor needed)."""
+    if b not in (0, 1):
+        raise QDepthError("preimage bit b must be 0 or 1")
     if not (0 <= x < (1 << k.n)) or not (0 <= y < (1 << k.n)):
         raise QDepthError("widths do not match the key")
     return int(k.eval(b, x) == y)
@@ -85,9 +87,10 @@ def samp_state(k: ToyNTCFKey) -> SparseState:
 def verify_v(t: ToyNTCFKey, y, c, w) -> int:
     """The round predicate: preimage check for c=0, equation check for c=1.
 
-    For c=1 the answer is (u, e); every e is admissible in the toy family
-    (a documented deviation: e = 0 with u = 0 passes), and the equation reads
-    e . (x0 ^ x1) = u, which the trapdoor reduces to e . shift = u.
+    For c=1 the answer is (u, e), a bit and an n-bit string; every e is
+    admissible in the toy family (a documented deviation: e = 0 with u = 0
+    passes), and the equation reads e . (x0 ^ x1) = u, which the trapdoor
+    reduces to e . shift = u.  Answers outside that space raise QDepthError.
     """
     if c == 0:
         try:
@@ -100,8 +103,10 @@ def verify_v(t: ToyNTCFKey, y, c, w) -> int:
             u, e = w
         except (TypeError, ValueError):
             raise QDepthError("malformed equation answer")
+        if u not in (0, 1) or not (0 <= e < (1 << t.n)):
+            raise QDepthError("equation answer needs a bit u and an n-bit e")
         x0, x1 = t.preimages(y)
-        return int(dot_bits(e, x0 ^ x1) == (u & 1))
+        return int(dot_bits(e, x0 ^ x1) == u)
     raise QDepthError("challenge bit must be 0 or 1")
 
 

@@ -174,6 +174,13 @@ def test_count_below_minimum_is_config_error(argv, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def test_game_run_names_every_floor_in_one_config_error(capsys):
+    """--trials 0 with --q 0 reports both floors, not q alone."""
+    assert main(["game-run", "--trials", "0", "--q", "0"]) == 3
+    assert json.loads(capsys.readouterr().err)["violations"] == [
+        "q must be >= 1", "trials must be >= 1"]
+
+
 def test_game_run_and_determinism(tmp_path):
     args = ["game-run", "--n", "3", "--d", "2", "--q", "3", "--trials", "60",
             "--seed", "5", "--t-parallel", "8"]

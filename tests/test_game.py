@@ -74,12 +74,12 @@ def test_config_validation_reports_all_violations():
     """A config is checked when it is built, and the error names every
     value the game cannot run with."""
     with pytest.raises(ConfigError) as err:
-        ProtocolConfig(n=1, d=0, q=0, t_parallel=0, alpha=1.0, seed=-1,
+        ProtocolConfig(n=1, d=0, q=0, t_parallel=0, trials=0, alpha=1.0, seed=-1,
                        oracle_mode="quantum")
     assert err.value.violations == [
         "alpha=1.0 outside (0, 1)", "q must be >= 1", "n must be >= 2",
-        "d must be >= 1", "t_parallel must be >= 1", "seed must be >= 0",
-        "unknown oracle mode 'quantum'"]
+        "d must be >= 1", "t_parallel must be >= 1", "trials must be >= 1",
+        "seed must be >= 0", "unknown oracle mode 'quantum'"]
     with pytest.raises(ConfigError) as err:
         ProtocolConfig(alpha=0.0, fidelity="dense", target="random")
     assert err.value.violations == [
@@ -207,11 +207,14 @@ def test_draw_partition_invariants_over_seeds(fidelity, seed, d):
     rest = np.concatenate(part.blocks)
     assert all(np.array_equal(blk, want)
                for blk, want in zip(part.blocks, np.array_split(rest, d)))
-    for blk, needs in zip(part.blocks, layout.layer_needs):
+    # block_need is one layer's (Z, X/Y, F/G) need, tiled once per block
+    assert layout.block_need == layout.block_need[:3] * d
+    for ell, blk in enumerate(part.blocks):
+        z_need, xy_need, gf_need = layout.block_need[3 * ell:3 * ell + 3]
         got = [labels[p] for p in blk]
-        assert got.count("Z") >= needs["z_basis"]
-        assert got.count("X") + got.count("Y") >= needs["xy_basis"]
-        assert got.count("F") + got.count("G") >= needs["gf_basis"]
+        assert got.count("Z") >= z_need
+        assert got.count("X") + got.count("Y") >= xy_need
+        assert got.count("F") + got.count("G") >= gf_need
 
 
 def test_draw_partition_takes_the_prefix_and_returns_the_suffix():
@@ -365,6 +368,22 @@ def test_comp_round_gadget_mode_decrypts_to_circuit_output():
     assert verdict is None
     want = expected_standin_state(ProtocolConfig(n=2, d=2, q=1, fidelity="gadget"))
     assert fidelity(run.a.standin.amplitudes, want.amplitudes) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("fidelity", ["abstract", "gadget"])
+def test_standin_walks_refuse_an_op_they_do_not_run(monkeypatch, fidelity):
+    """An op added to ``STANDIN_LAYER`` that a walk has no branch for is an
+    error in the reference state and in a computation and a test round, not
+    a gate skipped.  The layout is cached before the edit, so the rounds
+    reach the round engine's own walk."""
+    cfg = ProtocolConfig(**SMALL, fidelity=fidelity)
+    game.game_layout(cfg)
+    monkeypatch.setattr(game, "STANDIN_LAYER", game.STANDIN_LAYER + (("h", 0),))
+    with pytest.raises(QDepthError, match="reference state runs no stand-in op 'h'"):
+        expected_standin_state(cfg)
+    for kind in ("comp", "xtest"):
+        with pytest.raises(QDepthError, match="round engine runs no stand-in op 'h'"):
+            run_single_round(cfg, kind, seed=0)
 
 
 def test_comp_round_abstract_mode_applies_oracle():

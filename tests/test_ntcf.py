@@ -1,5 +1,7 @@
 """Toy claw-free family and the single-prover depth protocol."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,31 @@ def test_verify_v_rows(rng):
     assert verify_v(k, y, 1, (1, 0)) == 0
     with pytest.raises(QDepthError):
         verify_v(k, y, 0, 7)
+
+
+def test_verifier_refuses_answers_outside_its_answer_space(rng):
+    """A preimage bit b outside {0, 1}, or an equation answer whose u is not
+    a bit or whose e is not an n-bit string, is refused as malformed, as an
+    x or y outside the key's width is.  With shift 1 each of these answers
+    satisfies the unchecked predicate: f(b, x ^ b) = f(0, x) for every b,
+    and e . shift and u & 1 read only the low bit."""
+    k = replace(gen(4, rng)[0], shift=1)
+    x = 9
+    y = k.eval(0, x)
+    for b in (2, 3, 5):
+        assert k.eval(b, x ^ b) == y
+        with pytest.raises(QDepthError, match="preimage bit"):
+            chk(k, b, x ^ b, y)
+        with pytest.raises(QDepthError, match="preimage bit"):
+            verify_v(k, y, 0, (b, x ^ b))
+    with pytest.raises(QDepthError, match="preimage bit"):
+        chk(k, -1, x, y)
+    e = 13
+    u = dot_bits(e, k.shift)
+    assert verify_v(k, y, 1, (u, e)) == 1
+    for w in ((u + 2, e), (u, e + 16), (dot_bits(-1, k.shift), -1)):
+        with pytest.raises(QDepthError, match="bit u and an n-bit e"):
+            verify_v(k, y, 1, w)
 
 
 def test_honest_run_accepts_with_exact_depth(rng):
