@@ -31,17 +31,24 @@ from .hybrid import audited_depth
 
 
 def load_config_file(path):
-    """Flat key=value lines; '#' starts a comment."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError([f"bad config line: {line!r}"])
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
+    """The (key, value) pairs of flat key=value lines, in file order; '#'
+    starts a comment.  A file that cannot be read as UTF-8 text is a
+    ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {path!r}: {exc.strerror}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file {path!r} is not UTF-8: {exc.reason}"]) from None
+    out = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError([f"bad config line: {line!r}"])
+        out.append(tuple(part.strip() for part in line.split("=", 1)))
     return out
 
 
@@ -57,11 +64,13 @@ def _config_field_types():
 
 def build_protocol_config(args):
     """ProtocolConfig from the --config file's keys, overridden by the flags."""
-    base = {}
-    if getattr(args, "config", None):
-        base = load_config_file(args.config)
+    pairs = load_config_file(args.config) if getattr(args, "config", None) else []
+    base = dict(pairs)
     types = _config_field_types()
     violations = [f"unknown config key {key!r}" for key in base if key not in types]
+    keys = [key for key, _ in pairs]
+    violations += [f"config key {key!r} set more than once"
+                   for key in base if keys.count(key) > 1]
     kw = {}
     for name, kind in types.items():
         if name in base:
@@ -86,20 +95,17 @@ def require_at_least(args, **minimums):
         raise ConfigError(violations)
 
 
-def emit(result, args=None):
+def emit(result, args):
     print(json.dumps(result, indent=2, sort_keys=True))
-    outdir = getattr(args, "outdir", None) if args else None
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "report.json"), "w") as fh:
+    if args.outdir:
+        with open(os.path.join(args.outdir, "report.json"), "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
 
 
 def write_manifest(args, cfg_json, oracle_descriptor=None):
-    outdir = getattr(args, "outdir", None)
+    outdir = args.outdir
     if not outdir:
         return
-    os.makedirs(outdir, exist_ok=True)
     manifest = {
         "command": args.command,
         "config": cfg_json,
@@ -260,7 +266,6 @@ def cmd_game_run(args):
         cfg, args.strategy_a, args.strategy_o, repeat=args.repeat, jobs=args.jobs)
     write_manifest(args, result["config"])
     if args.outdir:
-        os.makedirs(args.outdir, exist_ok=True)
         for i, tr in enumerate(transcripts):
             with open(os.path.join(args.outdir, f"transcript_{i}.json"), "w") as fh:
                 fh.write(tr)
@@ -372,6 +377,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # made before the command runs, so a path it cannot take costs no run
+        if args.outdir:
+            try:
+                os.makedirs(args.outdir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(
+                    [f"cannot make --outdir {args.outdir!r}: {exc.strerror}"]) from None
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "violations": exc.violations}),

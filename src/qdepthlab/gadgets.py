@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from .errors import QDepthError
-from .qsim import GATE_MATRICES, StateVector, read_only
+from .qsim import GATE_MATRICES, StateVector, dot_bits, read_only
 # unused here; kept because bench/tracer.py patches ``gadgets.measure``
 from .qsim import measure  # noqa: F401
 
@@ -136,8 +136,7 @@ def _pad_operator(n, a_mask, b_mask, z_first) -> np.ndarray:
         src = out ^ a_mask
         # Z^b applied first reads its sign on the source index, applied
         # last on the output index
-        odd = ((src if z_first else out) & b_mask).bit_count() & 1
-        op[out, src] = -1.0 if odd else 1.0
+        op[out, src] = -1.0 if dot_bits(src if z_first else out, b_mask) else 1.0
     return read_only(op)
 
 

@@ -44,8 +44,9 @@ from .oracles import (
 )
 from .qsim import (
     GATE_MATRICES, H, I2, S, SDG, T, X, Z, Gate, PauliDistribution, PauliOp,
-    SparseState, StateVector, born_cdf, born_draw, born_pick, embed_operator,
-    fidelity, read_only, run_streams, states_equal_up_to_phase, trial_rng,
+    SparseState, StateVector, born_cdf, born_draw, born_pick, dot_bits,
+    embed_operator, fidelity, read_only, run_streams, states_equal_up_to_phase,
+    trial_rng,
 )
 # unused here; kept because bench/tracer.py patches ``game.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
@@ -825,8 +826,7 @@ class ProverA:
                 pick = outcomes[born_draw(rng, cdf)]
                 a = st.support[pick]
                 collapsed.append(SparseState(total, {pick: a / math.sqrt(abs(a) ** 2)}))
-                bits = [(pick >> (total - 1 - i)) & 1 for i in range(total)]
-                samples.append(shift_sample(bits, cfg.n, inplace))
+                samples.append(shift_sample(pick, total, cfg.n, inplace))
             self.instances = collapsed
             s_hat = solve_hidden_shift([y for y in samples if y is not None], cfg.n)
             if s_hat is not None:
@@ -1101,7 +1101,7 @@ class GameRun:
                 shift = width - attack.width
                 z_mask, x_mask = attack.z_bits << shift, attack.x_bits << shift
                 if z_mask:
-                    st.support = {k: (-v if (k & z_mask).bit_count() & 1 else v)
+                    st.support = {k: (-v if dot_bits(k, z_mask) else v)
                                   for k, v in st.support.items()}
                 if x_mask:
                     st.map_basis(lambda idx: idx ^ x_mask)

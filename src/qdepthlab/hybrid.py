@@ -194,7 +194,7 @@ class HybridSession:
         measured trace step and sampled by its own Born-rule draw
         (``SparseState.sample_index``); the state it samples and that state's
         Born table are both built once per circuit (see ``StepCircuit``).
-        Returns the outcome bits.
+        Returns the measured basis index, qubit 0 most significant.
         """
         if self.scheme_kind != DCQ:
             raise SchemeViolation("invoke is only available in dCQ sessions")
@@ -206,9 +206,7 @@ class HybridSession:
         self.trace.steps.append(
             TraceStep("quantum", layers=circuit.depth, full_measurement=True)
         )
-        idx = state.sample_index(self.rng, circuit.born_table())
-        total = circuit.num_qubits
-        return tuple([(idx >> q) & 1 for q in range(total - 1, -1, -1)])
+        return state.sample_index(self.rng, circuit.born_table())
 
     def finish(self):
         self._current_quantum = None

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import CapacityError, ProtocolOrderError, QDepthError
 from .hybrid import DQC, HybridSession, audited_depth
-from .oracles import KeyedPermutation, dot_bits, random_keyed_permutation
-from .qsim import SPARSE_SUPPORT_CAP, SparseState, bits_to_int, run_streams
+from .oracles import KeyedPermutation, random_keyed_permutation
+from .qsim import SPARSE_SUPPORT_CAP, SparseState, dot_bits, run_streams
 from .qsim import measure as qsim_measure
 
 # the claw block d0: the layers that prepare every claw state and measure
@@ -159,13 +159,11 @@ class HonestProver:
         self.states = [samp_state(k) for k in keys]
         self.session.charge_layers(
             D0_DEFAULT, "prepare_claws: samp_state builds the claw states whole")
-        images = []
+        self.images = []
         for st, k in zip(self.states, keys):
-            n = k.n
-            bits, _ = qsim_measure(st, range(1 + n, 1 + 2 * n), "standard", self.rng)
-            images.append(bits_to_int(bits))
-        self.images = images
-        return images
+            y, _ = qsim_measure(st, range(1 + k.n, 1 + 2 * k.n), "standard", self.rng)
+            self.images.append(y)
+        return self.images
 
     def answer(self, i, c):
         """Measure claw register i in the standard (c=0) or Hadamard basis."""
@@ -174,16 +172,11 @@ class HonestProver:
             self.session.charge_layers(
                 1, f"round_{i}_basis: applied by the measurement that reads it")
         basis = "standard" if c == 0 else "hadamard"
-        bits, _ = qsim_measure(self.states[i - 1], range(0, 1 + n), basis, self.rng)
-        return _head_rest(bits)
+        bx, _ = qsim_measure(self.states[i - 1], range(0, 1 + n), basis, self.rng)
+        return divmod(bx, 1 << n)
 
     def trace(self):
         return self.session.finish()
-
-
-def _head_rest(bits):
-    """Split measured (b, x) bits into the answer pair (b, x as an integer)."""
-    return (bits[0], bits_to_int(bits[1:]))
 
 
 class PreimageOnlyProver:
@@ -245,8 +238,8 @@ class ResetProver(HonestProver):
         for i in range(self.j, self.d + 2):
             k = self.keys[i - 1]
             st = self.states[i - 1]
-            bits, _ = qsim_measure(st, range(0, 1 + k.n), "standard", self.rng)
-            sigma[i] = _head_rest(bits)
+            bx, _ = qsim_measure(st, range(0, 1 + k.n), "standard", self.rng)
+            sigma[i] = divmod(bx, 1 << k.n)
         self.sigma = dict(sigma)
         return sigma
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, QDepthError
 from .hybrid import DCQ, HybridSession, StepCircuit
-from .qsim import SparseState, bits_to_int
+from .qsim import SparseState, dot_bits
 # unused here; kept because bench/tracer.py patches ``oracles.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
 
@@ -446,24 +446,30 @@ class _ComplementPermutation:
         return self._unrank(self._walk(self._rank(z, self.v_in)), self.v_out)
 
 
-class FinalBijection:
-    """Bijective extension F_d over the (big_width+1)-bit space (value, flag).
+class InPlaceShufflingOracle:
+    """Unitary (erasing) access to a shuffling chain.
 
-    On S_d x {0,1} the value register becomes the hidden function's n-bit
-    output zero-padded, with the pad bit above it carrying the incoming flag
-    so the map stays injective (the (d+2)n-bit register always has room for
-    it), and the flag flips by the coset bit b' of the Simon preimage.  A
-    flag of 0 therefore reproduces |f(x'), b'(x')> exactly.  Off the valid
-    set the map is a keyed permutation of the complement, built on first
-    use: the hidden-shift solver never leaves the valid set.
+    U_{f_0} keeps the input and writes f_0 into a fresh register; the middle
+    maps (``base.middle``) act in place on it; the final map U_{f_d} is a
+    bijection of the (big_width+1)-bit basis indices (value << 1) | flag of
+    the (value register, flag qubit) field.
+
+    On S_d x {0,1} (``forward``, inverted by ``backward``) the value register
+    becomes the hidden function's n-bit output zero-padded, with the pad bit
+    above it carrying the incoming flag so the map stays injective (the
+    (d+2)n-bit register always has room for it), and the flag flips by the
+    coset bit b' of the Simon preimage.  A flag of 0 therefore reproduces
+    |f(x'), b'(x')> exactly.  Off the valid set the map is a permutation of
+    the complement keyed by ``key`` (``off_domain``), built on first use: the
+    hidden-shift solver never leaves the valid set.
     """
 
-    def __init__(self, oracle: ShufflingOracle, key):
-        self.big = oracle.big_width
-        n, simon = oracle.n, oracle.simon
+    def __init__(self, base: ShufflingOracle, key):
+        self.base, self.key = base, key
+        n, simon = base.n, base.simon
         emb = simon.embedding
         self.forward = {}
-        for y, x in oracle.s_d.items():
+        for y, x in base.s_d.items():
             v = simon.evaluate(x)
             # b'(y) = 1 iff the Simon preimage of y lies in H
             coset_bit = int(emb.in_h(x))
@@ -472,42 +478,21 @@ class FinalBijection:
         self.backward = {o: i for i, o in self.forward.items()}
         if len(self.backward) != len(self.forward):
             raise QDepthError("bijective extension collides; construction bug")
-        self.key = key
 
     @cached_property
     def off_domain(self) -> _ComplementPermutation:
-        return _ComplementPermutation(self.big + 1, self.forward, self.backward,
-                                      self.key)
-
-    def eval(self, value, flag):
-        z = (value << 1) | flag
-        out = self.forward.get(z)
-        if out is None:
-            out = self.off_domain.eval(z)
-        return out >> 1, out & 1
-
-
-@dataclass
-class InPlaceShufflingOracle:
-    """Unitary (erasing) access to a shuffling chain.
-
-    U_{f_0} keeps the input and writes f_0 into a fresh register; the middle
-    maps (``base.middle``) act in place on it; the final map acts on (value
-    register, flag qubit) through the bijective extension.
-    """
-
-    base: ShufflingOracle
-    final: FinalBijection
+        return _ComplementPermutation(self.base.big_width + 1, self.forward,
+                                      self.backward, self.key)
 
     def final_unitary(self, vf) -> int:
-        """Basis-index bijection for U_{f_d} on the (value, flag) field."""
-        v, fl = self.final.eval(vf >> 1, vf & 1)
-        return (v << 1) | fl
+        """U_{f_d} on the packed (value, flag) basis index ``vf``."""
+        out = self.forward.get(vf)
+        return self.off_domain.eval(vf) if out is None else out
 
 
 def build_inplace(shuffling: ShufflingOracle, rng) -> InPlaceShufflingOracle:
     key = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-    return InPlaceShufflingOracle(base=shuffling, final=FinalBijection(shuffling, key))
+    return InPlaceShufflingOracle(shuffling, key)
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +584,18 @@ def solve_hidden_shift(samples, n):
         if (r >> c) & 1:
             s |= 1 << (r.bit_length() - 1)
     for v in samples:
-        if bin(v & s).count("1") & 1:
+        if dot_bits(v, s):
             return None
     return s
 
 
-def dot_bits(a, b) -> int:
-    return bin(a & b).count("1") & 1
-
-
-def shift_sample(bits, n, inplace):
-    """The hidden-shift sample a measured solver register holds: its first n
-    bits as an integer, or None where the in-place flag (the last bit)
-    reads 1."""
-    if inplace and bits[-1]:
+def shift_sample(index, total, n, inplace):
+    """The hidden-shift sample a measured solver register holds, given its
+    basis index on ``total`` qubits (qubit 0 most significant): its first n
+    qubits, or None where the in-place flag (the last qubit) reads 1."""
+    if inplace and index & 1:
         return None
-    return bits_to_int(bits[:n])
+    return index >> (total - n)
 
 
 # register layout, in-place: [input n][workspace big][flag 1]
@@ -693,7 +674,7 @@ def _collect_samples(session, schedule, n, inplace, target, max_runs):
     circuit = StepCircuit(*schedule)
     samples, runs = [], 0
     while len(samples) < target and runs < max_runs:
-        y = shift_sample(session.invoke(circuit), n, inplace)
+        y = shift_sample(session.invoke(circuit), circuit.num_qubits, n, inplace)
         runs += 1
         if y is not None:
             samples.append(y)

@@ -80,6 +80,11 @@ def bits_to_int(bits):
     return idx
 
 
+def dot_bits(a, b) -> int:
+    """The GF(2) inner product of two bit strings held as ints."""
+    return (a & b).bit_count() & 1
+
+
 def _check_targets(n, targets):
     """Gate targets or measured qubits must be distinct, in an n-qubit register."""
     if len(set(targets)) != len(targets) or not all(0 <= t < n for t in targets):
@@ -410,8 +415,11 @@ def run_streams(play, seed, trials, repeat, jobs):
 
 
 def measure(state: SparseState, qubits, basis="standard", rng=None):
-    """Measure a subset of qubits of a sparse state; returns (bits,
+    """Measure a subset of qubits of a sparse state; returns (outcome,
     post-measurement state).
+
+    ``outcome`` is the basis index of the measured qubits, the first of
+    ``qubits`` most significant (``bits_to_int`` of their bits in order).
 
     ``hadamard`` basis applies one Hadamard wall to the measured qubits
     first.  The state is collapsed and renormalized in place.
@@ -447,7 +455,7 @@ def measure(state: SparseState, qubits, basis="standard", rng=None):
     keep = members[pick]
     nrm = math.sqrt(sum(abs(a) ** 2 for a in keep.values()))
     state.support = {i: v / nrm for i, v in keep.items()}
-    return tuple((pick >> (k - 1 - i)) & 1 for i in range(k)), state
+    return pick, state
 
 
 def states_equal_up_to_phase(u, v, tol=ATOL) -> bool:

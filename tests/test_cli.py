@@ -297,14 +297,42 @@ RETIRED_KEYS = ["p = 0.3333333333333333", "alpha_c = 0.5", "m = 3528",
                 "rigid_pool_floor = 240", "width_factor = 3"]
 
 
-@pytest.mark.parametrize("line", ["trails = 7", "n = three", *RETIRED_KEYS])
+@pytest.mark.parametrize("line", ["trails = 7", "n = three", "n = 4", *RETIRED_KEYS])
 def test_config_file_bad_key_or_value_is_config_error(tmp_path, line, capsys):
-    """An unknown key or a value of the wrong type exits 3 naming the key."""
+    """An unknown key, a value of the wrong type or a key the file sets a
+    second time exits 3 naming the key."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"n = 2\nd = 1\nq = 2\n{line}\n")
     assert main(["game-run", "--config", str(cfg), "--trials", "4"]) == 3
     key = line.split(" = ")[0]
     assert any(repr(key) in v for v in json.loads(capsys.readouterr().err)["violations"])
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_is_config_error(tmp_path, kind, capsys):
+    """A --config path that is missing, a directory or not UTF-8 text exits
+    3 naming the path, before anything runs."""
+    path = tmp_path / "exp.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"n = 2\n# \xff\xfe\n")
+    code, out = run_cli(["game-run", "--config", str(path), "--trials", "4"])
+    assert (code, out) == (3, "")
+    [violation] = json.loads(capsys.readouterr().err)["violations"]
+    assert repr(str(path)) in violation
+
+
+def test_outdir_naming_a_file_is_config_error(tmp_path, capsys):
+    """An --outdir that names an existing file exits 3 before the command
+    runs: nothing on stdout, and the file is left as it was."""
+    path = tmp_path / "taken"
+    path.write_text("kept")
+    code, out = run_cli(["simon", "--n", "2", "--samples", "2", "--outdir", str(path)])
+    assert (code, out) == (3, "")
+    [violation] = json.loads(capsys.readouterr().err)["violations"]
+    assert repr(str(path)) in violation
+    assert path.read_text() == "kept"
 
 
 def test_config_file_negative_seed_is_config_error(tmp_path, capsys):

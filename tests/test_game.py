@@ -821,7 +821,7 @@ def test_inplace_game_never_builds_the_off_domain_permutation():
         orc = make_oracle(cfg, rng)
         run_query_protocol(cfg, STRATEGIES_A["honest"](cfg), STRATEGIES_O["honest"](cfg),
                            orc, rng)
-        assert "off_domain" not in vars(orc.final)
+        assert "off_domain" not in vars(orc)
 
 
 def test_protocol_order_violation_rejects():
@@ -1026,7 +1026,8 @@ def _measured_final_answer(self, rng):
         drawn = [qsim.measure(st.copy(), range(total), "standard", rng)
                  for st in self.instances]
         self.instances = [st for _, st in drawn]
-        samples = [oracles.shift_sample(bits, cfg.n, inplace) for bits, _ in drawn]
+        samples = [oracles.shift_sample(pick, total, cfg.n, inplace)
+                   for pick, _ in drawn]
         s_hat = oracles.solve_hidden_shift([y for y in samples if y is not None], cfg.n)
         if s_hat is not None:
             return s_hat

@@ -65,7 +65,7 @@ def test_dcq_depth_budget(rng):
 def test_dcq_runs_and_measures_fully(rng):
     session = HybridSession(DCQ, 2, rng)
     out = session.invoke(_circuit(2))      # H H = I on qubit 0
-    assert out == (0, 0)
+    assert out == 0b00
     trace = session.finish()
     step = trace.quantum_steps()[0]
     assert step.layers == 2 and step.full_measurement
@@ -84,8 +84,8 @@ def test_dcq_rejects_live_state(rng):
     outs += [session.invoke(circuit) for _ in range(20)]
     assert circuit.prepared_state() is prepared
     assert prepared.support == snapshot
-    assert {out[0] for out in outs} == {0, 1}
-    assert {out[1] for out in outs} == {0}
+    assert {out >> 1 for out in outs} == {0, 1}
+    assert {out & 1 for out in outs} == {0}
     with pytest.raises(SchemeViolation):
         HybridSession(DQC, 1, rng).invoke(circuit)
 
@@ -131,11 +131,11 @@ def test_dqc_partial_measurement_allowed(rng):
     session = HybridSession(DQC, 2, rng)
     st = SparseState.from_bits([0, 0])
     session.layer([st], _h0)
-    bits, st = measure(st, [0], "standard", rng)  # partial: qubit 1 untouched
+    bit, st = measure(st, [0], "standard", rng)  # partial: qubit 1 untouched
     session.classical("read")
     session.layer([st], _h0)
     trace = session.finish()
-    assert bits[0] in (0, 1)
+    assert bit in (0, 1)
     assert audited_depth(trace) == 2
 
 

@@ -20,8 +20,7 @@ from qdepthlab.ntcf import (
     samp_state,
     verify_v,
 )
-from qdepthlab.oracles import dot_bits
-from qdepthlab.qsim import Gate, measure
+from qdepthlab.qsim import Gate, dot_bits, measure
 
 
 @pytest.fixture
@@ -79,10 +78,7 @@ def test_samp_state_shape_and_claw_collapse(rng):
     st = samp_state(k)
     assert st.num_qubits == 1 + 2 * 3
     assert len(st.support) == 16
-    bits, st2 = measure(st, range(4, 7), "standard", rng)
-    y = 0
-    for b in bits:
-        y = (y << 1) | b
+    y, st2 = measure(st, range(4, 7), "standard", rng)
     x0, x1 = k.preimages(y)
     assert sorted(st2.support) == sorted([
         ((0 << 3 | x0) << 3) | y, ((1 << 3 | x1) << 3) | y])
@@ -92,14 +88,9 @@ def test_standard_measurement_passes_chk(rng):
     k, _ = gen(3, rng)
     for _ in range(10):
         st = samp_state(k)
-        bits, st2 = measure(st, range(4, 7), "standard", rng)
-        y = 0
-        for b in bits:
-            y = (y << 1) | b
-        pre_bits, _ = measure(st2, range(0, 4), "standard", rng)
-        b, x = pre_bits[0], 0
-        for v in pre_bits[1:]:
-            x = (x << 1) | v
+        y, st2 = measure(st, range(4, 7), "standard", rng)
+        bx, _ = measure(st2, range(0, 4), "standard", rng)
+        b, x = bx >> 3, bx & 0b111
         assert chk(k, b, x, y) == 1
 
 
@@ -112,10 +103,8 @@ def test_hadamard_measurement_equation_exhaustive(rng):
             _, st2 = measure(st, range(1 + n, 1 + 2 * n), "standard", rng)
             for q in range(1 + n):
                 st2.apply_gate(Gate("H", (q,)))
-            bits, _ = measure(st2, range(0, 1 + n), "standard", rng)
-            u, e = bits[0], 0
-            for v in bits[1:]:
-                e = (e << 1) | v
+            ue, _ = measure(st2, range(0, 1 + n), "standard", rng)
+            u, e = ue >> n, ue & ((1 << n) - 1)
             assert u == dot_bits(e, k.shift)
 
 

@@ -20,7 +20,6 @@ from qdepthlab.oracles import (
     apply_inplace_perm,
     apply_standard_oracle,
     build_inplace,
-    dot_bits,
     pseudorandom_simon,
     sample_shuffling,
     sample_simon,
@@ -29,7 +28,7 @@ from qdepthlab.oracles import (
     solve_inplace_dssp,
     solve_standard_dssp,
 )
-from qdepthlab.qsim import Gate, SparseState, bits_to_int, measure
+from qdepthlab.qsim import Gate, SparseState, bits_to_int, dot_bits, measure
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -364,9 +363,9 @@ def test_prp_mode_width_policy(rng):
     f = sample_simon(3, rng)
     ipo = build_inplace(sample_shuffling(f, 40, rng, mode="prp"), rng)
     assert ipo.base.big_width == 126
-    assert 0 not in ipo.final.forward
+    assert 0 not in ipo.forward
     out = ipo.final_unitary(0)
-    assert 0 <= out < 1 << 127 and out not in ipo.final.backward
+    assert 0 <= out < 1 << 127 and out not in ipo.backward
     assert all(ipo.base.compose(x) == f.evaluate(x) for x in range(8))
     with pytest.raises(CapacityError):
         sample_shuffling(f, 41, rng, mode="prp")
@@ -463,8 +462,7 @@ def test_final_bijection_exhaustive(inplace_oracle):
     W = inplace_oracle.base.big_width
     seen = set()
     for z in range(1 << (W + 1)):
-        v, fl = inplace_oracle.final.eval(z >> 1, z & 1)
-        out = (v << 1) | fl
+        out = inplace_oracle.final_unitary(z)
         assert out not in seen
         seen.add(out)
     assert len(seen) == 1 << (W + 1)
@@ -474,14 +472,14 @@ def test_final_bijection_builds_its_complement_on_first_use():
     """The off-domain permutation is built by the first evaluation off the
     valid set and gives the eager construction's known answers."""
     rng = np.random.default_rng(5)
-    final = build_inplace(sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact"),
-                          rng).final
-    assert "off_domain" not in vars(final)
-    assert 0 not in final.forward and 0 not in final.backward
-    assert final.eval(0, 0) == (2024, 1)
-    assert "off_domain" in vars(final)
-    assert [final.eval(z >> 1, z & 1) for z in (1, 2, 3)] == [(310, 0), (1467, 1),
-                                                             (3661, 0)]
+    ipo = build_inplace(sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact"),
+                        rng)
+    assert "off_domain" not in vars(ipo)
+    assert 0 not in ipo.forward and 0 not in ipo.backward
+    assert ipo.final_unitary(0) == (2024 << 1) | 1
+    assert "off_domain" in vars(ipo)
+    assert [ipo.final_unitary(z) for z in (1, 2, 3)] == [
+        (310 << 1) | 0, (1467 << 1) | 1, (3661 << 1) | 0]
 
 
 def test_middle_unitary_is_injective(inplace_oracle, rng):
@@ -499,10 +497,10 @@ def test_flag_flips_by_coset_membership(inplace_oracle):
     base = inplace_oracle.base
     emb = base.simon.embedding
     for y, x_pre in base.s_d.items():
-        v, fl = inplace_oracle.final.eval(y, 0)
+        v, fl = divmod(inplace_oracle.final_unitary(y << 1), 2)
         assert fl == int(emb.in_h(x_pre))
         assert v & ((1 << base.n) - 1) == base.simon.evaluate(x_pre)
-        v1, fl1 = inplace_oracle.final.eval(y, 1)
+        v1, fl1 = divmod(inplace_oracle.final_unitary((y << 1) | 1), 2)
         assert fl1 == 1 ^ int(emb.in_h(x_pre))
 
 
@@ -579,18 +577,18 @@ def test_solve_hidden_shift_rejects_full_rank(rng):
        n=hst.integers(1, 24))
 def test_measured_bits_round_trip_into_samples(bits, n):
     """A basis state built from bits holds the one index bits_to_int(bits)
-    (first bit most significant) and measures back to the bits; a shift
-    sample packs the first n of them, and only the in-place flag (the last
-    bit) reading 1 drops it."""
+    (first bit most significant) and measures back to that index; a shift
+    sample is its first n bits, and only the in-place flag (the last bit)
+    reading 1 drops it."""
     assert bits_to_int(bits) == int("".join(map(str, bits)), 2)
     state = SparseState.from_bits(bits)
     assert list(state.support) == [bits_to_int(bits)]
     got, _ = measure(state, range(len(bits)), "standard", np.random.default_rng(0))
-    assert list(got) == bits
-    n = min(n, len(bits))
+    assert got == bits_to_int(bits)
+    n, total = min(n, len(bits)), len(bits)
     want = bits_to_int(bits[:n])
-    assert shift_sample(got, n, inplace=False) == want
-    assert shift_sample(got, n, inplace=True) == (None if bits[-1] else want)
+    assert shift_sample(got, total, n, inplace=False) == want
+    assert shift_sample(got, total, n, inplace=True) == (None if bits[-1] else want)
 
 
 def test_inplace_solver_recovers_and_audits(rng):
@@ -622,9 +620,7 @@ def _rebuild_every_invocation(session, circuit):
         state = step(state)
     session.trace.steps.append(
         TraceStep("quantum", layers=circuit.depth, full_measurement=True))
-    idx = state.sample_index(session.rng)
-    total = circuit.num_qubits
-    return tuple((idx >> (total - 1 - q)) & 1 for q in range(total))
+    return state.sample_index(session.rng)
 
 
 def _seeded_solve(access, n, mode, seed):
