@@ -25,6 +25,8 @@ from .oracles import KeyedPermutation, random_keyed_permutation
 from .qsim import SPARSE_SUPPORT_CAP, SparseState, dot_bits, run_streams
 from .qsim import measure as qsim_measure
 
+# the widest key whose shift Generator.integers draws: its bound 2^n is at most 2^63
+NTCF_WIDTH_LIMIT = 63
 # the claw block d0: the layers that prepare every claw state and measure
 # its image register, the same for every prover and every run
 D0_DEFAULT = 14
@@ -54,6 +56,8 @@ def gen(n, rng):
     """Sample (key, trapdoor); the toy trapdoor equals the key."""
     if n < 2:
         raise QDepthError("need n >= 2")
+    if n > NTCF_WIDTH_LIMIT:
+        raise CapacityError(f"claw-free keys are limited to {NTCF_WIDTH_LIMIT} bits")
     key = ToyNTCFKey(
         n=n,
         perm=random_keyed_permutation(n, rng),

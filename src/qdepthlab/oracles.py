@@ -18,7 +18,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import xor
 
 import numpy as np
 
@@ -31,12 +30,16 @@ from .qsim import measure as qsim_measure  # noqa: F401
 # the widest 2^width domain Generator.choice samples: its population is an int64
 EXACT_WIDTH_LIMIT = 62
 FEISTEL_ROUNDS = 10
-# the widest Feistel map whose halves fit a round value (64 bits of a digest)
-# and the 16 bytes a half is hashed as
+# the widest Feistel map whose halves fit the round function's 64-bit words
 PRP_WIDTH_LIMIT = 128
 # the widest (d+2)n-bit shuffling chain of each mode: prp leaves one bit for
 # the in-place complement map
 CHAIN_WIDTH_LIMITS = {"exact": EXACT_WIDTH_LIMIT, "prp": PRP_WIDTH_LIMIT - 1}
+# murmur3's fmix64 constants, as 0-d uint64 arrays: no operand is ever
+# promoted, and numpy applies an array operand faster than a scalar one
+_FMIX_SHIFT = np.array(33, dtype=np.uint64)
+_FMIX_MULS = (np.array(0xFF51AFD7ED558CCD, dtype=np.uint64),
+              np.array(0xC4CEB9FE1A85EC53, dtype=np.uint64))
 
 
 def bit_at(x, i, n):
@@ -49,20 +52,29 @@ def bit_at(x, i, n):
 # ---------------------------------------------------------------------------
 
 
+def _fmix64(words):
+    """murmur3's 64-bit finaliser on a uint64 array: a bijective mixer in
+    which every output bit depends on every input bit."""
+    for mul in _FMIX_MULS:
+        words = (words ^ (words >> _FMIX_SHIFT)) * mul
+    return words ^ (words >> _FMIX_SHIFT)
+
+
 @dataclass(frozen=True)
 class KeyedPermutation:
     """Feistel-network bijection on ``width``-bit strings, 2 to
     ``PRP_WIDTH_LIMIT`` bits.
 
     ``FEISTEL_ROUNDS`` alternating-half rounds keep odd widths invertible
-    without swaps; the round function is SHA-256 over (key, round, half).
-    This stands in for a keyed pseudorandom permutation; no cryptographic
-    strength is claimed.
+    without swaps.  Round r xors fmix64(half ^ K_r), masked to the other
+    half's width, into the other half; the 64-bit round keys K_r are one
+    SHAKE-256 output of the key.  This stands in for a keyed pseudorandom
+    permutation; no cryptographic strength is claimed.
 
-    Round values are memoised per round, keyed by the half, so each distinct
-    (round, half) is hashed once while its round's memo has room; the
-    rounds' memos share ``_CACHE_CAP`` evenly, and the forward and inverse
-    memos hold up to ``_CACHE_CAP`` outputs each.
+    Inputs are split and joined as Python ints and each round is a few
+    numpy operations over the whole batch.  Every output is memoised both
+    ways: a forward result fills the forward and the inverse memo, and so
+    does an inverse result, each memo up to ``_CACHE_CAP`` entries.
     """
 
     key: bytes
@@ -78,54 +90,41 @@ class KeyedPermutation:
                                 f"bits, where each round still mixes every bit")
         object.__setattr__(self, "_fwd_cache", {})
         object.__setattr__(self, "_inv_cache", {})
-        object.__setattr__(self, "_round_cache", [{} for _ in range(FEISTEL_ROUNDS)])
-        object.__setattr__(self, "_round_prefixes", [self.key + rnd.to_bytes(2, "big")
-                                                     for rnd in range(FEISTEL_ROUNDS)])
+        # one row per round, so that each round key is a 1-element array
+        digest = hashlib.shake_256(self.key).digest(8 * FEISTEL_ROUNDS)
+        object.__setattr__(self, "_round_keys",
+                           np.frombuffer(digest, dtype=">u8").astype(np.uint64)[:, None])
 
-    def _round_values(self, rnd, halves, out_bits) -> list:
-        """SHA-256 over (key, round, half) for each of ``halves``, memoised
-        per round on ``half`` (``out_bits`` follows from the parity of
-        ``rnd``), since inputs that share a round's half share its value."""
-        cache = self._round_cache[rnd]
-        prefix = self._round_prefixes[rnd]
-        sha256 = hashlib.sha256
-        mask = (1 << out_bits) - 1
-        room = self._CACHE_CAP // FEISTEL_ROUNDS - len(cache)
-        values = []
-        for half in halves:
-            value = cache.get(half)
-            if value is None:
-                digest = sha256(prefix + half.to_bytes(16, "big")).digest()
-                value = int.from_bytes(digest[:8], "big") & mask
-                if room > 0:
-                    cache[half] = value
-                    room -= 1
-            values.append(value)
-        return values
-
-    def _feistel(self, xs, order, cache) -> list:
+    def _feistel(self, xs, order, memo, mirror) -> list:
         """Run the rounds in ``order`` on each of ``xs``: one round at a time
-        over the distinct inputs ``cache`` lacks, whose outputs it then
-        keeps, up to its cap, in order of first appearance."""
-        todo = [x for x in dict.fromkeys(xs) if x not in cache]
+        over the distinct inputs ``memo`` lacks.  Each new output is kept in
+        ``memo`` and, keyed by the output, in ``mirror``, in order of first
+        appearance while each has room."""
+        todo = [x for x in dict.fromkeys(xs) if x not in memo]
+        if not todo:
+            return [memo[x] for x in xs]
         if any(not 0 <= x < (1 << self.width) for x in todo):
             raise QDepthError("input does not fit the permutation width")
         l_bits = self.width // 2
         r_bits = self.width - l_bits
-        lefts = [x >> r_bits for x in todo]
-        rights = [x & ((1 << r_bits) - 1) for x in todo]
+        r_mask = (1 << r_bits) - 1
+        halves = [np.array([x >> r_bits for x in todo], dtype=np.uint64),
+                  np.array([x & r_mask for x in todo], dtype=np.uint64)]
+        masks = [np.array((1 << l_bits) - 1, dtype=np.uint64),
+                 np.array(r_mask, dtype=np.uint64)]
         for rnd in order:
-            if rnd % 2 == 0:
-                lefts = list(map(xor, lefts, self._round_values(rnd, rights, l_bits)))
-            else:
-                rights = list(map(xor, rights, self._round_values(rnd, lefts, r_bits)))
+            # even rounds key on the right half and change the left
+            side = rnd % 2
+            mixed = _fmix64(halves[1 - side] ^ self._round_keys[rnd])
+            halves[side] = halves[side] ^ (mixed & masks[side])
         outs = {x: (left << r_bits) | right
-                for x, left, right in zip(todo, lefts, rights)}
+                for x, left, right in zip(todo, *(half.tolist() for half in halves))}
         for x, out in outs.items():
-            if len(cache) >= self._CACHE_CAP:
-                break
-            cache[x] = out
-        return [outs[x] if x in outs else cache[x] for x in xs]
+            if len(memo) < self._CACHE_CAP:
+                memo[x] = out
+            if len(mirror) < self._CACHE_CAP:
+                mirror[out] = x
+        return [outs[x] if x in outs else memo[x] for x in xs]
 
     def eval(self, x) -> int:
         out = self._fwd_cache.get(x)
@@ -133,13 +132,14 @@ class KeyedPermutation:
 
     def eval_many(self, xs) -> list:
         """``[self.eval(x) for x in xs]``, one round at a time over all of
-        them, so each distinct (round, half) is hashed once."""
-        return self._feistel(xs, range(FEISTEL_ROUNDS), self._fwd_cache)
+        them."""
+        return self._feistel(xs, range(FEISTEL_ROUNDS), self._fwd_cache, self._inv_cache)
 
     def invert(self, y) -> int:
         out = self._inv_cache.get(y)
         if out is None:
-            out = self._feistel((y,), reversed(range(FEISTEL_ROUNDS)), self._inv_cache)[0]
+            out = self._feistel((y,), reversed(range(FEISTEL_ROUNDS)),
+                                self._inv_cache, self._fwd_cache)[0]
         return out
 
 
@@ -212,12 +212,18 @@ class SimonFunction:
         return self.prp.eval(emb.project(emb.collapse(x)))
 
     def check_two_to_one(self):
-        """Exhaustive 2-to-1/shift validation (small n only)."""
+        """Exhaustive 2-to-1/shift validation (small n only); a prp-backed
+        function sends its whole domain through one ``eval_many``."""
         if self.n > 16:
             raise CapacityError("exhaustive check limited to n <= 16")
+        xs = range(1 << self.n)
+        if self.table is not None:
+            values = self.table.tolist()
+        else:
+            emb = self.embedding
+            values = self.prp.eval_many([emb.project(emb.collapse(x)) for x in xs])
         seen = {}
-        for x in range(1 << self.n):
-            v = self.evaluate(x)
+        for x, v in zip(xs, values):
             seen.setdefault(v, []).append(x)
         for v, pre in seen.items():
             if len(pre) != 2 or pre[0] ^ pre[1] != self.s:

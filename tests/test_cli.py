@@ -439,6 +439,17 @@ def test_ntcf_run_over_cap_claw_state_is_capacity_error(capsys):
     validate(json.loads(out), "ntcf_report.v1.schema.json")
 
 
+@pytest.mark.parametrize("prover", sorted(ntcf.PROVERS))
+@pytest.mark.parametrize("n", ["64", "100", "128", "129"])
+def test_ntcf_run_over_63_bit_keys_is_capacity_error(n, prover, capsys):
+    """Claw-free keys stop at 63 bits, the widest shift the generator
+    draws: every prover is refused (exit 4) with nothing on stdout."""
+    assert main(["ntcf-run", "--n", n, "--trials", "1", "--prover", prover]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "capacity"
+
+
 def test_dssp_run_over_wide_prp_chain_is_capacity_error(capsys):
     """A 129-bit prp chain (n=3, d=41) is refused (exit 4) before a trial
     runs: its Feistel halves would outgrow the round values."""

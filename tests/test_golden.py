@@ -181,12 +181,12 @@ GOLDEN = {
     "cli:ntcf-run": "25d8626387dddaf1aa7b5d554e1270449ebf4775f026ceccc8b12ae4afedbcdc",
     "dssp": "649a6db50da6bc388f0c1a5da2204e79d886a9dd12918dd0c786e47ea502d24e",
     "estimate-acceptance": "68d5b51023a5be67ce6d582fb6ff5050e9d0673d7523fe8b32149b5558f3d111",
-    "ntcf": "a4e8811bdaa68b380bb9da16736f61976d2bf9b2955f392bf0375b151deb074e",
+    "ntcf": "b593c529f4eaff331972569fda176ce310c02f825c1855ea3a55061b79d4799a",
     "protocol:gadget": "4ea08d44cbe42351b464622ffdfa024d78f2540c20db1a971f21e62c6f82122e",
     "protocol:gadget-answer": "0008143231c8da5ae546e332c3fb64cd597401ce5b34e9f20b3706332343ac07",
     "protocol:inplace": "009ee46054744874f4adf49e1b3a1a27b32a826978c8ae9e29f8d58507805d63",
     "protocol:inplace-answer": "7408d6cb66e43f6e4ace4124caa781573a9b1a13aee25b768c98e6b356cd0b04",
-    "protocol:inplace-prp": "646c7e2955a3d147f155f91767a7d5f8afd62883bf5cfbda58e53fde03d83ae0",
+    "protocol:inplace-prp": "7b7be4f64d22007b02486d872f4909fdb630e0e7f0e24aac098ad929f55490f2",
     "protocol:standard": "fa9c7a81c717a8e42c4a4e58a71dbdf18c6d6e6bb3e46220dee485652d7d802a",
     "run-cvqd2": "637627bf0ef71f7b2ff4d70728ca8103005cda429e74ae91d0c27f0bc4b189c3",
     "single-round:gadget": "d4e569a4bae77f37503348c3f3a3895e054ff5afa59460a41bfec6bc97ce7f93",

@@ -294,3 +294,32 @@ def test_samp_state_refuses_an_over_cap_claw_state_before_building(monkeypatch):
     monkeypatch.setattr(ntcf.ToyNTCFKey, "eval", never)
     with pytest.raises(CapacityError):
         samp_state(key)
+
+
+def test_preimages_of_sampled_images_run_no_round(monkeypatch, rng):
+    """``samp_state`` leaves every image's preimage in the inverse memo, so
+    the trapdoor inverts each image of the claw state without running the
+    Feistel network again."""
+    key, _ = gen(4, rng)
+    images = {idx & 0xF for idx in samp_state(key).support}
+    assert len(images) == 16
+
+    def never(self, *args):
+        raise AssertionError("Feistel rounds rerun for a sampled image")
+
+    monkeypatch.setattr(ntcf.KeyedPermutation, "_feistel", never)
+    for y in images:
+        x0, x1 = key.preimages(y)
+        assert key.eval(0, x0) == key.eval(1, x1) == y
+
+
+@pytest.mark.parametrize("n", [64, 128, 129])
+def test_gen_refuses_keys_over_63_bits_before_drawing(n):
+    """A shift wider than 63 bits is beyond ``Generator.integers``: ``gen``
+    refuses it with ``CapacityError`` before it draws anything."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(CapacityError):
+        gen(n, rng)
+    assert rng.bit_generator.state == state
+    assert gen(63, rng)[0].n == 63

@@ -72,38 +72,60 @@ def test_prp_width_checks(rng):
         perm.eval(16)
 
 
-# eval outputs recorded before the round values were memoised; they pin the
-# hashed bytes key + round (2 bytes) + half (16 bytes), big-endian
+def _fmix64_reference(v):
+    """murmur3's 64-bit finaliser in Python ints."""
+    for mul in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        v = ((v ^ (v >> 33)) * mul) & ((1 << 64) - 1)
+    return v ^ (v >> 33)
+
+
+def _feistel_reference(key, width, x):
+    """One input through the rounds in Python ints: round r xors
+    fmix64(half ^ K_r), masked to the other half's width, into the other
+    half, where K_r is the r-th big-endian 8-byte word of SHAKE-256(key)."""
+    words = hashlib.shake_256(key).digest(8 * oracles.FEISTEL_ROUNDS)
+    l_bits = width // 2
+    r_bits = width - l_bits
+    left, right = x >> r_bits, x & ((1 << r_bits) - 1)
+    for rnd in range(oracles.FEISTEL_ROUNDS):
+        round_key = int.from_bytes(words[8 * rnd: 8 * rnd + 8], "big")
+        if rnd % 2 == 0:
+            left ^= _fmix64_reference(right ^ round_key) & ((1 << l_bits) - 1)
+        else:
+            right ^= _fmix64_reference(left ^ round_key) & ((1 << r_bits) - 1)
+    return (left << r_bits) | right
+
+
+# outputs of _feistel_reference under the key bytes(range(16))
 FEISTEL_KNOWN = {
-    2: {x: y for x, y in enumerate([3, 0, 1, 2])},
+    2: {x: y for x, y in enumerate([3, 1, 0, 2])},
     4: {x: y for x, y in enumerate(
-        [7, 3, 12, 6, 8, 10, 11, 14, 15, 13, 9, 0, 1, 5, 4, 2])},
-    24: {0: 14467490, 1: 10324199, 12345: 1628798, 0xABCDEF: 12108906,
-         (1 << 24) - 1: 13835477},
+        [2, 15, 7, 14, 12, 10, 8, 6, 1, 5, 11, 9, 3, 13, 4, 0])},
+    24: {0: 10577967, 1: 11520807, 12345: 4613289, 0xABCDEF: 12790041,
+         (1 << 24) - 1: 5011266},
 }
 
 
 @pytest.mark.parametrize("width", sorted(FEISTEL_KNOWN))
 def test_prp_known_answers(width):
-    perm = KeyedPermutation(bytes(range(16)), width)
+    key = bytes(range(16))
+    perm = KeyedPermutation(key, width)
     for x, y in FEISTEL_KNOWN[width].items():
+        assert _feistel_reference(key, width, x) == y
         assert perm.eval(x) == y
         assert perm.invert(y) == x
 
 
 def test_prp_memos_stop_at_the_cap(monkeypatch):
-    """The forward and inverse memos stop at ``_CACHE_CAP`` outputs each;
-    the rounds' memos, ``_CACHE_CAP // FEISTEL_ROUNDS`` values each, stay
-    within it together.  Capped outputs are still the known answers."""
+    """The forward and inverse memos stop at ``_CACHE_CAP`` outputs each,
+    and each holds the other's pairs reversed.  Capped outputs are still
+    the known answers."""
     for cap in (5, 12, 25):
         monkeypatch.setattr(KeyedPermutation, "_CACHE_CAP", cap)
         perm = KeyedPermutation(bytes(range(16)), 4)
         assert all(perm.invert(perm.eval(x)) == x for x in range(16))
         assert len(perm._fwd_cache) == len(perm._inv_cache) == min(cap, 16)
-        # a 4-bit map has four 2-bit halves per round
-        assert [len(memo) for memo in perm._round_cache] == \
-            [min(cap // oracles.FEISTEL_ROUNDS, 4)] * oracles.FEISTEL_ROUNDS
-        assert sum(len(memo) for memo in perm._round_cache) <= cap
+        assert perm._inv_cache == {y: x for x, y in perm._fwd_cache.items()}
         assert [perm.eval(x) for x in range(16)] == \
             [FEISTEL_KNOWN[4][x] for x in range(16)]
 
@@ -121,23 +143,20 @@ def test_prp_width_cap():
         KeyedPermutation(b"k" * 16, 129)
 
 
-def _feistel_reference(key, width, x, hashed=None):
-    """One input through the rounds, every round value hashed afresh; each
-    (round, half) hashed is added to the set ``hashed`` if one is given."""
-    l_bits = width // 2
-    r_bits = width - l_bits
-    left, right = x >> r_bits, x & ((1 << r_bits) - 1)
-    for rnd in range(oracles.FEISTEL_ROUNDS):
-        half, bits = (right, l_bits) if rnd % 2 == 0 else (left, r_bits)
-        if hashed is not None:
-            hashed.add((rnd, half))
-        h = hashlib.sha256(key + rnd.to_bytes(2, "big") + half.to_bytes(16, "big"))
-        value = int.from_bytes(h.digest()[:8], "big") & ((1 << bits) - 1)
-        if rnd % 2 == 0:
-            left ^= value
-        else:
-            right ^= value
-    return (left << r_bits) | right
+@settings(max_examples=60, deadline=None)
+@given(width=hst.integers(2, 128), key=hst.binary(min_size=16, max_size=16),
+       data=hst.data())
+def test_prp_matches_the_reference_and_round_trips(width, key, data):
+    """At every width from 2 to 128 bits, batched and single evaluations
+    give the per-input reference, and inverting on a fresh permutation,
+    whose memos are empty, gives the inputs back."""
+    top = (1 << width) - 1
+    xs = data.draw(hst.lists(hst.integers(0, top), min_size=1, max_size=20))
+    want = [_feistel_reference(key, width, x) for x in xs]
+    assert KeyedPermutation(key, width).eval_many(xs) == want
+    assert KeyedPermutation(key, width).eval(xs[0]) == want[0]
+    fresh = KeyedPermutation(key, width)
+    assert [fresh.invert(y) for y in want] == xs
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,7 +166,7 @@ def _feistel_reference(key, width, x, hashed=None):
 def test_eval_many_matches_scalar_eval(width, data):
     """The batched Feistel rounds give what ``eval`` and a per-input
     reference give, element by element and duplicates included, on domains
-    wider than 63 bits too, and leave the same forward and round memos
+    wider than 63 bits too, and leave the same forward and inverse memos
     behind as ``eval``."""
     top = (1 << width) - 1
     xs = [0, top, top // 3, 1, top]
@@ -161,16 +180,16 @@ def test_eval_many_matches_scalar_eval(width, data):
     assert got == [_feistel_reference(key, width, x) for x in xs]
     assert got == [scalar.eval(x) for x in xs]
     assert list(batch._fwd_cache.items()) == list(scalar._fwd_cache.items())
-    assert batch._round_cache == scalar._round_cache
+    assert list(batch._inv_cache.items()) == list(scalar._inv_cache.items())
     assert all(batch.invert(y) == x for x, y in zip(xs, got))
 
 
 @settings(max_examples=60, deadline=None)
 @given(width=hst.integers(2, 70), data=hst.data())
 def test_capped_memos_keep_eval_invert_and_eval_many_exact(width, data):
-    """Under a cap of two round values per round and twenty outputs per
-    direction, interleaved ``eval``, ``invert`` and ``eval_many`` calls give
-    the per-input reference, and the memos never outgrow the cap."""
+    """Under a cap of twenty outputs per memo, interleaved ``eval``,
+    ``invert`` and ``eval_many`` calls give the per-input reference, and
+    the memos never outgrow the cap."""
     top = (1 << width) - 1
     key = bytes(range(16))
     calls = data.draw(hst.lists(hst.tuples(
@@ -187,30 +206,34 @@ def test_capped_memos_keep_eval_invert_and_eval_many_exact(width, data):
             else:
                 assert _feistel_reference(key, width, perm.invert(xs[0])) == xs[0]
             assert len(perm._fwd_cache) <= 20 and len(perm._inv_cache) <= 20
-            assert all(len(memo) <= 2 for memo in perm._round_cache)
 
 
-def test_eval_many_hashes_each_round_half_once(monkeypatch):
-    """On a fresh key, ``eval_many`` calls SHA-256 exactly once per distinct
-    (round, half) its inputs pass through, and inverting every output
-    reuses those round values without hashing again."""
+def test_eval_many_hashes_the_key_once_and_mixes_once_per_round(monkeypatch):
+    """A permutation hashes its key once, when it is made.  ``eval_many``
+    then runs the mixer once per round over the whole batch, and
+    inverting every output runs no round at all."""
     key, width = b"count-the-hashes", 12
     xs = [5, 4095, 5, 64, 65, 128, 3000, 64, 7]
-    hashed = set()
-    want = [_feistel_reference(key, width, x, hashed) for x in xs]
-    calls = []
-    sha256 = hashlib.sha256
+    want = [_feistel_reference(key, width, x) for x in xs]
+    hashes, mixes = [], []
+    shake_256, fmix64 = hashlib.shake_256, oracles._fmix64
 
-    def counted(data=b""):
-        calls.append(data)
-        return sha256(data)
+    def counted_hash(data=b""):
+        hashes.append(data)
+        return shake_256(data)
 
-    monkeypatch.setattr(oracles.hashlib, "sha256", counted)
+    def counted_mix(words):
+        mixes.append(len(words))
+        return fmix64(words)
+
+    monkeypatch.setattr(oracles.hashlib, "shake_256", counted_hash)
+    monkeypatch.setattr(oracles, "_fmix64", counted_mix)
     perm = KeyedPermutation(key, width)
+    assert hashes == [key]
     assert perm.eval_many(xs) == want
-    assert len(calls) == len(hashed) < len(set(xs)) * oracles.FEISTEL_ROUNDS
+    assert mixes == [len(set(xs))] * oracles.FEISTEL_ROUNDS
     assert [perm.invert(y) for y in want] == xs
-    assert len(calls) == len(hashed)
+    assert len(mixes) == oracles.FEISTEL_ROUNDS and hashes == [key]
 
 
 @pytest.mark.parametrize("bad", [-1, 1 << 5, 1 << 70])
@@ -226,6 +249,7 @@ def test_eval_many_fills_the_memo_up_to_its_cap(monkeypatch):
     perm = KeyedPermutation(bytes(range(16)), 4)
     assert perm.eval_many(range(16)) == [FEISTEL_KNOWN[4][x] for x in range(16)]
     assert list(perm._fwd_cache) == [0, 1, 2, 3, 4]
+    assert list(perm._inv_cache) == [FEISTEL_KNOWN[4][x] for x in range(5)]
 
 
 # -- subgroup embedding and Simon functions -----------------------------------
@@ -476,10 +500,11 @@ def test_final_bijection_builds_its_complement_on_first_use():
                         rng)
     assert "off_domain" not in vars(ipo)
     assert 0 not in ipo.forward and 0 not in ipo.backward
-    assert ipo.final_unitary(0) == (2024 << 1) | 1
+    # known answers: ranked, cycle-walked through _feistel_reference, unranked
+    assert ipo.final_unitary(0) == (3176 << 1) | 0
     assert "off_domain" in vars(ipo)
     assert [ipo.final_unitary(z) for z in (1, 2, 3)] == [
-        (310 << 1) | 0, (1467 << 1) | 1, (3661 << 1) | 0]
+        (4043 << 1) | 0, (3042 << 1) | 1, (1713 << 1) | 0]
 
 
 def test_middle_unitary_is_injective(inplace_oracle, rng):
