@@ -3,7 +3,7 @@
 Configuration comes from an optional flat key=value file plus CLI flags
 (flags win).  All outputs are JSON on stdout; transcripts and manifests go
 to --outdir when given.  Exit codes: 0 success, 2 assertion or acceptance
-failure, 3 configuration error, 4 capacity error.
+failure, 3 configuration error (a usage error included), 4 capacity error.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def _planted_attack(spec, n_wires):
     """Parse a ``P:WIRE`` spec: P is X or Z, WIRE a wire in [0, n_wires)."""
     pauli, sep, wire = spec.partition(":")
     if (not sep or pauli.upper() not in ("X", "Z")
-            or not wire.isdigit() or int(wire) >= n_wires):
+            or not wire.isdecimal() or int(wire) >= n_wires):
         raise ConfigError([f"--planted-attack needs X:WIRE or Z:WIRE with WIRE in "
                            f"[0, {n_wires}), got {spec!r}"])
     return pauli.upper(), int(wire)
@@ -300,8 +300,16 @@ def cmd_ntcf_run(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors (exit 3), not
+    argparse's exit 2, which the harness keeps for failed checks."""
+
+    def error(self, message):
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdepthlab",
         description="Desk-scale experiments for verifying quantum circuit depth",
     )
@@ -374,9 +382,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # made before the command runs, so a path it cannot take costs no run
         if args.outdir:
             try:

@@ -2,9 +2,13 @@
 
 Builds Simon's functions (exact tables or keyed-permutation backed), the
 shuffling-chain oracles that hide one behind d layers of permutations over an
-enlarged domain, in-place (erasing) variants whose final map is extended to a
-bijection, and the solvers that recover the hidden shift under an audited
-depth budget.
+enlarged domain, in-place (erasing) variants whose final map is injective on
+the (value, flag) points the chain reaches, and the solvers that recover the
+hidden shift under an audited depth budget.
+
+An exact middle map and both final maps are held only on the points the
+honest schedule reaches; evaluating one anywhere else is a lab error
+(``QDepthError``), not an image.
 
 Bit conventions: an n-bit string is an int whose index-1 coordinate is the
 most significant bit.  The total order over bitstrings is plain integer
@@ -13,11 +17,9 @@ comparison under this convention.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +34,8 @@ EXACT_WIDTH_LIMIT = 62
 FEISTEL_ROUNDS = 10
 # the widest Feistel map whose halves fit the round function's 64-bit words
 PRP_WIDTH_LIMIT = 128
-# the widest (d+2)n-bit shuffling chain of each mode: prp leaves one bit for
-# the in-place complement map
-CHAIN_WIDTH_LIMITS = {"exact": EXACT_WIDTH_LIMIT, "prp": PRP_WIDTH_LIMIT - 1}
+# the widest (d+2)n-bit shuffling chain of each mode
+CHAIN_WIDTH_LIMITS = {"exact": EXACT_WIDTH_LIMIT, "prp": PRP_WIDTH_LIMIT}
 # murmur3's fmix64 constants, as 0-d uint64 arrays: no operand is ever
 # promoted, and numpy applies an array operand faster than a scalar one
 _FMIX_SHIFT = np.array(33, dtype=np.uint64)
@@ -236,9 +237,9 @@ def sample_simon(n, rng) -> SimonFunction:
     uniform injection of H into the n-bit strings."""
     if n < 2:
         raise QDepthError("need n >= 2")
-    s = int(rng.integers(1, 1 << n))
     if n > 20:
         raise CapacityError("table-backed sampling limited to n <= 20")
+    s = int(rng.integers(1, 1 << n))
     values = rng.permutation(1 << n)[: 1 << (n - 1)]
     table = np.empty(1 << n, dtype=np.int64)
     emb = SubgroupEmbedding(n, s)
@@ -262,51 +263,17 @@ def pseudorandom_simon(key, s, n) -> SimonFunction:
 # ---------------------------------------------------------------------------
 
 
-class _LazyPermutation:
-    """Uniform permutation of the ``width``-bit strings, sampled lazily.
+class _ChainMap(dict):
+    """An exact middle map, held as its images on the chain points only.
+    ``eval`` of any other point raises ``QDepthError`` naming it."""
 
-    Built with its images on the chain points; any other point gets, on its
-    first evaluation, a uniform image among the values not yet used.  Those
-    draws come from a generator spawned off ``rng`` on first need, so the
-    trial stream after the build never depends on which points are evaluated.
-    """
+    def __missing__(self, x):
+        raise QDepthError(f"middle map evaluated at {x}, off the shuffling chain")
 
-    def __init__(self, width, points, images, rng):
-        self.width = width
-        self.images = dict(zip(points, images))
-        self._parent = rng
-        self._rng = None
-        self._used = None
-
-    def eval(self, x) -> int:
-        out = self.images.get(x)
-        return self.eval_many((x,))[0] if out is None else out
+    eval = dict.__getitem__
 
     def eval_many(self, xs) -> list:
-        images = self.images
-        try:
-            return [images[x] for x in xs]
-        except KeyError:
-            self._extend(xs)
-            return [images[x] for x in xs]
-
-    def _extend(self, xs):
-        """Image the points of ``xs`` the map lacks, in order of first
-        appearance, each by rejection: uniform draws until one hits a value
-        not yet used.  One draw at a time, so images do not depend on how
-        evaluations are batched."""
-        todo = [x for x in dict.fromkeys(xs) if x not in self.images]
-        if any(not 0 <= x < (1 << self.width) for x in todo):
-            raise QDepthError("input does not fit the permutation width")
-        if self._rng is None:
-            self._rng = self._parent.spawn(1)[0]
-            self._used = set(self.images.values())
-        for x in todo:
-            v = int(self._rng.integers(1 << self.width))
-            while v in self._used:
-                v = int(self._rng.integers(1 << self.width))
-            self._used.add(v)
-            self.images[x] = v
+        return [self[x] for x in xs]
 
 
 @dataclass
@@ -315,8 +282,8 @@ class ShufflingOracle:
 
     f_0..f_{d-1} are permutations of the enlarged domain; f_d maps S_d to the
     hidden function's values and is undefined (None) elsewhere.  In exact
-    mode each f_i is a uniform permutation sampled lazily: images fixed at
-    build on the chain points, drawn on first use anywhere else.
+    mode each f_i is held only on the chain points, with the images a
+    uniform permutation gives them.
     """
 
     n: int
@@ -344,12 +311,6 @@ class ShufflingOracle:
             return None
         return self.simon.evaluate(pre)
 
-    def junk_value(self, y) -> int:
-        """Deterministic filler standing in for bottom in XOR oracles: a hash
-        of ``y`` alone, unkeyed, so equal for every oracle of the same n."""
-        h = hashlib.sha256(b"junk" + y.to_bytes(16, "big")).digest()
-        return int.from_bytes(h[:4], "big") & ((1 << self.n) - 1)
-
     def compose(self, x):
         return self.final_eval(self.chain_point(x))
 
@@ -373,14 +334,12 @@ def sample_shuffling(simon: SimonFunction, d, rng, mode="exact") -> ShufflingOra
     """Draw the middle permutations and assemble the chain for ``simon``,
     over the (d+2)n-bit enlarged domain.
 
-    Exact mode draws each middle map as a uniform permutation sampled
-    lazily: its images on the 2^n points the chain reaches are one
-    ``rng.choice(..., replace=False)``, since a uniform permutation
-    restricted to a set drawn independently of it is a uniform injection.
-    It is limited to ``EXACT_WIDTH_LIMIT``-bit domains.  Prp mode draws a
-    key per map and is limited to domains one bit narrower than
-    ``PRP_WIDTH_LIMIT``, so that the in-place complement map, one bit wider
-    than the chain, is built on first use without fail.
+    Exact mode holds each middle map only on the 2^n points the chain
+    reaches: their images are one ``rng.choice(..., replace=False)``, since
+    a uniform permutation restricted to a set drawn independently of it is
+    a uniform injection.  It is limited to ``EXACT_WIDTH_LIMIT``-bit
+    domains.  Prp mode draws a key per map and is limited to
+    ``PRP_WIDTH_LIMIT``-bit domains.
     """
     n = simon.n
     big = (d + 2) * n
@@ -395,7 +354,7 @@ def sample_shuffling(simon: SimonFunction, d, rng, mode="exact") -> ShufflingOra
     for _ in range(d):
         if mode == "exact":
             images = rng.choice(1 << big, size=len(ends), replace=False).tolist()
-            perm = _LazyPermutation(big, ends, images, rng)
+            perm = _ChainMap(zip(ends, images))
         else:
             perm = random_keyed_permutation(big, rng)
         middle.append(perm)
@@ -408,70 +367,29 @@ def sample_shuffling(simon: SimonFunction, d, rng, mode="exact") -> ShufflingOra
 
 
 # ---------------------------------------------------------------------------
-# In-place access: bijective final map and unitary wrappers
+# In-place access: injective final map and unitary wrappers
 # ---------------------------------------------------------------------------
-
-
-class _ComplementPermutation:
-    """Keyed bijection between the complements of two small equal-sized sets.
-
-    Ranks the input within the complement of ``valid_in``, permutes ranks by a
-    cycle-walked Feistel network, and unranks into the complement of
-    ``valid_out``.  The sets are kept as sorted lists of Python ints, so
-    domains wider than 63 bits work.
-    """
-
-    def __init__(self, width, valid_in, valid_out, key):
-        self.width = width
-        self.size = (1 << width) - len(valid_in)
-        if self.size <= 0:
-            raise QDepthError("no room left to extend: hidden set is the full domain")
-        self.v_in = sorted(valid_in)
-        self.v_out = sorted(valid_out)
-        self.feistel = KeyedPermutation(key, width)
-
-    def _rank(self, z, valid) -> int:
-        return z - bisect.bisect_right(valid, z)
-
-    def _unrank(self, r, valid) -> int:
-        z = r
-        for v in valid:
-            if z >= v:
-                z += 1
-            else:
-                break
-        return z
-
-    def _walk(self, r) -> int:
-        w = self.feistel.eval(r)
-        while w >= self.size:
-            w = self.feistel.eval(w)
-        return w
-
-    def eval(self, z) -> int:
-        return self._unrank(self._walk(self._rank(z, self.v_in)), self.v_out)
 
 
 class InPlaceShufflingOracle:
     """Unitary (erasing) access to a shuffling chain.
 
     U_{f_0} keeps the input and writes f_0 into a fresh register; the middle
-    maps (``base.middle``) act in place on it; the final map U_{f_d} is a
-    bijection of the (big_width+1)-bit basis indices (value << 1) | flag of
-    the (value register, flag qubit) field.
+    maps (``base.middle``) act in place on it; the final map U_{f_d} acts on
+    the (big_width+1)-bit basis indices (value << 1) | flag of the (value
+    register, flag qubit) field.
 
-    On S_d x {0,1} (``forward``, inverted by ``backward``) the value register
-    becomes the hidden function's n-bit output zero-padded, with the pad bit
-    above it carrying the incoming flag so the map stays injective (the
-    (d+2)n-bit register always has room for it), and the flag flips by the
-    coset bit b' of the Simon preimage.  A flag of 0 therefore reproduces
-    |f(x'), b'(x')> exactly.  Off the valid set the map is a permutation of
-    the complement keyed by ``key`` (``off_domain``), built on first use: the
-    hidden-shift solver never leaves the valid set.
+    It is held on S_d x {0,1} only (``forward``): the value register becomes
+    the hidden function's n-bit output zero-padded, with the pad bit above it
+    carrying the incoming flag so the map stays injective (the (d+2)n-bit
+    register always has room for it), and the flag flips by the coset bit b'
+    of the Simon preimage.  A flag of 0 therefore reproduces |f(x'), b'(x')>
+    exactly.  The hidden-shift solver never leaves that set, and any other
+    index raises ``QDepthError``.
     """
 
-    def __init__(self, base: ShufflingOracle, key):
-        self.base, self.key = base, key
+    def __init__(self, base: ShufflingOracle):
+        self.base = base
         n, simon = base.n, base.simon
         emb = simon.embedding
         self.forward = {}
@@ -481,24 +399,23 @@ class InPlaceShufflingOracle:
             coset_bit = int(emb.in_h(x))
             for b in (0, 1):
                 self.forward[(y << 1) | b] = (((b << n) | v) << 1) | (b ^ coset_bit)
-        self.backward = {o: i for i, o in self.forward.items()}
-        if len(self.backward) != len(self.forward):
-            raise QDepthError("bijective extension collides; construction bug")
-
-    @cached_property
-    def off_domain(self) -> _ComplementPermutation:
-        return _ComplementPermutation(self.base.big_width + 1, self.forward,
-                                      self.backward, self.key)
+        if len(set(self.forward.values())) != len(self.forward):
+            raise QDepthError("final map collides on the chain; construction bug")
 
     def final_unitary(self, vf) -> int:
         """U_{f_d} on the packed (value, flag) basis index ``vf``."""
         out = self.forward.get(vf)
-        return self.off_domain.eval(vf) if out is None else out
+        if out is None:
+            raise QDepthError(f"in-place final map evaluated at {vf}, off S_d x {{0,1}}")
+        return out
 
 
 def build_inplace(shuffling: ShufflingOracle, rng) -> InPlaceShufflingOracle:
-    key = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-    return InPlaceShufflingOracle(shuffling, key)
+    # 16 key bytes are drawn and dropped, as if to key a completion of the
+    # final map off S_d x {0,1} (none is held): the draw keeps every later
+    # draw of the trial stream, and so every recorded seeded output, in place
+    rng.integers(0, 256, size=16, dtype=np.uint8)
+    return InPlaceShufflingOracle(shuffling)
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +576,13 @@ def standard_steps(base: ShufflingOracle):
             return apply_standard_oracle(state, base.middle[i].eval, reg(i), reg(i + 1))
         return step
 
+    def fd(v):
+        val = base.final_eval(v)
+        if val is None:
+            raise QDepthError(f"standard final map evaluated at {v}, off S_d")
+        return val
+
     def q_final(state):
-        def fd(v):
-            val = base.final_eval(v)
-            return base.junk_value(v) if val is None else val
         return apply_standard_oracle(state, fd, reg(d), out_reg)
 
     def h_out(state):

@@ -9,7 +9,7 @@ import tempfile
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdepthlab import game, ntcf, qsim
@@ -99,9 +99,10 @@ def test_gadget_check_planted_attack_fails_on_other_rates(spec, rates, monkeypat
     assert attack["pass"] is False and report["pass"] is False
 
 
-@pytest.mark.parametrize("spec", ["Q:1", "Y:0", "X:99", "X"])
+@pytest.mark.parametrize("spec", ["Q:1", "Y:0", "X:99", "X", "X:\u00b2"])
 def test_gadget_check_bad_planted_attack_is_config_error(spec, capsys):
-    """Only X or Z on a wire in [0, 2) is an attack the check can plant."""
+    """Only X or Z on a wire in [0, 2) is an attack the check can plant; a
+    superscript digit is a digit to ``str.isdigit`` but not a number."""
     assert main(["gadget-check", "--planted-attack", spec, "--trials", "1"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
@@ -253,6 +254,29 @@ def test_game_run_repeat_honours_jobs_and_outdir(tmp_path):
 def test_invalid_strategy_name_is_config_error(capsys):
     code = main(["game-run", "--strategy-a", "nope", "--trials", "100"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["ntcf-run", "--prover", "nope"],
+    ["dssp-run", "--mode", "nope"],
+    ["game-run", "--target", "nope"],
+    ["game-run", "--n", "x"],
+    ["simon", "--bogus", "1"],
+], ids=lambda argv: "_".join(arg.removeprefix("--") for arg in argv))
+def test_usage_error_is_config_error(argv, capsys):
+    """A flag the parser refuses is a config error (exit 3) with the usual
+    JSON on stderr and nothing on stdout, not argparse's exit 2."""
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "config"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["game-run", "--help"])
+    assert exc.value.code == 0
+    assert "--strategy-a" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["--d", "20"], ["--d", "41", "--oracle-mode", "prp"]])
@@ -458,6 +482,32 @@ def test_dssp_run_over_wide_prp_chain_is_capacity_error(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "capacity"
 
 
+@pytest.mark.parametrize("command", ["simon", "dssp-run"])
+@pytest.mark.parametrize("n", ["64", "100"])
+def test_simon_tables_over_20_bits_are_capacity_error(n, command, capsys):
+    """Hidden-shift tables stop at n = 20; wider ones are refused (exit 4)
+    with nothing on stdout before a shift is drawn, also where the shift
+    would not fit numpy's int64."""
+    assert main([command, "--n", n]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "capacity"
+
+
+def test_prp_chain_runs_at_the_128_bit_cap():
+    """At n=4 a prp chain of d=30 fills the 128-bit Feistel cap and both
+    commands run on it; d=31 is refused by dssp-run's oracle (exit 4) and by
+    game-run's config check (exit 3)."""
+    dssp = ["dssp-run", "--mode", "prp", "--n", "4", "--runs", "1"]
+    game_run = ["game-run", "--oracle-mode", "prp", "--n", "4", "--q", "3",
+                "--trials", "2"]
+    for argv, over_code in [(dssp, 4), (game_run, 3)]:
+        code, out = run_cli(argv + ["--d", "30"])
+        assert code == 0
+        validate(json.loads(out), _REPORT_SCHEMAS[argv[0]])
+        assert run_cli(argv + ["--d", "31"]) == (over_code, "")
+
+
 @pytest.mark.parametrize("n", ["4", "20"])
 def test_twirl_check_over_cap_is_capacity_error(n, capsys):
     """The dense twirl stops at three qubits; a larger --n is refused (exit
@@ -552,6 +602,9 @@ _ARGV = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(argv=_ARGV)
+@example(argv=["simon", "--samples", "1", "--n", "64"])
+@example(argv=["dssp-run", "--runs", "1", "--n", "64"])
+@example(argv=["gadget-check", "--trials", "1", "--planted-attack", "X:\u00b2"])
 def test_cli_exit_codes_and_artefacts_over_edge_values(argv):
     """Over 0, 1, negative and over-capacity values of every subcommand's
     flags, ``main`` exits 0, 2, 3 or 4, never with a traceback; what it

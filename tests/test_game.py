@@ -131,20 +131,20 @@ def test_q_beyond_oracle_schedule_is_config_error(target, q):
     ProtocolConfig(n=3, d=2, q=q, target=target, fidelity="gadget")
 
 
-@pytest.mark.parametrize("mode, widest_d, cap", [("exact", 18, 62), ("prp", 40, 127)])
+@pytest.mark.parametrize("mode, widest_d, cap", [("exact", 18, 62), ("prp", 30, 128)])
 def test_over_wide_oracle_chain_is_config_error(mode, widest_d, cap):
-    """The oracle's chain runs over (d+2)n bits: at n=3 exact mode takes
-    d=18 (60 bits) and prp mode d=40 (126 bits), one bit short of the
-    128-bit Feistel cap for the in-place complement map.  One more layer
-    is refused when the config is built; gadget fidelity builds no oracle,
-    so the same size builds there."""
+    """The oracle's chain runs over (d+2)n bits: exact mode takes d=18 at
+    n=3 (60 bits), and prp mode d=30 at n=4 (128 bits, the whole Feistel
+    cap).  One more layer is refused when the config is built; gadget
+    fidelity builds no oracle, so the same size builds there."""
+    n = 3 if mode == "exact" else 4
     d = widest_d + 1
-    ProtocolConfig(n=3, d=widest_d, q=3, oracle_mode=mode)
+    ProtocolConfig(n=n, d=widest_d, q=3, oracle_mode=mode)
     with pytest.raises(ConfigError) as err:
-        ProtocolConfig(n=3, d=d, q=3, oracle_mode=mode)
+        ProtocolConfig(n=n, d=d, q=3, oracle_mode=mode)
     assert err.value.violations == [
-        f"(d+2)n = {(d + 2) * 3} bits above the {cap}-bit {mode} oracle chain limit"]
-    ProtocolConfig(n=3, d=d, q=3, oracle_mode=mode, fidelity="gadget")
+        f"(d+2)n = {(d + 2) * n} bits above the {cap}-bit {mode} oracle chain limit"]
+    ProtocolConfig(n=n, d=d, q=3, oracle_mode=mode, fidelity="gadget")
 
 
 def test_partition_invariants(rng):
@@ -810,18 +810,6 @@ def test_gadget_tables_match_the_pair_derivation():
     want = np.full((10, 10), 0.5)
     want[4:6, 4:6] = [[0, 1], [1, 0]]
     assert np.array_equal(game._GADGET_P1, want)
-
-
-def test_inplace_game_never_builds_the_off_domain_permutation():
-    """Prover A's queries stay on the valid set of the final bijection, so a
-    whole in-place game leaves its off-domain permutation unbuilt."""
-    cfg = ProtocolConfig(**SMALL, alpha=0.9)
-    for seed in range(4):
-        rng = trial_rng(seed, 0)
-        orc = make_oracle(cfg, rng)
-        run_query_protocol(cfg, STRATEGIES_A["honest"](cfg), STRATEGIES_O["honest"](cfg),
-                           orc, rng)
-        assert "off_domain" not in vars(orc)
 
 
 def test_protocol_order_violation_rejects():

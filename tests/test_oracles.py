@@ -381,81 +381,80 @@ def test_exact_mode_width_policy(rng):
 
 
 def test_prp_mode_width_policy(rng):
-    """A prp chain of n=3, d=40 (126 bits) builds in place, and its final map
-    images a point off the valid set through the 127-bit complement map;
-    d=41 (129 bits) is refused."""
-    f = sample_simon(3, rng)
-    ipo = build_inplace(sample_shuffling(f, 40, rng, mode="prp"), rng)
-    assert ipo.base.big_width == 126
-    assert 0 not in ipo.forward
-    out = ipo.final_unitary(0)
-    assert 0 <= out < 1 << 127 and out not in ipo.backward
-    assert all(ipo.base.compose(x) == f.evaluate(x) for x in range(8))
-    with pytest.raises(CapacityError):
-        sample_shuffling(f, 41, rng, mode="prp")
+    """Prp chains go up to the 128-bit Feistel cap: n=3, d=40 (126 bits) and
+    n=4, d=30 (128 bits) build in place and hide the Simon function on every
+    input, and the final map refuses a point off its valid set.  n=3, d=41
+    (129 bits) and n=4, d=31 (132 bits) are refused."""
+    for n, d, width in [(3, 40, 126), (4, 30, 128)]:
+        f = sample_simon(n, rng)
+        ipo = build_inplace(sample_shuffling(f, d, rng, mode="prp"), rng)
+        assert ipo.base.big_width == width
+        assert 0 not in ipo.forward
+        with pytest.raises(QDepthError, match="evaluated at 0,"):
+            ipo.final_unitary(0)
+        assert all(ipo.base.compose(x) == f.evaluate(x) for x in range(1 << n))
+    for n, d in [(3, 41), (4, 31)]:
+        with pytest.raises(CapacityError):
+            sample_shuffling(sample_simon(n, rng), d, rng, mode="prp")
 
 
 def _narrow_exact(seed):
-    """The one middle map of an exact n=2, d=1 chain: a permutation of the
-    6-bit strings whose chain points are 0..3."""
+    """The one middle map of an exact n=2, d=1 chain: a map of the 6-bit
+    strings held on its chain points 0..3."""
     rng = np.random.default_rng(seed)
     return sample_shuffling(sample_simon(2, rng), 1, rng, mode="exact").middle[0]
 
 
 def test_exact_permutation_images_are_uniform():
-    """The image of a fixed chain point, and of a fixed point off the chain,
-    is uniform over the 64 values."""
+    """The image of a fixed chain point is uniform over the 64 values."""
     trials = 3200
-    counts = np.zeros((2, 64))
+    counts = np.zeros(64)
     for t in range(trials):
-        perm = _narrow_exact((2217, t))
-        counts[0, perm.eval(0)] += 1
-        counts[1, perm.eval(41)] += 1
+        counts[_narrow_exact((2217, t)).eval(0)] += 1
     expected = trials / 64
-    for row in counts:
-        assert ((row - expected) ** 2 / expected).sum() < CHI2_99_DOF63
+    assert ((counts - expected) ** 2 / expected).sum() < CHI2_99_DOF63
 
 
 def test_exact_permutation_is_injective_and_stable():
-    """Chain and off-chain images are pairwise distinct and fixed once drawn:
-    evaluating all 64 points, some one at a time first, gives a permutation,
-    and repeat calls agree."""
-    for t in range(20):
+    """Over 200 narrow chains the chain points' images are pairwise distinct
+    (each draw of 4 of 64 values with replacement misses a collision with
+    probability about 0.91), and repeat, single and batched evaluations
+    agree."""
+    for t in range(200):
         perm = _narrow_exact((2218, t))
-        order = np.random.default_rng((2219, t)).permutation(64).tolist()
-        singles = [perm.eval(x) for x in order[:20]]
-        images = perm.eval_many(order)
-        assert sorted(images) == list(range(64))
-        assert images[:20] == singles
-        assert perm.eval_many(order) == images
-        assert [perm.eval(x) for x in order] == images
-
-
-def test_exact_permutation_batches_like_single_evaluations():
-    """eval_many(xs) is [eval(x) for x in xs], also across twin
-    permutations: batching evaluations does not change the images drawn."""
-    for t in range(20):
-        batched, single = _narrow_exact((2220, t)), _narrow_exact((2220, t))
-        xs = np.random.default_rng((2221, t)).integers(0, 64, size=40).tolist()
-        xs += [3, 0, 2, 1]
-        assert batched.eval_many(xs) == [single.eval(x) for x in xs]
-        assert batched.eval_many(xs) == [batched.eval(x) for x in xs]
+        images = perm.eval_many(range(4))
+        assert len(set(images)) == 4 and all(0 <= y < 64 for y in images)
+        xs = np.random.default_rng((2219, t)).integers(0, 4, size=12).tolist()
+        assert perm.eval_many(xs) == [perm.eval(x) for x in xs] == \
+            [images[x] for x in xs]
+        assert perm.eval_many(range(4)) == images
 
 
 def test_exact_off_chain_evaluations_leave_the_trial_stream():
-    """Off-chain images come from a generator the permutation spawns, so
-    the trial generator's state after the build is the same with or without
-    them."""
-    def build(probe):
-        rng = np.random.default_rng(2222)
-        sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
-        if probe:
-            for perm in sh.middle:
-                perm.eval_many(range(100, 140))
-            assert all(len(perm.images) == 8 + 40 for perm in sh.middle)
-        return rng.bit_generator.state
-
-    assert build(probe=True) == build(probe=False)
+    """An exact middle map, the in-place final map and the standard final
+    map each raise ``QDepthError`` naming a point off their valid set, and
+    draw nothing from the trial generator."""
+    rng = np.random.default_rng(2222)
+    sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
+    ipo = build_inplace(sh, rng)
+    state = rng.bit_generator.state
+    off_chain = next(z for z in range(1 << sh.big_width) if z not in sh.middle[1])
+    with pytest.raises(QDepthError, match=f"at {off_chain},"):
+        sh.middle[1].eval(off_chain)
+    with pytest.raises(QDepthError, match=f"at {off_chain},"):
+        sh.middle[1].eval_many([*sh.middle[1], off_chain])
+    off_field = next(z for z in range(1 << (sh.big_width + 1)) if z not in ipo.forward)
+    with pytest.raises(QDepthError, match=f"at {off_field},"):
+        ipo.final_unitary(off_field)
+    # the standard schedule's final query, on a workspace holding a point off S_d
+    steps, total = oracles.standard_steps(sh)
+    off_end = next(y for y in range(1 << sh.big_width) if y not in sh.s_d)
+    layout = [0] * (sh.n + (sh.d - 1) * sh.big_width) \
+        + [int(b) for b in format(off_end, f"0{sh.big_width}b")] + [0] * sh.n
+    with pytest.raises(QDepthError, match=f"at {off_end},"):
+        steps[sh.d + 1](SparseState.from_bits(layout))
+    assert len(layout) == total
+    assert rng.bit_generator.state == state
 
 
 def test_oracle_descriptor_withholds_shift(rng):
@@ -483,37 +482,27 @@ def inplace_oracle(rng):
 
 
 def test_final_bijection_exhaustive(inplace_oracle):
-    W = inplace_oracle.base.big_width
-    seen = set()
-    for z in range(1 << (W + 1)):
-        out = inplace_oracle.final_unitary(z)
-        assert out not in seen
-        seen.add(out)
-    assert len(seen) == 1 << (W + 1)
+    """Over the whole (value, flag) field, the final map is injective on
+    S_d x {0,1} and raises everywhere else."""
+    base = inplace_oracle.base
+    valid = {(y << 1) | b for y in base.s_d for b in (0, 1)}
+    outs = set()
+    for z in range(1 << (base.big_width + 1)):
+        if z in valid:
+            outs.add(inplace_oracle.final_unitary(z))
+        else:
+            with pytest.raises(QDepthError):
+                inplace_oracle.final_unitary(z)
+    assert len(valid) == len(outs) == 2 << base.n
 
 
-def test_final_bijection_builds_its_complement_on_first_use():
-    """The off-domain permutation is built by the first evaluation off the
-    valid set and gives the eager construction's known answers."""
-    rng = np.random.default_rng(5)
-    ipo = build_inplace(sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact"),
-                        rng)
-    assert "off_domain" not in vars(ipo)
-    assert 0 not in ipo.forward and 0 not in ipo.backward
-    # known answers: ranked, cycle-walked through _feistel_reference, unranked
-    assert ipo.final_unitary(0) == (3176 << 1) | 0
-    assert "off_domain" in vars(ipo)
-    assert [ipo.final_unitary(z) for z in (1, 2, 3)] == [
-        (4043 << 1) | 0, (3042 << 1) | 1, (1713 << 1) | 0]
-
-
-def test_middle_unitary_is_injective(inplace_oracle, rng):
+def test_middle_unitary_is_injective(inplace_oracle):
     """The middle map the in-place schedule applies to the value register
-    maps distinct points to distinct points."""
-    perm = inplace_oracle.base.middle[1]
-    W = inplace_oracle.base.big_width
-    pts = {int(z) >> 1 for z in rng.integers(0, 1 << (W + 1), size=100)}
-    assert len({perm.eval(z) for z in pts}) == len(pts)
+    maps the distinct chain points it meets to distinct points."""
+    base = inplace_oracle.base
+    pts = base.middle[0].eval_many(range(1 << base.n))
+    assert len(set(pts)) == 1 << base.n
+    assert len({base.middle[1].eval(z) for z in pts}) == len(pts)
 
 
 def test_flag_flips_by_coset_membership(inplace_oracle):
@@ -761,16 +750,3 @@ def test_prp_mode_solver(rng):
     ipo = build_inplace(sh, rng)
     s_hat, _, _ = solve_inplace_dssp(ipo, rng)
     assert s_hat == f.s
-
-
-def test_prp_mode_inplace_bijectivity_spot_check(rng):
-    """The prp-backed middle map, on the value register, and final unitary,
-    on the (value, flag) field, map 10^4 random points to distinct points."""
-    f = sample_simon(4, rng)
-    sh = sample_shuffling(f, 2, rng, mode="prp")
-    ipo = build_inplace(sh, rng)
-    W = sh.big_width
-    pts = {int(z) for z in rng.integers(0, 1 << (W + 1), size=10_000)}
-    values = {z >> 1 for z in pts}
-    assert len({sh.middle[1].eval(z) for z in values}) == len(values)
-    assert len({ipo.final_unitary(z) for z in pts}) == len(pts)
