@@ -418,16 +418,26 @@ def test_exact_permutation_images_are_uniform():
 def test_exact_permutation_is_injective_and_stable():
     """Over 200 narrow chains the chain points' images are pairwise distinct
     (each draw of 4 of 64 values with replacement misses a collision with
-    probability about 0.91), and repeat, single and batched evaluations
-    agree."""
+    probability about 0.91), and repeat evaluations agree."""
     for t in range(200):
         perm = _narrow_exact((2218, t))
         images = perm.eval_many(range(4))
         assert len(set(images)) == 4 and all(0 <= y < 64 for y in images)
         xs = np.random.default_rng((2219, t)).integers(0, 4, size=12).tolist()
-        assert perm.eval_many(xs) == [perm.eval(x) for x in xs] == \
-            [images[x] for x in xs]
+        assert [perm.eval(x) for x in xs] == [images[x] for x in xs]
         assert perm.eval_many(range(4)) == images
+
+
+def test_exact_permutation_batches_like_single_evaluations():
+    """eval_many(xs) is [eval(x) for x in xs] over the chain points, also
+    across twin permutations: batching evaluations does not change the
+    images drawn."""
+    for t in range(20):
+        batched, single = _narrow_exact((2220, t)), _narrow_exact((2220, t))
+        xs = np.random.default_rng((2221, t)).integers(0, 4, size=40).tolist()
+        xs += [3, 0, 2, 1]
+        assert batched.eval_many(xs) == [single.eval(x) for x in xs]
+        assert batched.eval_many(xs) == [batched.eval(x) for x in xs]
 
 
 def test_exact_off_chain_evaluations_leave_the_trial_stream():
