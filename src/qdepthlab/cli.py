@@ -128,7 +128,8 @@ def write_manifest(args, cfg_json, oracle_descriptor=None):
 def cmd_gadget_check(args):
     require_at_least(args, trials=1, seed=0)
     n_wires = game.STANDIN_WIRES
-    attack = _planted_attack(args.planted_attack, n_wires) if args.planted_attack else None
+    attack = (None if args.planted_attack is None
+              else _planted_attack(args.planted_attack, n_wires))
     rng = np.random.default_rng(args.seed)
     report = {"checks": []}
     failures = 0

@@ -33,7 +33,6 @@ from .gadgets import (
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import (
     CHAIN_WIDTH_LIMITS,
-    InPlaceShufflingOracle,
     build_inplace,
     inplace_steps,
     sample_shuffling,
@@ -1142,10 +1141,7 @@ class GameRun:
             else:
                 w = self.a.final_answer(rng)
                 self.log("A", "V", MSG_FINAL, {"w": int(w)})
-                base = (self.oracle.base
-                        if isinstance(self.oracle, InPlaceShufflingOracle)
-                        else self.oracle)
-                verdict = "accept" if w == base.simon.s else "reject"
+                verdict = "accept" if w == self.oracle.simon.s else "reject"
         self.log("V", "A", MSG_VERDICT, {"verdict": verdict})
         trace = self.a.finish_trace()
         self.transcript.verdict = verdict

@@ -2,11 +2,13 @@
 
 Builds Simon's functions (exact tables or keyed-permutation backed), the
 shuffling-chain oracles that hide one behind d layers of permutations over an
-enlarged domain, in-place (erasing) variants whose final map is injective on
-the (value, flag) points the chain reaches, and the solvers that recover the
-hidden shift under an audited depth budget.
+enlarged domain, and the solvers that recover the hidden shift under an
+audited depth budget.  One chain serves both access models: standard access
+queries its final map f_d (``ShufflingOracle.final_eval``), in-place
+(erasing) access its unitary U_{f_d} (``ShufflingOracle.final_unitary``),
+which is injective on the (value, flag) points the chain reaches.
 
-An exact middle map and both final maps are held only on the points the
+An exact middle map and both final maps are defined only on the points the
 honest schedule reaches; evaluating one anywhere else is a lab error
 (``QDepthError``), not an image.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -200,7 +203,7 @@ class SimonFunction:
         if (self.table is None) == (self.prp is None):
             raise QDepthError("exactly one backing (table or prp) required")
 
-    @property
+    @cached_property
     def embedding(self) -> SubgroupEmbedding:
         return SubgroupEmbedding(self.n, self.s)
 
@@ -281,9 +284,9 @@ class ShufflingOracle:
     """Chain (f_0, ..., f_d) hiding a Simon function on the set S_d.
 
     f_0..f_{d-1} are permutations of the enlarged domain; f_d maps S_d to the
-    hidden function's values and is undefined (None) elsewhere.  In exact
-    mode each f_i is held only on the chain points, with the images a
-    uniform permutation gives them.
+    hidden function's values and is undefined elsewhere.  In exact mode each
+    f_i is held only on the chain points, with the images a uniform
+    permutation gives them.
     """
 
     n: int
@@ -304,12 +307,30 @@ class ShufflingOracle:
             x = perm.eval(x)
         return x
 
-    def final_eval(self, y):
-        """f_d: the hidden function's value on S_d, None (bottom) elsewhere."""
+    def final_eval(self, y) -> int:
+        """f_d: the hidden function's value at a point of S_d."""
         pre = self.s_d.get(y)
         if pre is None:
-            return None
+            raise QDepthError(f"final map evaluated at {y}, off S_d")
         return self.simon.evaluate(pre)
+
+    def final_unitary(self, vf) -> int:
+        """U_{f_d} on the packed basis index (value << 1) | flag of the
+        (value register, flag qubit) field, for a value in S_d.
+
+        The value register becomes the hidden function's n-bit output
+        zero-padded, with the pad bit above it carrying the incoming flag so
+        the map stays injective (the (d+2)n-bit register always has room for
+        it), and the flag flips by the coset bit b' of the Simon preimage.
+        A flag of 0 therefore reproduces |f(x'), b'(x')> exactly.
+        """
+        b = vf & 1
+        pre = self.s_d.get(vf >> 1)
+        if pre is None:
+            raise QDepthError(f"in-place final map evaluated at {vf}, off S_d x {{0,1}}")
+        # b'(y) = 1 iff the Simon preimage of y lies in H
+        coset_bit = int(self.simon.embedding.in_h(pre))
+        return (((b << self.n) | self.simon.evaluate(pre)) << 1) | (b ^ coset_bit)
 
     def compose(self, x):
         return self.final_eval(self.chain_point(x))
@@ -366,56 +387,16 @@ def sample_shuffling(simon: SimonFunction, d, rng, mode="exact") -> ShufflingOra
     return oracle
 
 
-# ---------------------------------------------------------------------------
-# In-place access: injective final map and unitary wrappers
-# ---------------------------------------------------------------------------
+def build_inplace(shuffling: ShufflingOracle, rng) -> ShufflingOracle:
+    """In-place access to ``shuffling``: the chain itself, whose
+    ``final_unitary`` is the erasing final map.
 
-
-class InPlaceShufflingOracle:
-    """Unitary (erasing) access to a shuffling chain.
-
-    U_{f_0} keeps the input and writes f_0 into a fresh register; the middle
-    maps (``base.middle``) act in place on it; the final map U_{f_d} acts on
-    the (big_width+1)-bit basis indices (value << 1) | flag of the (value
-    register, flag qubit) field.
-
-    It is held on S_d x {0,1} only (``forward``): the value register becomes
-    the hidden function's n-bit output zero-padded, with the pad bit above it
-    carrying the incoming flag so the map stays injective (the (d+2)n-bit
-    register always has room for it), and the flag flips by the coset bit b'
-    of the Simon preimage.  A flag of 0 therefore reproduces |f(x'), b'(x')>
-    exactly.  The hidden-shift solver never leaves that set, and any other
-    index raises ``QDepthError``.
+    16 key bytes are drawn and dropped, as if to key a completion of the
+    final map off S_d x {0,1} (none is held): the draw keeps every later
+    draw of the trial stream, and so every recorded seeded output, in place.
     """
-
-    def __init__(self, base: ShufflingOracle):
-        self.base = base
-        n, simon = base.n, base.simon
-        emb = simon.embedding
-        self.forward = {}
-        for y, x in base.s_d.items():
-            v = simon.evaluate(x)
-            # b'(y) = 1 iff the Simon preimage of y lies in H
-            coset_bit = int(emb.in_h(x))
-            for b in (0, 1):
-                self.forward[(y << 1) | b] = (((b << n) | v) << 1) | (b ^ coset_bit)
-        if len(set(self.forward.values())) != len(self.forward):
-            raise QDepthError("final map collides on the chain; construction bug")
-
-    def final_unitary(self, vf) -> int:
-        """U_{f_d} on the packed (value, flag) basis index ``vf``."""
-        out = self.forward.get(vf)
-        if out is None:
-            raise QDepthError(f"in-place final map evaluated at {vf}, off S_d x {{0,1}}")
-        return out
-
-
-def build_inplace(shuffling: ShufflingOracle, rng) -> InPlaceShufflingOracle:
-    # 16 key bytes are drawn and dropped, as if to key a completion of the
-    # final map off S_d x {0,1} (none is held): the draw keeps every later
-    # draw of the trial stream, and so every recorded seeded output, in place
     rng.integers(0, 256, size=16, dtype=np.uint8)
-    return InPlaceShufflingOracle(shuffling)
+    return shuffling
 
 
 # ---------------------------------------------------------------------------
@@ -522,42 +503,42 @@ def shift_sample(index, total, n, inplace):
 
 
 # register layout, in-place: [input n][workspace big][flag 1]
-def inplace_steps(ipo: InPlaceShufflingOracle):
-    """The erasing-access schedule of one sample: (steps, register width)."""
-    base = ipo.base
-    n, big = base.n, base.big_width
+def inplace_steps(oracle: ShufflingOracle):
+    """The erasing-access schedule of one sample: (steps, register width).
+    U_{f_0} writes into the workspace; later maps act on it in place."""
+    n, big = oracle.n, oracle.big_width
     total = n + big + 1
 
-    if base.d < 1:
+    if oracle.d < 1:
         raise QDepthError("in-place access needs d >= 1")
 
     def h_in(state):
         return state.apply_hadamard_wall(range(n))
 
     def u0(state):
-        return apply_standard_oracle(state, base.middle[0].eval, (0, n), (n, big))
+        return apply_standard_oracle(state, oracle.middle[0].eval, (0, n), (n, big))
 
     def mid(i):
         def step(state):
-            return apply_inplace_perm(state, base.middle[i].eval, (n, big))
+            return apply_inplace_perm(state, oracle.middle[i].eval, (n, big))
         return step
 
     def u_final(state):
-        return apply_inplace_perm(state, ipo.final_unitary, (n, big + 1))
+        return apply_inplace_perm(state, oracle.final_unitary, (n, big + 1))
 
     def h_out(state):
         return state.apply_hadamard_wall(list(range(n)) + [total - 1])
 
     steps = [h_in, u0]
-    steps += [mid(i) for i in range(1, base.d)]
+    steps += [mid(i) for i in range(1, oracle.d)]
     steps += [u_final, h_out]
     return steps, total
 
 
 # register layout, standard: [input n][w_1 big]...[w_d big][out n]
-def standard_steps(base: ShufflingOracle):
+def standard_steps(oracle: ShufflingOracle):
     """The compute/uncompute schedule of one sample: (steps, register width)."""
-    n, big, d = base.n, base.big_width, base.d
+    n, big, d = oracle.n, oracle.big_width, oracle.d
     total = n + d * big + n
 
     def reg(i):  # workspace i in [1, d]
@@ -569,21 +550,15 @@ def standard_steps(base: ShufflingOracle):
         return state.apply_hadamard_wall(range(n))
 
     def q_first(state):
-        return apply_standard_oracle(state, base.middle[0].eval, (0, n), reg(1))
+        return apply_standard_oracle(state, oracle.middle[0].eval, (0, n), reg(1))
 
     def q_mid(i):
         def step(state):
-            return apply_standard_oracle(state, base.middle[i].eval, reg(i), reg(i + 1))
+            return apply_standard_oracle(state, oracle.middle[i].eval, reg(i), reg(i + 1))
         return step
 
-    def fd(v):
-        val = base.final_eval(v)
-        if val is None:
-            raise QDepthError(f"standard final map evaluated at {v}, off S_d")
-        return val
-
     def q_final(state):
-        return apply_standard_oracle(state, fd, reg(d), out_reg)
+        return apply_standard_oracle(state, oracle.final_eval, reg(d), out_reg)
 
     def h_out(state):
         return state.apply_hadamard_wall(range(n))
@@ -608,7 +583,7 @@ def _collect_samples(session, schedule, n, inplace, target, max_runs):
     return samples, runs
 
 
-def solve_inplace_dssp(oracle: InPlaceShufflingOracle, rng, accepted_target=None):
+def solve_inplace_dssp(oracle: ShufflingOracle, rng, accepted_target=None):
     """Recover the hidden shift with the depth-(d+3) erasing-access algorithm.
 
     Runs as a dCQ scheme with per-invocation depth d+3, collecting samples
@@ -618,7 +593,7 @@ def solve_inplace_dssp(oracle: InPlaceShufflingOracle, rng, accepted_target=None
 
     Returns (s_hat_or_None, trace, stats).
     """
-    n, d = oracle.base.n, oracle.base.d
+    n, d = oracle.n, oracle.d
     accepted_target = 3 * n if accepted_target is None else accepted_target
     session = HybridSession(DCQ, d + 3, rng)
     samples, runs = _collect_samples(session, inplace_steps(oracle), n, True,

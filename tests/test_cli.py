@@ -99,10 +99,11 @@ def test_gadget_check_planted_attack_fails_on_other_rates(spec, rates, monkeypat
     assert attack["pass"] is False and report["pass"] is False
 
 
-@pytest.mark.parametrize("spec", ["Q:1", "Y:0", "X:99", "X", "X:\u00b2"])
+@pytest.mark.parametrize("spec", ["Q:1", "Y:0", "X:99", "X", "X:\u00b2", ""])
 def test_gadget_check_bad_planted_attack_is_config_error(spec, capsys):
     """Only X or Z on a wire in [0, 2) is an attack the check can plant; a
-    superscript digit is a digit to ``str.isdigit`` but not a number."""
+    superscript digit is a digit to ``str.isdigit`` but not a number, and an
+    empty spec plants nothing rather than skipping the check."""
     assert main(["gadget-check", "--planted-attack", spec, "--trials", "1"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
@@ -203,6 +204,31 @@ def test_game_run_jobs_invariance(tmp_path):
         runs.append([out] + [(outdir / f"transcript_{i}.json").read_text()
                              for i in range(3)])
     assert runs[0] == runs[1]
+
+
+# small passing runs of every subcommand
+_OUTDIR_RUNS = {
+    "gadget-check": ["--trials", "1"],
+    "twirl-check": ["--n", "1", "--trials", "2"],
+    "simon": ["--n", "2", "--samples", "2"],
+    "ntcf-run": ["--n", "2", "--d", "1", "--trials", "1"],
+    "dssp-run": ["--n", "2", "--d", "1", "--runs", "1"],
+    "game-run": ["--n", "2", "--d", "1", "--q", "2", "--trials", "2", "--t-parallel", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTDIR_RUNS))
+def test_outdir_holds_exactly_the_command_artefacts(command, tmp_path):
+    """Every command writes report.json to --outdir; only dssp-run and
+    game-run add a run manifest, and only game-run its transcripts."""
+    code, _ = run_cli([command, *_OUTDIR_RUNS[command], "--outdir", str(tmp_path)])
+    assert code == 0
+    want = {"report.json"}
+    if command in ("dssp-run", "game-run"):
+        want.add("manifest.json")
+    if command == "game-run":
+        want |= {"transcript_0.json", "transcript_1.json"}
+    assert {p.name for p in tmp_path.iterdir()} == want
 
 
 def test_game_run_writes_manifest_and_transcripts(tmp_path):

@@ -394,14 +394,13 @@ def test_comp_round_abstract_mode_applies_oracle():
     orc = make_oracle(cfg, rng)
     verdict, run = run_single_round(cfg, "comp", oracle=orc, seed=4)
     layout = run.layout
-    base = orc.base
     want = SparseState.from_bits([0] * layout.inst_width)
     from qdepthlab.qsim import Gate
 
     for q in range(cfg.n):
         want.apply_gate(Gate("H", (q,)))
     oracles.apply_standard_oracle(
-        want, base.middle[0].eval, (0, cfg.n), (cfg.n, layout.big_width))
+        want, orc.middle[0].eval, (0, cfg.n), (cfg.n, layout.big_width))
     got = run.a.instances[0]
     assert set(got.support) == set(want.support)
 
@@ -908,7 +907,7 @@ def test_honest_abstract_audit_comes_from_executed_layers(monkeypatch):
             seen[key] = 0
         solved.clear()
         cfg, _, verdict, tr = _no_test_trial("honest", t_parallel=t_parallel)
-        s = make_oracle(cfg, trial_rng(cfg.seed, 0)).base.simon.s
+        s = make_oracle(cfg, trial_rng(cfg.seed, 0)).simon.s
         (w,) = [m["payload"]["w"] for m in tr.messages if m["kind"] == game.MSG_FINAL]
         assert solved in ([s], [None])
         assert w == s or solved == [None]

@@ -357,12 +357,28 @@ def test_shuffling_composition(rng, mode):
     assert len(sh.s_d) == 8
 
 
-def test_final_is_bottom_off_hidden_set(rng):
+def test_final_eval_refuses_points_off_hidden_set(rng):
+    """f_d gives the hidden function's value on S_d and raises
+    ``QDepthError`` naming any other point."""
     f = sample_simon(3, rng)
     sh = sample_shuffling(f, 2, rng, mode="exact")
-    inside = set(sh.s_d)
-    outside = next(y for y in range(1 << sh.big_width) if y not in inside)
-    assert sh.final_eval(outside) is None
+    for y, x in sh.s_d.items():
+        assert sh.final_eval(y) == f.evaluate(x)
+    outside = next(y for y in range(1 << sh.big_width) if y not in sh.s_d)
+    with pytest.raises(QDepthError, match=f"at {outside}, off S_d"):
+        sh.final_eval(outside)
+
+
+def test_build_inplace_returns_the_chain_after_its_key_draw():
+    """In-place access is the chain itself; building it draws 16 key bytes
+    and nothing else, so the trial stream continues as a twin generator's
+    does after that one draw."""
+    rng, twin = np.random.default_rng(2223), np.random.default_rng(2223)
+    sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
+    sample_shuffling(sample_simon(3, twin), 2, twin, mode="exact")
+    assert build_inplace(sh, rng) is sh
+    twin.integers(0, 256, size=16, dtype=np.uint8)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_exact_mode_width_policy(rng):
@@ -387,12 +403,12 @@ def test_prp_mode_width_policy(rng):
     (129 bits) and n=4, d=31 (132 bits) are refused."""
     for n, d, width in [(3, 40, 126), (4, 30, 128)]:
         f = sample_simon(n, rng)
-        ipo = build_inplace(sample_shuffling(f, d, rng, mode="prp"), rng)
-        assert ipo.base.big_width == width
-        assert 0 not in ipo.forward
+        sh = build_inplace(sample_shuffling(f, d, rng, mode="prp"), rng)
+        assert sh.big_width == width
+        assert 0 not in sh.s_d
         with pytest.raises(QDepthError, match="evaluated at 0,"):
-            ipo.final_unitary(0)
-        assert all(ipo.base.compose(x) == f.evaluate(x) for x in range(1 << n))
+            sh.final_unitary(0)
+        assert all(sh.compose(x) == f.evaluate(x) for x in range(1 << n))
     for n, d in [(3, 41), (4, 31)]:
         with pytest.raises(CapacityError):
             sample_shuffling(sample_simon(n, rng), d, rng, mode="prp")
@@ -445,17 +461,16 @@ def test_exact_off_chain_evaluations_leave_the_trial_stream():
     map each raise ``QDepthError`` naming a point off their valid set, and
     draw nothing from the trial generator."""
     rng = np.random.default_rng(2222)
-    sh = sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact")
-    ipo = build_inplace(sh, rng)
+    sh = build_inplace(sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact"), rng)
     state = rng.bit_generator.state
     off_chain = next(z for z in range(1 << sh.big_width) if z not in sh.middle[1])
     with pytest.raises(QDepthError, match=f"at {off_chain},"):
         sh.middle[1].eval(off_chain)
     with pytest.raises(QDepthError, match=f"at {off_chain},"):
         sh.middle[1].eval_many([*sh.middle[1], off_chain])
-    off_field = next(z for z in range(1 << (sh.big_width + 1)) if z not in ipo.forward)
+    off_field = next(z for z in range(1 << (sh.big_width + 1)) if z >> 1 not in sh.s_d)
     with pytest.raises(QDepthError, match=f"at {off_field},"):
-        ipo.final_unitary(off_field)
+        sh.final_unitary(off_field)
     # the standard schedule's final query, on a workspace holding a point off S_d
     steps, total = oracles.standard_steps(sh)
     off_end = next(y for y in range(1 << sh.big_width) if y not in sh.s_d)
@@ -494,57 +509,57 @@ def inplace_oracle(rng):
 def test_final_bijection_exhaustive(inplace_oracle):
     """Over the whole (value, flag) field, the final map is injective on
     S_d x {0,1} and raises everywhere else."""
-    base = inplace_oracle.base
-    valid = {(y << 1) | b for y in base.s_d for b in (0, 1)}
+    sh = inplace_oracle
+    valid = {(y << 1) | b for y in sh.s_d for b in (0, 1)}
     outs = set()
-    for z in range(1 << (base.big_width + 1)):
+    for z in range(1 << (sh.big_width + 1)):
         if z in valid:
-            outs.add(inplace_oracle.final_unitary(z))
+            outs.add(sh.final_unitary(z))
         else:
             with pytest.raises(QDepthError):
-                inplace_oracle.final_unitary(z)
-    assert len(valid) == len(outs) == 2 << base.n
+                sh.final_unitary(z)
+    assert len(valid) == len(outs) == 2 << sh.n
 
 
 def test_middle_unitary_is_injective(inplace_oracle):
     """The middle map the in-place schedule applies to the value register
     maps the distinct chain points it meets to distinct points."""
-    base = inplace_oracle.base
-    pts = base.middle[0].eval_many(range(1 << base.n))
-    assert len(set(pts)) == 1 << base.n
-    assert len({base.middle[1].eval(z) for z in pts}) == len(pts)
+    sh = inplace_oracle
+    pts = sh.middle[0].eval_many(range(1 << sh.n))
+    assert len(set(pts)) == 1 << sh.n
+    assert len({sh.middle[1].eval(z) for z in pts}) == len(pts)
 
 
 def test_flag_flips_by_coset_membership(inplace_oracle):
     """On S_d with incoming flag 0, the flag output is 1 iff the hidden
     function's preimage lies in the subgroup H."""
-    base = inplace_oracle.base
-    emb = base.simon.embedding
-    for y, x_pre in base.s_d.items():
-        v, fl = divmod(inplace_oracle.final_unitary(y << 1), 2)
+    sh = inplace_oracle
+    emb = sh.simon.embedding
+    for y, x_pre in sh.s_d.items():
+        v, fl = divmod(sh.final_unitary(y << 1), 2)
         assert fl == int(emb.in_h(x_pre))
-        assert v & ((1 << base.n) - 1) == base.simon.evaluate(x_pre)
-        v1, fl1 = divmod(inplace_oracle.final_unitary((y << 1) | 1), 2)
+        assert v & ((1 << sh.n) - 1) == sh.simon.evaluate(x_pre)
+        v1, fl1 = divmod(sh.final_unitary((y << 1) | 1), 2)
         assert fl1 == 1 ^ int(emb.in_h(x_pre))
 
 
 def test_erasing_chain_reaches_tagged_state(inplace_oracle, rng):
     """The query chain ends in sum_x |x>|f(x)>|b(x)> exactly."""
-    base = inplace_oracle.base
-    n, W = base.n, base.big_width
+    sh = inplace_oracle
+    n, W = sh.n, sh.big_width
     total = n + W + 1
     st = SparseState.from_bits([0] * total)
     for q in range(n):
         st.apply_gate(Gate("H", (q,)))
-    apply_standard_oracle(st, base.middle[0].eval, (0, n), (n, W))
-    for lvl in range(1, base.d):
-        apply_inplace_perm(st, base.middle[lvl].eval, (n, W))
-    apply_inplace_perm(st, inplace_oracle.final_unitary, (n, W + 1))
-    emb = base.simon.embedding
+    apply_standard_oracle(st, sh.middle[0].eval, (0, n), (n, W))
+    for lvl in range(1, sh.d):
+        apply_inplace_perm(st, sh.middle[lvl].eval, (n, W))
+    apply_inplace_perm(st, sh.final_unitary, (n, W + 1))
+    emb = sh.simon.embedding
     want = {}
     amp = 2.0 ** (-n / 2)
     for x in range(1 << n):
-        idx = (x << (W + 1)) | (base.simon.evaluate(x) << 1) | int(emb.in_h(x))
+        idx = (x << (W + 1)) | (sh.simon.evaluate(x) << 1) | int(emb.in_h(x))
         want[idx] = amp
     assert set(st.support) == set(want)
     for k, v in want.items():
