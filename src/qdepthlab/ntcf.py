@@ -15,13 +15,14 @@ to keep quantum coherence for d extra layers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ProtocolOrderError, QDepthError
 from .hybrid import DQC, HybridSession, audited_depth
-from .oracles import KeyedPermutation, random_keyed_permutation
+from .oracles import KeyedPermutation, feistel_pass, random_keyed_permutation
 from .qsim import SPARSE_SUPPORT_CAP, SparseState, dot_bits, run_streams
 from .qsim import measure as qsim_measure
 
@@ -66,8 +67,14 @@ def gen(n, rng):
     return key, key
 
 
+def _integers(*values) -> bool:
+    return all(isinstance(v, numbers.Integral) for v in values)
+
+
 def chk(k: ToyNTCFKey, b, x, y) -> int:
     """Public preimage check: 1 iff f_{k,b}(x) = y (no trapdoor needed)."""
+    if not _integers(b, x, y):
+        raise QDepthError("malformed preimage check: b, x and y must be integers")
     if b not in (0, 1):
         raise QDepthError("preimage bit b must be 0 or 1")
     if not (0 <= x < (1 << k.n)) or not (0 <= y < (1 << k.n)):
@@ -75,17 +82,22 @@ def chk(k: ToyNTCFKey, b, x, y) -> int:
     return int(k.eval(b, x) == y)
 
 
-def samp_state(k: ToyNTCFKey) -> SparseState:
-    """Uniform claw superposition sum_{b,x} |b>|x>|f_k(b,x)> on 1+2n qubits."""
-    n = k.n
-    if (2 << n) > SPARSE_SUPPORT_CAP:
-        raise CapacityError(
-            f"claw state support {2 << n} exceeds cap {SPARSE_SUPPORT_CAP}")
-    amp = 1.0 / np.sqrt(2 << n)
-    pairs = [(b, x) for b in (0, 1) for x in range(1 << n)]
-    images = k.perm.eval_many([x ^ (b * k.shift) for b, x in pairs])
-    support = {(((b << n) | x) << n) | y: amp for (b, x), y in zip(pairs, images)}
-    return SparseState(1 + 2 * n, support)
+def samp_state(keys) -> list:
+    """Each key's uniform claw superposition sum_{b,x} |b>|x>|f_k(b,x)> on
+    1+2n qubits, every image from one Feistel pass over all ``keys``."""
+    for k in keys:
+        if (2 << k.n) > SPARSE_SUPPORT_CAP:
+            raise CapacityError(
+                f"claw state support {2 << k.n} exceeds cap {SPARSE_SUPPORT_CAP}")
+    # basis index i = (b << n) | x of |b>|x> evaluates f_k(b, x) at x ^ (b * shift)
+    batches = [[*range(1 << k.n), *(x ^ k.shift for x in range(1 << k.n))]
+               for k in keys]
+    states = []
+    for k, images in zip(keys, feistel_pass([k.perm for k in keys], batches)):
+        amp = 1.0 / np.sqrt(2 << k.n)
+        states.append(SparseState(1 + 2 * k.n, {(i << k.n) | y: amp
+                                                for i, y in enumerate(images)}))
+    return states
 
 
 def verify_v(t: ToyNTCFKey, y, c, w) -> int:
@@ -107,6 +119,8 @@ def verify_v(t: ToyNTCFKey, y, c, w) -> int:
             u, e = w
         except (TypeError, ValueError):
             raise QDepthError("malformed equation answer")
+        if not _integers(u, e):
+            raise QDepthError("malformed equation answer: u and e must be integers")
         if u not in (0, 1) or not (0 <= e < (1 << t.n)):
             raise QDepthError("equation answer needs a bit u and an n-bit e")
         x0, x1 = t.preimages(y)
@@ -146,6 +160,9 @@ class CvqdRun:
 class HonestProver:
     """Keeps all claw registers coherent; one adaptive layer per round.
 
+    ``begin`` builds the claw states of all d+1 keys from one Feistel pass
+    (``samp_state``), then measures each image register.
+
     Depth accounting: preparing every claw superposition and measuring the
     image registers is charged as the constant block ``D0_DEFAULT`` (the
     first round's basis slot is folded into it); every later round charges
@@ -160,7 +177,7 @@ class HonestProver:
         self.keys = keys
         self.rng = rng
         self.session = HybridSession(DQC, self._budget(d), rng)
-        self.states = [samp_state(k) for k in keys]
+        self.states = samp_state(keys)
         self.session.charge_layers(
             D0_DEFAULT, "prepare_claws: samp_state builds the claw states whole")
         self.images = []
@@ -188,21 +205,19 @@ class PreimageOnlyProver:
 
     It answers every c=0 challenge perfectly and every c=1 challenge with a
     deliberately unsatisfiable placeholder, so it is accepted exactly when
-    all d+1 challenge bits are zero.
+    all d+1 challenge bits are zero.  ``begin`` draws one (b, x) per key,
+    then evaluates all d+1 images in one Feistel pass.
     """
 
     def begin(self, keys, d, rng):
         self.keys = keys
         self.rng = rng
         self.session = HybridSession(DQC, 0, rng)
-        self.pre = []
-        images = []
-        for k in keys:
-            b = int(rng.integers(2))
-            x = int(rng.integers(0, 1 << k.n))
-            self.pre.append((b, x))
-            images.append(k.eval(b, x))
-        return images
+        self.pre = [(int(rng.integers(2)), int(rng.integers(0, 1 << k.n)))
+                    for k in keys]
+        images = feistel_pass([k.perm for k in keys],
+                              [[x ^ (b * k.shift)] for k, (b, x) in zip(keys, self.pre)])
+        return [ys[0] for ys in images]
 
     def answer(self, i, c):
         if c == 0:
@@ -292,6 +307,8 @@ def run_cvqd(d, prover, rng, n=4):
     images = prover.begin(keys, d, rng)
     if len(images) != d + 1:
         raise ProtocolOrderError("prover must commit d+1 images first")
+    if not _integers(*images):
+        raise QDepthError("malformed image commitment: images must be integers")
     images = [int(y) for y in images]
     challenges, responses = [], []
     verdict = "accept"
@@ -299,8 +316,9 @@ def run_cvqd(d, prover, rng, n=4):
         c = int(rng.integers(2))
         challenges.append(c)
         w = prover.answer(i, c)
+        passed = verify_v(keys[i - 1], images[i - 1], c, w)
         responses.append(tuple(int(v) for v in w))
-        if not verify_v(keys[i - 1], images[i - 1], c, w):
+        if not passed:
             verdict = "reject"
             break
     run = CvqdRun(d, keys, images, challenges, responses, verdict,

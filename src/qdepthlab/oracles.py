@@ -76,9 +76,10 @@ class KeyedPermutation:
     permutation; no cryptographic strength is claimed.
 
     Inputs are split and joined as Python ints and each round is a few
-    numpy operations over the whole batch.  Every output is memoised both
-    ways: a forward result fills the forward and the inverse memo, and so
-    does an inverse result, each memo up to ``_CACHE_CAP`` entries.
+    numpy operations over the whole batch (``feistel_pass``, which runs
+    several permutations of one width together).  Every output is memoised
+    both ways: a forward result fills the forward and the inverse memo, and
+    so does an inverse result, each memo up to ``_CACHE_CAP`` entries.
     """
 
     key: bytes
@@ -94,41 +95,10 @@ class KeyedPermutation:
                                 f"bits, where each round still mixes every bit")
         object.__setattr__(self, "_fwd_cache", {})
         object.__setattr__(self, "_inv_cache", {})
-        # one row per round, so that each round key is a 1-element array
+        # one row per round and one column, which feistel_pass stacks
         digest = hashlib.shake_256(self.key).digest(8 * FEISTEL_ROUNDS)
         object.__setattr__(self, "_round_keys",
                            np.frombuffer(digest, dtype=">u8").astype(np.uint64)[:, None])
-
-    def _feistel(self, xs, order, memo, mirror) -> list:
-        """Run the rounds in ``order`` on each of ``xs``: one round at a time
-        over the distinct inputs ``memo`` lacks.  Each new output is kept in
-        ``memo`` and, keyed by the output, in ``mirror``, in order of first
-        appearance while each has room."""
-        todo = [x for x in dict.fromkeys(xs) if x not in memo]
-        if not todo:
-            return [memo[x] for x in xs]
-        if any(not 0 <= x < (1 << self.width) for x in todo):
-            raise QDepthError("input does not fit the permutation width")
-        l_bits = self.width // 2
-        r_bits = self.width - l_bits
-        r_mask = (1 << r_bits) - 1
-        halves = [np.array([x >> r_bits for x in todo], dtype=np.uint64),
-                  np.array([x & r_mask for x in todo], dtype=np.uint64)]
-        masks = [np.array((1 << l_bits) - 1, dtype=np.uint64),
-                 np.array(r_mask, dtype=np.uint64)]
-        for rnd in order:
-            # even rounds key on the right half and change the left
-            side = rnd % 2
-            mixed = _fmix64(halves[1 - side] ^ self._round_keys[rnd])
-            halves[side] = halves[side] ^ (mixed & masks[side])
-        outs = {x: (left << r_bits) | right
-                for x, left, right in zip(todo, *(half.tolist() for half in halves))}
-        for x, out in outs.items():
-            if len(memo) < self._CACHE_CAP:
-                memo[x] = out
-            if len(mirror) < self._CACHE_CAP:
-                mirror[out] = x
-        return [outs[x] if x in outs else memo[x] for x in xs]
 
     def eval(self, x) -> int:
         out = self._fwd_cache.get(x)
@@ -137,14 +107,68 @@ class KeyedPermutation:
     def eval_many(self, xs) -> list:
         """``[self.eval(x) for x in xs]``, one round at a time over all of
         them."""
-        return self._feistel(xs, range(FEISTEL_ROUNDS), self._fwd_cache, self._inv_cache)
+        return feistel_pass((self,), (xs,))[0]
 
     def invert(self, y) -> int:
         out = self._inv_cache.get(y)
-        if out is None:
-            out = self._feistel((y,), reversed(range(FEISTEL_ROUNDS)),
-                                self._inv_cache, self._fwd_cache)[0]
-        return out
+        return feistel_pass((self,), ((y,),), inverse=True)[0][0] if out is None else out
+
+
+def feistel_pass(perms, batches, inverse=False) -> list:
+    """``[perm.eval_many(xs) for perm, xs in zip(perms, batches)]``, or
+    with ``inverse`` the inverse images, from one run of the rounds.
+
+    The permutations share one width and each keeps its own round keys.
+    The distinct inputs a permutation's memo lacks are its columns, and
+    each round is a few numpy operations over every column, ``_fmix64``
+    once.  The width and every input's range are checked before the first
+    round.  Each new output is kept in its permutation's memo and, keyed by
+    the output, in the mirror memo, in order of first appearance while each
+    has room.
+    """
+    if len({perm.width for perm in perms}) > 1:
+        raise QDepthError("one Feistel pass runs permutations of one width")
+    jobs = []
+    for perm, xs in zip(perms, batches):
+        memo, mirror = ((perm._inv_cache, perm._fwd_cache) if inverse
+                        else (perm._fwd_cache, perm._inv_cache))
+        todo = [x for x in dict.fromkeys(xs) if x not in memo]
+        jobs.append((perm, xs, memo, mirror, todo))
+    todo = [x for *_, job_todo in jobs for x in job_todo]
+    outs = iter(())
+    if todo:
+        width = perms[0].width
+        if any(not 0 <= x < (1 << width) for x in todo):
+            raise QDepthError("input does not fit the permutation width")
+        l_bits = width // 2
+        r_bits = width - l_bits
+        r_mask = (1 << r_bits) - 1
+        halves = [np.array([x >> r_bits for x in todo], dtype=np.uint64),
+                  np.array([x & r_mask for x in todo], dtype=np.uint64)]
+        masks = [np.array((1 << l_bits) - 1, dtype=np.uint64),
+                 np.array(r_mask, dtype=np.uint64)]
+        # one row per round and one column per input, under its permutation's key
+        keys = np.repeat(np.hstack([perm._round_keys for perm in perms]),
+                         [len(job[4]) for job in jobs], axis=1)
+        rounds = range(FEISTEL_ROUNDS)
+        for rnd in reversed(rounds) if inverse else rounds:
+            # even rounds key on the right half and change the left
+            side = rnd % 2
+            mixed = _fmix64(halves[1 - side] ^ keys[rnd])
+            halves[side] = halves[side] ^ (mixed & masks[side])
+        outs = iter([(left << r_bits) | right
+                     for left, right in zip(*(half.tolist() for half in halves))])
+    results = []
+    for perm, xs, memo, mirror, job_todo in jobs:
+        # zip ends at the end of job_todo without taking from outs
+        new = dict(zip(job_todo, outs))
+        for x, out in new.items():
+            if len(memo) < perm._CACHE_CAP:
+                memo[x] = out
+            if len(mirror) < perm._CACHE_CAP:
+                mirror[out] = x
+        results.append([new[x] if x in new else memo[x] for x in xs])
+    return results
 
 
 def random_keyed_permutation(width, rng) -> KeyedPermutation:

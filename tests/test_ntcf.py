@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdepthlab import ntcf
+from qdepthlab import ntcf, oracles
 from qdepthlab.errors import CapacityError, QDepthError, SchemeViolation
 from qdepthlab.hybrid import HybridSession
 from qdepthlab.ntcf import (
@@ -75,7 +75,7 @@ def test_chk_rows(rng):
 
 def test_samp_state_shape_and_claw_collapse(rng):
     k, _ = gen(3, rng)
-    st = samp_state(k)
+    st, = samp_state([k])
     assert st.num_qubits == 1 + 2 * 3
     assert len(st.support) == 16
     y, st2 = measure(st, range(4, 7), "standard", rng)
@@ -87,7 +87,7 @@ def test_samp_state_shape_and_claw_collapse(rng):
 def test_standard_measurement_passes_chk(rng):
     k, _ = gen(3, rng)
     for _ in range(10):
-        st = samp_state(k)
+        st, = samp_state([k])
         y, st2 = measure(st, range(4, 7), "standard", rng)
         bx, _ = measure(st2, range(0, 4), "standard", rng)
         b, x = bx >> 3, bx & 0b111
@@ -99,7 +99,7 @@ def test_hadamard_measurement_equation_exhaustive(rng):
     for n in (2, 3, 4):
         k, _ = gen(n, rng)
         for _ in range(25):
-            st = samp_state(k)
+            st, = samp_state([k])
             _, st2 = measure(st, range(1 + n, 1 + 2 * n), "standard", rng)
             for q in range(1 + n):
                 st2.apply_gate(Gate("H", (q,)))
@@ -145,6 +145,45 @@ def test_verifier_refuses_answers_outside_its_answer_space(rng):
     for w in ((u + 2, e), (u, e + 16), (dot_bits(-1, k.shift), -1)):
         with pytest.raises(QDepthError, match="bit u and an n-bit e"):
             verify_v(k, y, 1, w)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_verifier_refuses_non_integer_answers(rng, c):
+    """An answer whose components are not integers is refused as malformed
+    under either challenge, also where its values pass the range checks."""
+    k, _ = gen(4, rng)
+    y = k.eval(0, 9)
+    for w in ((0, 1.5), (1.0, 9), ("0", 9), (0, None)):
+        with pytest.raises(QDepthError, match="malformed"):
+            verify_v(k, y, c, w)
+    assert verify_v(k, y, 0, (np.int64(0), np.uint8(9))) == 1
+
+
+@pytest.mark.parametrize("answer", [None, (0, 1.5), (1.5, 0)])
+def test_run_refuses_a_malformed_answer_before_recording_it(rng, answer):
+    """A prover's malformed answer reaches ``verify_v`` first, which refuses
+    it as malformed, as a non-integer image commitment is refused before it
+    could be truncated; integer answers of numpy types are recorded as
+    ints."""
+    class Malformed(HonestProver):
+        def answer(self, i, c):
+            return answer
+
+    class FractionalImages(HonestProver):
+        def begin(self, keys, d, rng):
+            return [y + 0.5 for y in super().begin(keys, d, rng)]
+
+    class NumpyInts(HonestProver):
+        def answer(self, i, c):
+            return tuple(np.int64(v) for v in super().answer(i, c))
+
+    with pytest.raises(QDepthError, match="malformed"):
+        run_cvqd(2, Malformed(), rng)
+    with pytest.raises(QDepthError, match="malformed image"):
+        run_cvqd(2, FractionalImages(), rng)
+    verdict, run = run_cvqd(2, NumpyInts(), _seeded(150, 0))
+    assert verdict == "accept"
+    assert all(type(v) is int for w in run.responses for v in w)
 
 
 def test_honest_run_accepts_with_exact_depth(rng):
@@ -283,34 +322,80 @@ def test_scheme_violation_in_finish_reaches_the_caller(monkeypatch, rng):
         run_cvqd(2, HonestProver(), rng)
 
 
+def _no_rounds(monkeypatch):
+    """Make any Feistel pass, or any round of one, fail the test."""
+    def never(*args, **kwargs):
+        raise AssertionError("a Feistel pass ran")
+
+    monkeypatch.setattr(ntcf, "feistel_pass", never)
+    monkeypatch.setattr(oracles, "feistel_pass", never)
+    monkeypatch.setattr(oracles, "_fmix64", never)
+
+
 def test_samp_state_refuses_an_over_cap_claw_state_before_building(monkeypatch):
     """At n = 20 the claw state has 2^21 entries, over the sparse cap: the
-    refusal comes before a single image is evaluated."""
-    key, _ = gen(20, np.random.default_rng(0))
-
-    def never(self, b, x):
-        raise AssertionError("claw state built before the capacity check")
-
-    monkeypatch.setattr(ntcf.ToyNTCFKey, "eval", never)
-    with pytest.raises(CapacityError):
-        samp_state(key)
+    refusal comes before a single image is evaluated, also when only the
+    last of a run's keys is over the cap, and no key's memo fills."""
+    rng = np.random.default_rng(0)
+    _no_rounds(monkeypatch)
+    for widths in ([20], [4, 4, 4, 20]):
+        keys = [gen(n, rng)[0] for n in widths]
+        with pytest.raises(CapacityError):
+            samp_state(keys)
+        assert all(k.perm._fwd_cache == k.perm._inv_cache == {} for k in keys)
 
 
 def test_preimages_of_sampled_images_run_no_round(monkeypatch, rng):
     """``samp_state`` leaves every image's preimage in the inverse memo, so
-    the trapdoor inverts each image of the claw state without running the
-    Feistel network again."""
-    key, _ = gen(4, rng)
-    images = {idx & 0xF for idx in samp_state(key).support}
-    assert len(images) == 16
+    the trapdoor inverts each image of every claw state of a run without
+    running the Feistel network again."""
+    d = 3
+    keys = [gen(4, rng)[0] for _ in range(d + 1)]
+    sampled = []
 
-    def never(self, *args):
-        raise AssertionError("Feistel rounds rerun for a sampled image")
+    def recorded(keys):
+        states = samp_state(keys)
+        sampled.extend({idx & 0xF for idx in st.support} for st in states)
+        return states
 
-    monkeypatch.setattr(ntcf.KeyedPermutation, "_feistel", never)
-    for y in images:
-        x0, x1 = key.preimages(y)
-        assert key.eval(0, x0) == key.eval(1, x1) == y
+    monkeypatch.setattr(ntcf, "samp_state", recorded)
+    HonestProver().begin(keys, d, rng)
+    _no_rounds(monkeypatch)
+    assert len(sampled) == d + 1
+    for key, images in zip(keys, sampled):
+        assert len(images) == 16
+        for y in images:
+            x0, x1 = key.preimages(y)
+            assert key.eval(0, x0) == key.eval(1, x1) == y
+
+
+# (images, rng state after begin) of keys [gen(4, rng)[0] for _ in range(4)]
+# and begin(keys, 3, rng) on default_rng(33), one Feistel pass per key
+BEGIN_KNOWN = {
+    HonestProver: [3, 0, 1, 5],
+    PreimageOnlyProver: [1, 11, 3, 0],
+}
+BEGIN_RNG_STATE = 339233835315205608881349477243120495829
+
+
+@pytest.mark.parametrize("prover_cls", [HonestProver, PreimageOnlyProver])
+def test_begin_evaluates_every_key_in_one_feistel_pass(monkeypatch, prover_cls):
+    """At d = 3 a prover's ``begin`` runs one Feistel pass for all four
+    keys: ``FEISTEL_ROUNDS`` mixer calls, not one set per key.  Its images
+    and the generator's state afterwards are those of one pass per key."""
+    calls = []
+    fmix64 = oracles._fmix64
+
+    def counted(words):
+        calls.append(len(words))
+        return fmix64(words)
+
+    rng = np.random.default_rng(33)
+    keys = [gen(4, rng)[0] for _ in range(4)]
+    monkeypatch.setattr(oracles, "_fmix64", counted)
+    assert prover_cls().begin(keys, 3, rng) == BEGIN_KNOWN[prover_cls]
+    assert len(calls) == oracles.FEISTEL_ROUNDS
+    assert rng.bit_generator.state["state"]["state"] == BEGIN_RNG_STATE
 
 
 @pytest.mark.parametrize("n", [64, 128, 129])

@@ -20,6 +20,7 @@ from qdepthlab.oracles import (
     apply_inplace_perm,
     apply_standard_oracle,
     build_inplace,
+    feistel_pass,
     pseudorandom_simon,
     sample_shuffling,
     sample_simon,
@@ -250,6 +251,66 @@ def test_eval_many_fills_the_memo_up_to_its_cap(monkeypatch):
     assert perm.eval_many(range(16)) == [FEISTEL_KNOWN[4][x] for x in range(16)]
     assert list(perm._fwd_cache) == [0, 1, 2, 3, 4]
     assert list(perm._inv_cache) == [FEISTEL_KNOWN[4][x] for x in range(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=hst.integers(2, 128),
+       keys=hst.lists(hst.binary(min_size=16, max_size=16), min_size=1, max_size=4),
+       inverse=hst.booleans(), cap=hst.sampled_from([3, 8, 1 << 18]), data=hst.data())
+@example(width=128, keys=[bytes(range(16)), b"k" * 16], inverse=False, cap=1 << 18,
+         data=None)
+def test_feistel_pass_is_one_eval_many_per_permutation(width, keys, inverse, cap, data):
+    """One pass over several same-width permutations gives, for each, what
+    its own ``eval_many`` (or ``invert`` one output at a time) gives and the
+    per-input reference confirms, duplicates and partly warm memos
+    included, and leaves each permutation's forward and inverse memos
+    equal, entry order included, to those of its one-permutation twin."""
+    top = (1 << width) - 1
+    if data is None:
+        batches = [[0, top, 0, 5], [top, 7, 7]]
+        warm = [[5], []]
+    else:
+        draws = [data.draw(hst.lists(hst.integers(0, top), max_size=10)) for _ in keys]
+        batches = [xs + xs[::2] for xs in draws]
+        warm = [data.draw(hst.lists(hst.sampled_from(xs), max_size=3)) if xs else []
+                for xs in draws]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KeyedPermutation, "_CACHE_CAP", cap)
+        batched = [KeyedPermutation(key, width) for key in keys]
+        single = [KeyedPermutation(key, width) for key in keys]
+        for perms in (batched, single):
+            for perm, xs in zip(perms, warm):
+                perm.eval_many(xs)
+        got = feistel_pass(batched, batches, inverse=inverse)
+        for key, perm, twin, xs, ys in zip(keys, batched, single, batches, got):
+            if inverse:
+                assert ys == [twin.invert(x) for x in xs]
+                assert [_feistel_reference(key, width, y) for y in ys] == xs
+            else:
+                assert ys == twin.eval_many(xs)
+                assert ys == [_feistel_reference(key, width, x) for x in xs]
+            assert list(perm._fwd_cache.items()) == list(twin._fwd_cache.items())
+            assert list(perm._inv_cache.items()) == list(twin._inv_cache.items())
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("bad_at", [0, 1, 2])
+def test_feistel_pass_checks_every_batch_before_any_round(monkeypatch, bad_at, inverse):
+    """An out-of-range input in any batch, or a permutation of another
+    width, is refused before a round runs, and no memo fills."""
+    def never(words):
+        raise AssertionError("a Feistel round ran")
+
+    perms = [KeyedPermutation(bytes([i]) * 16, 5) for i in range(3)]
+    batches = [[1, 2], [3], [4, 31]]
+    batches[bad_at] = batches[bad_at] + [32]
+    monkeypatch.setattr(oracles, "_fmix64", never)
+    with pytest.raises(QDepthError, match="does not fit"):
+        feistel_pass(perms, batches, inverse=inverse)
+    wide = perms[:bad_at] + [KeyedPermutation(b"w" * 16, 6)] + perms[bad_at + 1:]
+    with pytest.raises(QDepthError, match="one width"):
+        feistel_pass(wide, [[1]] * 3, inverse=inverse)
+    assert all(p._fwd_cache == p._inv_cache == {} for p in perms + wide)
 
 
 # -- subgroup embedding and Simon functions -----------------------------------
