@@ -1103,7 +1103,7 @@ class GameRun:
                     st.support = {k: (-v if dot_bits(k, z_mask) else v)
                                   for k, v in st.support.items()}
                 if x_mask:
-                    st.map_basis(lambda idx: idx ^ x_mask)
+                    st.map_basis(lambda idxs: [idx ^ x_mask for idx in idxs])
             return
         for w in range(attack.width):
             bit = attack.width - 1 - w

@@ -8,8 +8,9 @@ Lai, and a ``HybridSession`` has one call that runs quantum depth in each:
   ``layer(states, op, note)`` applies one depth-1 layer to every register.
 * dCQ lets classical code invoke bounded-depth circuits polynomially many
   times, every qubit measured in the computational basis after each
-  invocation.  ``invoke(circuit)`` runs a ``StepCircuit`` on a fresh
-  register; it takes no input state, so none crosses an invocation.
+  invocation.  ``invoke(circuit, shots, note)`` runs a ``StepCircuit``
+  ``shots`` times, each on a fresh register followed by a classical step
+  named ``note``; it takes no input state, so none crosses an invocation.
 
 Budget enforcement is fail-fast: a violating layer or invocation aborts
 before any of it runs.
@@ -186,15 +187,19 @@ class HybridSession:
         for st in states:
             op(st)
 
-    def invoke(self, circuit: StepCircuit):
-        """dCQ: run ``circuit`` on a fresh |0...0> register, measure every qubit.
+    def invoke(self, circuit: StepCircuit, shots, note):
+        """dCQ: run ``circuit`` ``shots`` times, each on a fresh |0...0>
+        register with every qubit measured, and the classical step ``note``
+        after each.
 
         The depth is checked against the budget before any step runs.  Each
-        invocation is charged ``circuit.depth`` layers in its own fully
-        measured trace step and sampled by its own Born-rule draw
-        (``SparseState.sample_index``); the state it samples and that state's
-        Born table are both built once per circuit (see ``StepCircuit``).
-        Returns the measured basis index, qubit 0 most significant.
+        shot is charged ``circuit.depth`` layers in its own fully measured
+        trace step, followed by its classical step.  The shots' Born-rule
+        draws take one ``rng.random(shots)``, the doubles ``shots`` single
+        draws take (``SparseState.sample_index``); the state they sample and
+        that state's Born table are both built once per circuit (see
+        ``StepCircuit``).  Returns the measured basis indices in shot order,
+        qubit 0 most significant.
         """
         if self.scheme_kind != DCQ:
             raise SchemeViolation("invoke is only available in dCQ sessions")
@@ -202,11 +207,14 @@ class HybridSession:
             raise DepthBudgetExceeded(
                 f"circuit depth {circuit.depth} over dCQ budget {self.budget}"
             )
-        state = circuit.prepared_state()
-        self.trace.steps.append(
-            TraceStep("quantum", layers=circuit.depth, full_measurement=True)
-        )
-        return state.sample_index(self.rng, circuit.born_table())
+        indices = circuit.prepared_state().sample_index(
+            self.rng, circuit.born_table(), shots)
+        for _ in range(shots):
+            self.trace.steps += (
+                TraceStep("quantum", layers=circuit.depth, full_measurement=True),
+                TraceStep("classical", name=note))
+        self._current_quantum = None
+        return indices
 
     def finish(self):
         self._current_quantum = None

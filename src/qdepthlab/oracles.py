@@ -8,6 +8,11 @@ queries its final map f_d (``ShufflingOracle.final_eval``), in-place
 (erasing) access its unitary U_{f_d} (``ShufflingOracle.final_unitary``),
 which is injective on the (value, flag) points the chain reaches.
 
+The maps an oracle step applies to a sparse state take a list of points and
+return the list of their images (``eval_many``, ``final_eval``,
+``final_unitary``, ``SimonFunction.evaluate``), so each step is one call
+over the state's support.
+
 An exact middle map and both final maps are defined only on the points the
 honest schedule reaches; evaluating one anywhere else is a lab error
 (``QDepthError``), not an image.
@@ -231,25 +236,23 @@ class SimonFunction:
     def embedding(self) -> SubgroupEmbedding:
         return SubgroupEmbedding(self.n, self.s)
 
-    def evaluate(self, x) -> int:
-        if not (0 <= x < (1 << self.n)):
+    def evaluate(self, xs) -> list:
+        """The function's values at the n-bit strings ``xs``: one table
+        lookup, or one ``eval_many`` of the prp."""
+        if xs and (min(xs) < 0 or max(xs) >> self.n):
             raise QDepthError("input outside the function domain")
         if self.table is not None:
-            return int(self.table[x])
+            return self.table[xs].tolist()
         emb = self.embedding
-        return self.prp.eval(emb.project(emb.collapse(x)))
+        return self.prp.eval_many([emb.project(emb.collapse(x)) for x in xs])
 
     def check_two_to_one(self):
-        """Exhaustive 2-to-1/shift validation (small n only); a prp-backed
-        function sends its whole domain through one ``eval_many``."""
+        """Exhaustive 2-to-1/shift validation (small n only), the whole
+        domain in one ``evaluate``."""
         if self.n > 16:
             raise CapacityError("exhaustive check limited to n <= 16")
-        xs = range(1 << self.n)
-        if self.table is not None:
-            values = self.table.tolist()
-        else:
-            emb = self.embedding
-            values = self.prp.eval_many([emb.project(emb.collapse(x)) for x in xs])
+        xs = list(range(1 << self.n))
+        values = self.evaluate(xs)
         seen = {}
         for x, v in zip(xs, values):
             seen.setdefault(v, []).append(x)
@@ -331,16 +334,23 @@ class ShufflingOracle:
             x = perm.eval(x)
         return x
 
-    def final_eval(self, y) -> int:
-        """f_d: the hidden function's value at a point of S_d."""
-        pre = self.s_d.get(y)
-        if pre is None:
-            raise QDepthError(f"final map evaluated at {y}, off S_d")
-        return self.simon.evaluate(pre)
+    def _preimages(self, ys, points, refusal):
+        """The Simon preimages of the S_d points ``ys``; at the first y off
+        S_d, ``QDepthError(refusal.format(point))`` names its point, the
+        final map's input it came from."""
+        pres = [self.s_d.get(y) for y in ys]
+        if None in pres:
+            raise QDepthError(refusal.format(points[pres.index(None)]))
+        return pres
 
-    def final_unitary(self, vf) -> int:
-        """U_{f_d} on the packed basis index (value << 1) | flag of the
-        (value register, flag qubit) field, for a value in S_d.
+    def final_eval(self, ys) -> list:
+        """f_d: the hidden function's values at points of S_d."""
+        return self.simon.evaluate(
+            self._preimages(ys, ys, "final map evaluated at {}, off S_d"))
+
+    def final_unitary(self, vfs) -> list:
+        """U_{f_d} on packed basis indices (value << 1) | flag of the
+        (value register, flag qubit) field, each for a value in S_d.
 
         The value register becomes the hidden function's n-bit output
         zero-padded, with the pad bit above it carrying the incoming flag so
@@ -348,16 +358,15 @@ class ShufflingOracle:
         it), and the flag flips by the coset bit b' of the Simon preimage.
         A flag of 0 therefore reproduces |f(x'), b'(x')> exactly.
         """
-        b = vf & 1
-        pre = self.s_d.get(vf >> 1)
-        if pre is None:
-            raise QDepthError(f"in-place final map evaluated at {vf}, off S_d x {{0,1}}")
+        pres = self._preimages([vf >> 1 for vf in vfs], vfs,
+                               "in-place final map evaluated at {}, off S_d x {{0,1}}")
+        emb = self.simon.embedding
         # b'(y) = 1 iff the Simon preimage of y lies in H
-        coset_bit = int(self.simon.embedding.in_h(pre))
-        return (((b << self.n) | self.simon.evaluate(pre)) << 1) | (b ^ coset_bit)
+        return [(((vf & 1) << self.n | value) << 1) | (vf & 1 ^ emb.in_h(pre))
+                for vf, pre, value in zip(vfs, pres, self.simon.evaluate(pres))]
 
     def compose(self, x):
-        return self.final_eval(self.chain_point(x))
+        return self.final_eval([self.chain_point(x)])[0]
 
     def descriptor(self) -> str:
         commit = hashlib.sha256(
@@ -428,42 +437,43 @@ def build_inplace(shuffling: ShufflingOracle, rng) -> ShufflingOracle:
 # ---------------------------------------------------------------------------
 
 
-def _field(idx, total, start, width):
-    return (idx >> (total - start - width)) & ((1 << width) - 1)
-
-
-def _with_field(idx, total, start, width, value):
-    shift = total - start - width
-    mask = ((1 << width) - 1) << shift
-    return (idx & ~mask) | (value << shift)
+def _field(total, reg):
+    """(shift, mask) of the register ``reg`` = (start_qubit, width) in a
+    basis index on ``total`` qubits: its value is (idx >> shift) & mask."""
+    start, width = reg
+    return total - start - width, (1 << width) - 1
 
 
 def apply_standard_oracle(state: SparseState, fn, in_reg, out_reg) -> SparseState:
     """XOR-oracle semantics |x, y> -> |x, y ^ f(x)> on register ranges.
 
-    Registers are (start_qubit, width) pairs and must not overlap.
+    Registers are (start_qubit, width) pairs and must not overlap.  ``fn``
+    maps the list of the support's x values to the list of their images,
+    each of them ``out_reg``'s width, in one call.
     """
     (a0, w0), (a1, w1) = in_reg, out_reg
     if not (a0 + w0 <= a1 or a1 + w1 <= a0):
         raise QDepthError("oracle registers overlap")
-    total = state.num_qubits
+    x_shift, x_mask = _field(state.num_qubits, in_reg)
+    y_shift, _ = _field(state.num_qubits, out_reg)
 
-    def relabel(idx):
-        x = _field(idx, total, a0, w0)
-        y = _field(idx, total, a1, w1)
-        return _with_field(idx, total, a1, w1, y ^ fn(x))
+    def relabel(idxs):
+        images = fn([(idx >> x_shift) & x_mask for idx in idxs])
+        return [idx ^ (fx << y_shift) for idx, fx in zip(idxs, images)]
 
     return state.map_basis(relabel)
 
 
 def apply_inplace_perm(state: SparseState, fn, reg) -> SparseState:
-    """In-place oracle |x> -> |P(x)> on one register range."""
-    a, w = reg
-    total = state.num_qubits
+    """In-place oracle |x> -> |P(x)> on one register range; ``fn`` maps the
+    list of the support's x values to the list of their images in one
+    call."""
+    shift, mask = _field(state.num_qubits, reg)
+    rest = ~(mask << shift)
 
-    def relabel(idx):
-        x = _field(idx, total, a, w)
-        return _with_field(idx, total, a, w, fn(x))
+    def relabel(idxs):
+        images = fn([(idx >> shift) & mask for idx in idxs])
+        return [(idx & rest) | (px << shift) for idx, px in zip(idxs, images)]
 
     return state.map_basis(relabel)
 
@@ -540,11 +550,11 @@ def inplace_steps(oracle: ShufflingOracle):
         return state.apply_hadamard_wall(range(n))
 
     def u0(state):
-        return apply_standard_oracle(state, oracle.middle[0].eval, (0, n), (n, big))
+        return apply_standard_oracle(state, oracle.middle[0].eval_many, (0, n), (n, big))
 
     def mid(i):
         def step(state):
-            return apply_inplace_perm(state, oracle.middle[i].eval, (n, big))
+            return apply_inplace_perm(state, oracle.middle[i].eval_many, (n, big))
         return step
 
     def u_final(state):
@@ -574,11 +584,12 @@ def standard_steps(oracle: ShufflingOracle):
         return state.apply_hadamard_wall(range(n))
 
     def q_first(state):
-        return apply_standard_oracle(state, oracle.middle[0].eval, (0, n), reg(1))
+        return apply_standard_oracle(state, oracle.middle[0].eval_many, (0, n), reg(1))
 
     def q_mid(i):
         def step(state):
-            return apply_standard_oracle(state, oracle.middle[i].eval, reg(i), reg(i + 1))
+            return apply_standard_oracle(state, oracle.middle[i].eval_many,
+                                         reg(i), reg(i + 1))
         return step
 
     def q_final(state):
@@ -595,15 +606,21 @@ def standard_steps(oracle: ShufflingOracle):
 
 def _collect_samples(session, schedule, n, inplace, target, max_runs):
     """Invoke one step circuit until ``target`` samples are in hand or
-    ``max_runs`` invocations are spent; returns (samples, runs)."""
+    ``max_runs`` invocations are spent; returns (samples, runs).
+
+    Each batch asks for as many shots as samples are missing, within the
+    runs left: a shot yields at most one sample, so every shot of a batch is
+    one that drawing shot by shot, stopping at the target, would draw too.
+    """
     circuit = StepCircuit(*schedule)
     samples, runs = [], 0
     while len(samples) < target and runs < max_runs:
-        y = shift_sample(session.invoke(circuit), circuit.num_qubits, n, inplace)
-        runs += 1
-        if y is not None:
-            samples.append(y)
-        session.classical("collect_sample")
+        shots = min(target - len(samples), max_runs - runs)
+        for index in session.invoke(circuit, shots, "collect_sample"):
+            y = shift_sample(index, circuit.num_qubits, n, inplace)
+            if y is not None:
+                samples.append(y)
+        runs += shots
     return samples, runs
 
 

@@ -123,15 +123,21 @@ def named_operator(n, name, targets) -> np.ndarray:
 @functools.cache
 def _wall_spread(n, qubits) -> np.ndarray:
     """Per sub-index of a Hadamard wall on ``qubits`` (its first qubit most
-    significant), the basis bits it sets.  Python ints, so registers wider
-    than 63 qubits work; the qubits are checked here, so only the first
-    wall on each (n, qubits) pays for it."""
+    significant), the basis bits it sets, in ``_index_dtype(n)``.  The
+    qubits are checked here, so only the first wall on each (n, qubits) pays
+    for it."""
     _check_targets(n, qubits)
     spread = [0]
     for q in qubits:
         m = 1 << (n - 1 - q)
         spread = [s | b for s in spread for b in (0, m)]
-    return read_only(np.array(spread, dtype=object))
+    return read_only(np.array(spread, dtype=_index_dtype(n)))
+
+
+def _index_dtype(n):
+    """The numpy dtype that holds every basis index of an n-qubit register:
+    int64 up to 63 qubits, Python ints (object) above."""
+    return np.int64 if n <= 63 else object
 
 
 class StateVector:
@@ -243,13 +249,13 @@ class SparseState:
         return self
 
     def map_basis(self, fn):
-        """Relabel basis states through a bijection on indices."""
-        new = {}
-        for k, a in self.support.items():
-            j = fn(k)
-            if j in new:
-                raise QDepthError("basis map is not injective on the support")
-            new[j] = a
+        """Relabel basis states through a bijection on indices: ``fn`` maps
+        the list of support indices, in support order, to the list of their
+        images, which keep that order."""
+        images = fn(list(self.support))
+        new = dict(zip(images, self.support.values()))
+        if not len(images) == len(new) == len(self.support):
+            raise QDepthError("basis map is not injective on the support")
         self.support = new
         return self
 
@@ -278,30 +284,29 @@ class SparseState:
         out = vecs @ _hadamard_tensor(k).T
         keep = np.abs(out) > _PRUNE
         r, c = np.nonzero(keep)
-        bases = np.array(list(rows), dtype=object)
+        bases = np.array(list(rows), dtype=_index_dtype(self.num_qubits))
         self.support = dict(zip((bases[r] | spread[c]).tolist(), out[keep].tolist()))
         self._check_cap()
         return self
 
     def born_distribution(self):
         """The Born rule of a full measurement: the basis indices in support
-        order and the ``born_cdf`` of their normalised probabilities."""
+        order and the ``born_cdf`` of their normalised ``born_weights``."""
         indices = list(self.support)
-        # Python's abs(a) ** 2, not np.abs(...) ** 2: the two differ in the
-        # last bit for some amplitudes, which would move seeded draws
-        probs = np.fromiter((abs(a) ** 2 for a in self.support.values()),
-                            dtype=float, count=len(indices))
+        probs = born_weights(np.fromiter(self.support.values(), dtype=complex,
+                                         count=len(indices)))
         return indices, born_cdf(probs / probs.sum())
 
-    def sample_index(self, rng, born=None) -> int:
-        """Draw one basis index by the Born rule (a full measurement).
+    def sample_index(self, rng, born, shots) -> list:
+        """Draw ``shots`` basis indices by the Born rule (full measurements)
+        from one ``rng.random(shots)``.
 
         ``born`` is this state's ``born_distribution()`` if the caller keeps
         it, as a dCQ circuit does for the state it samples on every
-        invocation; otherwise it is built here.
+        invocation; if None, it is built here.
         """
         indices, cdf = self.born_distribution() if born is None else born
-        return indices[born_draw(rng, cdf)]
+        return [indices[i] for i in born_draw(rng, cdf, shots)]
 
 
 @functools.cache
@@ -311,6 +316,15 @@ def _hadamard_tensor(k) -> np.ndarray:
     for _ in range(k):
         hk = np.kron(hk, H)
     return read_only(hk)
+
+
+def born_weights(z) -> np.ndarray:
+    """Python's ``abs(a) ** 2`` of each amplitude of the complex array
+    ``z``, bit for bit, as ``float_power(hypot(re, im), 2)``: both take
+    libm's ``hypot`` and ``pow``.  ``np.abs(z) ** 2`` and ``np.hypot(re,
+    im) ** 2`` square by ``x * x`` and differ in the last bit for some
+    amplitudes, which would move seeded draws."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
 # numpy's tolerance on the sum of ``Generator.choice``'s p, for float64 p
@@ -334,10 +348,14 @@ def born_cdf(probs) -> np.ndarray:
     return cdf
 
 
-def born_draw(rng, cdf) -> int:
+def born_draw(rng, cdf, shots=None):
     """One draw from a ``born_cdf`` table: the same index, and the same one
-    ``rng.random()`` taken, as ``Generator.choice`` with that ``p``."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    ``rng.random()`` taken, as ``Generator.choice`` with that ``p``.  With
+    ``shots``, a list of that many draws from one ``rng.random(shots)``,
+    which takes the doubles ``shots`` single draws take."""
+    if shots is None:
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    return cdf.searchsorted(rng.random(shots), side="right").tolist()
 
 
 def born_pick(rng, probs) -> int:
@@ -347,8 +365,8 @@ def born_pick(rng, probs) -> int:
     Two weights take a path in Python floats that builds the table
     ``born_cdf`` builds, bit for bit: its first entry is a / (a + b), its
     last 1.0, so the index is whether the one ``rng.random()`` reaches the
-    first.  Weights ``born_cdf`` refuses, all-zero ones included, raise
-    ``QDepthError`` as it does.
+    first.  Weights ``born_cdf`` refuses raise ``QDepthError`` as it does;
+    weights whose sum is zero, infinite or NaN raise it before any division.
     """
     if len(probs) == 2:
         p0, p1 = float(probs[0]), float(probs[1])
@@ -358,7 +376,10 @@ def born_pick(rng, probs) -> int:
             total = a + b
             if abs(total - 1.0) <= _BORN_ATOL and min(a, b) >= 0:
                 return int(rng.random() >= a / total)
-    return born_draw(rng, born_cdf(probs / probs.sum()))
+    total = probs.sum()
+    if not total or not math.isfinite(total):
+        raise QDepthError(f"Born weights must have a finite nonzero sum, not {total}")
+    return born_draw(rng, born_cdf(probs / total))
 
 
 def trial_rng(seed, trial):
@@ -446,7 +467,7 @@ def measure(state: SparseState, qubits, basis="standard", rng=None):
         masks = [state._mask(q) for q in qubits]
         keys = [bits_to_int([idx & m != 0 for m in masks]) for idx in state.support]
     patterns, members = {}, {}
-    # Python's abs(a) ** 2, as in ``SparseState.born_distribution``
+    # Python's abs(a) ** 2, which ``SparseState.born_distribution`` matches
     for key, (idx, a) in zip(keys, state.support.items()):
         patterns[key] = patterns.get(key, 0.0) + abs(a) ** 2
         members.setdefault(key, {})[idx] = a

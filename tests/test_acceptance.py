@@ -136,7 +136,7 @@ def test_criterion_06_depth_audit():
     before = dict(states[0].support)
     aborted = False
     try:
-        session.layer(states, lambda st: st.map_basis(lambda idx: idx ^ 1))
+        session.layer(states, lambda st: st.map_basis(lambda idxs: [idx ^ 1 for idx in idxs]))
     except DepthBudgetExceeded:
         aborted = states[0].support == before
     elapsed = time.perf_counter() - t0

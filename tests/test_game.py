@@ -400,7 +400,7 @@ def test_comp_round_abstract_mode_applies_oracle():
     for q in range(cfg.n):
         want.apply_gate(Gate("H", (q,)))
     oracles.apply_standard_oracle(
-        want, orc.middle[0].eval, (0, cfg.n), (cfg.n, layout.big_width))
+        want, orc.middle[0].eval_many, (0, cfg.n), (cfg.n, layout.big_width))
     got = run.a.instances[0]
     assert set(got.support) == set(want.support)
 

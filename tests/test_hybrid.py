@@ -58,36 +58,39 @@ def test_dcq_depth_budget(rng):
     calls = []
     session = HybridSession(DCQ, 2, rng)
     with pytest.raises(DepthBudgetExceeded):
-        session.invoke(_circuit(3, calls=calls))
+        session.invoke(_circuit(3, calls=calls), 1, "sample")
     assert calls == [] and session.trace.steps == []
 
 
 def test_dcq_runs_and_measures_fully(rng):
     session = HybridSession(DCQ, 2, rng)
-    out = session.invoke(_circuit(2))      # H H = I on qubit 0
-    assert out == 0b00
+    outs = session.invoke(_circuit(2), 3, "sample")      # H H = I on qubit 0
+    assert outs == [0b00] * 3
     trace = session.finish()
-    step = trace.quantum_steps()[0]
-    assert step.layers == 2 and step.full_measurement
+    assert [(step.kind, step.name) for step in trace.steps] == [
+        ("quantum", ""), ("classical", "sample")] * 3
+    for step in trace.quantum_steps():
+        assert step.layers == 2 and step.full_measurement
 
 
 def test_dcq_rejects_live_state(rng):
-    """No quantum state crosses a dCQ round: ``invoke`` takes the circuit
-    alone, and the state it samples stays as the steps prepared it."""
+    """No quantum state crosses a dCQ round: ``invoke`` takes the circuit,
+    a shot count and a note but no state, and the state it samples stays as
+    the steps prepared it."""
     assert list(inspect.signature(HybridSession.invoke).parameters) == [
-        "self", "circuit"]
+        "self", "circuit", "shots", "note"]
     session = HybridSession(DCQ, 1, rng)
     circuit = _circuit(1)
-    outs = [session.invoke(circuit)]
+    outs = session.invoke(circuit, 1, "sample")
     prepared = circuit.prepared_state()
     snapshot = dict(prepared.support)
-    outs += [session.invoke(circuit) for _ in range(20)]
+    outs += session.invoke(circuit, 20, "sample")
     assert circuit.prepared_state() is prepared
     assert prepared.support == snapshot
     assert {out >> 1 for out in outs} == {0, 1}
     assert {out & 1 for out in outs} == {0}
     with pytest.raises(SchemeViolation):
-        HybridSession(DQC, 1, rng).invoke(circuit)
+        HybridSession(DQC, 1, rng).invoke(circuit, 1, "sample")
 
 
 def test_dqc_budget_cumulative(rng):
@@ -113,7 +116,7 @@ def test_dqc_abort_happens_before_the_layer_runs(rng):
 
     def flip(state):
         calls.append(1)
-        return state.map_basis(lambda idx: idx ^ 1)
+        return state.map_basis(lambda idxs: [idx ^ 1 for idx in idxs])
 
     session = HybridSession(DQC, 1, rng)
     states = [SparseState.from_bits([0]), SparseState.from_bits([1])]

@@ -29,7 +29,7 @@ from qdepthlab.oracles import (
     solve_inplace_dssp,
     solve_standard_dssp,
 )
-from qdepthlab.qsim import Gate, SparseState, bits_to_int, dot_bits, measure
+from qdepthlab.qsim import Gate, SparseState, bits_to_int, born_draw, dot_bits, measure
 
 SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -343,9 +343,9 @@ def test_smallest_simon_case(rng):
     for _ in range(30):
         f = sample_simon(2, rng)
         shifts.add(f.s)
-        assert f.evaluate(0b00) == f.evaluate(f.s)
-        assert f.evaluate(0b11) == f.evaluate(0b11 ^ f.s)
-        assert len({f.evaluate(x) for x in range(4)}) == 2
+        values = f.evaluate([0b00, f.s, 0b11, 0b11 ^ f.s])
+        assert values[0] == values[1] and values[2] == values[3]
+        assert len(set(f.evaluate(list(range(4))))) == 2
     assert shifts == {0b01, 0b10, 0b11}
 
 
@@ -367,11 +367,8 @@ def test_shift_distribution_uniform(rng):
 
 
 class _IdentityPerm:
-    def eval(self, x):
-        return x
-
-    def invert(self, y):
-        return y
+    def eval_many(self, xs):
+        return list(xs)
 
 
 def test_pseudorandom_simon_is_simon(rng):
@@ -386,7 +383,7 @@ def test_pseudorandom_simon_is_simon(rng):
 def test_pseudorandom_simon_injective_on_h(rng):
     g = pseudorandom_simon(b"k" * 16, 0b101, 3)
     emb = g.embedding
-    values = [g.evaluate(x) for x in range(8) if emb.in_h(x)]
+    values = g.evaluate([x for x in range(8) if emb.in_h(x)])
     assert len(set(values)) == len(values)
 
 
@@ -395,8 +392,7 @@ def test_pseudorandom_simon_identity_perm_formula():
     n, s = 4, 0b0101
     f = oracles.SimonFunction(n=n, s=s, prp=_IdentityPerm())
     emb = SubgroupEmbedding(n, s)
-    for x in range(16):
-        assert f.evaluate(x) == emb.project(emb.collapse(x))
+    assert f.evaluate(list(range(16))) == [emb.project(emb.collapse(x)) for x in range(16)]
 
 
 # -- shuffling oracles ---------------------------------------------------------
@@ -405,16 +401,14 @@ def test_pseudorandom_simon_identity_perm_formula():
 def test_shuffling_composition_d0(rng):
     f = sample_simon(3, rng)
     sh = sample_shuffling(f, 0, rng, mode="exact")
-    for x in range(8):
-        assert sh.compose(x) == f.evaluate(x)
+    assert [sh.compose(x) for x in range(8)] == f.evaluate(list(range(8)))
 
 
 @pytest.mark.parametrize("mode", ["exact", "prp"])
 def test_shuffling_composition(rng, mode):
     f = sample_simon(3, rng)
     sh = sample_shuffling(f, 2, rng, mode=mode)
-    for x in range(8):
-        assert sh.compose(x) == f.evaluate(x)
+    assert [sh.compose(x) for x in range(8)] == f.evaluate(list(range(8)))
     assert len(sh.s_d) == 8
 
 
@@ -423,11 +417,12 @@ def test_final_eval_refuses_points_off_hidden_set(rng):
     ``QDepthError`` naming any other point."""
     f = sample_simon(3, rng)
     sh = sample_shuffling(f, 2, rng, mode="exact")
-    for y, x in sh.s_d.items():
-        assert sh.final_eval(y) == f.evaluate(x)
+    assert sh.final_eval(list(sh.s_d)) == f.evaluate(list(sh.s_d.values()))
     outside = next(y for y in range(1 << sh.big_width) if y not in sh.s_d)
     with pytest.raises(QDepthError, match=f"at {outside}, off S_d"):
-        sh.final_eval(outside)
+        sh.final_eval([outside])
+    with pytest.raises(QDepthError, match=f"at {outside}, off S_d"):
+        sh.final_eval([*sh.s_d, outside])
 
 
 def test_build_inplace_returns_the_chain_after_its_key_draw():
@@ -454,7 +449,7 @@ def test_exact_mode_width_policy(rng):
         f = sample_simon(n, rng)
         sh = sample_shuffling(f, d, rng, mode="exact")
         assert sh.big_width == width
-        assert all(sh.compose(x) == f.evaluate(x) for x in range(1 << n))
+        assert [sh.compose(x) for x in range(1 << n)] == f.evaluate(list(range(1 << n)))
 
 
 def test_prp_mode_width_policy(rng):
@@ -468,8 +463,8 @@ def test_prp_mode_width_policy(rng):
         assert sh.big_width == width
         assert 0 not in sh.s_d
         with pytest.raises(QDepthError, match="evaluated at 0,"):
-            sh.final_unitary(0)
-        assert all(sh.compose(x) == f.evaluate(x) for x in range(1 << n))
+            sh.final_unitary([0])
+        assert [sh.compose(x) for x in range(1 << n)] == f.evaluate(list(range(1 << n)))
     for n, d in [(3, 41), (4, 31)]:
         with pytest.raises(CapacityError):
             sample_shuffling(sample_simon(n, rng), d, rng, mode="prp")
@@ -531,7 +526,7 @@ def test_exact_off_chain_evaluations_leave_the_trial_stream():
         sh.middle[1].eval_many([*sh.middle[1], off_chain])
     off_field = next(z for z in range(1 << (sh.big_width + 1)) if z >> 1 not in sh.s_d)
     with pytest.raises(QDepthError, match=f"at {off_field},"):
-        sh.final_unitary(off_field)
+        sh.final_unitary([off_field])
     # the standard schedule's final query, on a workspace holding a point off S_d
     steps, total = oracles.standard_steps(sh)
     off_end = next(y for y in range(1 << sh.big_width) if y not in sh.s_d)
@@ -572,13 +567,11 @@ def test_final_bijection_exhaustive(inplace_oracle):
     S_d x {0,1} and raises everywhere else."""
     sh = inplace_oracle
     valid = {(y << 1) | b for y in sh.s_d for b in (0, 1)}
-    outs = set()
+    outs = set(sh.final_unitary(list(valid)))
     for z in range(1 << (sh.big_width + 1)):
-        if z in valid:
-            outs.add(sh.final_unitary(z))
-        else:
-            with pytest.raises(QDepthError):
-                sh.final_unitary(z)
+        if z not in valid:
+            with pytest.raises(QDepthError, match=f"at {z}, off S_d x"):
+                sh.final_unitary([z])
     assert len(valid) == len(outs) == 2 << sh.n
 
 
@@ -596,11 +589,14 @@ def test_flag_flips_by_coset_membership(inplace_oracle):
     function's preimage lies in the subgroup H."""
     sh = inplace_oracle
     emb = sh.simon.embedding
-    for y, x_pre in sh.s_d.items():
-        v, fl = divmod(sh.final_unitary(y << 1), 2)
+    ys, pres = list(sh.s_d), list(sh.s_d.values())
+    outs0 = sh.final_unitary([y << 1 for y in ys])
+    outs1 = sh.final_unitary([(y << 1) | 1 for y in ys])
+    for x_pre, value, out0, out1 in zip(pres, sh.simon.evaluate(pres), outs0, outs1):
+        v, fl = divmod(out0, 2)
         assert fl == int(emb.in_h(x_pre))
-        assert v & ((1 << sh.n) - 1) == sh.simon.evaluate(x_pre)
-        v1, fl1 = divmod(sh.final_unitary((y << 1) | 1), 2)
+        assert v & ((1 << sh.n) - 1) == value
+        v1, fl1 = divmod(out1, 2)
         assert fl1 == 1 ^ int(emb.in_h(x_pre))
 
 
@@ -612,15 +608,15 @@ def test_erasing_chain_reaches_tagged_state(inplace_oracle, rng):
     st = SparseState.from_bits([0] * total)
     for q in range(n):
         st.apply_gate(Gate("H", (q,)))
-    apply_standard_oracle(st, sh.middle[0].eval, (0, n), (n, W))
+    apply_standard_oracle(st, sh.middle[0].eval_many, (0, n), (n, W))
     for lvl in range(1, sh.d):
-        apply_inplace_perm(st, sh.middle[lvl].eval, (n, W))
+        apply_inplace_perm(st, sh.middle[lvl].eval_many, (n, W))
     apply_inplace_perm(st, sh.final_unitary, (n, W + 1))
     emb = sh.simon.embedding
     want = {}
     amp = 2.0 ** (-n / 2)
-    for x in range(1 << n):
-        idx = (x << (W + 1)) | (sh.simon.evaluate(x) << 1) | int(emb.in_h(x))
+    for x, value in enumerate(sh.simon.evaluate(list(range(1 << n)))):
+        idx = (x << (W + 1)) | (value << 1) | int(emb.in_h(x))
         want[idx] = amp
     assert set(st.support) == set(want)
     for k, v in want.items():
@@ -631,11 +627,12 @@ def test_standard_oracle_semantics(rng):
     st = SparseState.from_bits([0] * 8)
     for q in range(4):
         st.apply_gate(Gate("H", (q,)))
-    fn = lambda x: (x * 7 + 3) % 16
+    f = lambda x: (x * 7 + 3) % 16
+    fn = lambda xs: [f(x) for x in xs]
     apply_standard_oracle(st, fn, (0, 4), (4, 4))
     for idx in st.support:
         x, y = idx >> 4, idx & 15
-        assert y == fn(x)
+        assert y == f(x)
     # applying twice is the identity
     apply_standard_oracle(st, fn, (0, 4), (4, 4))
     for idx in st.support:
@@ -646,7 +643,7 @@ def test_standard_oracle_semantics(rng):
 def test_standard_oracle_register_overlap():
     st = SparseState.from_bits([0] * 4)
     with pytest.raises(QDepthError):
-        apply_standard_oracle(st, lambda x: x, (0, 3), (2, 2))
+        apply_standard_oracle(st, lambda xs: xs, (0, 3), (2, 2))
 
 
 # -- GF(2) solving and the dSSP solvers -------------------------------------------
@@ -710,17 +707,23 @@ def test_standard_solver_depth(rng):
     assert audited_depth(trace) == 2 * 2 + 3
 
 
-def _rebuild_every_invocation(session, circuit):
+def _rebuild_every_invocation(session, circuit, shots, note):
     """Reference ``HybridSession.invoke``: re-run every step from |0...0>
-    on each invocation."""
+    on each shot and draw it by its own ``rng.random()``, then log its
+    classical step."""
     if circuit.depth > session.budget:
         raise DepthBudgetExceeded("over budget")
-    state = SparseState.from_bits([0] * circuit.num_qubits)
-    for step in circuit.steps:
-        state = step(state)
-    session.trace.steps.append(
-        TraceStep("quantum", layers=circuit.depth, full_measurement=True))
-    return state.sample_index(session.rng)
+    indices = []
+    for _ in range(shots):
+        state = SparseState.from_bits([0] * circuit.num_qubits)
+        for step in circuit.steps:
+            state = step(state)
+        session.trace.steps.append(
+            TraceStep("quantum", layers=circuit.depth, full_measurement=True))
+        support, cdf = state.born_distribution()
+        indices.append(support[born_draw(session.rng, cdf)])
+        session.classical(note)
+    return indices
 
 
 def _seeded_solve(access, n, mode, seed):
@@ -745,6 +748,35 @@ def test_prepared_state_solver_matches_per_invocation_rebuild(
             m.setattr(HybridSession, "invoke", _rebuild_every_invocation)
             want = _seeded_solve(access, n, mode, seed)
         assert got == want
+
+
+@pytest.mark.parametrize("access", ["inplace", "standard"])
+@pytest.mark.parametrize("target,max_runs", [(30, 7), (6, 10), (6, 40)])
+def test_collect_samples_batches_draw_what_single_shots_draw(access, target, max_runs):
+    """Shot batches collect the samples, and leave the generator where, one
+    shot at a time stopping at ``target`` or ``max_runs`` would, also with
+    ``max_runs`` below ``target`` (a cap the solvers' own settings never
+    reach), where exactly ``max_runs`` shots are drawn."""
+    rng = np.random.default_rng(2224)
+    sh = build_inplace(sample_shuffling(sample_simon(3, rng), 2, rng, mode="exact"), rng)
+    inplace = access == "inplace"
+    schedule = (oracles.inplace_steps if inplace else oracles.standard_steps)(sh)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    session = HybridSession(DCQ, 2 * sh.d + 3, got_rng)
+    samples, runs = oracles._collect_samples(session, schedule, sh.n, inplace,
+                                             target, max_runs)
+    indices, cdf = StepCircuit(*schedule).born_table()
+    want, want_runs = [], 0
+    while len(want) < target and want_runs < max_runs:
+        y = shift_sample(indices[born_draw(want_rng, cdf)], schedule[1], sh.n, inplace)
+        want_runs += 1
+        if y is not None:
+            want.append(y)
+    assert (samples, runs) == (want, want_runs)
+    if max_runs < target:
+        assert runs == max_runs
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert [step.kind for step in session.trace.steps] == ["quantum", "classical"] * runs
 
 
 @pytest.mark.parametrize("access", ["inplace", "standard"])
@@ -818,7 +850,7 @@ def test_step_circuit_budget_checked_before_any_layer(rng):
 
     circuit = StepCircuit([step] * 3, 2)
     with pytest.raises(DepthBudgetExceeded):
-        HybridSession(DCQ, 2, rng).invoke(circuit)
+        HybridSession(DCQ, 2, rng).invoke(circuit, 1, "sample")
     assert calls == []
 
 

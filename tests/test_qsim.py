@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,29 @@ def test_apply_gate_rejects_bad_targets(cls, gate):
     assert cls(2).apply_gate(Gate("CNOT", (1, 0))).norm() == pytest.approx(1.0)
 
 
+def test_map_basis_takes_one_batch_and_refuses_a_non_injective_map():
+    """``map_basis`` hands its map the support's indices in support order,
+    once, and keeps that order for their images; images that collide, or
+    more or fewer images than indices, are a ``QDepthError`` that leaves
+    the state as it was."""
+    support = {5: 0.6 + 0j, 1: 0.0 + 0.8j, 6: 0j}
+    calls = []
+
+    def flip(idxs):
+        calls.append(list(idxs))
+        return [idx ^ 2 for idx in idxs]
+
+    state = SparseState(3, support).map_basis(flip)
+    assert calls == [[5, 1, 6]]
+    assert list(state.support.items()) == [(7, 0.6 + 0j), (3, 0.8j), (4, 0j)]
+    for bad in (lambda idxs: [0] * len(idxs), lambda idxs: idxs[:-1],
+                lambda idxs: idxs + [7]):
+        state = SparseState(3, support)
+        with pytest.raises(QDepthError, match="not injective"):
+            state.map_basis(bad)
+        assert state.support == support
+
+
 # -- the Born-rule draw of a full measurement --------------------------------
 
 
@@ -226,20 +250,23 @@ def _supports(draw):
 @given(case=_supports(), seed=hst.integers(0, 2**32 - 1),
        draws=hst.integers(1, 5))
 def test_sample_index_matches_reference(case, seed, draws):
-    """Drawing from a kept Born table, or from one built per call, returns
-    the indices the old one-pass draw returned and leaves the generator in
-    the same state."""
+    """Drawing from a kept Born table, or from one built per call, one shot
+    a call or ``draws`` shots in one call, returns the indices the old
+    one-pass draw returned and leaves the generator in the same state."""
     n, support = case
     state = SparseState(n, support)
     born = state.born_distribution()
     assert born[0] == list(support)
-    rng_kept, rng_fresh, rng_want = (np.random.default_rng(seed) for _ in range(3))
+    rng_kept, rng_fresh, rng_want, rng_shots = (np.random.default_rng(seed)
+                                                for _ in range(4))
+    wants = []
     for _ in range(draws):
-        want = _sample_index_reference(state, rng_want)
-        assert state.sample_index(rng_kept, born) == want
-        assert state.sample_index(rng_fresh) == want
-    assert rng_kept.bit_generator.state == rng_want.bit_generator.state
-    assert rng_fresh.bit_generator.state == rng_want.bit_generator.state
+        wants.append(_sample_index_reference(state, rng_want))
+        assert state.sample_index(rng_kept, born, 1) == wants[-1:]
+        assert state.sample_index(rng_fresh, None, 1) == wants[-1:]
+    assert state.sample_index(rng_shots, born, draws) == wants
+    for got in (rng_kept, rng_fresh, rng_shots):
+        assert got.bit_generator.state == rng_want.bit_generator.state
 
 
 # -- the Born sampler ------------------------------------------------------------
@@ -332,10 +359,10 @@ def test_born_pick_splits_two_weights_where_born_cdf_does(weights):
 
 
 def test_born_distribution_squares_amplitudes_in_python():
-    """The Born weights are Python's ``abs(a) ** 2``.  For this amplitude
-    numpy's ``np.abs(a) ** 2`` is one ulp away, so a vectorised table would
-    move seeded draws; the full-measurement table of a referee's final
-    answer keeps the same weights."""
+    """The Born table is built from Python's ``abs(a) ** 2``.  For this
+    amplitude numpy's ``np.abs(a) ** 2`` is one ulp away, so a table built
+    from it would move seeded draws; the full-measurement table of a
+    referee's final answer keeps the same weights."""
     z, w = 0.1257302210933933 + 0.32359471786070765j, 0.5 + 0.25j
     weights = np.array([abs(z) ** 2, abs(w) ** 2])
     want = qsim.born_cdf(weights / weights.sum())
@@ -345,6 +372,47 @@ def test_born_distribution_squares_amplitudes_in_python():
     outcomes, table = game._full_measurement_table(SparseState(1, {1: w, 0: z}))
     assert outcomes == [0, 1]
     assert table.tolist() == want.tolist()
+
+
+_COMPONENTS = hst.one_of(
+    hst.floats(-1.0, 1.0),
+    hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    hst.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(amps=hst.lists(hst.builds(complex, _COMPONENTS, _COMPONENTS)
+                      .filter(lambda a: abs(a) <= 1.0), min_size=1, max_size=50))
+@example(amps=[0.1257302210933933 + 0.32359471786070765j, complex(-0.0, 0.0),
+               complex(5e-324, -5e-324)])
+def test_born_weights_equal_python_abs_squared_bit_for_bit(amps):
+    """``born_weights``, which ``born_distribution`` normalises, is Python's
+    ``abs(a) ** 2`` bit for bit, for amplitudes of modulus at most 1 with
+    zeros, signed zeros and subnormal parts.  ``np.abs(z) ** 2`` fails this
+    (at the first amplitude of the example, by one ulp), and so does
+    ``np.hypot(z.real, z.imag) ** 2``: numpy squares by ``x * x``."""
+    got = qsim.born_weights(np.array(amps, dtype=complex))
+    assert got.tobytes() == np.array([abs(a) ** 2 for a in amps]).tobytes()
+    state = SparseState(6, {k: a for k, a in enumerate(amps)})
+    if sum(abs(a) ** 2 for a in amps) > 0:
+        weights = np.array([abs(a) ** 2 for a in amps])
+        want = qsim.born_cdf(weights / weights.sum())
+        assert state.born_distribution()[1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [[0.0, 0.0], [0.0, 0.0, 0.0], [np.inf, 1.0],
+                               [np.nan, 1.0]])
+def test_born_pick_refuses_weights_without_a_finite_sum_before_dividing(p):
+    """Weights summing to zero, infinity or NaN raise ``QDepthError``
+    without a numpy warning (as errors here, whatever the test
+    configuration) and without a draw."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QDepthError):
+            qsim.born_pick(rng, np.array(p))
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("p", [[0.5, np.nan], [1.2, -0.2], [0.5, 0.6], [0.2, 0.2],
@@ -443,6 +511,27 @@ def test_hadamard_wall_matches_per_qubit_gates(case, data):
     assert set(got.support) == set(want.support)
     for idx, a in got.support.items():
         assert abs(a - want.support[idx]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 70])
+def test_hadamard_wall_at_the_int64_edge(n):
+    """Registers of at most 63 qubits form the wall's output indices in
+    int64, wider ones in Python ints; on either side of that edge, with the
+    top qubit set in the support, the wall keeps the reference's entries and
+    their order, as Python ints, and the amplitudes of H on each qubit."""
+    top = 1 << (n - 1)
+    support = {top | 1: 0.6 + 0j, top | (1 << (n - 2)): 0.0 + 0.8j, 5: 0j + 1e-3,
+               top | (1 << 30) | 6: -0.1 + 0j}
+    for qubits in ([0], [0, n - 1], [n - 1, 1, 0, n // 2], [n - 3, n - 2]):
+        got = SparseState(n, support).apply_hadamard_wall(qubits)
+        assert list(got.support) == _wall_order_reference(SparseState(n, support),
+                                                          qubits)
+        assert all(type(k) is int for k in got.support)
+        want = SparseState(n, support)
+        for q in qubits:
+            want.apply_gate(Gate("H", (q,)))
+        assert set(got.support) == set(want.support)
+        assert all(abs(a - want.support[k]) < 1e-12 for k, a in got.support.items())
 
 
 def test_hadamard_wall_on_a_wide_register():
