@@ -33,6 +33,7 @@ from .gadgets import (
 from .hybrid import DQC, HybridSession, audited_depth
 from .oracles import (
     CHAIN_WIDTH_LIMITS,
+    SIMON_TABLE_LIMIT,
     build_inplace,
     inplace_steps,
     sample_shuffling,
@@ -43,9 +44,8 @@ from .oracles import (
 )
 from .qsim import (
     GATE_MATRICES, H, I2, S, SDG, T, X, Z, Gate, PauliDistribution, PauliOp,
-    SparseState, StateVector, born_cdf, born_draw, born_pick, dot_bits,
-    embed_operator, fidelity, read_only, run_streams, states_equal_up_to_phase,
-    trial_rng,
+    SparseState, StateVector, born_pick, dot_bits, embed_operator, fidelity,
+    read_only, run_streams, states_equal_up_to_phase, trial_rng,
 )
 # unused here; kept because bench/tracer.py patches ``game.qsim_measure``
 from .qsim import measure as qsim_measure  # noqa: F401
@@ -242,6 +242,10 @@ class ProtocolConfig:
             # query k applies step k of the solver's schedule
             violations.append(f"q={self.q} above the {query_count(self)} oracle "
                               f"queries of {self.target} access at d={self.d}")
+        if self.fidelity == "abstract" and self.n > SIMON_TABLE_LIMIT:
+            # each trial's oracle starts from a tabled Simon function
+            violations.append(f"n={self.n} above the {SIMON_TABLE_LIMIT}-bit Simon "
+                              f"table limit")
         if self.fidelity == "abstract" and self.oracle_mode in CHAIN_WIDTH_LIMITS:
             # the oracle's shuffling chain runs over (d+2)n bits
             cap = CHAIN_WIDTH_LIMITS[self.oracle_mode]
@@ -675,16 +679,6 @@ def t_gadget_exhaustion(psis):
     return comp, n_x, n_z, worst
 
 
-def _full_measurement_table(state: SparseState):
-    """The outcomes of measuring every qubit of ``state``, in the sorted
-    order ``qsim.measure`` draws them from, and their ``born_cdf``."""
-    outcomes = sorted(state.support)
-    # Python's abs(a) ** 2, not np.abs(...) ** 2: the two differ in the last
-    # bit for some amplitudes, which would move seeded draws
-    probs = np.array([abs(state.support[o]) ** 2 for o in outcomes])
-    return outcomes, born_cdf(probs / probs.sum())
-
-
 def rigid_exchange(labels, act_label, e_act, measured, rng):
     """The verifier's requests to O in a rigidity round, and O's outcomes.
 
@@ -722,9 +716,9 @@ class ProverA:
     ``instances`` lists one shared ``SparseState`` t times, and each wall or
     oracle step runs once per distinct state.  Only a planted attack sets
     instance 0 apart: ``GameRun._apply_attack`` gives it its own copy on the
-    first write.  The final measurement draws each instance, in order, from
-    its state's outcome table, built once per distinct state; afterwards
-    ``instances`` holds the t post-measurement basis states.
+    first write.  The final measurement draws the instances in order, each
+    run that shares a state in one ``SparseState.sample_index`` batch;
+    afterwards ``instances`` holds the t post-measurement basis states.
     """
 
     def __init__(self, budget=None, lie_outcomes=False, random_answer=False,
@@ -812,20 +806,18 @@ class ProverA:
             self._charge("final_hadamard: the random answer never measures "
                          "its instances")
         elif self.instances is not None and self._charge(
-                "final_hadamard", list({id(st): st for st in self.instances}.values()),
+                "final_hadamard", list(dict.fromkeys(self.instances)),
                 lambda st: st.apply_hadamard_wall(wall)):
-            # one outcome table per distinct state, then one draw per
-            # instance in instance order: the draws and collapses
-            # qsim.measure of each instance's own copy would make
-            tables, collapsed, samples = {}, [], []
-            for st in self.instances:
-                if id(st) not in tables:
-                    tables[id(st)] = _full_measurement_table(st)
-                outcomes, cdf = tables[id(st)]
-                pick = outcomes[born_draw(rng, cdf)]
-                a = st.support[pick]
-                collapsed.append(SparseState(total, {pick: a / math.sqrt(abs(a) ** 2)}))
-                samples.append(shift_sample(pick, total, cfg.n, inplace))
+            # one sample_index batch per run of instances sharing a state,
+            # its support sorted as qsim.measure draws: the draws and
+            # collapses measuring each instance's own copy would make
+            collapsed, samples = [], []
+            for st, run in itertools.groupby(self.instances):
+                st.support = dict(sorted(st.support.items()))
+                for pick in st.sample_index(rng, None, len(list(run))):
+                    a = st.support[pick]
+                    collapsed.append(SparseState(total, {pick: a / math.sqrt(abs(a) ** 2)}))
+                    samples.append(shift_sample(pick, total, cfg.n, inplace))
             self.instances = collapsed
             s_hat = solve_hidden_shift([y for y in samples if y is not None], cfg.n)
             if s_hat is not None:
@@ -1025,7 +1017,7 @@ class GameRun:
         # oracle action on the data wires, then any planted attack
         if comp and rnd.coherent and not self.o.skip_oracle \
                 and self.a.instances is not None:
-            for st in {id(st): st for st in self.a.instances}.values():
+            for st in dict.fromkeys(self.a.instances):
                 self.steps[query_idx](st)
         if self.o.attack is not None:
             self._apply_attack(rnd, self.o.attack)

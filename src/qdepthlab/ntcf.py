@@ -182,18 +182,21 @@ class HonestProver:
             D0_DEFAULT, "prepare_claws: samp_state builds the claw states whole")
         self.images = []
         for st, k in zip(self.states, keys):
-            y, _ = qsim_measure(st, range(1 + k.n, 1 + 2 * k.n), "standard", self.rng)
+            y, _ = qsim_measure(st, range(1 + k.n, 1 + 2 * k.n), self.rng)
             self.images.append(y)
         return self.images
 
     def answer(self, i, c):
-        """Measure claw register i in the standard (c=0) or Hadamard basis."""
+        """Measure claw register i in the standard (c=0) or Hadamard basis:
+        for c=1 a Hadamard wall on the register, then a standard reading."""
         n = self.keys[i - 1].n
         if i >= 2:
             self.session.charge_layers(
                 1, f"round_{i}_basis: applied by the measurement that reads it")
-        basis = "standard" if c == 0 else "hadamard"
-        bx, _ = qsim_measure(self.states[i - 1], range(0, 1 + n), basis, self.rng)
+        st, register = self.states[i - 1], range(0, 1 + n)
+        if c != 0:
+            st.apply_hadamard_wall(register)
+        bx, _ = qsim_measure(st, register, self.rng)
         return divmod(bx, 1 << n)
 
     def trace(self):
@@ -257,7 +260,7 @@ class ResetProver(HonestProver):
         for i in range(self.j, self.d + 2):
             k = self.keys[i - 1]
             st = self.states[i - 1]
-            bx, _ = qsim_measure(st, range(0, 1 + k.n), "standard", self.rng)
+            bx, _ = qsim_measure(st, range(0, 1 + k.n), self.rng)
             sigma[i] = divmod(bx, 1 << k.n)
         self.sigma = dict(sigma)
         return sigma

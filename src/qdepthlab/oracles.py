@@ -44,6 +44,8 @@ FEISTEL_ROUNDS = 10
 PRP_WIDTH_LIMIT = 128
 # the widest (d+2)n-bit shuffling chain of each mode
 CHAIN_WIDTH_LIMITS = {"exact": EXACT_WIDTH_LIMIT, "prp": PRP_WIDTH_LIMIT}
+# the widest n of sample_simon, whose table holds 2^n entries
+SIMON_TABLE_LIMIT = 20
 # murmur3's fmix64 constants, as 0-d uint64 arrays: no operand is ever
 # promoted, and numpy applies an array operand faster than a scalar one
 _FMIX_SHIFT = np.array(33, dtype=np.uint64)
@@ -267,8 +269,8 @@ def sample_simon(n, rng) -> SimonFunction:
     uniform injection of H into the n-bit strings."""
     if n < 2:
         raise QDepthError("need n >= 2")
-    if n > 20:
-        raise CapacityError("table-backed sampling limited to n <= 20")
+    if n > SIMON_TABLE_LIMIT:
+        raise CapacityError(f"table-backed sampling limited to n <= {SIMON_TABLE_LIMIT}")
     s = int(rng.integers(1, 1 << n))
     values = rng.permutation(1 << n)[: 1 << (n - 1)]
     table = np.empty(1 << n, dtype=np.int64)

@@ -299,11 +299,11 @@ class SparseState:
 
     def sample_index(self, rng, born, shots) -> list:
         """Draw ``shots`` basis indices by the Born rule (full measurements)
-        from one ``rng.random(shots)``.
-
-        ``born`` is this state's ``born_distribution()`` if the caller keeps
-        it, as a dCQ circuit does for the state it samples on every
-        invocation; if None, it is built here.
+        from one ``rng.random(shots)``, the doubles ``shots`` single draws
+        take.  ``born`` is this state's ``born_distribution()`` if the caller
+        keeps it, as a dCQ circuit does for the state it samples on every
+        invocation; if None, as for prover A's closing measurement (the
+        other caller), it is built here.
         """
         indices, cdf = self.born_distribution() if born is None else born
         return [indices[i] for i in born_draw(rng, cdf, shots)]
@@ -435,15 +435,15 @@ def run_streams(play, seed, trials, repeat, jobs):
             [keep for part in parts for keep in part[2]])
 
 
-def measure(state: SparseState, qubits, basis="standard", rng=None):
-    """Measure a subset of qubits of a sparse state; returns (outcome,
-    post-measurement state).
+def measure(state: SparseState, qubits, rng=None):
+    """Measure a subset of qubits of a sparse state in the computational
+    basis; returns (outcome, post-measurement state).
 
     ``outcome`` is the basis index of the measured qubits, the first of
     ``qubits`` most significant (``bits_to_int`` of their bits in order).
-
-    ``hadamard`` basis applies one Hadamard wall to the measured qubits
-    first.  The state is collapsed and renormalized in place.
+    A Hadamard-basis reading applies ``apply_hadamard_wall`` first.  The
+    state is collapsed and renormalized in place.  A full measurement of
+    many copies of one state draws through ``SparseState.sample_index``.
     """
     qubits = list(qubits)
     if state.num_qubits == 0 or not qubits:
@@ -452,10 +452,6 @@ def measure(state: SparseState, qubits, basis="standard", rng=None):
         raise QDepthError("measurement requires an injected rng")
     # the qubits are checked before the state is touched
     _check_targets(state.num_qubits, qubits)
-    if basis == "hadamard":
-        state.apply_hadamard_wall(qubits)
-    elif basis != "standard":
-        raise QDepthError(f"unknown measurement basis {basis!r}")
 
     k = len(qubits)
     # each entry's outcome as one int, the first measured qubit most

@@ -147,6 +147,18 @@ def test_over_wide_oracle_chain_is_config_error(mode, widest_d, cap):
     ProtocolConfig(n=n, d=d, q=3, oracle_mode=mode, fidelity="gadget")
 
 
+def test_n_above_the_simon_table_is_config_error():
+    """Each abstract trial's oracle starts from ``sample_simon``'s table, so
+    n=21 is refused when the config is built (its 84-bit prp chain fits),
+    not by the first trial; gadget fidelity builds no oracle."""
+    assert oracles.SIMON_TABLE_LIMIT == 20
+    ProtocolConfig(n=20, d=2, q=3, oracle_mode="prp")
+    with pytest.raises(ConfigError) as err:
+        ProtocolConfig(n=21, d=2, q=3, oracle_mode="prp")
+    assert err.value.violations == ["n=21 above the 20-bit Simon table limit"]
+    ProtocolConfig(n=21, d=2, q=3, oracle_mode="prp", fidelity="gadget")
+
+
 def test_partition_invariants(rng):
     cfg = ProtocolConfig(**SMALL)
     layout = GameLayout(cfg)
@@ -979,26 +991,29 @@ def test_attack_wider_than_the_register_is_a_lab_error():
 
 
 def test_final_answer_draws_instance_zero_from_its_own_state(monkeypatch):
-    """Under attack the closing measurement builds instance 0's outcome table
-    first, from its own copy, then one table for the other t-1 instances'
-    shared state, which holds the attack-free support."""
-    def spy_on(tables):
-        def spy(state):
-            tables.append(dict(state.support))
-            return full_table(state)
+    """The closing measurement draws each run of instances that share a
+    state in one ``sample_index`` batch: all t at once in a clean trial;
+    under attack first instance 0 alone, from its own copy, then the other
+    t-1 from their shared state, which holds the attack-free support."""
+    def spy_on(calls):
+        def spy(state, rng, born, shots):
+            calls.append((dict(state.support), shots))
+            return sample_index(state, rng, born, shots)
         return spy
 
-    full_table = game._full_measurement_table
+    sample_index = SparseState.sample_index
     attacked, clean = [], []
-    monkeypatch.setattr(game, "_full_measurement_table", spy_on(attacked))
+    monkeypatch.setattr(SparseState, "sample_index", spy_on(attacked))
     cfg, prover, _, _ = _no_test_trial("honest", strat_o="pauli-x")
-    monkeypatch.setattr(game, "_full_measurement_table", spy_on(clean))
+    monkeypatch.setattr(SparseState, "sample_index", spy_on(clean))
     _no_test_trial("honest")
-    assert len(attacked) == 2 and len(clean) == 1
-    assert attacked[0] != attacked[1] == clean[0]
-    assert set(prover.instances[0].support) <= set(attacked[0])
+    t = cfg.t_parallel
+    assert [shots for _, shots in clean] == [t]
+    assert [shots for _, shots in attacked] == [1, t - 1]
+    assert attacked[0][0] != attacked[1][0] == clean[0][0]
+    assert set(prover.instances[0].support) <= set(attacked[0][0])
     assert all(len(st.support) == 1 for st in prover.instances)
-    assert len(prover.instances) == cfg.t_parallel
+    assert len(prover.instances) == t
 
 
 def _measured_final_answer(self, rng):
@@ -1010,7 +1025,7 @@ def _measured_final_answer(self, rng):
     if self.instances is not None and self._charge(
             "final_hadamard", list({id(st): st for st in self.instances}.values()),
             lambda st: st.apply_hadamard_wall(wall)):
-        drawn = [qsim.measure(st.copy(), range(total), "standard", rng)
+        drawn = [qsim.measure(st.copy(), range(total), rng)
                  for st in self.instances]
         self.instances = [st for _, st in drawn]
         samples = [oracles.shift_sample(pick, total, cfg.n, inplace)
@@ -1025,9 +1040,9 @@ def _measured_final_answer(self, rng):
 @pytest.mark.parametrize("strat_o", ["honest", "pauli-x", "pauli-z"])
 def test_final_answer_draws_what_measuring_each_copy_draws(monkeypatch, target,
                                                            strat_o):
-    """One table per distinct state gives each instance the outcome and the
-    collapsed state, and leaves the generator where, ``qsim.measure`` of the
-    instance's own copy does."""
+    """One ``sample_index`` batch per run of instances sharing a state gives
+    each instance the outcome and the collapsed state, and leaves the
+    generator where, ``qsim.measure`` of the instance's own copy does."""
     def recorded(final_answer, out):
         def answer(self, rng):
             w = final_answer(self, rng)
@@ -1038,7 +1053,7 @@ def test_final_answer_draws_what_measuring_each_copy_draws(monkeypatch, target,
 
     for seed in range(3):
         got = {}
-        for name, final_answer in (("table", game.ProverA.final_answer),
+        for name, final_answer in (("batch", game.ProverA.final_answer),
                                    ("measure", _measured_final_answer)):
             out = got[name] = []
             with monkeypatch.context() as patch:
@@ -1046,7 +1061,7 @@ def test_final_answer_draws_what_measuring_each_copy_draws(monkeypatch, target,
                 _, _, _, tr = _no_test_trial("honest", seed=seed, strat_o=strat_o,
                                              target=target)
             out.append(tr.to_json())
-        assert got["table"] == got["measure"]
+        assert got["batch"] == got["measure"]
 
 
 def test_classical_prover_runs_no_layer(monkeypatch):

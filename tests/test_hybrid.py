@@ -134,7 +134,7 @@ def test_dqc_partial_measurement_allowed(rng):
     session = HybridSession(DQC, 2, rng)
     st = SparseState.from_bits([0, 0])
     session.layer([st], _h0)
-    bit, st = measure(st, [0], "standard", rng)  # partial: qubit 1 untouched
+    bit, st = measure(st, [0], rng)  # partial: qubit 1 untouched
     session.classical("read")
     session.layer([st], _h0)
     trace = session.finish()
@@ -149,7 +149,9 @@ def test_budget_one_coin_conditional(rng):
     session.layer([st], _h0)
     session.classical("coin")
     basis = "standard" if rng.integers(2) else "hadamard"
-    measure(st, [0], basis, rng)
+    if basis == "hadamard":
+        st.apply_hadamard_wall([0])
+    measure(st, [0], rng)
     trace = session.finish()
     assert audited_depth(trace) == 1
 

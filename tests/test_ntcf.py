@@ -78,7 +78,7 @@ def test_samp_state_shape_and_claw_collapse(rng):
     st, = samp_state([k])
     assert st.num_qubits == 1 + 2 * 3
     assert len(st.support) == 16
-    y, st2 = measure(st, range(4, 7), "standard", rng)
+    y, st2 = measure(st, range(4, 7), rng)
     x0, x1 = k.preimages(y)
     assert sorted(st2.support) == sorted([
         ((0 << 3 | x0) << 3) | y, ((1 << 3 | x1) << 3) | y])
@@ -88,8 +88,8 @@ def test_standard_measurement_passes_chk(rng):
     k, _ = gen(3, rng)
     for _ in range(10):
         st, = samp_state([k])
-        y, st2 = measure(st, range(4, 7), "standard", rng)
-        bx, _ = measure(st2, range(0, 4), "standard", rng)
+        y, st2 = measure(st, range(4, 7), rng)
+        bx, _ = measure(st2, range(0, 4), rng)
         b, x = bx >> 3, bx & 0b111
         assert chk(k, b, x, y) == 1
 
@@ -100,10 +100,10 @@ def test_hadamard_measurement_equation_exhaustive(rng):
         k, _ = gen(n, rng)
         for _ in range(25):
             st, = samp_state([k])
-            _, st2 = measure(st, range(1 + n, 1 + 2 * n), "standard", rng)
+            _, st2 = measure(st, range(1 + n, 1 + 2 * n), rng)
             for q in range(1 + n):
                 st2.apply_gate(Gate("H", (q,)))
-            ue, _ = measure(st2, range(0, 1 + n), "standard", rng)
+            ue, _ = measure(st2, range(0, 1 + n), rng)
             u, e = ue >> n, ue & ((1 << n) - 1)
             assert u == dot_bits(e, k.shift)
 

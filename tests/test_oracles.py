@@ -680,7 +680,7 @@ def test_measured_bits_round_trip_into_samples(bits, n):
     assert bits_to_int(bits) == int("".join(map(str, bits)), 2)
     state = SparseState.from_bits(bits)
     assert list(state.support) == [bits_to_int(bits)]
-    got, _ = measure(state, range(len(bits)), "standard", np.random.default_rng(0))
+    got, _ = measure(state, range(len(bits)), np.random.default_rng(0))
     assert got == bits_to_int(bits)
     n, total = min(n, len(bits)), len(bits)
     want = bits_to_int(bits[:n])

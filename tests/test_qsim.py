@@ -63,14 +63,14 @@ def test_sparse_support_cap(monkeypatch):
 
 def test_measure_deterministic_one(rng):
     st = SparseState.from_bits([1])
-    bit, st = qsim.measure(st, [0], "standard", rng)
+    bit, st = qsim.measure(st, [0], rng)
     assert bit == 1
 
 
 def test_measure_plus_in_hadamard_basis(rng):
     st = SparseState.from_bits([0])
     st.apply_gate(Gate("H", (0,)))
-    bit, _ = qsim.measure(st, [0], "hadamard", rng)
+    bit, _ = qsim.measure(st.apply_hadamard_wall([0]), [0], rng)
     assert bit == 0  # H|+> = |0>
 
 
@@ -80,7 +80,7 @@ def test_born_rule_plus_state(rng):
     for _ in range(trials):
         st = SparseState.from_bits([0])
         st.apply_gate(Gate("H", (0,)))
-        bit, _ = qsim.measure(st, [0], "standard", rng)
+        bit, _ = qsim.measure(st, [0], rng)
         zeros += bit == 0
     assert abs(zeros / trials - 0.5) < 0.02
 
@@ -88,7 +88,7 @@ def test_born_rule_plus_state(rng):
 def test_measure_requires_rng():
     st = SparseState.from_bits([0])
     with pytest.raises(QDepthError):
-        qsim.measure(st, [0], "standard", None)
+        qsim.measure(st, [0], None)
 
 
 def test_dense_sparse_agreement(rng):
@@ -361,17 +361,14 @@ def test_born_pick_splits_two_weights_where_born_cdf_does(weights):
 def test_born_distribution_squares_amplitudes_in_python():
     """The Born table is built from Python's ``abs(a) ** 2``.  For this
     amplitude numpy's ``np.abs(a) ** 2`` is one ulp away, so a table built
-    from it would move seeded draws; the full-measurement table of a
-    referee's final answer keeps the same weights."""
+    from it would move seeded draws.  Prover A's closing measurement draws
+    from this same table, through ``sample_index``."""
     z, w = 0.1257302210933933 + 0.32359471786070765j, 0.5 + 0.25j
     weights = np.array([abs(z) ** 2, abs(w) ** 2])
     want = qsim.born_cdf(weights / weights.sum())
     indices, cdf = SparseState(1, {0: z, 1: w}).born_distribution()
     assert indices == [0, 1]
     assert cdf.tolist() == want.tolist()
-    outcomes, table = game._full_measurement_table(SparseState(1, {1: w, 0: z}))
-    assert outcomes == [0, 1]
-    assert table.tolist() == want.tolist()
 
 
 _COMPONENTS = hst.one_of(
@@ -424,12 +421,10 @@ def test_born_cdf_rejects_what_choice_rejects(p):
         qsim.born_cdf(np.array(p, dtype=float))
 
 
-def _sparse_measure_reference(state, qubits, basis, rng):
+def _sparse_measure_reference(state, qubits, rng):
     """The sparse branch of ``qsim.measure`` as it was before the Born
     sampler: outcome patterns keyed by tuples of bools, drawn by
     ``Generator.choice``."""
-    if basis == "hadamard":
-        state.apply_hadamard_wall(qubits)
     masks = [state._mask(q) for q in qubits]
     patterns, members = {}, {}
     for idx, a in state.support.items():
@@ -453,7 +448,8 @@ def test_sparse_measure_matches_reference(case, data, seed, basis):
     """The outcome index the reference's bits spell (first measured qubit
     most significant), the same post-state (support order and amplitudes)
     and the same generator state as the tuple-keyed draw, on contiguous runs
-    and on arbitrary qubit lists."""
+    and on arbitrary qubit lists; a Hadamard-basis reading walls the
+    measured qubits of both first."""
     n, support = case
     qubits = data.draw(hst.one_of(
         hst.tuples(hst.integers(0, n - 1), hst.integers(1, n)).map(
@@ -461,9 +457,12 @@ def test_sparse_measure_matches_reference(case, data, seed, basis):
         hst.permutations(range(n)).flatmap(
             lambda p: hst.integers(1, n).map(lambda k: list(p[:k])))))
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-    outcome, got = qsim.measure(SparseState(n, support), qubits, basis, rng_got)
-    bits_want, want = _sparse_measure_reference(SparseState(n, support), qubits,
-                                                basis, rng_want)
+    got, want = SparseState(n, support), SparseState(n, support)
+    if basis == "hadamard":
+        got.apply_hadamard_wall(qubits)
+        want.apply_hadamard_wall(qubits)
+    outcome, got = qsim.measure(got, qubits, rng_got)
+    bits_want, want = _sparse_measure_reference(want, qubits, rng_want)
     assert outcome == qsim.bits_to_int(bits_want) and type(outcome) is int
     assert list(got.support.items()) == list(want.support.items())
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
@@ -558,15 +557,18 @@ def test_hadamard_wall_rejects_bad_qubits(qubits):
 @pytest.mark.parametrize("kernel", [SparseState])
 def test_measure_rejects_bad_qubits(kernel, qubits, basis):
     """A repeated, negative or out-of-range measured qubit is a QDepthError
-    before the state is touched, also on a second try."""
+    before the state is touched, also on a second try; a Hadamard-basis
+    reading's wall refuses it the same way."""
     state = kernel.from_bits([0, 1])
     before = state.copy()
     for _ in range(2):
         with pytest.raises(QDepthError, match="invalid on 2 qubits"):
-            qsim.measure(state, qubits, basis, np.random.default_rng(0))
+            if basis == "hadamard":
+                state.apply_hadamard_wall(qubits)
+            qsim.measure(state, qubits, np.random.default_rng(0))
     assert state.support == before.support
     if basis == "standard":
-        assert qsim.measure(state, [1, 0], basis, np.random.default_rng(0))[0] == 0b10
+        assert qsim.measure(state, [1, 0], np.random.default_rng(0))[0] == 0b10
 
 
 # -- Pauli machinery ---------------------------------------------------------
